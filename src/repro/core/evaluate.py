@@ -43,7 +43,12 @@ from repro.linalg import (
     resolve_workspace,
     row_nnz,
 )
-from repro.linalg.kernels import BITSET_CHUNK, is_binary_matrix, words_block_stats
+from repro.linalg.kernels import (
+    BITSET_CHUNK,
+    is_binary_matrix,
+    pack_binary_errors,
+    words_block_stats,
+)
 from repro.core.scoring import score
 from repro.core.types import stats_matrix
 from repro.obs import NULL_TRACER
@@ -132,16 +137,18 @@ def _evaluate_words_level(
     workspace: KernelWorkspace | None = None,
     coverage: np.ndarray | None = None,
     counters=None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(ss, se, sm)`` via the bitset/incremental indicator backends.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """``(ss, se, sm, binary)`` via the bitset/incremental indicator backends.
 
-    Candidates are processed in fixed :data:`~repro.linalg.kernels.
-    BITSET_CHUNK`-sized chunks — independent of the caller's ``block_size``,
-    which cannot matter here because every candidate's statistics are
-    computed in isolation from its own indicator bitset.  Chunk workers are
-    pure (the miss table is materialized up front, cache appends and
-    counter updates happen serially afterwards in chunk order), so the
-    thread pool never races the per-run kernel state.
+    Candidates are processed in spans of at most :data:`~repro.linalg.
+    kernels.BITSET_CHUNK`, cut so that every thread gets one — independent
+    of the caller's ``block_size``, which cannot matter here because every
+    candidate's statistics are computed in isolation from its own indicator
+    bitset.  Span workers are pure (the miss table is materialized up
+    front, cache appends and counter updates happen serially afterwards in
+    span order), so the thread pool never races the per-run kernel state.
+    *binary* reports whether the errors were 0/1, so that ``se``/``sm``
+    came from popcounts against their packed bitset.
     """
     num_slices = slices.shape[0]
     num_rows = x_onehot.shape[0]
@@ -150,12 +157,14 @@ def _evaluate_words_level(
         slices.sort_indices()
     keys = slices.indices.reshape(num_slices, level)
     track_rows = coverage is not None
+    error_words = pack_binary_errors(errors)
     incremental = kernels.backend == "incremental"
     if incremental:
         kernels.prepare_chunks(parents)
+    span_size = min(BITSET_CHUNK, max(1, -(-num_slices // max(1, num_threads))))
     spans = [
-        (start, min(start + BITSET_CHUNK, num_slices))
-        for start in range(0, num_slices, BITSET_CHUNK)
+        (start, min(start + span_size, num_slices))
+        for start in range(0, num_slices, span_size)
     ]
 
     def run(span):
@@ -165,7 +174,7 @@ def _evaluate_words_level(
             keys[start:stop], chunk_parents
         )
         sizes, slice_errors, max_errors, covered = words_block_stats(
-            words, errors, num_rows, track_rows
+            words, errors, num_rows, track_rows, error_words
         )
         return sizes, slice_errors, max_errors, covered, words, hits, misses
 
@@ -186,6 +195,7 @@ def _evaluate_words_level(
         np.concatenate([p[0] for p in partials]),
         np.concatenate([p[1] for p in partials]),
         np.concatenate([p[2] for p in partials]),
+        error_words is not None,
     )
 
 
@@ -201,8 +211,8 @@ def _evaluate_uniform_level(
     kernels: KernelState | None = None,
     parents: np.ndarray | None = None,
     counters=None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Blocked ``(ss, se, sm)`` evaluation of same-level slices.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """Blocked ``(ss, se, sm, binary)`` evaluation of same-level slices.
 
     With a prepared :class:`~repro.linalg.KernelState` whose per-level
     decision is not ``"sparse"``, evaluation is delegated to the bitset /
@@ -210,6 +220,8 @@ def _evaluate_uniform_level(
     the transpose ``S^T`` is materialized once in CSC form; each block is a
     column slice of it.  When *coverage* (a boolean vector over the data
     rows) is given, rows matching >= 1 evaluated slice are OR-ed into it.
+    *binary* is true only when the bitset backends took their 0/1-error
+    popcount path; the sparse path always reports false.
     """
     if kernels is not None and kernels.backend != "sparse":
         return _evaluate_words_level(
@@ -239,6 +251,7 @@ def _evaluate_uniform_level(
         np.concatenate([p[0] for p in partials]),
         np.concatenate([p[1] for p in partials]),
         np.concatenate([p[2] for p in partials]),
+        False,
     )
 
 
@@ -329,7 +342,7 @@ def evaluate_slice_set(
                 x_onehot, int(level), int(members.size),
                 slices_binary=is_binary_matrix(group),
             )
-        group_sizes, group_errors, group_max = _evaluate_uniform_level(
+        group_sizes, group_errors, group_max, _ = _evaluate_uniform_level(
             x_onehot, errors, group, int(level), block_size,
             num_threads, workspace=workspace, kernels=kernels,
         )
@@ -399,12 +412,13 @@ def evaluate_slices(
         blocks=num_blocks,
         threads=num_threads,
         backend=kernels.backend if kernels is not None else "sparse",
-    ):
-        sizes, slice_errors, max_errors = _evaluate_uniform_level(
+    ) as span:
+        sizes, slice_errors, max_errors, binary = _evaluate_uniform_level(
             x_onehot, errors, slices, level, block_size, num_threads,
             workspace=workspace, coverage=coverage, kernels=kernels,
             parents=parents, counters=counters,
         )
+        span.annotate(errors="binary" if binary else "general")
     if counters is not None:
         # Every stored entry of I = (X S^T == L) is one (row, slice)
         # membership, so sum(ss) over the level IS nnz(I) — free to track.

@@ -38,6 +38,21 @@ Exactness.  All backends are bitwise identical to the sparse path:
   zeros of any column that is not full: ``max(0, member max)`` unless the
   slice covers every row.  Max is order-independent, hence exact.
 
+0/1 errors (the inaccuracy vector of a classifier) skip the unpacking.
+When every error is exactly ``+0.0`` or ``1.0`` — checked on the float64
+bit patterns, so ``-0.0``, ``0.5`` or ``2.0`` anywhere keeps the path
+above — the errors are packed once into a row bitset ``E``
+(:func:`pack_binary_errors`) and a slice's statistics are popcounts:
+
+* ``se = popcount(words & E)``: csc_matvec adds the slice's members' 0/1
+  errors to ``0.0`` one by one, and every partial sum is an integer below
+  ``2**53``, so each addition is exact and the sum equals the count of
+  members whose error is ``1.0``, in any order.
+* ``sm = (se > 0)``: the members' errors lie in ``{+0.0, 1.0}``, so their
+  max is ``1.0`` exactly when some member's error is ``1.0`` and ``+0.0``
+  otherwise; the implicit-zero rule ``max(0, ...)`` changes neither value,
+  and an empty slice has ``se = sm = 0.0`` on both paths.
+
 The per-level :func:`choose_backend` cost model keeps the sparse path for
 non-0/1 data, tiny workloads (where packing costs more than it saves), and
 whenever the packed table would exceed its byte cap, so ``auto`` never
@@ -75,6 +90,9 @@ _POPCOUNT_LUT = np.unpackbits(
 ).sum(axis=1, dtype=np.uint8)
 
 _HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
+
+#: float64 bit pattern of ``1.0`` (``+0.0`` is all zero bits).
+_ONE_BITS = np.float64(1.0).view(np.uint64)
 
 
 def num_packed_words(num_bits: int) -> int:
@@ -124,6 +142,21 @@ def unpack_bool_rows(words: np.ndarray, num_bits: int) -> np.ndarray:
     return np.unpackbits(
         np.ascontiguousarray(words).view(np.uint8), axis=1, count=num_bits
     ).view(np.bool_)
+
+
+def pack_binary_errors(errors: np.ndarray) -> np.ndarray | None:
+    """Row bitset of a 0/1 error vector, or ``None`` for any other vector.
+
+    Returns the packed ``uint64`` words of ``errors == 1.0`` when every
+    entry's bit pattern is that of ``+0.0`` or ``1.0``.  ``-0.0`` and every
+    other value return ``None``, which keeps the general path (see the
+    module docstring for why the popcount path is exact).
+    """
+    bits = np.ascontiguousarray(errors, dtype=np.float64).view(np.uint64)
+    ones = bits == _ONE_BITS
+    if not np.all(ones | (bits == 0)):
+        return None
+    return pack_bool_rows(ones[np.newaxis, :])[0]
 
 
 def estimate_table_bytes(num_rows: int, num_cols: int) -> int:
@@ -188,11 +221,15 @@ def words_block_stats(
     errors: np.ndarray,
     num_rows: int,
     track_rows: bool = False,
+    error_words: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
     """``(ss, se, sm, row-any)`` of a block of candidate indicator bitsets.
 
-    Bitwise identical to the sparse ``_block_stats`` (see the module
-    docstring for the exactness argument).
+    *error_words* is :func:`pack_binary_errors` of *errors*; when given,
+    ``se`` and ``sm`` are popcounts of ``words & error_words`` and no
+    membership is unpacked.  Bitwise identical to the sparse
+    ``_block_stats`` either way (see the module docstring for the
+    exactness argument).
     """
     num_slices = words.shape[0]
     counts = popcount_rows(words)
@@ -200,7 +237,11 @@ def words_block_stats(
     slice_errors = np.zeros(num_slices, dtype=np.float64)
     max_errors = np.zeros(num_slices, dtype=np.float64)
     covered: np.ndarray | None = None
-    if num_slices and counts.any():
+    if error_words is not None:
+        error_counts = popcount_rows(words & error_words)
+        slice_errors = error_counts.astype(np.float64)
+        max_errors = (error_counts > 0).astype(np.float64)
+    elif num_slices and counts.any():
         bits = unpack_bool_rows(words, num_rows)
         slice_idx, row_idx = np.nonzero(bits)
         member_errors = errors[row_idx]
@@ -537,6 +578,7 @@ __all__ = [
     "estimate_table_bytes",
     "is_binary_matrix",
     "num_packed_words",
+    "pack_binary_errors",
     "pack_bool_rows",
     "popcount_rows",
     "unpack_bool_rows",

@@ -16,7 +16,6 @@ import shutil
 import signal
 import subprocess
 import sys
-import time
 
 import numpy as np
 import pytest
@@ -538,46 +537,46 @@ class TestProcessChaos:
         """kill -9 the whole service process; a restart finishes the job.
 
         The driver subprocess journals the submission and dispatch, then
-        dies mid-enumeration.  Recovery re-admits the orphan at the front
-        and the finished result matches a fault-free in-process run.
+        SIGKILLs itself at a fixed program point — the first call of the
+        per-level evaluation, i.e. level 2, right after the level-1
+        checkpoint — so the crash lands mid-enumeration however fast the
+        job runs.  Recovery re-admits the orphan at the front and the
+        finished result matches a fault-free in-process run.
         """
         state = str(tmp_path / "state")
         driver = tmp_path / "driver.py"
         driver.write_text(
+            "import os\n"
+            "import signal\n"
             "import sys\n"
             "import numpy as np\n"
+            "import repro.core.algorithm as algorithm\n"
             "from repro.serve import SliceService, JobSpec\n"
+            "def crash(*args, **kwargs):\n"
+            "    os.kill(os.getpid(), signal.SIGKILL)\n"
+            "algorithm._evaluate_level = crash\n"
             "rng = np.random.default_rng(777)\n"
             "x0 = rng.integers(1, 6, size=(20000, 20))\n"
             "errors = (rng.random(20000) < 0.3).astype(float)\n"
             "service = SliceService(state_dir=sys.argv[1], num_workers=1)\n"
             "record = service.submit(JobSpec(x0=x0, errors=errors))\n"
-            "print('submitted', flush=True)\n"
             "service.result(record.job_id, timeout=300)\n"
         )
         process = subprocess.Popen(
             [sys.executable, str(driver), state],
-            stdout=subprocess.PIPE,
             env={**os.environ, "PYTHONPATH": "src"},
         )
         try:
-            wal = os.path.join(state, "wal", "journal.wal")
-            deadline = time.time() + 60
-            while time.time() < deadline:
-                if os.path.exists(wal):
-                    records, _, _ = scan_wal(open(wal, "rb").read())
-                    if any(r["type"] == "dispatch" for r in records):
-                        break
-                time.sleep(0.05)
-            else:
-                pytest.fail("driver never dispatched the job")
-            time.sleep(0.4)
-            assert kill_process(process.pid)
+            process.wait(timeout=120)
         finally:
-            process.wait(timeout=30)
-            if process.stdout is not None:
-                process.stdout.close()
+            if process.returncode is None:
+                process.kill()
+                process.wait(timeout=30)
         assert process.returncode == -signal.SIGKILL
+        records, _, _ = scan_wal(
+            open(os.path.join(state, "wal", "journal.wal"), "rb").read()
+        )
+        assert any(r["type"] == "dispatch" for r in records)
 
         rng = np.random.default_rng(777)
         x0 = rng.integers(1, 6, size=(20000, 20))

@@ -8,7 +8,10 @@ sizes, compaction modes, warm starts, cache evictions, checkpoints and
 budgets.  Errors in these tests are dyadic rationals (multiples of 1/16)
 so even *independently recomputed* oracle sums are exact, not merely
 close; the backends themselves must agree bitwise on arbitrary floats,
-which the oracle-free cross-backend assertions cover.
+which the oracle-free cross-backend assertions cover.  0/1 errors (a
+classifier's inaccuracy) take the bitset backends' popcount path, so the
+differential matrix, the hypothesis sweep and the block-statistics oracle
+run on them as well.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from repro.core import (
     slice_line,
 )
 from repro.exceptions import ValidationError
+from repro.linalg import KernelWorkspace
 from repro.linalg.kernels import (
     BACKENDS,
     MIN_BITSET_CANDIDATES,
@@ -40,12 +44,14 @@ from repro.linalg.kernels import (
     estimate_table_bytes,
     is_binary_matrix,
     num_packed_words,
+    pack_binary_errors,
     pack_bool_rows,
     popcount_rows,
     unpack_bool_rows,
     words_block_stats,
 )
 from repro.linalg.kernels import _popcount_rows_lut
+from repro.obs import Tracer
 from repro.resilience import BudgetConfig
 
 #: The three concrete backends plus the cost model — the full request space.
@@ -66,6 +72,29 @@ def backend_problem(seed=7, n=480, m=6):
     errors = gen.integers(0, 17, size=n) / 16.0
     errors[(x0[:, 0] == 1) & (x0[:, 1] == 2)] = 1.0
     return x0, errors
+
+
+def binary_errors(x0, seed=7, rate=0.25):
+    """0/1 errors over *x0* with the same planted slice as the dyadic ones."""
+    gen = np.random.default_rng(seed)
+    errors = (gen.random(x0.shape[0]) < rate).astype(np.float64)
+    errors[(x0[:, 0] == 1) & (x0[:, 1] == 2)] = 1.0
+    return errors
+
+
+def error_paths(tracer):
+    """The ``errors`` attribute of every traced ``evaluate.blocks`` span."""
+    return {
+        span.attrs["errors"]
+        for span in tracer.iter_spans()
+        if span.name == "evaluate.blocks"
+    }
+
+
+def assert_bitwise(ref, other, label=""):
+    """Equal bytes, so ``-0.0`` and ``+0.0`` count as different."""
+    assert ref.dtype == other.dtype and ref.shape == other.shape, label
+    assert ref.tobytes() == other.tobytes(), label
 
 
 def run_backend(x0, errors, backend, *, num_threads=1, seeds=None, **overrides):
@@ -143,32 +172,51 @@ class TestWordsBlockStats:
         gen = np.random.default_rng(seed)
         x = (gen.random((n, cols)) < 0.5).astype(np.float64)
         x[:, 0] = 1.0  # one full column -> a full-coverage slice exists
+        x[:, 8] = 1.0 - x[:, 7]  # disjoint columns -> an empty AND exists
         errors = gen.integers(0, 17, size=n) / 16.0
         return sp.csr_matrix(x), errors
 
     def test_matches_dense_oracle(self):
-        x, errors = self.build(3)
+        x, dyadic = self.build(3)
+        num_rows = x.shape[0]
+        assert num_rows % 64  # a partial last word
+        gen = np.random.default_rng(5)
+        error_kinds = {
+            "dyadic": dyadic,
+            "binary": (gen.random(num_rows) < 0.3).astype(np.float64),
+            "all-zero": np.zeros(num_rows),
+            "all-one": np.ones(num_rows),
+            # One error, so the full slice has se == sm == 1.
+            "single-one": np.eye(1, num_rows)[0],
+        }
         table = BitsetTable.from_matrix(x)
         dense = x.toarray() != 0
-        # Pairs incl. (0, 0) -> the full slice, and a likely-empty AND.
+        # Pairs incl. (0, 0) -> the full slice, and (7, 8) -> an empty AND.
         keys = np.array([[0, 0], [1, 2], [3, 4], [5, 6], [7, 8]])
         words = table.candidate_words(keys)
-        sizes, se, sm, covered = words_block_stats(
-            words, errors, x.shape[0], track_rows=True
-        )
-        for i, (a, b) in enumerate(keys):
-            mask = dense[:, a] & dense[:, b]
-            count = int(mask.sum())
-            assert sizes[i] == float(count)
-            assert se[i] == float(errors[mask].sum())
-            member_max = errors[mask].max() if count else 0.0
-            if 0 < count < x.shape[0]:
-                member_max = max(member_max, 0.0)
-            assert sm[i] == member_max
-        expected_cover = np.zeros(x.shape[0], dtype=bool)
-        for a, b in keys:
-            expected_cover |= dense[:, a] & dense[:, b]
-        assert np.array_equal(covered, expected_cover)
+        for kind, errors in error_kinds.items():
+            error_words = pack_binary_errors(errors)
+            assert (error_words is None) == (kind == "dyadic"), kind
+            sizes, se, sm, covered = words_block_stats(
+                words, errors, num_rows, True, error_words
+            )
+            for i, (a, b) in enumerate(keys):
+                mask = dense[:, a] & dense[:, b]
+                count = int(mask.sum())
+                assert sizes[i] == float(count), kind
+                assert se[i] == float(errors[mask].sum()), kind
+                member_max = errors[mask].max() if count else 0.0
+                if 0 < count < num_rows:
+                    member_max = max(member_max, 0.0)
+                assert sm[i] == member_max, kind
+            expected_cover = np.zeros(num_rows, dtype=bool)
+            for a, b in keys:
+                expected_cover |= dense[:, a] & dense[:, b]
+            assert np.array_equal(covered, expected_cover), kind
+            # The popcount path is bitwise the unpacking path.
+            general = words_block_stats(words, errors, num_rows, True)
+            for got, want in zip((sizes, se, sm), general[:3]):
+                assert_bitwise(want, got, kind)
 
     def test_empty_block(self):
         _, errors = self.build(4)
@@ -177,6 +225,19 @@ class TestWordsBlockStats:
         )
         assert sizes.shape == (0,)
         assert not covered.any()
+
+    def test_pack_binary_errors_checks_bit_patterns(self):
+        errors = np.array([0.0, 1.0, 1.0, 0.0] * 20)
+        words = pack_binary_errors(errors)
+        assert np.array_equal(
+            unpack_bool_rows(words[np.newaxis, :], errors.size)[0],
+            errors == 1.0,
+        )
+        assert pack_binary_errors(np.zeros(0)).shape == (0,)
+        for value in (2.0, 0.5, -0.0, 1.0 + 2**-52, np.nan):
+            other = errors.copy()
+            other[3] = value
+            assert pack_binary_errors(other) is None, value
 
 
 # ---------------------------------------------------------------------------
@@ -417,14 +478,29 @@ class TestKernelState:
 
 @pytest.fixture(scope="module")
 def matrix_problem():
-    x0, errors = backend_problem()
-    cold = run_backend(x0, errors, "sparse")
-    assert len(cold.top_slices) >= 2
-    # Non-sparse levels must actually have run somewhere in this suite.
-    probe = run_backend(x0, errors, "incremental")
-    chosen = [lv.backend_chosen for lv in probe.counters.levels]
-    assert "bitset" in chosen and "incremental" in chosen
-    return x0, errors, cold
+    """``(x0, {error kind: (errors, cold sparse run)})``.
+
+    Dyadic errors take the unpacking statistics path, 0/1 errors the
+    popcount path; both must reach the bitset and incremental backends.
+    """
+    x0, dyadic = backend_problem()
+    problems = {}
+    for kind, errors in (("dyadic", dyadic), ("binary", binary_errors(x0))):
+        cold = run_backend(x0, errors, "sparse")
+        assert len(cold.top_slices) >= 2
+        # Non-sparse levels must actually have run somewhere in this suite.
+        tracer = Tracer()
+        probe = slice_line(
+            x0, errors,
+            SliceLineConfig(k=6, sigma=5, kernel_backend="incremental"),
+            trace=tracer,
+        )
+        chosen = [lv.backend_chosen for lv in probe.counters.levels]
+        assert "bitset" in chosen and "incremental" in chosen
+        expected_path = "binary" if kind == "binary" else "general"
+        assert expected_path in error_paths(tracer), kind
+        problems[kind] = (errors, cold)
+    return x0, problems
 
 
 @pytest.mark.parametrize("num_threads", [1, 4])
@@ -435,30 +511,32 @@ class TestDifferentialMatrix:
     def test_all_backends_bitwise_identical(
         self, matrix_problem, num_threads, block_size, compaction, warm
     ):
-        x0, errors, cold = matrix_problem
+        x0, problems = matrix_problem
         block = x0.shape[0] if block_size == "n" else block_size
-        seeds = cold.top_slices[:2] if warm else None
-        ref = run_backend(
-            x0, errors, "sparse",
-            num_threads=num_threads, seeds=seeds,
-            block_size=block, compaction=compaction,
-        )
-        for backend in ("bitset", "incremental", "auto"):
-            other = run_backend(
-                x0, errors, backend,
+        for kind, (errors, cold) in problems.items():
+            seeds = cold.top_slices[:2] if warm else None
+            ref = run_backend(
+                x0, errors, "sparse",
                 num_threads=num_threads, seeds=seeds,
                 block_size=block, compaction=compaction,
             )
-            assert_same_result(
-                ref, other,
-                f"{backend} t={num_threads} b={block_size} "
-                f"compact={compaction} warm={warm}",
-            )
+            for backend in ("bitset", "incremental", "auto"):
+                other = run_backend(
+                    x0, errors, backend,
+                    num_threads=num_threads, seeds=seeds,
+                    block_size=block, compaction=compaction,
+                )
+                assert_same_result(
+                    ref, other,
+                    f"{kind} {backend} t={num_threads} b={block_size} "
+                    f"compact={compaction} warm={warm}",
+                )
 
 
 class TestGauges:
     def test_backend_gauges_populate(self, matrix_problem):
-        x0, errors, _ = matrix_problem
+        x0, problems = matrix_problem
+        errors, _ = problems["dyadic"]
         result = run_backend(x0, errors, "incremental")
         by_level = {
             lv.level: lv for lv in result.counters.levels if lv.evaluated
@@ -471,7 +549,8 @@ class TestGauges:
         assert by_level[3].cache_misses == 0
 
     def test_sparse_run_reports_sparse(self, matrix_problem):
-        x0, errors, _ = matrix_problem
+        x0, problems = matrix_problem
+        errors, _ = problems["dyadic"]
         result = run_backend(x0, errors, "sparse")
         for lv in result.counters.levels:
             if lv.evaluated and lv.level >= 2:
@@ -479,7 +558,8 @@ class TestGauges:
                 assert lv.cache_hits == 0 and lv.cache_misses == 0
 
     def test_text_gauge_excluded_from_totals(self, matrix_problem):
-        x0, errors, _ = matrix_problem
+        x0, problems = matrix_problem
+        errors, _ = problems["dyadic"]
         result = run_backend(x0, errors, "bitset")
         totals = result.counters.totals()
         assert "backend_chosen" not in totals
@@ -501,7 +581,11 @@ def test_random_problems_with_missing_codes(seed):
     x0 = np.column_stack(
         [gen.integers(0, d + 1, size=n) for d in domains]
     ).astype(np.int64)
-    errors = gen.integers(0, 17, size=n) / 16.0
+    # Dyadic errors take the unpacking path, 0/1 errors the popcount path.
+    if gen.random() < 0.5:
+        errors = gen.integers(0, 2, size=n).astype(np.float64)
+    else:
+        errors = gen.integers(0, 17, size=n) / 16.0
     if errors.sum() == 0:
         errors[0] = 1.0
     k = int(gen.integers(1, 6))
@@ -576,6 +660,69 @@ class TestEvaluateSliceSetBackends:
                 assert np.array_equal(ref.sizes, out.sizes), backend
                 assert np.array_equal(ref.errors, out.errors), backend
                 assert np.array_equal(ref.max_errors, out.max_errors), backend
+
+    def pair_problem(self):
+        """Every two-column slice of a small one-hot X (one level)."""
+        x0, dyadic = backend_problem(23, n=300, m=5)
+        x = FeatureSpace.from_matrix(x0).encode(x0)
+        cols = x.shape[1]
+        pairs = np.array(
+            [(a, b) for a in range(cols) for b in range(a + 1, cols)]
+        )
+        rows = np.repeat(np.arange(len(pairs)), 2)
+        matrix = sp.csr_matrix(
+            (np.ones(rows.size), (rows, pairs.ravel())),
+            shape=(len(pairs), cols),
+        )
+        return x0, x, matrix, dyadic
+
+    def test_threads_split_a_level_below_one_chunk(self):
+        """Fewer than BITSET_CHUNK candidates still reach every thread."""
+
+        class RecordingWorkspace(KernelWorkspace):
+            def __init__(self, num_threads):
+                super().__init__(num_threads)
+                self.mapped = []
+
+            def map(self, fn, items, width=None):
+                self.mapped.append(len(items))
+                return super().map(fn, items, width)
+
+        x0, x, matrix, dyadic = self.pair_problem()
+        assert matrix.shape[0] <= kernels_mod.BITSET_CHUNK
+        for errors in (dyadic, binary_errors(x0, 23)):
+            ref = evaluate_slice_set(x, matrix, errors, backend="bitset")
+            with RecordingWorkspace(2) as workspace:
+                out = evaluate_slice_set(
+                    x, matrix, errors, backend="bitset", num_threads=2,
+                    workspace=workspace,
+                )
+            assert workspace.mapped == [2]
+            for want, got in zip(ref, out):
+                assert_bitwise(want, got)
+
+    @pytest.mark.parametrize("value", [2.0, 0.5, -0.0])
+    def test_non_binary_errors_take_general_path(self, value):
+        """One non-0/1 value among 0/1 errors keeps the unpacking path."""
+        x0, x, matrix, _ = self.pair_problem()
+        errors = binary_errors(x0, 23)
+        # Every error of the slice x0[:, 2] == 1 becomes *value*: with -0.0
+        # its members' max is a signed zero a popcount would not reproduce.
+        errors[x0[:, 2] == 1] = value
+        assert pack_binary_errors(errors) is None
+        ref = evaluate_slice_set(x, matrix, errors, backend="sparse")
+        for backend in ("bitset", "incremental", "auto"):
+            out = evaluate_slice_set(x, matrix, errors, backend=backend)
+            for want, got in zip(ref, out):
+                assert_bitwise(want, got, backend)
+        tracer = Tracer()
+        cold = run_backend(x0, errors, "sparse")
+        other = slice_line(
+            x0, errors, SliceLineConfig(k=6, sigma=5, kernel_backend="bitset"),
+            trace=tracer,
+        )
+        assert_same_result(cold, other)
+        assert error_paths(tracer) == {"general"}
 
 
 # ---------------------------------------------------------------------------
