@@ -126,30 +126,10 @@ def _add_budget_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _budgets_from_args(args) -> BudgetConfig | None:
-    if (
-        args.deadline_s is None
-        and args.max_candidates_per_level is None
-        and args.max_memory_mb is None
-    ):
-        return None
-    return BudgetConfig(
-        deadline_s=args.deadline_s,
-        max_candidates_per_level=args.max_candidates_per_level,
-        max_memory_bytes=(
-            int(args.max_memory_mb * 1e6)
-            if args.max_memory_mb is not None
-            else None
-        ),
-    )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="SliceLine: find the top-K data slices where a model "
-        "performs worse than overall.",
-    )
+def _add_search_arguments(
+    parser: argparse.ArgumentParser, sigma_help: str
+) -> None:
+    """Input and search flags shared by the batch and monitor commands."""
     parser.add_argument("csv", help="headered CSV file with features + errors")
     parser.add_argument(
         "--error-column", required=True,
@@ -160,10 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--alpha", type=float, default=0.95,
         help="error/size weight in (0,1] (default 0.95)",
     )
-    parser.add_argument(
-        "--sigma", type=int, default=None,
-        help="minimum slice size (default max(32, n/100))",
-    )
+    parser.add_argument("--sigma", type=int, default=None, help=sigma_help)
     parser.add_argument(
         "--max-level", type=int, default=None,
         help="lattice depth cap (default: number of features)",
@@ -200,6 +177,48 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker width of the pair-candidate pipeline; 0 follows the "
         "thread count, 1 forces serial (results are identical; this only "
         "changes enumeration speed)",
+    )
+
+
+def _search_options(args) -> dict:
+    """``SliceLine``/``SliceLineConfig`` keywords from the shared flags."""
+    return {
+        "k": args.k,
+        "sigma": args.sigma,
+        "alpha": args.alpha,
+        "max_level": args.max_level,
+        "compaction": not args.no_compaction,
+        "kernel_backend": args.kernel_backend,
+        "pair_parallelism": args.pair_parallelism,
+    }
+
+
+def _budgets_from_args(args) -> BudgetConfig | None:
+    if (
+        args.deadline_s is None
+        and args.max_candidates_per_level is None
+        and args.max_memory_mb is None
+    ):
+        return None
+    return BudgetConfig(
+        deadline_s=args.deadline_s,
+        max_candidates_per_level=args.max_candidates_per_level,
+        max_memory_bytes=(
+            int(args.max_memory_mb * 1e6)
+            if args.max_memory_mb is not None
+            else None
+        ),
+    )
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="SliceLine: find the top-K data slices where a model "
+        "performs worse than overall.",
+    )
+    _add_search_arguments(
+        parser, sigma_help="minimum slice size (default max(32, n/100))"
     )
     parser.add_argument(
         "--trace", action="store_true",
@@ -234,10 +253,9 @@ def build_monitor_parser() -> argparse.ArgumentParser:
         description="Replay a CSV as a stream of mini-batches and monitor "
         "the top-K problematic slices tick by tick.",
     )
-    parser.add_argument("csv", help="headered CSV file with features + errors")
-    parser.add_argument(
-        "--error-column", required=True,
-        help="name of the non-negative per-row error column",
+    _add_search_arguments(
+        parser,
+        sigma_help="minimum slice size (default max(32, n/100) per window)",
     )
     parser.add_argument(
         "--batch-size", type=int, default=256,
@@ -259,52 +277,6 @@ def build_monitor_parser() -> argparse.ArgumentParser:
         "--cold", action="store_true",
         help="disable warm-started re-enumeration (results are identical; "
         "this only changes the amount of work per tick)",
-    )
-    parser.add_argument("--k", type=int, default=4, help="top-K (default 4)")
-    parser.add_argument(
-        "--alpha", type=float, default=0.95,
-        help="error/size weight in (0,1] (default 0.95)",
-    )
-    parser.add_argument(
-        "--sigma", type=int, default=None,
-        help="minimum slice size (default max(32, n/100) per window)",
-    )
-    parser.add_argument(
-        "--max-level", type=int, default=None,
-        help="lattice depth cap (default: number of features)",
-    )
-    parser.add_argument(
-        "--drop", default="", help="comma-separated columns to ignore (IDs)"
-    )
-    parser.add_argument(
-        "--numeric", default="",
-        help="comma-separated columns to force equi-width binning on",
-    )
-    parser.add_argument(
-        "--categorical", default="",
-        help="comma-separated columns to force recoding on",
-    )
-    parser.add_argument(
-        "--bins", type=int, default=10,
-        help="bins per numeric column (default 10, as in the paper)",
-    )
-    parser.add_argument(
-        "--no-compaction", action="store_true",
-        help="disable per-level compaction of the evaluation matrix "
-        "(results are identical; this only changes kernel speed)",
-    )
-    parser.add_argument(
-        "--kernel-backend",
-        choices=("auto", "sparse", "bitset", "incremental"),
-        default="auto",
-        help="evaluation-kernel backend; 'auto' picks per level via a cost "
-        "model (results are identical; this only changes kernel speed)",
-    )
-    parser.add_argument(
-        "--pair-parallelism", type=int, default=0,
-        help="worker width of the pair-candidate pipeline; 0 follows the "
-        "thread count, 1 forces serial (results are identical; this only "
-        "changes enumeration speed)",
     )
     parser.add_argument(
         "--trace", action="store_true",
@@ -341,12 +313,7 @@ def monitor_main(argv: list[str]) -> int:
             _split(args.numeric), _split(args.categorical), args.bins,
         )
         encoded = Preprocessor(specs).fit_transform(table)
-        config = SliceLineConfig(
-            k=args.k, sigma=args.sigma, alpha=args.alpha,
-            max_level=args.max_level, compaction=not args.no_compaction,
-            kernel_backend=args.kernel_backend,
-            pair_parallelism=args.pair_parallelism,
-        )
+        config = SliceLineConfig(**_search_options(args))
         monitor = SliceMonitor(
             config=config,
             window_size=args.window if args.policy == "sliding" else None,
@@ -613,10 +580,7 @@ def main(argv: list[str] | None = None) -> int:
         encoded = Preprocessor(specs).fit_transform(table)
         tracing = args.trace or args.trace_json is not None
         finder = SliceLine(
-            k=args.k, sigma=args.sigma, alpha=args.alpha,
-            max_level=args.max_level, compaction=not args.no_compaction,
-            kernel_backend=args.kernel_backend,
-            pair_parallelism=args.pair_parallelism,
+            **_search_options(args),
             trace=("memory" if args.trace_memory else True) if tracing else None,
             budgets=_budgets_from_args(args),
             checkpoint_dir=args.checkpoint_dir,

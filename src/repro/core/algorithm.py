@@ -768,10 +768,12 @@ def _evaluate_level(
         return slices, stats, top_slices, top_stats
 
     shared = slices_eval is slices
-    order = np.argsort(-bounds, kind="stable")
+    # Negated once: the cut search below runs after every chunk.
+    neg_bounds = -bounds
+    order = np.argsort(neg_bounds, kind="stable")
     slices = slices[order]
     slices_eval = slices if shared else slices_eval[order]
-    bounds = bounds[order]
+    neg_bounds = neg_bounds[order]
     if parents is not None:
         parents = parents[order]
     kept_slices = []
@@ -817,7 +819,7 @@ def _evaluate_level(
             # Bounds are sorted descending: one searchsorted finds the cut
             # past which no remaining candidate can beat the threshold.
             cut = int(
-                np.searchsorted(-bounds[position:], -threshold, side="left")
+                np.searchsorted(neg_bounds[position:], -threshold, side="left")
             )
             skipped = remaining - position - cut
             if skipped > 0:

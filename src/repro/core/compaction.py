@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from repro.linalg import row_nnz
+from repro.linalg import row_nnz, unique_sorted
 
 
 @dataclass
@@ -135,7 +135,7 @@ class CompactionState:
                 self.row_indices = self.row_indices[alive_local]
                 dropped_to = alive_local
             self.row_coverage = None
-        alive_cols = np.unique(candidates.indices)
+        alive_cols = unique_sorted(candidates.indices)
         local_cols = self.col_map[alive_cols]
         if local_cols.size and local_cols.min() < 0:
             raise ValueError(
@@ -189,7 +189,7 @@ def compact_slice_set(
     accumulators.
     """
     num_cols = x_onehot.shape[1]
-    alive_cols = np.unique(slices.indices)
+    alive_cols = unique_sorted(slices.indices)
     col_map = np.full(num_cols, -1, dtype=np.int64)
     col_map[alive_cols] = np.arange(alive_cols.size, dtype=np.int64)
     s_c = sp.csr_matrix(

@@ -20,7 +20,15 @@ compatible level ``L-1`` slices:
    exactly ``L`` set columns, its sorted column-index tuple is a compact,
    overflow-free realization of the paper's ND-array-index slice ID.
    Group-wise minima tighten the bounds and the group's distinct-parent
-   count feeds the missing-parent pruning.
+   count feeds the missing-parent pruning.  Level 2 skips this step when
+   its parents' single columns ascend strictly in row order, as basic
+   slices always do: the join emits ``(i, j)`` with ``i < j`` row-major,
+   so the keys ``(c_i, c_j)`` arrive unique and sorted, each with exactly
+   two parents, and deduplication would return its input unchanged.
+   Passes that need only the distinct values use
+   :func:`~repro.linalg.unique_sorted` (sort plus adjacent-difference
+   mask), not a plain ``np.unique``: numpy 2.x answers that through a
+   hash table, 30-60x slower on millions of distinct packed IDs.
 7. *Pruning* (Equation 9) — minimum support on the size bound, upper-bound
    score against 0 and the current top-K minimum, and ``np == L``.
 
@@ -69,6 +77,7 @@ from repro.core.types import StatsCol
 from repro.linalg import (
     cell_bounded_partitions,
     pack_rows_mixed_radix,
+    unique_sorted,
     upper_tri_pairs_in_range,
 )
 from repro.linalg import ops as _ops
@@ -463,6 +472,13 @@ def get_pair_candidates(
     s.sort_indices()
     st = s.T.tocsc()
     key_rows = _parent_key_rows(s, level)
+    # Level 2 over parents whose single columns ascend strictly (basic
+    # slices) emits unique sorted keys, so dedup is skipped: see step 6.
+    deduplicate = pruning.deduplicate and not (
+        level == 2
+        and key_rows is not None
+        and bool(np.all(key_rows[1:, 0] > key_rows[:-1, 0]))
+    )
     parent_sizes = stats[:, StatsCol.SIZE]
     parent_errors = stats[:, StatsCol.ERROR]
     parent_max_errors = stats[:, StatsCol.MAX_ERROR]
@@ -472,7 +488,7 @@ def get_pair_candidates(
             s, st, key_rows, row_range[0], row_range[1], level, feature_map,
             parent_sizes, parent_errors, parent_max_errors,
             num_rows, total_error, sigma, alpha, topk_min_score,
-            pruning.by_score, pruning.deduplicate, num_cols,
+            pruning.by_score, deduplicate, num_cols,
         )
 
     join_started = time.perf_counter()
@@ -523,7 +539,7 @@ def get_pair_candidates(
             max_error_ub = np.concatenate(
                 [chunk.max_error_ub for chunk in chunk_results]
             )
-        if pruning.deduplicate:
+        if deduplicate:
             unique_keys, first_index, group = _dedup_keys(keys, num_cols)
             num_groups = int(first_index.size)
             grouped_size_ub = _group_min(size_ub, group, num_groups)
@@ -585,7 +601,7 @@ def get_pair_candidates(
     keys_started = time.perf_counter()
     parents: np.ndarray | None = None
     if return_parents:
-        if pruning.deduplicate:
+        if deduplicate:
             rep_left = left[first_index]
             rep_right = right[first_index]
         else:
@@ -940,7 +956,7 @@ def _distinct_parent_incidences(
     """
     num_groups = int(group.max()) + 1 if group.size else 0
     if num_parents_total >= 1 and num_groups * num_parents_total <= _INT64_MAX:
-        packed = np.unique(
+        packed = unique_sorted(
             np.concatenate(
                 [
                     group * num_parents_total + left,
@@ -990,7 +1006,7 @@ def _fold_parent_counts(
     groups_arr = np.concatenate(global_groups)
     parents_arr = np.concatenate(parent_ids)
     if num_parents_total >= 1 and num_groups * num_parents_total <= _INT64_MAX:
-        packed = np.unique(groups_arr * num_parents_total + parents_arr)
+        packed = unique_sorted(groups_arr * num_parents_total + parents_arr)
         counted = packed // num_parents_total
     else:
         unique_pairs = np.unique(

@@ -24,6 +24,7 @@ from repro.linalg.ops import (
     row_nnz,
     row_sums,
     selection_matrix,
+    unique_sorted,
     upper_tri_pairs,
     upper_tri_pairs_in_range,
 )
@@ -78,6 +79,7 @@ __all__ = [
     "row_nnz",
     "row_sums",
     "selection_matrix",
+    "unique_sorted",
     "upper_tri_pairs",
     "upper_tri_pairs_in_range",
     "as_csr",

@@ -198,6 +198,24 @@ def pack_rows_mixed_radix(rows: np.ndarray, base: int) -> np.ndarray | None:
     return packed
 
 
+def unique_sorted(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` for integer arrays, by sort + adjacent difference.
+
+    numpy 2.x answers a plain ``np.unique`` (no index outputs) through a
+    hash table, which on millions of distinct packed slice IDs is 30-60x
+    slower than one ``np.sort`` and a mask of adjacent differences.  The
+    result — sorted distinct values of the flattened input, same dtype —
+    is exactly ``np.unique``'s.
+    """
+    ordered = np.sort(np.asarray(values), axis=None)
+    if ordered.size == 0:
+        return ordered
+    distinct = np.empty(ordered.size, dtype=bool)
+    distinct[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=distinct[1:])
+    return ordered[distinct]
+
+
 def remove_empty_rows(
     matrix: Matrix, select: np.ndarray | None = None
 ) -> tuple[Matrix, np.ndarray]:

@@ -3,7 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.cli import build_specs, is_numeric_column, main, read_csv_table
+from repro.cli import (
+    _search_options,
+    build_monitor_parser,
+    build_parser,
+    build_specs,
+    is_numeric_column,
+    main,
+    read_csv_table,
+)
+from repro.core import SliceLineConfig
 from repro.exceptions import ValidationError
 
 
@@ -213,3 +222,16 @@ class TestMonitorSubcommand:
         ]) == 2
         assert main(["monitor", "/does/not/exist.csv", "--error-column", "e"]) == 2
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("build", [build_parser, build_monitor_parser])
+def test_execution_flags_map_to_config(build):
+    """find and monitor share one declaration of the execution flags."""
+    args = build().parse_args([
+        "data.csv", "--error-column", "err", "--no-compaction",
+        "--kernel-backend", "bitset", "--pair-parallelism", "2",
+    ])
+    config = SliceLineConfig(**_search_options(args))
+    assert config.compaction is False
+    assert config.kernel_backend == "bitset"
+    assert config.pair_parallelism == 2

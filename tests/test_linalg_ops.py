@@ -275,6 +275,36 @@ class TestPackRowsMixedRadix:
         assert np.unique(packed).size == unique_rows
 
 
+def _unique_sorted_inputs(dtype):
+    gen = np.random.default_rng(8)
+    runs = [np.sort(gen.integers(-50, 50, size=size)) for size in (7, 30, 12)]
+    return {
+        "empty": np.empty(0, dtype=dtype),
+        "one": np.array([42], dtype=dtype),
+        "all-equal": np.full(25, -3, dtype=dtype),
+        "random-duplicates": gen.integers(-1000, 1000, size=5000).astype(dtype),
+        "sorted-runs": np.concatenate(runs).astype(dtype),
+    }
+
+
+class TestUniqueSorted:
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize(
+        "case",
+        ["empty", "one", "all-equal", "random-duplicates", "sorted-runs"],
+    )
+    def test_equals_np_unique(self, dtype, case):
+        from repro.linalg import unique_sorted
+
+        values = _unique_sorted_inputs(dtype)[case]
+        before = values.copy()
+        result = unique_sorted(values)
+        expected = np.unique(values)
+        assert result.dtype == expected.dtype
+        np.testing.assert_array_equal(result, expected)
+        np.testing.assert_array_equal(values, before)  # input untouched
+
+
 class TestCumprodBoundaries:
     def test_object_fallback_triggers_at_62_bits(self):
         # sum(log2) == 62 exactly: must take the exact object path.

@@ -23,6 +23,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from repro.core import PruningConfig, SliceLineConfig, slice_line
+from repro.core import pairs as pairs_mod
 from repro.core.basic import create_and_score_basic_slices
 from repro.core.onehot import FeatureSpace
 from repro.core.pairs import (
@@ -74,6 +75,22 @@ def pairs_problem(seed=11, n=700, m=6, missing=0.0):
         "stats": basic.stats,
         "x0": x0,
         "errors": errors,
+    }
+
+
+def permuted_with_duplicate(problem, seed=5):
+    """The basic slices with rows permuted and one row repeated.
+
+    The parents' single columns no longer ascend strictly, so level 2
+    must deduplicate: the repeated parent yields repeated keys.
+    """
+    gen = np.random.default_rng(seed)
+    order = gen.permutation(problem["slices"].shape[0])
+    order = np.append(order, order[0])
+    return {
+        **problem,
+        "slices": problem["slices"][order],
+        "stats": problem["stats"][order],
     }
 
 
@@ -132,15 +149,48 @@ class TestPipelineMatchesReference:
     @pytest.mark.parametrize("arm", sorted(PRUNING_ARMS))
     @pytest.mark.parametrize("parallelism", [1, 2, 8])
     def test_level2_oracle(self, arm, parallelism):
-        problem = pairs_problem()
         pruning = PRUNING_ARMS[arm]
-        ref = run_pairs(reference_pair_candidates, problem, pruning=pruning)
-        with KernelWorkspace(parallelism) as workspace:
+        basic = pairs_problem()
+        for inputs, problem in (
+            ("basic", basic),
+            ("permuted-duplicated", permuted_with_duplicate(basic)),
+        ):
+            ref = run_pairs(reference_pair_candidates, problem, pruning=pruning)
+            with KernelWorkspace(parallelism) as workspace:
+                new = run_pairs(
+                    get_pair_candidates, problem, pruning=pruning,
+                    workspace=workspace, pair_parallelism=parallelism,
+                )
+            assert_pairs_identical(ref, new, f"{inputs}/{arm}/p{parallelism}")
+            if inputs == "permuted-duplicated" and pruning.deduplicate:
+                rec = new[3]
+                assert rec.candidates_before_dedup > rec.deduplicated
+
+    def test_level2_skips_dedup(self, monkeypatch):
+        """Level 2 over basic slices, as slice_line runs it, never dedups."""
+        problem = pairs_problem()
+        ref = run_pairs(reference_pair_candidates, problem)
+
+        def no_dedup(*args, **kwargs):
+            raise AssertionError("level 2 over basic slices deduplicated")
+
+        monkeypatch.setattr(pairs_mod, "_dedup_keys", no_dedup)
+        with KernelWorkspace(2) as workspace:
             new = run_pairs(
-                get_pair_candidates, problem, pruning=pruning,
-                workspace=workspace, pair_parallelism=parallelism,
+                get_pair_candidates, problem,
+                workspace=workspace, pair_parallelism=2,
             )
-        assert_pairs_identical(ref, new, f"{arm}/p{parallelism}")
+        assert_pairs_identical(ref, new, "skip")
+        result = slice_line(
+            problem["x0"], problem["errors"],
+            config=SliceLineConfig(
+                k=6, sigma=problem["sigma"], max_level=2, pair_parallelism=2,
+            ),
+        )
+        assert result.counters.level(2).candidates_emitted > 0
+        assert result.counters.reconcile() == []
+        with pytest.raises(AssertionError, match="deduplicated"):
+            run_pairs(get_pair_candidates, permuted_with_duplicate(problem))
 
     @pytest.mark.parametrize("parallelism", [1, 2, 8])
     def test_tiny_chunk_grid(self, parallelism, monkeypatch):
