@@ -35,6 +35,7 @@ import numpy as np
 from repro.core import SliceLine, SliceLineConfig
 from repro.datasets import replay_batches
 from repro.exceptions import ReproError, ValidationError
+from repro.linalg.kernels import BACKENDS
 from repro.obs import counters_table, format_trace, write_json
 from repro.preprocessing import ColumnSpec, Preprocessor
 from repro.resilience import BudgetConfig
@@ -167,7 +168,7 @@ def _add_search_arguments(
     )
     parser.add_argument(
         "--kernel-backend",
-        choices=("auto", "sparse", "bitset", "incremental"),
+        choices=BACKENDS,
         default="auto",
         help="evaluation-kernel backend; 'auto' picks per level via a cost "
         "model (results are identical; this only changes kernel speed)",

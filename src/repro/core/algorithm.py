@@ -268,9 +268,7 @@ def slice_line(
     # One kernel workspace (persistent thread pool) serves seed evaluation
     # and every level; the context manager guarantees pool shutdown even
     # when a kernel or pair join raises mid-run.  One kernel state carries
-    # the per-level backend decision and the incremental backend's
-    # parent-indicator cache across levels (a resumed run starts with an
-    # empty cache — its first level falls back, results are unchanged).
+    # the per-level backend decision and that level's packed column table.
     kernels = KernelState(cfg.kernel_backend)
     with KernelWorkspace(num_threads) as workspace:
         # -- optional warm start: merge re-scored seeds into the top-K -------
@@ -308,7 +306,7 @@ def slice_line(
             tripped = False
             with tracer.span(f"level{level}", level=level) as level_span:
                 with tracer.span(f"level{level}.pairs", parents=slices.shape[0]):
-                    slices, bounds, parents = get_pair_candidates(
+                    slices, bounds = get_pair_candidates(
                         slices,
                         stats,
                         level,
@@ -321,7 +319,6 @@ def slice_line(
                         pruning=cfg.pruning,
                         level_stats=current,
                         tracer=tracer,
-                        return_parents=True,
                         workspace=workspace,
                         pair_parallelism=cfg.pair_parallelism,
                     )
@@ -355,10 +352,7 @@ def slice_line(
                     coverage = None
                     if compact is not None:
                         with tracer.span(f"level{level}.compact") as compact_span:
-                            alive_local = compact.begin_level(slices)
-                            # The cached parent indicators are row-aligned
-                            # with the evaluation matrix; follow the drop.
-                            kernels.select_rows(alive_local)
+                            compact.begin_level(slices)
                             slices_eval = compact.project_slices(slices)
                             coverage = compact.new_coverage()
                             compact_span.annotate(
@@ -371,7 +365,7 @@ def slice_line(
                         current.rows_alive = compact.num_rows_alive
                         current.cols_alive = compact.num_cols_alive
                     current.backend_chosen = kernels.begin_level(
-                        x_eval, level, int(slices.shape[0]), parents=parents
+                        x_eval, level, int(slices.shape[0])
                     )
                     with tracer.span(
                         f"level{level}.evaluate", candidates=slices.shape[0],
@@ -383,7 +377,7 @@ def slice_line(
                             num_threads, current, tracer, workspace=workspace,
                             coverage=coverage, num_rows=num_rows,
                             total_error=total_error, tracker=tracker,
-                            kernels=kernels, parents=parents,
+                            kernels=kernels,
                         )
                     kernels.end_level()
                     if tracker is not None and tracker.trip is not None:
@@ -673,131 +667,73 @@ def _evaluate_level(
     total_error=None,
     tracker=None,
     kernels=None,
-    parents=None,
 ):
-    """Evaluate one level's candidates, optionally in priority order.
+    """Evaluate one level's candidates in chunks, optionally in priority order.
 
-    In priority mode candidates are evaluated in descending upper-bound
-    order; after every chunk the top-K is refreshed and remaining candidates
-    whose bound no longer beats the K-th best score are skipped.  Skipping
-    is exact: the bound dominates the candidate's own score and every
-    descendant's score, which is precisely the paper's score-pruning
-    argument applied mid-level.  Returns the evaluated slices, their stats,
-    and the updated top-K.
+    In priority mode (``cfg.priority_evaluation``, bounds known, and more
+    than ``cfg.priority_chunk`` candidates) candidates are evaluated in
+    descending upper-bound order; after every chunk the top-K is refreshed
+    and remaining candidates whose bound no longer beats the K-th best
+    score are skipped.  Skipping is exact: the bound dominates the
+    candidate's own score and every descendant's score, which is precisely
+    the paper's score-pruning argument applied mid-level.  Returns the
+    evaluated slices, their stats, and the updated top-K.
 
     *slices* stays in the canonical projected column space (it feeds the
     top-K, decoding, and the next pair join); *slices_eval* is the same
     slice set with columns remapped for the (possibly compacted) *x_eval* —
-    the two are one object when compaction is off.  All reorderings and
-    chunk splits are applied to both in lockstep — and to *parents* (the
-    per-candidate parent ids feeding the incremental kernel backend), so
-    the indicator cache blocks land in exactly the evaluation order the
-    next level's parent ids will index.
+    the two are one object when compaction is off.  The priority reorder
+    and every chunk split are applied to both in lockstep.
 
-    When *tracker* carries a wall-clock deadline, the deadline is checked
-    between evaluation chunks so one level cannot overshoot it by more than
-    a chunk's worth of kernel work; candidates past a trip are recorded as
-    ``skipped_by_budget``.  Chunking a deadline-bounded non-priority level
-    is exact: per-slice statistics are computed within independent blocks
-    and top-K maintenance is order-independent, so an untripped chunked
-    evaluation is bitwise identical to the single-shot one.
+    A chunk is ``cfg.priority_chunk`` candidates long in priority mode or
+    when *tracker* carries a wall-clock deadline, and the whole level
+    otherwise; a level that fits one chunk is evaluated and returned as
+    is.  The deadline is checked between chunks so one level cannot
+    overshoot it by more than a chunk's worth of kernel work; candidates
+    past a trip are recorded as ``skipped_by_budget``.  Chunking is exact:
+    per-slice statistics are computed within independent blocks and top-K
+    maintenance is order-independent, so an untripped chunked evaluation
+    is bitwise identical to the single-shot one.
     """
     tracer = tracer or NULL_TRACER
+    total = int(slices.shape[0])
     use_priority = (
         cfg.priority_evaluation
         and bounds is not None
-        and slices.shape[0] > cfg.priority_chunk
+        and total > cfg.priority_chunk
     )
-    deadline_chunks = (
-        not use_priority
-        and tracker is not None
-        and tracker.has_deadline
-        and slices.shape[0] > cfg.priority_chunk
-    )
-    if not use_priority and not deadline_chunks:
-        stats = evaluate_slices(
-            x_eval, errors_eval, slices_eval, level, cfg.alpha,
-            block_size=cfg.block_size, num_threads=num_threads,
-            tracer=tracer, counters=current, workspace=workspace,
-            coverage=coverage, num_rows=num_rows, total_error=total_error,
-            kernels=kernels, parents=parents,
-        )
-        current.evaluated = int(slices.shape[0])
-        top_slices, top_stats = maintain_topk(
-            slices, stats, top_slices, top_stats, cfg.k, sigma
-        )
-        return slices, stats, top_slices, top_stats
-
-    if deadline_chunks:
-        shared = slices_eval is slices
-        kept_slices = []
-        kept_stats = []
-        position = 0
-        total = slices.shape[0]
-        while position < total:
-            chunk = slices[position : position + cfg.priority_chunk]
-            chunk_eval = (
-                chunk
-                if shared
-                else slices_eval[position : position + cfg.priority_chunk]
-            )
-            chunk_stats = evaluate_slices(
-                x_eval, errors_eval, chunk_eval, level, cfg.alpha,
-                block_size=cfg.block_size, num_threads=num_threads,
-                tracer=tracer, counters=current, workspace=workspace,
-                coverage=coverage, num_rows=num_rows, total_error=total_error,
-                kernels=kernels,
-                parents=(
-                    parents[position : position + cfg.priority_chunk]
-                    if parents is not None
-                    else None
-                ),
-            )
-            kept_slices.append(chunk)
-            kept_stats.append(chunk_stats)
-            current.evaluated += int(chunk.shape[0])
-            top_slices, top_stats = maintain_topk(
-                chunk, chunk_stats, top_slices, top_stats, cfg.k, sigma
-            )
-            position += chunk.shape[0]
-            if position < total and tracker.check_deadline(level) is not None:
-                current.skipped_by_budget += total - position
-                break
-        slices = sp.vstack(kept_slices, format="csr")
-        stats = np.vstack(kept_stats)
-        return slices, stats, top_slices, top_stats
-
+    has_deadline = tracker is not None and tracker.has_deadline
+    step = cfg.priority_chunk if use_priority or has_deadline else total
+    whole = step >= total
     shared = slices_eval is slices
-    # Negated once: the cut search below runs after every chunk.
-    neg_bounds = -bounds
-    order = np.argsort(neg_bounds, kind="stable")
-    slices = slices[order]
-    slices_eval = slices if shared else slices_eval[order]
-    neg_bounds = neg_bounds[order]
-    if parents is not None:
-        parents = parents[order]
+    if use_priority:
+        # Negated once: the cut search below runs after every chunk.
+        neg_bounds = -bounds
+        order = np.argsort(neg_bounds, kind="stable")
+        slices = slices[order]
+        slices_eval = slices if shared else slices_eval[order]
+        neg_bounds = neg_bounds[order]
     kept_slices = []
     kept_stats = []
     position = 0
-    remaining = slices.shape[0]
-    while position < remaining:
-        chunk = slices[position : position + cfg.priority_chunk]
-        chunk_eval = (
-            chunk
-            if shared
-            else slices_eval[position : position + cfg.priority_chunk]
-        )
+    remaining = total
+    while True:
+        # Known overrun: a chunk is always `step` long and ignores
+        # `remaining`, so the last chunk of a priority level also evaluates
+        # candidates the cut below already counted as skipped_by_priority.
+        if whole:
+            chunk, chunk_eval = slices, slices_eval
+        else:
+            chunk = slices[position : position + step]
+            chunk_eval = (
+                chunk if shared else slices_eval[position : position + step]
+            )
         chunk_stats = evaluate_slices(
             x_eval, errors_eval, chunk_eval, level, cfg.alpha,
             block_size=cfg.block_size, num_threads=num_threads,
             tracer=tracer, counters=current, workspace=workspace,
             coverage=coverage, num_rows=num_rows, total_error=total_error,
             kernels=kernels,
-            parents=(
-                parents[position : position + cfg.priority_chunk]
-                if parents is not None
-                else None
-            ),
         )
         kept_slices.append(chunk)
         kept_stats.append(chunk_stats)
@@ -807,14 +743,13 @@ def _evaluate_level(
         )
         position += chunk.shape[0]
         if (
-            tracker is not None
-            and tracker.has_deadline
+            has_deadline
             and position < remaining
             and tracker.check_deadline(level) is not None
         ):
             current.skipped_by_budget += remaining - position
             break
-        threshold = topk_min_score(top_stats, cfg.k)
+        threshold = topk_min_score(top_stats, cfg.k) if use_priority else 0.0
         if position < remaining and threshold > 0.0:
             # Bounds are sorted descending: one searchsorted finds the cut
             # past which no remaining candidate can beat the threshold.
@@ -825,11 +760,12 @@ def _evaluate_level(
             if skipped > 0:
                 current.skipped_by_priority += skipped
                 remaining = position + cut
-    slices = sp.vstack(kept_slices, format="csr") if kept_slices else slices[:0]
-    stats = (
-        np.vstack(kept_stats) if kept_stats else np.zeros((0, 4), dtype=np.float64)
-    )
-    return slices, stats, top_slices, top_stats
+        if position >= remaining:
+            break
+    if whole:
+        return slices, kept_stats[0], top_slices, top_stats
+    slices = sp.vstack(kept_slices, format="csr")
+    return slices, np.vstack(kept_stats), top_slices, top_stats
 
 
 def _empty_result(

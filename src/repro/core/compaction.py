@@ -110,7 +110,7 @@ class CompactionState:
 
     # -- per-level compaction ------------------------------------------------
 
-    def begin_level(self, candidates: sp.csr_matrix) -> np.ndarray | None:
+    def begin_level(self, candidates: sp.csr_matrix) -> None:
         """Compact for one level's evaluation: keep exactly the rows covered
         by the previous level's evaluated slices and the columns the emitted
         *candidates* actually reference.
@@ -118,22 +118,17 @@ class CompactionState:
         Candidate columns are always alive in the current map (a candidate
         only unions parent columns, and parents were last level's
         candidates), so the column projection is total by induction.
-
-        Returns the surviving *local* row indices when rows were actually
-        dropped (``None`` otherwise), so row-aligned caches — e.g. the
-        incremental backend's :class:`~repro.linalg.IndicatorCache` — can
-        follow the compaction.
+        Nothing else is row-aligned with the compacted matrix across
+        levels, so the state updates in place and returns nothing.
         """
         matrix = self.matrix
         errors = self.errors
-        dropped_to: np.ndarray | None = None
         if self.row_coverage is not None:
             alive_local = np.flatnonzero(self.row_coverage)
             if alive_local.size < matrix.shape[0]:
                 matrix = matrix[alive_local]
                 errors = errors[alive_local]
                 self.row_indices = self.row_indices[alive_local]
-                dropped_to = alive_local
             self.row_coverage = None
         alive_cols = unique_sorted(candidates.indices)
         local_cols = self.col_map[alive_cols]
@@ -149,7 +144,6 @@ class CompactionState:
         self.col_map = col_map
         self.matrix = matrix
         self.errors = errors
-        return dropped_to
 
     def new_coverage(self) -> np.ndarray:
         """A fresh all-False row-coverage accumulator for the current rows."""

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from repro.exceptions import ConfigError
+from repro.linalg.kernels import BACKENDS
 
 #: The paper's default minimum-support rule: ``sigma = max(32, n/100)``.
 DEFAULT_MIN_SUPPORT_FLOOR = 32
@@ -111,12 +112,13 @@ class SliceLineConfig:
     priority_evaluation: bool = True
     #: candidates evaluated between two re-pruning steps in priority mode
     priority_chunk: int = 8192
-    #: evaluation-kernel backend (see :mod:`repro.linalg.kernels`):
-    #: ``"auto"`` lets a per-level cost model pick between the sparse
-    #: CSR x CSC path, the packed-bitset path, and the incremental
-    #: parent-indicator path; explicit names force one backend (subject to
-    #: its preconditions — a backend whose preconditions fail falls back).
-    #: All choices are bitwise identical; this only changes kernel speed.
+    #: evaluation-kernel backend, one of
+    #: :data:`repro.linalg.kernels.BACKENDS`: ``"auto"`` lets a per-level
+    #: cost model pick between the sparse CSR x CSC path and the
+    #: packed-bitset path; ``"sparse"``/``"bitset"`` force one (subject to
+    #: its preconditions — a bitset request whose preconditions fail falls
+    #: back to sparse).  All choices are bitwise identical; this only
+    #: changes kernel speed.
     kernel_backend: str = "auto"
     #: worker width of the parallel pair-candidate pipeline (see
     #: :func:`repro.core.pairs.choose_pair_plan`): ``0`` follows
@@ -143,10 +145,10 @@ class SliceLineConfig:
             raise ConfigError(
                 f"priority_chunk must be >= 1, got {self.priority_chunk}"
             )
-        if self.kernel_backend not in ("auto", "sparse", "bitset", "incremental"):
+        if self.kernel_backend not in BACKENDS:
             raise ConfigError(
-                "kernel_backend must be one of 'auto', 'sparse', 'bitset', "
-                f"'incremental', got {self.kernel_backend!r}"
+                f"kernel_backend must be one of {BACKENDS}, "
+                f"got {self.kernel_backend!r}"
             )
         if self.pair_parallelism < 0:
             raise ConfigError(

@@ -23,6 +23,12 @@ row/column-compacted data matrix (:mod:`repro.core.compaction`), the
 full population, and the optional ``coverage`` accumulator records which
 data rows matched at least one slice — the input of the next level's row
 compaction — as a by-product of the indicator that is computed anyway.
+
+The driver may route a level to the packed-bitset backend instead
+(:mod:`repro.linalg.kernels`, chosen per level by a
+:class:`~repro.linalg.KernelState`); it computes the same indicator from
+``X`` alone, bitwise identical to the sparse product, and no indicator is
+kept from one level to the next.
 """
 
 from __future__ import annotations
@@ -126,79 +132,6 @@ def evaluate_block(
     return sizes, slice_errors, max_errors
 
 
-def _evaluate_words_level(
-    x_onehot: sp.csr_matrix,
-    errors: np.ndarray,
-    slices: sp.csr_matrix,
-    level: int,
-    kernels: KernelState,
-    parents: np.ndarray | None,
-    num_threads: int,
-    workspace: KernelWorkspace | None = None,
-    coverage: np.ndarray | None = None,
-    counters=None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """``(ss, se, sm, binary)`` via the bitset/incremental indicator backends.
-
-    Candidates are processed in spans of at most :data:`~repro.linalg.
-    kernels.BITSET_CHUNK`, cut so that every thread gets one — independent
-    of the caller's ``block_size``, which cannot matter here because every
-    candidate's statistics are computed in isolation from its own indicator
-    bitset.  Span workers are pure (the miss table is materialized up
-    front, cache appends and counter updates happen serially afterwards in
-    span order), so the thread pool never races the per-run kernel state.
-    *binary* reports whether the errors were 0/1, so that ``se``/``sm``
-    came from popcounts against their packed bitset.
-    """
-    num_slices = slices.shape[0]
-    num_rows = x_onehot.shape[0]
-    if not slices.has_sorted_indices:
-        slices = slices.copy()
-        slices.sort_indices()
-    keys = slices.indices.reshape(num_slices, level)
-    track_rows = coverage is not None
-    error_words = pack_binary_errors(errors)
-    incremental = kernels.backend == "incremental"
-    if incremental:
-        kernels.prepare_chunks(parents)
-    span_size = min(BITSET_CHUNK, max(1, -(-num_slices // max(1, num_threads))))
-    spans = [
-        (start, min(start + span_size, num_slices))
-        for start in range(0, num_slices, span_size)
-    ]
-
-    def run(span):
-        start, stop = span
-        chunk_parents = parents[start:stop] if incremental else None
-        words, hits, misses = kernels.chunk_words(
-            keys[start:stop], chunk_parents
-        )
-        sizes, slice_errors, max_errors, covered = words_block_stats(
-            words, errors, num_rows, track_rows, error_words
-        )
-        return sizes, slice_errors, max_errors, covered, words, hits, misses
-
-    ws, transient = resolve_workspace(workspace, num_threads)
-    try:
-        partials = ws.map(run, spans)
-    finally:
-        if transient:
-            ws.close()
-    for partial in partials:
-        if track_rows:
-            np.logical_or(coverage, partial[3], out=coverage)
-        kernels.store_words(partial[4])
-        if counters is not None:
-            counters.cache_hits += partial[5]
-            counters.cache_misses += partial[6]
-    return (
-        np.concatenate([p[0] for p in partials]),
-        np.concatenate([p[1] for p in partials]),
-        np.concatenate([p[2] for p in partials]),
-        error_words is not None,
-    )
-
-
 def _evaluate_uniform_level(
     x_onehot: sp.csr_matrix,
     errors: np.ndarray,
@@ -209,38 +142,60 @@ def _evaluate_uniform_level(
     workspace: KernelWorkspace | None = None,
     coverage: np.ndarray | None = None,
     kernels: KernelState | None = None,
-    parents: np.ndarray | None = None,
-    counters=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
     """Blocked ``(ss, se, sm, binary)`` evaluation of same-level slices.
 
     With a prepared :class:`~repro.linalg.KernelState` whose per-level
-    decision is not ``"sparse"``, evaluation is delegated to the bitset /
-    incremental backends (bitwise identical by construction).  Otherwise
-    the transpose ``S^T`` is materialized once in CSC form; each block is a
-    column slice of it.  When *coverage* (a boolean vector over the data
-    rows) is given, rows matching >= 1 evaluated slice are OR-ed into it.
-    *binary* is true only when the bitset backends took their 0/1-error
-    popcount path; the sparse path always reports false.
+    decision is ``"bitset"``, candidates are processed in spans of at most
+    :data:`~repro.linalg.kernels.BITSET_CHUNK`, cut so that every thread
+    gets one — independent of *block_size*, which cannot matter there
+    because every candidate's statistics are computed in isolation from its
+    own indicator bitset.  Otherwise the transpose ``S^T`` is materialized
+    once in CSC form and each block of *block_size* slices is a column
+    slice of it.  Both paths are bitwise identical by construction, and
+    their tasks are pure, so the thread pool never races shared state.
+    When *coverage* (a boolean vector over the data rows) is given, rows
+    matching >= 1 evaluated slice are OR-ed into it.  *binary* is true only
+    when the bitset backend took its 0/1-error popcount path; the sparse
+    path always reports false.
     """
-    if kernels is not None and kernels.backend != "sparse":
-        return _evaluate_words_level(
-            x_onehot, errors, slices, level, kernels, parents, num_threads,
-            workspace=workspace, coverage=coverage, counters=counters,
-        )
     num_slices = slices.shape[0]
-    slices_t = slices.T.tocsc()
-    blocks = [
-        slices_t[:, start : min(start + block_size, num_slices)]
-        for start in range(0, num_slices, block_size)
-    ]
     track_rows = coverage is not None
+    binary = False
+    if kernels is not None and kernels.backend != "sparse":
+        num_rows = x_onehot.shape[0]
+        if not slices.has_sorted_indices:
+            slices = slices.copy()
+            slices.sort_indices()
+        keys = slices.indices.reshape(num_slices, level)
+        error_words = pack_binary_errors(errors)
+        binary = error_words is not None
+        span = min(BITSET_CHUNK, max(1, -(-num_slices // max(1, num_threads))))
+        tasks = [
+            (start, min(start + span, num_slices))
+            for start in range(0, num_slices, span)
+        ]
+
+        def run(task):
+            start, stop = task
+            return words_block_stats(
+                kernels.chunk_words(keys[start:stop]), errors, num_rows,
+                track_rows, error_words,
+            )
+
+    else:
+        slices_t = slices.T.tocsc()
+        tasks = [
+            slices_t[:, start : min(start + block_size, num_slices)]
+            for start in range(0, num_slices, block_size)
+        ]
+
+        def run(task):
+            return _block_stats(x_onehot, errors, task, level, track_rows)
+
     ws, transient = resolve_workspace(workspace, num_threads)
     try:
-        partials = ws.map(
-            lambda blk: _block_stats(x_onehot, errors, blk, level, track_rows),
-            blocks,
-        )
+        partials = ws.map(run, tasks)
     finally:
         if transient:
             ws.close()
@@ -251,7 +206,7 @@ def _evaluate_uniform_level(
         np.concatenate([p[0] for p in partials]),
         np.concatenate([p[1] for p in partials]),
         np.concatenate([p[2] for p in partials]),
-        False,
+        binary,
     )
 
 
@@ -295,12 +250,10 @@ def evaluate_slice_set(
     replacement for per-slice :func:`~repro.core.decode.slice_membership`
     loops.
 
-    *backend* selects the evaluation kernel (see
-    :mod:`repro.linalg.kernels`): ``"sparse"`` (the default, and always
-    exact), ``"bitset"``, ``"auto"``, or ``"incremental"`` — the last has
-    no parent cache outside the enumeration and therefore degrades to the
-    bitset backend when the data permits.  Results are bitwise identical
-    for every choice.
+    *backend* selects the evaluation kernel (one of
+    :data:`repro.linalg.kernels.BACKENDS`): ``"sparse"`` (the default, and
+    always exact), ``"bitset"`` or ``"auto"``.  Results are bitwise
+    identical for every choice.
     """
     if block_size < 1:
         raise ValidationError("block_size must be >= 1")
@@ -367,7 +320,6 @@ def evaluate_slices(
     num_rows: int | None = None,
     total_error: float | None = None,
     kernels: KernelState | None = None,
-    parents: np.ndarray | None = None,
 ) -> np.ndarray:
     """Evaluate all candidate *slices* and return their ``R`` statistics.
 
@@ -389,8 +341,7 @@ def evaluate_slices(
     is accumulated on it.
 
     *kernels* is the driver's per-run :class:`~repro.linalg.KernelState`
-    (already positioned at this level via ``begin_level``); *parents* the
-    candidates' parent-pair ids for its incremental backend.  Omitting both
+    (already positioned at this level via ``begin_level``).  Omitting it
     keeps the sparse path — the default for every external caller.
     """
     if block_size < 1:
@@ -416,7 +367,6 @@ def evaluate_slices(
         sizes, slice_errors, max_errors, binary = _evaluate_uniform_level(
             x_onehot, errors, slices, level, block_size, num_threads,
             workspace=workspace, coverage=coverage, kernels=kernels,
-            parents=parents, counters=counters,
         )
         span.annotate(errors="binary" if binary else "general")
     if counters is not None:

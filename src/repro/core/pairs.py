@@ -51,8 +51,6 @@ paper Section 4.3).
 Results are bitwise identical across any chunk grid and worker count:
 
 * sorted unique keys do not depend on how pair rows were partitioned;
-* chunk-local first-occurrence representatives compose across ordered
-  chunks into the global first-occurrence representative;
 * float ``min`` is associative, so folding chunk-local group minima equals
   the global group minimum exactly (no rounding is involved);
 * the distinct-parent count is a set-union cardinality (associative);
@@ -244,9 +242,8 @@ class _ChunkResult:
     """Compact output of one pure chunk task (counters + reduced arrays).
 
     With deduplication on, *keys* are chunk-locally unique, the bounds are
-    chunk-local group minima, *rep_left*/*rep_right* name the first
-    surviving generating pair per local group, and
-    *parent_groups*/*parent_ids* list the locally distinct
+    chunk-local group minima, and *parent_groups*/*parent_ids* list the
+    locally distinct
     ``(group, parent)`` incidences feeding the global distinct-parent
     count.  With deduplication off, the arrays are the raw surviving pairs
     in join order and the incidence arrays are ``None``.  *survivors*
@@ -259,8 +256,6 @@ class _ChunkResult:
     pruned_by_score_pairs: int
     survivors: int
     keys: np.ndarray
-    rep_left: np.ndarray
-    rep_right: np.ndarray
     size_ub: np.ndarray
     error_ub: np.ndarray
     max_error_ub: np.ndarray
@@ -270,11 +265,10 @@ class _ChunkResult:
 
 def _empty_chunk_result(generated: int, invalid: int, pruned: int, level: int):
     zero_keys = np.empty((0, level), dtype=np.int64)
-    zero_i = np.empty(0, dtype=np.int64)
     zero_f = np.empty(0, dtype=np.float64)
     return _ChunkResult(
         generated, invalid, pruned, 0,
-        zero_keys, zero_i, zero_i, zero_f, zero_f, zero_f, None, None,
+        zero_keys, zero_f, zero_f, zero_f, None, None,
     )
 
 
@@ -350,7 +344,7 @@ def _process_pair_chunk(
     if not deduplicate:
         return _ChunkResult(
             generated, invalid, pruned, survivors,
-            keys, left, right, size_ub, error_ub, max_error_ub, None, None,
+            keys, size_ub, error_ub, max_error_ub, None, None,
         )
     # Chunk-local dedup: shrink this chunk's pairs to locally unique keys
     # with folded group minima before the driver's global dedup ever sees
@@ -363,8 +357,6 @@ def _process_pair_chunk(
     return _ChunkResult(
         generated, invalid, pruned, survivors,
         unique_keys,
-        left[first_index],
-        right[first_index],
         _group_min(size_ub, group, num_groups),
         _group_min(error_ub, group, num_groups),
         _group_min(max_error_ub, group, num_groups),
@@ -387,12 +379,9 @@ def get_pair_candidates(
     pruning: PruningConfig | None = None,
     level_stats: LevelCounters | None = None,
     tracer=NULL_TRACER,
-    return_parents: bool = False,
     workspace=None,
     pair_parallelism: int = 1,
-) -> tuple[sp.csr_matrix, np.ndarray | None] | tuple[
-    sp.csr_matrix, np.ndarray | None, np.ndarray | None
-]:
+) -> tuple[sp.csr_matrix, np.ndarray | None]:
     """Generate deduplicated, pruned candidate slices for *level*.
 
     *slices*/*stats* are the evaluated slices of level ``L-1`` and their
@@ -409,14 +398,9 @@ def get_pair_candidates(
     counters are recorded into it; when *tracer* is given, the join,
     deduplication, and pruning steps report spans into it.
 
-    With ``return_parents=True`` a third element is returned: a
-    ``num_candidates x 2`` int64 matrix naming, per emitted candidate, one
-    generating pair of parents as row indices into the *input* ``slices``
-    (pre-filter positions, i.e. the previous level's evaluated-slice
-    order).  Any generating pair works for the incremental-indicator
-    backend — the candidate's row indicator is the AND of the two parents'
-    indicators whichever pair produced it — so the deduplication
-    representative is used.
+    Only the candidates and their bounds leave this function: evaluation
+    recomputes every candidate's indicator from ``X`` alone (Eq. 10), so
+    which parent pair generated a candidate is not returned.
 
     *workspace* and *pair_parallelism* control execution only, never
     results: join chunks map over the workspace pool at the planned width
@@ -429,13 +413,6 @@ def get_pair_candidates(
     num_cols = slices.shape[1]
     empty = sp.csr_matrix((0, num_cols), dtype=np.float64)
     recorder.input_slices += int(slices.shape[0])
-
-    def _result(matrix, bounds, parents):
-        if return_parents:
-            return matrix, bounds, parents
-        return matrix, bounds
-
-    keep_idx = np.arange(slices.shape[0], dtype=np.int64)
 
     # -- step 1: prune invalid input slices ---------------------------------
     if pruning.filter_input_slices:
@@ -456,11 +433,10 @@ def get_pair_candidates(
             )
             keep &= (parent_bound > topk_min_score) & (parent_bound >= 0.0)
         recorder.input_filtered += int(keep.size - np.count_nonzero(keep))
-        keep_idx = np.flatnonzero(keep)
-        slices = slices[keep_idx]
+        slices = slices[np.flatnonzero(keep)]
         stats = stats[keep]
     if slices.shape[0] < 2:
-        return _result(empty, None, None)
+        return empty, None
 
     # -- steps 2-6 (chunk-local): join, merge, validity, prune, local dedup --
     if pair_parallelism < 1 and workspace is not None:
@@ -507,7 +483,6 @@ def get_pair_candidates(
         for chunk in chunk_results:
             recorder.pairs_generated += chunk.pairs_generated
             recorder.invalid_feature_pairs += chunk.invalid_feature_pairs
-            recorder.pruned_by_score += chunk.pruned_by_score_pairs
             recorder.pruned_by_score_pairs += chunk.pruned_by_score_pairs
         join_span.annotate(pairs=recorder.pairs_generated)
     recorder.join_chunks += plan.num_chunks
@@ -516,7 +491,7 @@ def get_pair_candidates(
 
     chunk_results = [chunk for chunk in chunk_results if chunk.survivors]
     if not chunk_results:
-        return _result(empty, None, None)
+        return empty, None
     survivors = sum(chunk.survivors for chunk in chunk_results)
     recorder.candidates_before_dedup += survivors
 
@@ -526,14 +501,11 @@ def get_pair_candidates(
         if len(chunk_results) == 1:
             only = chunk_results[0]
             keys = only.keys
-            left, right = only.rep_left, only.rep_right
             size_ub, error_ub, max_error_ub = (
                 only.size_ub, only.error_ub, only.max_error_ub,
             )
         else:
             keys = np.concatenate([chunk.keys for chunk in chunk_results])
-            left = np.concatenate([chunk.rep_left for chunk in chunk_results])
-            right = np.concatenate([chunk.rep_right for chunk in chunk_results])
             size_ub = np.concatenate([chunk.size_ub for chunk in chunk_results])
             error_ub = np.concatenate([chunk.error_ub for chunk in chunk_results])
             max_error_ub = np.concatenate(
@@ -585,9 +557,9 @@ def get_pair_candidates(
                 alpha,
             )
             score_ok = (sc_ub > topk_min_score) & (sc_ub >= 0.0)
-            dropped = int(np.count_nonzero(keep_mask & ~score_ok))
-            recorder.pruned_by_score += dropped
-            recorder.pruned_by_score_groups += dropped
+            recorder.pruned_by_score_groups += int(
+                np.count_nonzero(keep_mask & ~score_ok)
+            )
             keep_mask &= score_ok
             bounds = sc_ub
 
@@ -595,30 +567,13 @@ def get_pair_candidates(
         prune_span.annotate(kept=int(kept.size))
     recorder.prune_seconds += time.perf_counter() - prune_started
     if kept.size == 0:
-        return _result(empty, None, None)
+        return empty, None
     recorder.candidates_emitted += int(kept.size)
     recorder.candidates_nnz += int(kept.size) * level
     keys_started = time.perf_counter()
-    parents: np.ndarray | None = None
-    if return_parents:
-        if deduplicate:
-            rep_left = left[first_index]
-            rep_right = right[first_index]
-        else:
-            rep_left, rep_right = left, right
-        # Map the representatives back through the input filter so they
-        # index the caller's (pre-filter) evaluated-slice order — the same
-        # order the incremental backend's indicator cache is aligned to.
-        parents = np.stack(
-            [keep_idx[rep_left[kept]], keep_idx[rep_right[kept]]], axis=1
-        )
     matrix = _keys_to_matrix(unique_keys[kept], level, num_cols)
     recorder.keys_seconds += time.perf_counter() - keys_started
-    return _result(
-        matrix,
-        bounds[kept] if bounds is not None else None,
-        parents,
-    )
+    return matrix, bounds[kept] if bounds is not None else None
 
 
 def reference_pair_candidates(
@@ -635,17 +590,14 @@ def reference_pair_candidates(
     pruning: PruningConfig | None = None,
     level_stats: LevelCounters | None = None,
     tracer=NULL_TRACER,
-    return_parents: bool = False,
-) -> tuple[sp.csr_matrix, np.ndarray | None] | tuple[
-    sp.csr_matrix, np.ndarray | None, np.ndarray | None
-]:
+) -> tuple[sp.csr_matrix, np.ndarray | None]:
     """The pre-pipeline (serial, globally deduplicating) implementation.
 
     Preserved verbatim as the differential oracle: it streams the join
     single-threadedly, merges via sparse row addition, deduplicates once
     globally, and counts distinct parents with a structured row sort —
     sharing no execution strategy with :func:`get_pair_candidates`, which
-    must match it bitwise (matrix, bounds, parents, and counters) in every
+    must match it bitwise (matrix, bounds, and counters) in every
     configuration.  ``benchmarks/bench_pairs.py`` uses it as the speedup
     baseline.
     """
@@ -655,12 +607,6 @@ def reference_pair_candidates(
     empty = sp.csr_matrix((0, num_cols), dtype=np.float64)
     recorder.input_slices += int(slices.shape[0])
 
-    def _result(matrix, bounds, parents):
-        if return_parents:
-            return matrix, bounds, parents
-        return matrix, bounds
-
-    keep_idx = np.arange(slices.shape[0], dtype=np.int64)
     if pruning.filter_input_slices:
         keep = (stats[:, StatsCol.SIZE] >= sigma) & (stats[:, StatsCol.ERROR] > 0)
         if pruning.by_score:
@@ -675,11 +621,10 @@ def reference_pair_candidates(
             )
             keep &= (parent_bound > topk_min_score) & (parent_bound >= 0.0)
         recorder.input_filtered += int(keep.size - np.count_nonzero(keep))
-        keep_idx = np.flatnonzero(keep)
-        slices = slices[keep_idx]
+        slices = slices[np.flatnonzero(keep)]
         stats = stats[keep]
     if slices.shape[0] < 2:
-        return _result(empty, None, None)
+        return empty, None
 
     collected: list[tuple[np.ndarray, ...]] = []
     parent_sizes = stats[:, StatsCol.SIZE]
@@ -710,9 +655,9 @@ def reference_pair_candidates(
                         num_rows, total_error, sigma, alpha,
                     )
                     passing = (sc_ub > topk_min_score) & (sc_ub >= 0.0)
-                    dropped = int(passing.size - passing.sum())
-                    recorder.pruned_by_score += dropped
-                    recorder.pruned_by_score_pairs += dropped
+                    recorder.pruned_by_score_pairs += int(
+                        passing.size - passing.sum()
+                    )
                     if not passing.any():
                         continue
                     left, right, keys = (
@@ -726,7 +671,7 @@ def reference_pair_candidates(
                 )
         join_span.annotate(pairs=recorder.pairs_generated)
     if not collected:
-        return _result(empty, None, None)
+        return empty, None
     keys, left, right, size_ub, error_ub, max_error_ub = (
         np.concatenate([batch[part] for batch in collected])
         for part in range(6)
@@ -777,32 +722,21 @@ def reference_pair_candidates(
                 alpha,
             )
             score_ok = (sc_ub > topk_min_score) & (sc_ub >= 0.0)
-            dropped = int(np.count_nonzero(keep_mask & ~score_ok))
-            recorder.pruned_by_score += dropped
-            recorder.pruned_by_score_groups += dropped
+            recorder.pruned_by_score_groups += int(
+                np.count_nonzero(keep_mask & ~score_ok)
+            )
             keep_mask &= score_ok
             bounds = sc_ub
 
         kept = np.flatnonzero(keep_mask)
         prune_span.annotate(kept=int(kept.size))
     if kept.size == 0:
-        return _result(empty, None, None)
+        return empty, None
     recorder.candidates_emitted += int(kept.size)
     recorder.candidates_nnz += int(kept.size) * level
-    parents: np.ndarray | None = None
-    if return_parents:
-        if pruning.deduplicate:
-            rep_left = left[first_index]
-            rep_right = right[first_index]
-        else:
-            rep_left, rep_right = left, right
-        parents = np.stack(
-            [keep_idx[rep_left[kept]], keep_idx[rep_right[kept]]], axis=1
-        )
-    return _result(
+    return (
         _keys_to_matrix(unique_keys[kept], level, num_cols),
         bounds[kept] if bounds is not None else None,
-        parents,
     )
 
 

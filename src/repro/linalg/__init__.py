@@ -44,7 +44,6 @@ from repro.linalg.blocks import (
 from repro.linalg.kernels import (
     BACKENDS,
     BitsetTable,
-    IndicatorCache,
     KernelState,
     choose_backend,
     pack_bool_rows,
@@ -57,7 +56,6 @@ from repro.linalg.workspace import KernelWorkspace, resolve_workspace
 __all__ = [
     "BACKENDS",
     "BitsetTable",
-    "IndicatorCache",
     "KernelState",
     "choose_backend",
     "pack_bool_rows",

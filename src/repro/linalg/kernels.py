@@ -2,8 +2,8 @@
 
 The enumeration's dominant cost is materializing, per level, the boolean
 indicator ``I[i, s] = row i matches all L predicates of slice s`` and
-reducing it to the Equation-10 vectors ``(ss, se, sm)``.  Three backends
-compute the same indicator three ways:
+reducing it to the Equation-10 vectors ``(ss, se, sm)``.  Two backends
+compute the same indicator two ways:
 
 ``sparse``
     The paper's formulation: one blocked sparse CSR x CSC product
@@ -15,15 +15,11 @@ compute the same indicator three ways:
     (``np.packbits`` -> ``uint64`` words, :class:`BitsetTable`); a
     candidate's indicator is ``L-1`` word-wise ANDs and ``ss`` is a
     popcount — no ``n x b`` float intermediate, no sparse overhead.
-``incremental``
-    A level-``L`` candidate is the union of two level-``L-1`` parents, so
-    its indicator is the AND of the parents' indicators.  The
-    :class:`IndicatorCache` keeps the previous level's evaluated indicator
-    bitsets (byte-capped); a candidate whose parents are cached needs one
-    AND instead of ``L-1`` — parents past the cap fall back to the column
-    table per candidate.
 
-Exactness.  All backends are bitwise identical to the sparse path:
+Every level is evaluated against ``X`` alone, as in the paper (Eq. 10):
+no indicator is carried from one level to the next.
+
+Exactness.  The bitset backend is bitwise identical to the sparse path:
 
 * ``ss`` is an exact integer (popcount) cast to float64.
 * ``se``: scipy's ``indicator.T @ errors`` is a ``csc_matvec`` that
@@ -67,7 +63,7 @@ import scipy.sparse as sp
 from repro.exceptions import ValidationError
 
 #: Recognized values of the ``kernel_backend`` option.
-BACKENDS = ("auto", "sparse", "bitset", "incremental")
+BACKENDS = ("auto", "sparse", "bitset")
 
 #: Minimum indicator work (``num_rows * num_candidates`` cells) before
 #: ``auto`` leaves the sparse path — below this, packing dominates.
@@ -77,8 +73,6 @@ MIN_BITSET_CANDIDATES = 64
 #: Byte cap for the per-level packed column table (``auto``/explicit
 #: requests fall back to sparse when the table would exceed it).
 MAX_TABLE_BYTES = 256 * 1024 * 1024
-#: Byte cap for the parent-indicator cache of the incremental backend.
-MAX_CACHE_BYTES = 256 * 1024 * 1024
 
 #: Candidates per internal bitset work chunk.  Chunking is independent of
 #: the caller's ``block_size`` because every candidate's statistics are
@@ -281,17 +275,15 @@ def choose_backend(
     num_cols: int,
     num_candidates: int,
     binary_data: bool,
-    cache_ready: bool,
     max_table_bytes: int | None = None,
 ) -> str:
     """Resolve the backend for one level's evaluation (the cost model).
 
     Preconditions are enforced here, not merely preferred: non-0/1 data
-    always runs sparse, ``bitset`` needs the packed table to fit its byte
-    cap, and ``incremental`` needs a ready parent cache (*cache_ready*
-    already folds in that any cache misses could be served by a fitting
-    table).  ``auto`` additionally requires the indicator work to clear
-    :data:`MIN_BITSET_CELLS` so tiny levels keep the cheap sparse path.
+    always runs sparse, and ``bitset`` needs the packed table to fit its
+    byte cap.  ``auto`` additionally requires the indicator work to clear
+    :data:`MIN_BITSET_CELLS` and :data:`MIN_BITSET_CANDIDATES` so tiny
+    levels keep the cheap sparse path.
     """
     if requested not in BACKENDS:
         raise ValidationError(
@@ -303,276 +295,72 @@ def choose_backend(
     fits = estimate_table_bytes(num_rows, num_cols) <= cap
     if requested == "bitset":
         return "bitset" if fits else "sparse"
-    if requested == "incremental":
-        if cache_ready:
-            return "incremental"
-        return "bitset" if fits else "sparse"
     cells = num_rows * num_candidates
-    if cache_ready and cells >= MIN_BITSET_CELLS:
-        return "incremental"
     if fits and cells >= MIN_BITSET_CELLS and num_candidates >= MIN_BITSET_CANDIDATES:
         return "bitset"
     return "sparse"
 
 
-class IndicatorCache:
-    """Byte-capped store of the previous level's evaluated indicator bitsets.
-
-    Blocks are appended strictly in evaluation order, so row ``p`` of the
-    promoted table is the indicator of the ``p``-th evaluated slice — the
-    exact array the next level's parent ids (from
-    :func:`repro.core.pairs.get_pair_candidates`) index into.  Once the cap
-    trips, appending stops for the level: the stored *prefix* stays usable
-    (a candidate is a hit only when both parents fall inside it) and
-    alignment is never broken by holes.
-    """
-
-    def __init__(self, max_bytes: int | None = None) -> None:
-        self.max_bytes = MAX_CACHE_BYTES if max_bytes is None else max_bytes
-        self.parent_words: np.ndarray | None = None
-        #: data rows the parent bitsets cover (must match the level's X)
-        self.parent_rows = 0
-        self._pending: list[np.ndarray] = []
-        self._pending_bytes = 0
-        self._pending_rows = 0
-        self._truncated = False
-
-    @property
-    def ready(self) -> bool:
-        return self.parent_words is not None
-
-    @property
-    def stored_parents(self) -> int:
-        return 0 if self.parent_words is None else int(self.parent_words.shape[0])
-
-    def begin_level(self, num_rows: int) -> None:
-        """Reset the pending store for a level evaluating over *num_rows*."""
-        self._pending = []
-        self._pending_bytes = 0
-        self._pending_rows = num_rows
-        self._truncated = False
-
-    def store(self, words: np.ndarray) -> None:
-        """Append one evaluated block's bitsets (in evaluation order)."""
-        if self._truncated:
-            return
-        if self._pending_bytes + words.nbytes > self.max_bytes:
-            self._truncated = True
-            return
-        self._pending.append(words)
-        self._pending_bytes += int(words.nbytes)
-
-    def end_level(self) -> None:
-        """Promote this level's blocks to the parent table.
-
-        Always replaces the previous table — even with ``None`` when the
-        level ran sparse or stored nothing — because a stale table would be
-        misaligned with the slices the next level's parent ids reference.
-        """
-        if self._pending:
-            self.parent_words = (
-                self._pending[0]
-                if len(self._pending) == 1
-                else np.vstack(self._pending)
-            )
-            self.parent_rows = self._pending_rows
-        else:
-            self.parent_words = None
-            self.parent_rows = 0
-        self._pending = []
-        self._pending_bytes = 0
-        self._truncated = False
-
-    def select_rows(self, alive: np.ndarray, chunk: int = 4096) -> None:
-        """Re-pack the parent bitsets to the surviving data rows *alive*.
-
-        Row compaction drops data rows between levels; the cached
-        indicators must follow or every AND would mix misaligned rows.
-        Done in bounded row chunks (unpack -> select columns -> repack).
-        """
-        if self.parent_words is None:
-            return
-        num_parents = self.parent_words.shape[0]
-        new_words = np.empty(
-            (num_parents, num_packed_words(alive.size)), dtype=np.uint64
-        )
-        for start in range(0, num_parents, chunk):
-            bits = unpack_bool_rows(
-                self.parent_words[start : start + chunk], self.parent_rows
-            )
-            new_words[start : start + bits.shape[0]] = pack_bool_rows(
-                bits[:, alive]
-            )
-        self.parent_words = new_words
-        self.parent_rows = int(alive.size)
-
-
 class KernelState:
-    """Per-run backend selection and indicator-cache lifecycle.
+    """Per-run backend request and the current level's packed column table.
 
     The enumeration driver owns one instance; per level it calls
-    :meth:`select_rows` (after row compaction), :meth:`begin_level` (which
-    runs the cost model and builds the packed column table when needed) and
-    :meth:`end_level` (which promotes this level's cached indicators).
-    Between those, the evaluation kernels call :meth:`chunk_words` to
-    materialize candidate indicator bitsets.
+    :meth:`begin_level` (which runs the cost model and builds the packed
+    column table when needed) and :meth:`end_level` (which drops the
+    table).  Between those, the evaluation kernels call :meth:`chunk_words`
+    to materialize candidate indicator bitsets.
     """
 
-    def __init__(
-        self,
-        backend: str = "auto",
-        max_table_bytes: int | None = None,
-        max_cache_bytes: int | None = None,
-    ) -> None:
+    def __init__(self, backend: str = "auto") -> None:
         if backend not in BACKENDS:
             raise ValidationError(
                 f"unknown kernel backend {backend!r}; expected one of {BACKENDS}"
             )
         self.requested = backend
-        self.max_table_bytes = (
-            MAX_TABLE_BYTES if max_table_bytes is None else max_table_bytes
-        )
-        self.cache = IndicatorCache(max_bytes=max_cache_bytes)
         self.backend = "sparse"
         self.table: BitsetTable | None = None
-        self._x_eval: sp.spmatrix | None = None
-        self._storing = False
 
     def begin_level(
         self,
         x_eval: sp.spmatrix,
         level: int,
         num_candidates: int,
-        parents: np.ndarray | None = None,
         slices_binary: bool = True,
     ) -> str:
         """Choose and prepare the backend for one level; returns its name."""
         num_rows, num_cols = x_eval.shape
-        binary = slices_binary and is_binary_matrix(x_eval)
-        cache_ready = False
-        if (
-            binary
-            and parents is not None
-            and self.cache.ready
-            and self.cache.parent_rows == num_rows
-        ):
-            # Misses (parents past the cache's stored prefix) are served
-            # from the column table, so a cache with misses is only "ready"
-            # when that table would fit.
-            all_hits = bool((parents < self.cache.stored_parents).all())
-            cache_ready = all_hits or (
-                estimate_table_bytes(num_rows, num_cols) <= self.max_table_bytes
-            )
         self.backend = choose_backend(
             self.requested,
             num_rows=num_rows,
             num_cols=num_cols,
             num_candidates=num_candidates,
-            binary_data=binary,
-            cache_ready=cache_ready,
-            max_table_bytes=self.max_table_bytes,
+            binary_data=slices_binary and is_binary_matrix(x_eval),
         )
-        self.table = None
-        self._x_eval = None
-        if self.backend == "bitset":
-            self.table = BitsetTable.from_matrix(x_eval)
-        elif self.backend == "incremental":
-            # Build the miss-serving table lazily (begin_level already
-            # guaranteed it would fit if any miss exists).
-            self._x_eval = x_eval
-        # Cache next level's parents only when a future incremental level
-        # could consume them: an explicit "bitset"/"sparse" request never
-        # will, and the words computed this level would be wasted memory.
-        self._storing = self.backend in ("bitset", "incremental") and (
-            self.requested in ("auto", "incremental")
+        self.table = (
+            BitsetTable.from_matrix(x_eval) if self.backend == "bitset" else None
         )
-        if self._storing:
-            self.cache.begin_level(num_rows)
         return self.backend
 
-    def _miss_table(self) -> BitsetTable:
-        if self.table is None:
-            self.table = BitsetTable.from_matrix(self._x_eval)
-        return self.table
-
-    def prepare_chunks(self, parents: np.ndarray | None) -> None:
-        """Build any lazily needed table *before* threaded chunk mapping.
-
-        :meth:`chunk_words` must be thread-safe; materializing the miss
-        table up front keeps it read-only inside worker threads.
-        """
-        if self.backend != "incremental" or parents is None:
-            return
-        if not bool((parents < self.cache.stored_parents).all()):
-            self._miss_table()
-
-    def chunk_words(
-        self, keys: np.ndarray, parents: np.ndarray | None
-    ) -> tuple[np.ndarray, int, int]:
-        """Indicator bitsets for one candidate chunk: ``(words, hits, misses)``.
+    def chunk_words(self, keys: np.ndarray) -> np.ndarray:
+        """Indicator bitsets for one candidate chunk.
 
         *keys* are the candidates' sorted predicate-column indices
-        (``num_cands x L``); *parents* their two parent row ids in the
-        previous level's evaluated-slice order (incremental backend only).
+        (``num_cands x L``).  Read-only, so worker threads may share it.
         """
-        if self.backend == "bitset" or parents is None:
-            return self.table.candidate_words(keys), 0, 0
-        stored = self.cache.stored_parents
-        hit = (parents < stored).all(axis=1)
-        num_hits = int(np.count_nonzero(hit))
-        num_misses = int(hit.size - num_hits)
-        if num_misses == 0:
-            words = (
-                self.cache.parent_words[parents[:, 0]]
-                & self.cache.parent_words[parents[:, 1]]
-            )
-        else:
-            num_words = num_packed_words(self.cache.parent_rows)
-            words = np.empty((keys.shape[0], num_words), dtype=np.uint64)
-            if num_hits:
-                hit_idx = np.flatnonzero(hit)
-                words[hit_idx] = (
-                    self.cache.parent_words[parents[hit_idx, 0]]
-                    & self.cache.parent_words[parents[hit_idx, 1]]
-                )
-            miss_idx = np.flatnonzero(~hit)
-            words[miss_idx] = self._miss_table().candidate_words(keys[miss_idx])
-        return words, num_hits, num_misses
-
-    def store_words(self, words: np.ndarray) -> None:
-        """Append one evaluated chunk's bitsets for the next level's cache."""
-        if self._storing:
-            self.cache.store(words)
+        return self.table.candidate_words(keys)
 
     def end_level(self) -> None:
-        """Finish one level: promote (or clear) the parent-indicator cache."""
+        """Finish one level: drop its packed column table."""
         self.table = None
-        self._x_eval = None
-        if self._storing:
-            self.cache.end_level()
-        else:
-            # A level that ran sparse (or never stored) invalidates the
-            # cache: its rows would be misaligned with the next level's
-            # parent ids.
-            self.cache.parent_words = None
-            self.cache.parent_rows = 0
-        self._storing = False
-
-    def select_rows(self, alive: np.ndarray | None) -> None:
-        """Re-align the parent cache after row compaction (no-op on None)."""
-        if alive is not None:
-            self.cache.select_rows(alive)
 
 
 __all__ = [
     "BACKENDS",
     "BITSET_CHUNK",
-    "MAX_CACHE_BYTES",
     "MAX_TABLE_BYTES",
     "MIN_BITSET_CANDIDATES",
     "MIN_BITSET_CELLS",
     "BitsetTable",
-    "IndicatorCache",
     "KernelState",
     "choose_backend",
     "estimate_table_bytes",

@@ -1,9 +1,13 @@
 """End-to-end tests of the Algorithm-1 driver and the SliceLine estimator."""
 
+import time
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.core import (
+    FeatureSpace,
     PruningConfig,
     Slice,
     SliceLine,
@@ -11,7 +15,13 @@ from repro.core import (
     slice_line,
     slice_membership,
 )
+from repro.core import algorithm as algorithm_mod
+from repro.core.evaluate import evaluate_slices
+from repro.core.topk import empty_topk, maintain_topk, topk_min_score
+from repro.core.types import StatsCol
 from repro.exceptions import ShapeError
+from repro.obs import LevelCounters
+from repro.resilience import BudgetConfig, BudgetTracker
 
 
 class TestSliceLineFunction:
@@ -141,6 +151,135 @@ class TestSliceLineFunction:
         res = slice_line(x0, errors, SliceLineConfig(k=3, sigma=10))
         text = res.report(feature_names=["a", "b", "c", "d", "e"])
         assert "score=" in text and "a=" in text
+
+
+def synthetic_level2(seed=0, n=400):
+    """Every valid level-2 slice of a random dataset (102 candidates).
+
+    Errors grow with the first three features' codes, so many slices
+    score above zero and the top-K threshold rises after the first chunk.
+    """
+    gen = np.random.default_rng(seed)
+    x0 = np.column_stack(
+        [gen.integers(1, d + 1, size=n) for d in (4, 3, 3, 3, 3)]
+    )
+    errors = gen.random(n) * (x0[:, 0] + x0[:, 1] + x0[:, 2]) ** 3
+    space = FeatureSpace.from_matrix(x0)
+    x = space.encode(x0)
+    feature = np.searchsorted(space.ends, np.arange(x.shape[1]), side="right")
+    pairs = [
+        (a, b)
+        for a in range(x.shape[1])
+        for b in range(a + 1, x.shape[1])
+        if feature[a] != feature[b]
+    ]
+    rows = np.repeat(np.arange(len(pairs)), 2)
+    slices = sp.csr_matrix(
+        (np.ones(rows.size), (rows, np.ravel(pairs))),
+        shape=(len(pairs), x.shape[1]),
+    )
+    return x, errors, slices
+
+
+class TestEvaluateLevel:
+    """``_evaluate_level`` pinned against a replay of its chunking rules."""
+
+    SIGMA = 8
+
+    def run(self, x, errors, slices, bounds, cfg, tracker=None):
+        current = LevelCounters(level=2)
+        out = algorithm_mod._evaluate_level(
+            x, errors, slices, slices, bounds, 2, cfg,
+            *empty_topk(x.shape[1]), self.SIGMA, 1, current,
+            num_rows=x.shape[0], total_error=float(errors.sum()),
+            tracker=tracker,
+        )
+        return out, current
+
+    def test_priority_cut_matches_replay(self):
+        x, errors, slices = synthetic_level2()
+        total = slices.shape[0]
+        cfg = SliceLineConfig(k=3, sigma=self.SIGMA, priority_chunk=8)
+        # Every candidate evaluated once, in input order.
+        stats = evaluate_slices(x, errors, slices, 2, cfg.alpha)
+        scores = stats[:, StatsCol.SCORE]
+        # Distinct bounds above each score, shuffled against input order.
+        gen = np.random.default_rng(100)
+        spread = scores.max() - scores.min()
+        bounds = scores + gen.permutation(total) * (2 * spread / total)
+        assert np.unique(bounds).size == total
+
+        # The rule: descending bound order (stable), chunks of
+        # priority_chunk from the current position (the last one overruns
+        # the cut), top-K maintenance, then the searchsorted cut.
+        order = np.argsort(-bounds, kind="stable")
+        assert not np.array_equal(order, np.arange(total))
+        neg_bounds = -bounds[order]
+        top_slices, top_stats = empty_topk(x.shape[1])
+        taken = []
+        position, remaining, skipped = 0, total, 0
+        while position < remaining:
+            chunk = order[position : position + cfg.priority_chunk]
+            top_slices, top_stats = maintain_topk(
+                slices[chunk], stats[chunk], top_slices, top_stats,
+                cfg.k, self.SIGMA,
+            )
+            taken.extend(chunk)
+            position += chunk.size
+            threshold = topk_min_score(top_stats, cfg.k)
+            if position < remaining and threshold > 0.0:
+                cut = int(
+                    np.searchsorted(
+                        neg_bounds[position:], -threshold, side="left"
+                    )
+                )
+                skipped += remaining - position - cut
+                remaining = position + cut
+        taken = np.array(taken)
+
+        (got_slices, got_stats, _, got_top_stats), current = self.run(
+            x, errors, slices, bounds, cfg
+        )
+        assert current.evaluated == taken.size
+        assert current.skipped_by_priority == skipped
+        assert skipped > 0
+        # The known overrun: the last chunk ignores the cut.
+        assert current.evaluated + skipped > total
+        assert got_slices.shape == (taken.size, slices.shape[1])
+        assert (got_slices != slices[taken]).nnz == 0
+        assert got_stats.tobytes() == stats[taken].tobytes()
+        assert got_top_stats.tobytes() == top_stats.tobytes()
+
+    def test_deadline_chunks_match_single_shot(self, monkeypatch):
+        x, errors, slices = synthetic_level2()
+        cfg = SliceLineConfig(
+            k=3, sigma=self.SIGMA, priority_chunk=8, priority_evaluation=False
+        )
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[2].shape[0])
+            return evaluate_slices(*args, **kwargs)
+
+        monkeypatch.setattr(algorithm_mod, "evaluate_slices", counting)
+        (ref_slices, ref_stats, _, ref_top), ref_current = self.run(
+            x, errors, slices, None, cfg
+        )
+        assert calls == [slices.shape[0]]
+        assert ref_slices is slices
+        calls.clear()
+        tracker = BudgetTracker(
+            BudgetConfig(deadline_s=3600.0), started=time.perf_counter()
+        )
+        (got_slices, got_stats, _, got_top), current = self.run(
+            x, errors, slices, None, cfg, tracker=tracker
+        )
+        assert calls == [8] * 12 + [6]
+        assert current.evaluated == ref_current.evaluated == slices.shape[0]
+        assert current.skipped_by_budget == 0
+        assert (got_slices != ref_slices).nnz == 0
+        assert got_stats.tobytes() == ref_stats.tobytes()
+        assert got_top.tobytes() == ref_top.tobytes()
 
 
 class TestSliceLineEstimator:

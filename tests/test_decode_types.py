@@ -70,8 +70,8 @@ class TestSliceMembership:
 
 class TestLevelStats:
     def test_pruned_total(self):
-        ls = LevelStats(level=2, pruned_by_size=3, pruned_by_score=4,
-                        pruned_by_parents=5)
+        ls = LevelStats(level=2, pruned_by_size=3, pruned_by_score_pairs=1,
+                        pruned_by_score_groups=3, pruned_by_parents=5)
         assert ls.pruned_total == 12
 
     def test_defaults_zero(self):

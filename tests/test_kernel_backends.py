@@ -1,17 +1,16 @@
 """Differential tests for the pluggable evaluation-kernel backends.
 
 The contract under test (see :mod:`repro.linalg.kernels`) is strict
-bitwise equality: every backend — sparse, bitset, incremental, and the
-``auto`` cost model — must produce the exact same floats for every slice
-statistic and the exact same final top-K, across thread counts, block
-sizes, compaction modes, warm starts, cache evictions, checkpoints and
-budgets.  Errors in these tests are dyadic rationals (multiples of 1/16)
-so even *independently recomputed* oracle sums are exact, not merely
-close; the backends themselves must agree bitwise on arbitrary floats,
-which the oracle-free cross-backend assertions cover.  0/1 errors (a
-classifier's inaccuracy) take the bitset backends' popcount path, so the
-differential matrix, the hypothesis sweep and the block-statistics oracle
-run on them as well.
+bitwise equality: every backend — sparse, bitset, and the ``auto`` cost
+model — must produce the exact same floats for every slice statistic and
+the exact same final top-K, across thread counts, block sizes, compaction
+modes, warm starts, checkpoints and budgets.  Errors in these tests are
+dyadic rationals (multiples of 1/16) so even *independently recomputed*
+oracle sums are exact, not merely close; the backends themselves must
+agree bitwise on arbitrary floats, which the oracle-free cross-backend
+assertions cover.  0/1 errors (a classifier's inaccuracy) take the bitset
+backend's popcount path, so the differential matrix, the hypothesis sweep
+and the block-statistics oracle run on them as well.
 """
 
 from __future__ import annotations
@@ -38,8 +37,6 @@ from repro.linalg.kernels import (
     MIN_BITSET_CANDIDATES,
     MIN_BITSET_CELLS,
     BitsetTable,
-    IndicatorCache,
-    KernelState,
     choose_backend,
     estimate_table_bytes,
     is_binary_matrix,
@@ -54,9 +51,9 @@ from repro.linalg.kernels import _popcount_rows_lut
 from repro.obs import Tracer
 from repro.resilience import BudgetConfig
 
-#: The three concrete backends plus the cost model — the full request space.
+#: The two concrete backends plus the cost model — the full request space.
 ALL_BACKENDS = list(BACKENDS)
-FORCED = ["sparse", "bitset", "incremental"]
+FORCED = ["sparse", "bitset"]
 
 
 def backend_problem(seed=7, n=480, m=6):
@@ -251,18 +248,8 @@ class TestChooseBackend:
 
     def test_kdd98_level2_auto_picks_bitset(self):
         assert (
-            choose_backend(
-                "auto", binary_data=True, cache_ready=False, **self.KDD98_LEVEL2
-            )
+            choose_backend("auto", binary_data=True, **self.KDD98_LEVEL2)
             == "bitset"
-        )
-
-    def test_kdd98_level3_auto_picks_incremental(self):
-        assert (
-            choose_backend(
-                "auto", binary_data=True, cache_ready=True, **self.KDD98_LEVEL2
-            )
-            == "incremental"
         )
 
     def test_tiny_level_stays_sparse(self):
@@ -274,7 +261,6 @@ class TestChooseBackend:
                 num_cols=20,
                 num_candidates=50,
                 binary_data=True,
-                cache_ready=True,
             )
             == "sparse"
         )
@@ -288,7 +274,6 @@ class TestChooseBackend:
                 num_cols=20,
                 num_candidates=MIN_BITSET_CANDIDATES - 1,
                 binary_data=True,
-                cache_ready=False,
             )
             == "sparse"
         )
@@ -302,7 +287,6 @@ class TestChooseBackend:
                 num_cols=100,
                 num_candidates=10_000,
                 binary_data=False,
-                cache_ready=True,
             )
             == "sparse"
         )
@@ -315,34 +299,6 @@ class TestChooseBackend:
                 num_cols=100,
                 num_candidates=1000,
                 binary_data=True,
-                cache_ready=False,
-                max_table_bytes=8,
-            )
-            == "sparse"
-        )
-
-    def test_incremental_without_cache_degrades_to_bitset(self):
-        assert (
-            choose_backend(
-                "incremental",
-                num_rows=1000,
-                num_cols=100,
-                num_candidates=1000,
-                binary_data=True,
-                cache_ready=False,
-            )
-            == "bitset"
-        )
-
-    def test_incremental_without_cache_or_table_degrades_to_sparse(self):
-        assert (
-            choose_backend(
-                "incremental",
-                num_rows=1000,
-                num_cols=100,
-                num_candidates=1000,
-                binary_data=True,
-                cache_ready=False,
                 max_table_bytes=8,
             )
             == "sparse"
@@ -356,7 +312,6 @@ class TestChooseBackend:
                 num_cols=1,
                 num_candidates=1,
                 binary_data=True,
-                cache_ready=False,
             )
 
     @settings(max_examples=100, deadline=None)
@@ -366,12 +321,10 @@ class TestChooseBackend:
         num_cols=st.integers(0, 10_000),
         num_candidates=st.integers(0, 1_000_000),
         binary_data=st.booleans(),
-        cache_ready=st.booleans(),
         cap=st.integers(0, 1 << 30),
     )
     def test_choice_preconditions_always_hold(
-        self, requested, num_rows, num_cols, num_candidates, binary_data,
-        cache_ready, cap,
+        self, requested, num_rows, num_cols, num_candidates, binary_data, cap,
     ):
         chosen = choose_backend(
             requested,
@@ -379,97 +332,12 @@ class TestChooseBackend:
             num_cols=num_cols,
             num_candidates=num_candidates,
             binary_data=binary_data,
-            cache_ready=cache_ready,
             max_table_bytes=cap,
         )
-        assert chosen in ("sparse", "bitset", "incremental")
+        assert chosen in ("sparse", "bitset")
         if chosen == "bitset":
             assert binary_data
             assert estimate_table_bytes(num_rows, num_cols) <= cap
-        if chosen == "incremental":
-            assert binary_data
-            assert cache_ready
-
-
-# ---------------------------------------------------------------------------
-# KernelState / IndicatorCache unit behaviour
-
-
-class TestKernelState:
-    def onehot(self, seed=11, n=200):
-        x0, errors = backend_problem(seed, n=n, m=4)
-        space = FeatureSpace.from_matrix(x0)
-        return space.encode(x0), errors
-
-    def test_incremental_words_match_bitset_words(self):
-        """Parent-AND indicators == column-AND indicators, hit or miss."""
-        x, _ = self.onehot()
-        table = BitsetTable.from_matrix(x)
-        # A fake "previous level": every one-hot column is a parent.
-        num_parents = x.shape[1]
-        parent_cols = np.arange(num_parents)
-        parent_words = table.words[parent_cols]
-        # Candidates pair up parents; key = their two columns sorted.
-        pairs = np.array(
-            [
-                (i, j)
-                for i in range(num_parents)
-                for j in range(i + 1, num_parents)
-            ]
-        )
-        keys = np.sort(parent_cols[pairs], axis=1)
-        cached = num_parents * 2 // 3
-
-        state = KernelState("incremental")
-        state.cache.parent_words = parent_words[:cached]  # a prefix only
-        state.cache.parent_rows = x.shape[0]
-        state.backend = "incremental"
-        state._x_eval = x
-        state.prepare_chunks(pairs)
-        words, hits, misses = state.chunk_words(keys, pairs)
-        assert hits == int((pairs < cached).all(axis=1).sum())
-        assert misses == len(pairs) - hits
-        assert misses > 0 and hits > 0
-        assert np.array_equal(words, table.candidate_words(keys))
-
-    def test_cache_cap_keeps_aligned_prefix(self):
-        cache = IndicatorCache(max_bytes=100)
-        cache.begin_level(64)
-        first = np.full((5, 1), 3, dtype=np.uint64)  # 40 bytes
-        second = np.full((5, 1), 7, dtype=np.uint64)  # would exceed 100 - no
-        cache.store(first)
-        cache.store(second)  # 80 bytes total, fits
-        cache.store(np.full((5, 1), 9, dtype=np.uint64))  # 120 > cap: dropped
-        cache.store(first)  # after truncation nothing else is accepted
-        cache.end_level()
-        assert cache.stored_parents == 10
-        assert np.array_equal(
-            cache.parent_words, np.vstack([first, second])
-        )
-
-    def test_end_level_always_replaces_stale_table(self):
-        cache = IndicatorCache()
-        cache.begin_level(8)
-        cache.store(np.ones((2, 1), dtype=np.uint64))
-        cache.end_level()
-        assert cache.ready
-        # A level that stores nothing must clear the (now misaligned) table.
-        cache.begin_level(8)
-        cache.end_level()
-        assert not cache.ready
-
-    def test_select_rows_follows_compaction(self):
-        gen = np.random.default_rng(1)
-        bits = gen.random((7, 100)) < 0.5
-        cache = IndicatorCache()
-        cache.parent_words = pack_bool_rows(bits)
-        cache.parent_rows = 100
-        alive = np.flatnonzero(gen.random(100) < 0.6)
-        cache.select_rows(alive, chunk=3)
-        assert cache.parent_rows == alive.size
-        assert np.array_equal(
-            unpack_bool_rows(cache.parent_words, alive.size), bits[:, alive]
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +349,7 @@ def matrix_problem():
     """``(x0, {error kind: (errors, cold sparse run)})``.
 
     Dyadic errors take the unpacking statistics path, 0/1 errors the
-    popcount path; both must reach the bitset and incremental backends.
+    popcount path; both must reach the bitset backend.
     """
     x0, dyadic = backend_problem()
     problems = {}
@@ -492,11 +360,11 @@ def matrix_problem():
         tracer = Tracer()
         probe = slice_line(
             x0, errors,
-            SliceLineConfig(k=6, sigma=5, kernel_backend="incremental"),
+            SliceLineConfig(k=6, sigma=5, kernel_backend="bitset"),
             trace=tracer,
         )
         chosen = [lv.backend_chosen for lv in probe.counters.levels]
-        assert "bitset" in chosen and "incremental" in chosen
+        assert "bitset" in chosen
         expected_path = "binary" if kind == "binary" else "general"
         assert expected_path in error_paths(tracer), kind
         problems[kind] = (errors, cold)
@@ -520,7 +388,7 @@ class TestDifferentialMatrix:
                 num_threads=num_threads, seeds=seeds,
                 block_size=block, compaction=compaction,
             )
-            for backend in ("bitset", "incremental", "auto"):
+            for backend in ("bitset", "auto"):
                 other = run_backend(
                     x0, errors, backend,
                     num_threads=num_threads, seeds=seeds,
@@ -537,16 +405,13 @@ class TestGauges:
     def test_backend_gauges_populate(self, matrix_problem):
         x0, problems = matrix_problem
         errors, _ = problems["dyadic"]
-        result = run_backend(x0, errors, "incremental")
+        result = run_backend(x0, errors, "bitset")
         by_level = {
             lv.level: lv for lv in result.counters.levels if lv.evaluated
         }
-        # Level 2 has no parent cache yet (level 1 runs the basic pass) so
-        # incremental degrades to bitset; level 3+ hits the cache.
+        # Level 1 runs the basic pass; every deeper level ran the bitset.
         assert by_level[2].backend_chosen == "bitset"
-        assert by_level[3].backend_chosen == "incremental"
-        assert by_level[3].cache_hits > 0
-        assert by_level[3].cache_misses == 0
+        assert by_level[3].backend_chosen == "bitset"
 
     def test_sparse_run_reports_sparse(self, matrix_problem):
         x0, problems = matrix_problem
@@ -555,7 +420,6 @@ class TestGauges:
         for lv in result.counters.levels:
             if lv.evaluated and lv.level >= 2:
                 assert lv.backend_chosen == "sparse"
-                assert lv.cache_hits == 0 and lv.cache_misses == 0
 
     def test_text_gauge_excluded_from_totals(self, matrix_problem):
         x0, problems = matrix_problem
@@ -563,7 +427,7 @@ class TestGauges:
         result = run_backend(x0, errors, "bitset")
         totals = result.counters.totals()
         assert "backend_chosen" not in totals
-        assert "cache_hits" in totals
+        assert "pruned_by_score" in totals
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +458,7 @@ def test_random_problems_with_missing_codes(seed):
     ref = slice_line(
         x0, errors, SliceLineConfig(kernel_backend="sparse", **cfg)
     )
-    for backend in ("bitset", "incremental", "auto"):
+    for backend in ("bitset", "auto"):
         other = slice_line(
             x0, errors, SliceLineConfig(kernel_backend=backend, **cfg)
         )
@@ -619,7 +483,7 @@ def test_continuous_float_errors_bitwise_identical(seed):
     ref = slice_line(
         x0, errors, SliceLineConfig(k=6, sigma=5, kernel_backend="sparse")
     )
-    for backend in ("bitset", "incremental", "auto"):
+    for backend in ("bitset", "auto"):
         other = slice_line(
             x0, errors, SliceLineConfig(k=6, sigma=5, kernel_backend=backend)
         )
@@ -652,7 +516,7 @@ class TestEvaluateSliceSetBackends:
         ref = evaluate_slice_set(x, matrix, errors, backend="sparse")
         # The all-zero row denotes the whole dataset.
         assert ref.sizes[0] == float(x0.shape[0])
-        for backend in ("bitset", "incremental", "auto"):
+        for backend in ("bitset", "auto"):
             for threads in (1, 4):
                 out = evaluate_slice_set(
                     x, matrix, errors, backend=backend, num_threads=threads
@@ -711,7 +575,7 @@ class TestEvaluateSliceSetBackends:
         errors[x0[:, 2] == 1] = value
         assert pack_binary_errors(errors) is None
         ref = evaluate_slice_set(x, matrix, errors, backend="sparse")
-        for backend in ("bitset", "incremental", "auto"):
+        for backend in ("bitset", "auto"):
             out = evaluate_slice_set(x, matrix, errors, backend=backend)
             for want, got in zip(ref, out):
                 assert_bitwise(want, got, backend)
@@ -726,37 +590,13 @@ class TestEvaluateSliceSetBackends:
 
 
 # ---------------------------------------------------------------------------
-# cache eviction, checkpoints and budgets compose with every backend
+# checkpoints and budgets compose with every backend
 
 
 class TestComposition:
-    def eviction_problem(self):
-        gen = np.random.default_rng(3)
-        n, m = 600, 7
-        x0 = np.column_stack(
-            [gen.integers(1, 4, size=n) for _ in range(m)]
-        ).astype(np.int64)
-        errors = gen.integers(0, 17, size=n) / 16.0
-        errors[(x0[:, 0] == 1) & (x0[:, 1] == 2)] = 1.0
-        return x0, errors
-
-    def test_cache_eviction_serves_misses_exactly(self, monkeypatch):
-        """A byte-capped cache mixes hits and misses; results are identical."""
-        x0, errors = self.eviction_problem()
-        overrides = dict(priority_chunk=32)
-        ref = run_backend(x0, errors, "sparse", **overrides)
-        # Cap sized between one 32-candidate store chunk and a full level,
-        # so the cache keeps a usable prefix and the rest must miss.
-        monkeypatch.setattr(kernels_mod, "MAX_CACHE_BYTES", 6000)
-        capped = run_backend(x0, errors, "incremental", **overrides)
-        assert_same_result(ref, capped, "capped incremental")
-        hits = sum(lv.cache_hits for lv in capped.counters.levels)
-        misses = sum(lv.cache_misses for lv in capped.counters.levels)
-        assert hits > 0 and misses > 0
-
-    @pytest.mark.parametrize("backend", ["bitset", "incremental", "auto"])
+    @pytest.mark.parametrize("backend", ["bitset", "auto"])
     def test_resume_from_checkpoint(self, tmp_path, backend):
-        """A resumed run (empty cache) still matches the sparse reference."""
+        """A resumed run still matches the sparse reference."""
         x0, errors = backend_problem(9)
         cfg = SliceLineConfig(k=5, sigma=5, kernel_backend=backend)
         full = slice_line(x0, errors, cfg, checkpoint_dir=str(tmp_path))
@@ -773,7 +613,7 @@ class TestComposition:
             assert resumed.completed
             assert_same_result(ref, resumed, f"{backend} from {bundle}")
 
-    @pytest.mark.parametrize("backend", ["bitset", "incremental", "auto"])
+    @pytest.mark.parametrize("backend", ["bitset", "auto"])
     def test_candidate_budget_identical_across_backends(self, backend):
         x0, errors = backend_problem(13)
         budgets = BudgetConfig(max_candidates_per_level=100)

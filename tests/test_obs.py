@@ -125,14 +125,17 @@ class TestCounters:
         c.add("pairs_generated", 10)
         c.add("pairs_generated", 5)
         c.pruned_by_size = 2
-        c.pruned_by_score = 3
+        c.pruned_by_score_pairs = 1
+        c.pruned_by_score_groups = 2
         c.pruned_by_parents = 1
         c.candidates_before_dedup = 9
         c.deduplicated = 7
         assert c.pairs_generated == 15
+        assert c.pruned_by_score == 3
         assert c.pruned_total == 6
         assert c.dedup_removed == 2
         as_dict = c.to_dict()
+        assert as_dict["pruned_by_score"] == 3
         assert as_dict["dedup_removed"] == 2
         assert as_dict["pruned_total"] == 6
 

@@ -5,11 +5,11 @@ chunk-local dedup with group-min folding, deterministic merge, global
 dedup over shrunk keys) is a pure performance optimization — every
 configuration must reproduce :func:`reference_pair_candidates` (the
 preserved pre-pipeline implementation) bitwise: candidate matrices,
-bounds, parent representatives, and all non-execution counters, across
-any ``pair_parallelism``, chunk grid, pruning arm, compaction mode, and
-kernel backend.  These tests certify that contract end-to-end and
-unit-test the supporting pieces (the geometric :class:`_PairAccumulator`,
-the :func:`choose_pair_plan` cost model,
+bounds, and all non-execution counters, across any ``pair_parallelism``,
+chunk grid, pruning arm, compaction mode, and kernel backend.  These
+tests certify that contract end-to-end and unit-test the supporting
+pieces (the geometric :class:`_PairAccumulator`, the
+:func:`choose_pair_plan` cost model,
 :func:`~repro.linalg.cell_bounded_partitions`,
 :func:`~repro.linalg.upper_tri_pairs_in_range`, and the per-call
 ``width`` of :class:`~repro.linalg.KernelWorkspace`).
@@ -96,7 +96,7 @@ def permuted_with_duplicate(problem, seed=5):
 
 def run_pairs(fn, problem, *, level=2, pruning=None, topk_min_score=0.0, **kw):
     recorder = LevelCounters(level=level)
-    matrix, bounds, parents = fn(
+    matrix, bounds = fn(
         problem["slices"],
         problem["stats"],
         level,
@@ -108,23 +108,19 @@ def run_pairs(fn, problem, *, level=2, pruning=None, topk_min_score=0.0, **kw):
         feature_map=problem["feature_map"],
         pruning=pruning,
         level_stats=recorder,
-        return_parents=True,
         **kw,
     )
-    return matrix, bounds, parents, recorder
+    return matrix, bounds, recorder
 
 
 def assert_pairs_identical(ref, new, label=""):
-    ref_matrix, ref_bounds, ref_parents, ref_rec = ref
-    new_matrix, new_bounds, new_parents, new_rec = new
+    ref_matrix, ref_bounds, ref_rec = ref
+    new_matrix, new_bounds, new_rec = new
     assert ref_matrix.shape == new_matrix.shape, label
     assert (ref_matrix != new_matrix).nnz == 0, label
     assert (ref_bounds is None) == (new_bounds is None), label
     if ref_bounds is not None:
         assert np.array_equal(ref_bounds, new_bounds), label
-    assert (ref_parents is None) == (new_parents is None), label
-    if ref_parents is not None:
-        assert np.array_equal(ref_parents, new_parents), label
     for field in fields(ref_rec):
         if field.name in EXECUTION_FIELDS:
             continue
@@ -163,7 +159,7 @@ class TestPipelineMatchesReference:
                 )
             assert_pairs_identical(ref, new, f"{inputs}/{arm}/p{parallelism}")
             if inputs == "permuted-duplicated" and pruning.deduplicate:
-                rec = new[3]
+                rec = new[2]
                 assert rec.candidates_before_dedup > rec.deduplicated
 
     def test_level2_skips_dedup(self, monkeypatch):
@@ -295,7 +291,7 @@ class TestEndToEndOracle:
         assert ref_records == new_records
 
     @pytest.mark.parametrize(
-        "backend", ["auto", "sparse", "bitset", "incremental"]
+        "backend", ["auto", "sparse", "bitset"]
     )
     def test_kernel_backends(self, backend):
         problem = pairs_problem(n=400)

@@ -9,6 +9,7 @@ rationals so float64 summation is exact and strict equality is the right
 assertion throughout.
 """
 
+import dataclasses
 import json
 import os
 
@@ -412,6 +413,27 @@ class TestCheckpointResume:
         levels = {record.level for record in registry.levels}
         assert 1 in levels
         assert registry.events["checkpoint.write"] >= 1
+        # Older bundles stored pruned_by_score as a field and carried the
+        # retired cache_hits/cache_misses counters: they restore the same.
+        retired = dataclasses.replace(
+            state,
+            counters=[
+                {
+                    **record,
+                    "pruned_by_score": record["pruned_by_score_pairs"]
+                    + record["pruned_by_score_groups"],
+                    "cache_hits": 5,
+                    "cache_misses": 2,
+                }
+                for record in state.counters
+            ],
+        )
+        save_checkpoint(str(tmp_path / "retired"), retired)
+        restored = load_checkpoint(str(tmp_path / "retired")).restore_counters()
+        assert restored.to_dict() == registry.to_dict()
+        assert [r.pruned_by_score for r in restored.levels] == [
+            r.pruned_by_score for r in registry.levels
+        ]
         # Rewriting the same bundle is idempotent (tmp staging + rename).
         save_checkpoint(str(tmp_path), state)
         again = load_checkpoint(str(tmp_path / f"level-{state.level:04d}"))
