@@ -60,31 +60,32 @@ def maintain_topk(
             -candidate_stats[:, StatsCol.SCORE],
         )
     )
-    # lexsort is stable, so slices whose (score, size, error) triples are
-    # bitwise equal still sit in arrival order — which depends on how the
-    # level was chunked/seeded.  Re-sort each run of exact ties by predicate
-    # columns so the final order is canonical; runs of length 1 (the common
-    # case) pay nothing beyond the boundary scan.
     ranked = candidate_stats[order][
         :, [StatsCol.SCORE, StatsCol.SIZE, StatsCol.ERROR]
     ]
-    if order.size > 1:
-        changed = np.any(ranked[1:] != ranked[:-1], axis=1)
-        boundaries = np.concatenate(
-            [np.flatnonzero(changed) + 1, [order.size]]
-        )
+    changed = np.any(ranked[1:] != ranked[:-1], axis=1)
+    boundaries = np.concatenate([np.flatnonzero(changed) + 1, [order.size]])
+
+    # lexsort is stable, so slices whose (score, size, error) triples are
+    # bitwise equal still sit in arrival order — which depends on how the
+    # level was chunked/seeded.  Each run of exact ties is re-sorted by
+    # predicate columns so the final order is canonical, but only when the
+    # walk below reaches it: the walk stops at K distinct slices, and the
+    # runs after that are never sorted.
+    def canonical_order():
         start = 0
         for stop in boundaries:
-            if stop - start > 1:
-                order[start:stop] = sorted(order[start:stop], key=column_key)
-            start = int(stop)
-    # Walk the sorted order keeping only *distinct* slices: with
+            run = order[start:stop]
+            yield from sorted(run, key=column_key) if run.size > 1 else run
+            start = stop
+
+    # Walk the canonical order keeping only *distinct* slices: with
     # deduplication disabled (the Figure 3 "none" arm) the same slice can
     # reach the top-K from several generating pairs, and Definition 2 asks
     # for K distinct slices.
     top: list[int] = []
     seen: set[tuple[int, ...]] = set()
-    for index in order:
+    for index in canonical_order():
         key = column_key(index)
         if key in seen:
             continue

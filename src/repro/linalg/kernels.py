@@ -24,9 +24,12 @@ Exactness.  The bitset backend is bitwise identical to the sparse path:
 * ``ss`` is an exact integer (popcount) cast to float64.
 * ``se``: scipy's ``indicator.T @ errors`` is a ``csc_matvec`` that
   accumulates each slice's member errors sequentially in ascending data-row
-  order starting from ``0.0``.  ``np.bincount`` over the member
-  ``(slice, row)`` pairs (from ``np.nonzero`` of the unpacked indicator,
-  which is row-major per slice) is the same strict left-to-right C loop
+  order starting from ``0.0``.  The member ``(slice, row)`` pairs come
+  from one ``np.flatnonzero`` scan of the unpacked, C-ordered indicator,
+  which lists them in ``np.nonzero``'s order (slice by slice, rows
+  ascending); the slice ids are the popcounts repeated, which relies on
+  zero padding bits past ``num_rows`` no more than ``ss`` already does.
+  ``np.bincount`` over those pairs is the same strict left-to-right C loop
   (``out[slice] += error`` in input order), and ``0.0 + e == e`` for every
   float, so the sums agree bit for bit.  ``np.sum`` or ``np.add.reduceat``
   would *not*: both reduce long runs pairwise, which rounds differently.
@@ -236,9 +239,13 @@ def words_block_stats(
         slice_errors = error_counts.astype(np.float64)
         max_errors = (error_counts > 0).astype(np.float64)
     elif num_slices and counts.any():
-        bits = unpack_bool_rows(words, num_rows)
-        slice_idx, row_idx = np.nonzero(bits)
-        member_errors = errors[row_idx]
+        # One flat scan of the C-ordered indicator lists the memberships in
+        # np.nonzero's order: slice by slice, rows ascending.  Padding bits
+        # past num_rows are zero (as `counts` already assumes), so slice i
+        # owns exactly counts[i] consecutive entries of `flat`.
+        flat = np.flatnonzero(unpack_bool_rows(words, num_rows))
+        slice_idx = np.repeat(np.arange(num_slices), counts)
+        member_errors = errors[flat - slice_idx * num_rows]
         # bincount's C loop (`out[slice] += error` in input order) performs
         # the exact per-slice sequential additions of scipy's csc_matvec;
         # add.reduceat would round differently (pairwise) on long slices.

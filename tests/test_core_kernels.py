@@ -16,6 +16,7 @@ from repro.core import (
     empty_topk,
 )
 from repro.core.types import LevelStats, StatsCol, stats_matrix
+from repro.linalg import as_csr, vstack_rows
 
 
 def brute_stats(x0, errors, predicates):
@@ -24,6 +25,83 @@ def brute_stats(x0, errors, predicates):
         mask &= x0[:, f] == v
     size = int(mask.sum())
     return size, float(errors[mask].sum()), float(errors[mask].max() if size else 0.0)
+
+
+def reference_maintain_topk(slices, stats, top_slices, top_stats, k, sigma):
+    """``maintain_topk`` that re-sorts every run of exact ties, then walks.
+
+    The production version sorts a run only when its walk reaches it; both
+    must return bitwise the same top-K.
+    """
+    slices = as_csr(slices)
+    valid = (stats[:, StatsCol.SCORE] > 0) & (stats[:, StatsCol.SIZE] >= sigma)
+    kept = np.flatnonzero(valid)
+    if kept.size == 0 and top_slices.shape[0] == 0:
+        return empty_topk(slices.shape[1])
+    candidates = as_csr(vstack_rows(top_slices, slices[kept]))
+    candidate_stats = np.vstack([top_stats, stats[kept]])
+
+    def column_key(index):
+        row = candidates.indices[
+            candidates.indptr[index] : candidates.indptr[index + 1]
+        ]
+        return tuple(np.sort(row).tolist())
+
+    order = np.lexsort(
+        (
+            -candidate_stats[:, StatsCol.ERROR],
+            -candidate_stats[:, StatsCol.SIZE],
+            -candidate_stats[:, StatsCol.SCORE],
+        )
+    )
+    ranked = candidate_stats[order][
+        :, [StatsCol.SCORE, StatsCol.SIZE, StatsCol.ERROR]
+    ]
+    if order.size > 1:
+        changed = np.any(ranked[1:] != ranked[:-1], axis=1)
+        boundaries = np.concatenate(
+            [np.flatnonzero(changed) + 1, [order.size]]
+        )
+        start = 0
+        for stop in boundaries:
+            if stop - start > 1:
+                order[start:stop] = sorted(order[start:stop], key=column_key)
+            start = int(stop)
+    top, seen = [], set()
+    for index in order:
+        key = column_key(index)
+        if key in seen:
+            continue
+        seen.add(key)
+        top.append(int(index))
+        if len(top) == k:
+            break
+    return candidates[top], candidate_stats[top]
+
+
+def tied_level(gen, num_cols, level, count, pool):
+    """*count* level-*level* slices drawn from *pool* distinct ones.
+
+    A slice drawn twice carries the same statistics, as with deduplication
+    off; statistics come from a few values, so runs of exact ties are long.
+    Each row lists its columns in a random order.
+    """
+    distinct = [gen.choice(num_cols, level, replace=False) for _ in range(pool)]
+    pool_stats = stats_matrix(
+        gen.choice([-1.0, 0.5, 1.0, 2.0], size=pool),
+        gen.choice([1.0, 3.0], size=pool),
+        np.ones(pool),
+        gen.choice([2.0, 10.0, 20.0], size=pool),
+    )
+    picks = gen.integers(0, pool, size=count)
+    indices = np.concatenate(
+        [gen.permutation(distinct[p]) for p in picks]
+    ).astype(np.int32)
+    slices = sp.csr_matrix(
+        (np.ones(count * level), indices, np.arange(count + 1) * level),
+        shape=(count, num_cols),
+    )
+    return slices, pool_stats[picks]
 
 
 class TestBasicSlices:
@@ -186,6 +264,29 @@ class TestMaintainTopK:
         ts, tr = maintain_topk(slices, stats, *empty_topk(self.NUM_COLS), k=2, sigma=1)
         assert topk_min_score(tr, 2) == pytest.approx(1.0)
         assert topk_min_score(tr, 3) == 0.0  # not full yet
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_lazy_tie_sort_matches_reference(self, seed):
+        gen = np.random.default_rng(seed)
+        num_cols = 10
+        previous = tied_level(gen, num_cols, 1, 12, 8)
+        current = tied_level(gen, num_cols, 2, 120, 30)
+        _, current_stats = current
+        ranked = current_stats[:, [StatsCol.SCORE, StatsCol.SIZE, StatsCol.ERROR]]
+        _, run_lengths = np.unique(ranked, axis=0, return_counts=True)
+        assert run_lengths.max() >= 10  # long runs of exact ties
+        # Up to more than the 8 + 30 distinct slices of both levels.
+        for k in range(1, 8 + 30 + 3):
+            top = reference_maintain_topk(
+                *previous, *empty_topk(num_cols), k=k, sigma=5
+            )
+            want = reference_maintain_topk(*current, *top, k=k, sigma=5)
+            got = maintain_topk(*current, *top, k=k, sigma=5)
+            for attr in ("indices", "indptr"):
+                assert getattr(got[0], attr).tobytes() == getattr(
+                    want[0], attr
+                ).tobytes(), (k, attr)
+            assert got[1].tobytes() == want[1].tobytes(), k
 
 
 class TestGetPairCandidates:

@@ -15,6 +15,9 @@ and the block-statistics oracle run on them as well.
 
 from __future__ import annotations
 
+import functools
+import operator
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -30,6 +33,7 @@ from repro.core import (
     evaluate_slice_set,
     slice_line,
 )
+from repro.core.evaluate import _block_stats
 from repro.exceptions import ValidationError
 from repro.linalg import KernelWorkspace
 from repro.linalg.kernels import (
@@ -214,6 +218,38 @@ class TestWordsBlockStats:
             general = words_block_stats(words, errors, num_rows, True)
             for got, want in zip((sizes, se, sm), general[:3]):
                 assert_bitwise(want, got, kind)
+
+    def test_general_path_folds_left_to_right(self):
+        # Continuous errors: se is exact only as the sequential left-to-right
+        # fold of each slice's member errors in row order, which a pairwise
+        # sum (np.sum, np.add.reduceat) misses once a slice has > 8 members.
+        num_rows, cols = 150, 9
+        gen = np.random.default_rng(11)
+        x = (gen.random((num_rows, cols)) < 0.5).astype(np.float64)
+        x[:, :2] = 1.0  # columns 0 and 1 -> a full-coverage slice
+        x[:, 8] = 1.0 - x[:, 7]  # disjoint columns -> an empty AND
+        x = sp.csr_matrix(x)
+        errors = gen.random(num_rows)
+        # Empty ANDs first, in the middle and last.
+        keys = np.array([[7, 8], [0, 1], [2, 3], [7, 8], [4, 5], [3, 6], [7, 8]])
+        words = BitsetTable.from_matrix(x).candidate_words(keys)
+        got = words_block_stats(words, errors, num_rows)
+        slices = sp.csr_matrix(
+            (np.ones(keys.size), keys.ravel(), np.arange(0, keys.size + 1, 2)),
+            shape=(len(keys), cols),
+        )
+        want = _block_stats(x, errors, slices.T.tocsc(), 2)
+        for name, a, b in zip(("ss", "se", "sm"), want[:3], got[:3]):
+            assert_bitwise(a, b, name)
+        dense = x.toarray() != 0
+        sizes = []
+        for i, (a, b) in enumerate(keys):
+            mask = dense[:, a] & dense[:, b]
+            sizes.append(int(mask.sum()))
+            assert got[1][i] == functools.reduce(operator.add, errors[mask], 0.0)
+        assert sizes[0] == sizes[3] == sizes[-1] == 0
+        assert sizes[1] == num_rows
+        assert min(sizes[2], sizes[4], sizes[5]) >= 9
 
     def test_empty_block(self):
         _, errors = self.build(4)
