@@ -18,6 +18,7 @@ from repro.datasets import replicate_dataset
 from repro.distributed import ClusterCostModel, make_executor
 from repro.distributed.simulate import WorkProfile
 from repro.experiments import bench_config, format_table
+from repro.linalg import keys_to_csr
 
 from conftest import bench_dataset, run_once
 
@@ -67,11 +68,13 @@ def _evaluation_round(bundle):
     sigma = max(1, bundle.num_rows // 100)
     basic = create_and_score_basic_slices(x, bundle.errors, sigma, 0.95)
     fmap = np.searchsorted(space.ends, basic.selected_columns, side="right")
-    candidates, _ = get_pair_candidates(
+    keys, _ = get_pair_candidates(
         basic.slices, basic.stats, 2,
         num_rows=bundle.num_rows, total_error=float(bundle.errors.sum()),
         sigma=sigma, alpha=0.95, topk_min_score=0.0, feature_map=fmap,
     )
+    # The executors take the 0/1 slice matrix S built from the keys.
+    candidates = keys_to_csr(keys, basic.selected_columns.size)
     return x[:, basic.selected_columns].tocsr(), candidates
 
 

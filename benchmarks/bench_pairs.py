@@ -40,6 +40,7 @@ import repro.core.algorithm as algorithm_mod
 from repro.core import slice_line
 from repro.core.pairs import reference_pair_candidates
 from repro.experiments import bench_config
+from repro.linalg import keys_to_csr
 from repro.obs import EXECUTION_FIELDS
 
 from conftest import bench_dataset, run_once
@@ -56,9 +57,20 @@ OUT_PATH = pathlib.Path(__file__).parent / "BENCH_pairs.json"
 SAMPLES = 2
 
 
-def _reference_entry(*args, workspace=None, pair_parallelism=1, **kwargs):
-    """Driver-compatible wrapper over the preserved reference pipeline."""
-    return reference_pair_candidates(*args, **kwargs)
+def _reference_entry(
+    keys, stats, level, *, feature_map, workspace=None, pair_parallelism=1,
+    **kwargs,
+):
+    """Driver-compatible wrapper over the preserved reference pipeline.
+
+    The driver hands a level over as keys; the reference keeps the CSR
+    format, so its input and output are converted at this boundary.
+    """
+    matrix, bounds = reference_pair_candidates(
+        keys_to_csr(keys, feature_map.shape[0]), stats, level,
+        feature_map=feature_map, **kwargs,
+    )
+    return matrix.indices.reshape(-1, level).astype(np.int64), bounds
 
 
 @contextlib.contextmanager

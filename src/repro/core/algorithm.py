@@ -13,6 +13,7 @@ interactive use (``fit`` / ``transform`` / fitted attributes).
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from typing import Sequence
 
@@ -23,18 +24,14 @@ from repro.core.basic import create_and_score_basic_slices
 from repro.core.compaction import CompactionState
 from repro.core.config import PruningConfig, SliceLineConfig
 from repro.core.decode import decode_topk, slice_membership
-from repro.core.evaluate import evaluate_slice_set, evaluate_slices
+# evaluate_slice_set is not called here, but bench/layers.py wraps it by
+# this module path, so the name stays importable from the driver.
+from repro.core.evaluate import evaluate_slice_set  # noqa: F401
+from repro.core.evaluate import evaluate_slices
 from repro.core.onehot import FeatureSpace, validate_encoded_matrix
 from repro.core.pairs import get_pair_candidates
-from repro.core.scoring import score
 from repro.core.topk import empty_topk, maintain_topk, topk_min_score
-from repro.core.types import (
-    Slice,
-    SliceLineResult,
-    StatsCol,
-    WarmStartInfo,
-    stats_matrix,
-)
+from repro.core.types import Slice, SliceLineResult, StatsCol, WarmStartInfo
 from repro.exceptions import (
     CheckpointError,
     EncodingError,
@@ -82,7 +79,15 @@ def slice_line(
     errors:
         Non-negative, row-aligned error vector ``e`` (e.g. squared loss for
         regression or 0/1 inaccuracy for classification; see
-        :mod:`repro.ml.errors`).
+        :mod:`repro.ml.errors`).  When ``sum(e)`` overflows float64 or the
+        mean error underflows below the smallest normal float, the search
+        runs on ``e * 2**k`` with ``k = -frexp(max(e))[1]`` (the maximum
+        lands in ``[0.5, 1)``; exact wherever the scaled values stay
+        normal floats).  Scores do not depend on the error scale, so they
+        are those of the scaled run; the result's error and max-error
+        columns and ``average_error`` are scaled back to the caller's
+        units, so a slice whose true error sum exceeds float64 reports an
+        error of ``inf``.
     config:
         Algorithm parameters (top-K, sigma, alpha, level cap, block size,
         pruning toggles); defaults follow the paper.
@@ -171,7 +176,9 @@ def slice_line(
         raise ShapeError("feature_space does not match X0")
     sigma = cfg.resolve_sigma(num_rows)
     max_level = cfg.resolve_max_level(num_features)
-    total_error = float(errors.sum())
+    with np.errstate(over="ignore"):
+        # An overflowing sum reads inf and is handled below.
+        total_error = float(errors.sum())
     average_error = total_error / num_rows
 
     started = time.perf_counter()
@@ -191,6 +198,18 @@ def slice_line(
     if checkpoint_dir is not None:
         # Hash once up front; every bundle this run writes reuses them.
         fingerprints = (fingerprint_inputs(x0, errors), fingerprint_config(cfg))
+
+    # An inf error sum or a mean below the smallest normal float breaks
+    # every score silently.  Scale the errors by an exact power of two that
+    # brings their maximum into [0.5, 1); the fingerprints above keep the
+    # caller's errors, and the result is scaled back at the end.
+    scale = 0
+    if total_error > 0 and (
+        math.isinf(total_error) or average_error < np.finfo(np.float64).tiny
+    ):
+        scale = -math.frexp(float(errors.max()))[1]
+        errors = np.ldexp(errors, scale)
+        total_error = float(errors.sum())
 
     with tracer.span("encode", num_rows=num_rows, num_features=num_features):
         x_onehot = space.encode(x0)
@@ -232,8 +251,9 @@ def slice_line(
         )
 
     # Unless disabled, one compaction state serves every level of this run.
-    # Slices stay in the projected column space throughout; only the data
-    # matrix the kernels multiply against shrinks (see repro.core.compaction).
+    # A level's keys stay in the projected column space throughout; only the
+    # data matrix the kernels multiply against shrinks, and each chunk's
+    # keys are remapped just before its kernel call (repro.core.compaction).
     # On resume the state is rebuilt from the checkpointed row/column maps:
     # compaction composes per level, so the matrix is exactly
     # ``x_projected[row_indices][:, alive columns of col_map]``.
@@ -276,7 +296,7 @@ def slice_line(
             top_slices, top_stats, warm_info, seed_keys = _seed_topk(
                 seed_slices, space, basic.selected_columns, x_projected,
                 errors, cfg, sigma, max_level, num_rows, total_error,
-                top_slices, top_stats, num_threads, tracer,
+                top_slices, top_stats, num_threads, tracer, kernels,
                 workspace=workspace, compact=compact,
             )
         if checkpoint_dir is not None and resume_state is None:
@@ -348,12 +368,11 @@ def slice_line(
                         current.skipped_by_budget += int(slices.shape[0])
                         tripped = True
                 if slices.shape[0] > 0 and not tripped:
-                    x_eval, errors_eval, slices_eval = x_projected, errors, slices
+                    x_eval, errors_eval = x_projected, errors
                     coverage = None
                     if compact is not None:
                         with tracer.span(f"level{level}.compact") as compact_span:
                             compact.begin_level(slices)
-                            slices_eval = compact.project_slices(slices)
                             coverage = compact.new_coverage()
                             compact_span.annotate(
                                 rows_alive=compact.num_rows_alive,
@@ -372,12 +391,12 @@ def slice_line(
                         backend=current.backend_chosen,
                     ):
                         slices, stats, top_slices, top_stats = _evaluate_level(
-                            x_eval, errors_eval, slices, slices_eval, bounds,
+                            x_eval, errors_eval, slices, bounds,
                             level, cfg, top_slices, top_stats, sigma,
                             num_threads, current, tracer, workspace=workspace,
                             coverage=coverage, num_rows=num_rows,
                             total_error=total_error, tracker=tracker,
-                            kernels=kernels,
+                            kernels=kernels, compact=compact,
                         )
                     kernels.end_level()
                     if tracker is not None and tracker.trip is not None:
@@ -436,6 +455,15 @@ def slice_line(
         warm_info = dataclasses.replace(
             warm_info, hits=len(seed_keys & top_keys)
         )
+
+    if scale:
+        columns = [StatsCol.ERROR, StatsCol.MAX_ERROR]
+        top_stats = top_stats.copy()
+        # Back to the caller's units: a true error sum beyond float64
+        # overflows to inf on purpose (see the docstring).
+        with np.errstate(over="ignore"):
+            top_stats[:, columns] = np.ldexp(top_stats[:, columns], -scale)
+        average_error = float(np.ldexp(total_error / num_rows, -scale))
 
     with tracer.span("decode", top_k=int(top_slices.shape[0])):
         decoded, encoded = decode_topk(
@@ -497,7 +525,7 @@ def _restore_compaction(
 def _write_checkpoint(
     directory: str,
     level: int,
-    slices: sp.csr_matrix,
+    slices: np.ndarray,
     stats: np.ndarray,
     top_slices: sp.csr_matrix,
     top_stats: np.ndarray,
@@ -552,6 +580,7 @@ def _seed_topk(
     top_stats: np.ndarray,
     num_threads: int,
     tracer,
+    kernels: KernelState,
     workspace: KernelWorkspace | None = None,
     compact: CompactionState | None = None,
 ) -> tuple[sp.csr_matrix, np.ndarray, WarmStartInfo, set[tuple[int, ...]]]:
@@ -561,16 +590,18 @@ def _seed_topk(
     pass already scores every single-predicate slice), as are seeds whose
     predicates fall outside the current domains or reference a basic slice
     that did not survive the sigma/error filter (by size monotonicity such a
-    seed is invalid here anyway).  Survivors are evaluated with the same
-    ``(X S^T) == L`` kernel on the same projected matrix the enumeration
-    uses (the row-compacted one when compaction is enabled — an empty data
-    row belongs to no slice, so the statistics are unchanged), so their
-    statistics are bitwise identical to what enumeration would produce — a
-    prerequisite for warm == cold output equality.
+    seed is invalid here anyway).  Survivors are grouped by level into key
+    arrays, and each level is evaluated by the same kernel entry the
+    enumeration uses, on the same projected matrix (the row-compacted one
+    when compaction is enabled — an empty data row belongs to no slice, so
+    the statistics are unchanged), so their statistics are bitwise
+    identical to what enumeration would produce — a prerequisite for
+    warm == cold output equality.  Each level is merged into the top-K in
+    turn; the top-K is a pure function of its candidate set, so the merge
+    order does not matter.
     """
     requested = len(seed_slices)
-    rows: list[np.ndarray] = []
-    keys: list[tuple[int, ...]] = []
+    by_level: dict[int, list[tuple[int, ...]]] = {}
     seen: set[tuple[int, ...]] = set()
     num_projected = int(selected_columns.size)
     for slice_ in seed_slices:
@@ -598,60 +629,46 @@ def _seed_topk(
         if key in seen:
             continue
         seen.add(key)
-        keys.append(key)
-        rows.append(projected)
-    if not rows:
-        info = WarmStartInfo(requested=requested, encoded=0, valid=0, hits=0)
-        return top_slices, top_stats, info, set()
-
-    indices = np.concatenate(rows)
-    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum([row.size for row in rows], out=indptr[1:])
-    seed_matrix = sp.csr_matrix(
-        (np.ones(indices.size, dtype=np.float64), indices, indptr),
-        shape=(len(rows), num_projected),
-    )
-    with tracer.span("seed.evaluate", requested=requested, encoded=len(rows)):
+        by_level.setdefault(slice_.level, []).append(key)
+    valid = 0
+    if seen:
+        x_eval, errors_eval = x_projected, errors
         if compact is not None:
-            raw = evaluate_slice_set(
-                compact.matrix, compact.project_slices(seed_matrix),
-                compact.errors,
-                block_size=cfg.block_size, num_threads=num_threads,
-                workspace=workspace, num_rows=num_rows,
-                total_error=total_error,
-                max_error=float(errors.max()) if errors.shape[0] else 0.0,
-                backend=cfg.kernel_backend,
-            )
-        else:
-            raw = evaluate_slice_set(
-                x_projected, seed_matrix, errors,
-                block_size=cfg.block_size, num_threads=num_threads,
-                workspace=workspace, backend=cfg.kernel_backend,
-            )
-        seed_stats = stats_matrix(
-            score(raw.sizes, raw.errors, num_rows, total_error, cfg.alpha),
-            raw.errors, raw.max_errors, raw.sizes,
-        )
-    valid = int(
-        np.count_nonzero(
-            (seed_stats[:, StatsCol.SCORE] > 0)
-            & (seed_stats[:, StatsCol.SIZE] >= sigma)
-        )
-    )
-    top_slices, top_stats = maintain_topk(
-        seed_matrix, seed_stats, top_slices, top_stats, cfg.k, sigma
-    )
+            x_eval, errors_eval = compact.matrix, compact.errors
+        with tracer.span(
+            "seed.evaluate", requested=requested, encoded=len(seen)
+        ):
+            for level in sorted(by_level):
+                keys = np.array(by_level[level], dtype=np.int64)
+                kernels.begin_level(x_eval, level, keys.shape[0])
+                seed_stats = evaluate_slices(
+                    x_eval, errors_eval,
+                    keys if compact is None else compact.project_slices(keys),
+                    level, cfg.alpha,
+                    block_size=cfg.block_size, num_threads=num_threads,
+                    workspace=workspace, num_rows=num_rows,
+                    total_error=total_error, kernels=kernels,
+                )
+                kernels.end_level()
+                valid += int(
+                    np.count_nonzero(
+                        (seed_stats[:, StatsCol.SCORE] > 0)
+                        & (seed_stats[:, StatsCol.SIZE] >= sigma)
+                    )
+                )
+                top_slices, top_stats = maintain_topk(
+                    keys, seed_stats, top_slices, top_stats, cfg.k, sigma
+                )
     info = WarmStartInfo(
-        requested=requested, encoded=len(rows), valid=valid, hits=0
+        requested=requested, encoded=len(seen), valid=valid, hits=0
     )
-    return top_slices, top_stats, info, set(keys)
+    return top_slices, top_stats, info, seen
 
 
 def _evaluate_level(
     x_eval,
     errors_eval,
     slices,
-    slices_eval,
     bounds,
     level,
     cfg: SliceLineConfig,
@@ -667,6 +684,7 @@ def _evaluate_level(
     total_error=None,
     tracker=None,
     kernels=None,
+    compact=None,
 ):
     """Evaluate one level's candidates in chunks, optionally in priority order.
 
@@ -679,11 +697,11 @@ def _evaluate_level(
     the paper's score-pruning argument applied mid-level.  Returns the
     evaluated slices, their stats, and the updated top-K.
 
-    *slices* stays in the canonical projected column space (it feeds the
-    top-K, decoding, and the next pair join); *slices_eval* is the same
-    slice set with columns remapped for the (possibly compacted) *x_eval* —
-    the two are one object when compaction is off.  The priority reorder
-    and every chunk split are applied to both in lockstep.
+    *slices* is the level's key array in the canonical projected column
+    space (it feeds the top-K, decoding, and the next pair join).  With a
+    :class:`~repro.core.compaction.CompactionState` *compact*, each chunk's
+    keys are remapped to the compacted *x_eval* just before its kernel
+    call; the projected keys are what the level returns.
 
     A chunk is ``cfg.priority_chunk`` candidates long in priority mode or
     when *tracker* carries a wall-clock deadline, and the whole level
@@ -705,13 +723,11 @@ def _evaluate_level(
     has_deadline = tracker is not None and tracker.has_deadline
     step = cfg.priority_chunk if use_priority or has_deadline else total
     whole = step >= total
-    shared = slices_eval is slices
     if use_priority:
         # Negated once: the cut search below runs after every chunk.
         neg_bounds = -bounds
         order = np.argsort(neg_bounds, kind="stable")
         slices = slices[order]
-        slices_eval = slices if shared else slices_eval[order]
         neg_bounds = neg_bounds[order]
     kept_slices = []
     kept_stats = []
@@ -721,15 +737,11 @@ def _evaluate_level(
         # Known overrun: a chunk is always `step` long and ignores
         # `remaining`, so the last chunk of a priority level also evaluates
         # candidates the cut below already counted as skipped_by_priority.
-        if whole:
-            chunk, chunk_eval = slices, slices_eval
-        else:
-            chunk = slices[position : position + step]
-            chunk_eval = (
-                chunk if shared else slices_eval[position : position + step]
-            )
+        chunk = slices[position : position + step]
         chunk_stats = evaluate_slices(
-            x_eval, errors_eval, chunk_eval, level, cfg.alpha,
+            x_eval, errors_eval,
+            chunk if compact is None else compact.project_slices(chunk),
+            level, cfg.alpha,
             block_size=cfg.block_size, num_threads=num_threads,
             tracer=tracer, counters=current, workspace=workspace,
             coverage=coverage, num_rows=num_rows, total_error=total_error,
@@ -764,8 +776,10 @@ def _evaluate_level(
             break
     if whole:
         return slices, kept_stats[0], top_slices, top_stats
-    slices = sp.vstack(kept_slices, format="csr")
-    return slices, np.vstack(kept_stats), top_slices, top_stats
+    return (
+        np.concatenate(kept_slices), np.vstack(kept_stats),
+        top_slices, top_stats,
+    )
 
 
 def _empty_result(

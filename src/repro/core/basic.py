@@ -24,12 +24,13 @@ class BasicSlices:
 
     ``selected_columns`` are the original one-hot column indices that satisfy
     ``ss0 >= sigma`` and ``se0 > 0`` (the paper's ``cI`` indicator); the
-    slice matrix ``slices`` is the identity over those columns, i.e. slice
-    ``i`` is the single predicate represented by ``selected_columns[i]``.
-    ``stats`` is the aligned ``R`` matrix (score, error, max error, size).
+    key array ``slices`` is ``[[0], [1], ...]`` (the identity ``S`` over
+    those columns), i.e. slice ``i`` is the single predicate represented by
+    ``selected_columns[i]``.  ``stats`` is the aligned ``R`` matrix (score,
+    error, max error, size).
     """
 
-    slices: sp.csr_matrix
+    slices: np.ndarray
     stats: np.ndarray
     selected_columns: np.ndarray
     num_columns_total: int
@@ -66,8 +67,8 @@ def create_and_score_basic_slices(
         scores, slice_errors[selected], max_errors[selected], sizes[selected]
     )
     # In the projected space (X[:, cI]) every surviving column is one basic
-    # slice, so the slice matrix is simply the identity.
-    slices = sp.identity(selected.size, dtype=np.float64, format="csr")
+    # slice: slice i's only key is projected column i.
+    slices = np.arange(selected.size, dtype=np.int64)[:, np.newaxis]
     return BasicSlices(
         slices=slices,
         stats=stats,

@@ -16,13 +16,15 @@ participate:
   and indicator.
 
 :class:`CompactionState` maintains the compacted matrix plus the index maps
-that keep everything else *bitwise identical* to the uncompacted run: the
-candidate/slice matrices stay in the canonical projected column space (so
-pair generation, deduplication keys, top-K maintenance, decoding, and
-warm-start seeding are untouched), and only at kernel time are candidate
-columns remapped through :meth:`CompactionState.project_slices`.  Because
-compaction preserves the relative order of surviving rows and columns, all
-float reductions sum the exact same values in the exact same order.
+that keep everything else *bitwise identical* to the uncompacted run: a
+level's key arrays (see :mod:`repro.core.pairs`) stay in the canonical
+projected column space (so pair generation, deduplication, top-K
+maintenance, decoding, and warm-start seeding are untouched), and only
+just before each kernel call are a chunk's keys remapped through
+:meth:`CompactionState.project_slices` — one gather through the column
+map.  Because compaction preserves the relative order of surviving rows
+and columns, remapped keys stay ascending and all float reductions sum the
+exact same values in the exact same order.
 """
 
 from __future__ import annotations
@@ -110,10 +112,10 @@ class CompactionState:
 
     # -- per-level compaction ------------------------------------------------
 
-    def begin_level(self, candidates: sp.csr_matrix) -> None:
+    def begin_level(self, candidates: np.ndarray) -> None:
         """Compact for one level's evaluation: keep exactly the rows covered
         by the previous level's evaluated slices and the columns the emitted
-        *candidates* actually reference.
+        *candidates* (the level's key array) actually reference.
 
         Candidate columns are always alive in the current map (a candidate
         only unions parent columns, and parents were last level's
@@ -130,7 +132,11 @@ class CompactionState:
                 errors = errors[alive_local]
                 self.row_indices = self.row_indices[alive_local]
             self.row_coverage = None
-        alive_cols = unique_sorted(candidates.indices)
+        # The distinct referenced columns, ascending: a mask over the
+        # projected width avoids sorting all num_candidates * L keys.
+        referenced = np.zeros(self.num_cols_full, dtype=bool)
+        referenced[candidates] = True
+        alive_cols = np.flatnonzero(referenced)
         local_cols = self.col_map[alive_cols]
         if local_cols.size and local_cols.min() < 0:
             raise ValueError(
@@ -149,20 +155,17 @@ class CompactionState:
         """A fresh all-False row-coverage accumulator for the current rows."""
         return np.zeros(self.num_rows_alive, dtype=bool)
 
-    def project_slices(self, slices: sp.csr_matrix) -> sp.csr_matrix:
-        """Remap a projected-space slice matrix into the compacted column
-        space (shares the data array; indices stay sorted because surviving
-        columns keep their relative order)."""
-        indices = self.col_map[slices.indices.astype(np.int64, copy=False)]
-        if indices.size and indices.min() < 0:
+    def project_slices(self, keys: np.ndarray) -> np.ndarray:
+        """Remap projected-space keys into the compacted column space (rows
+        stay ascending because surviving columns keep their relative
+        order)."""
+        projected = self.col_map[keys]
+        if projected.size and projected.min() < 0:
             raise ValueError(
                 "slice references a compacted-away column; compaction must "
                 "only ever see candidates built from surviving parents"
             )
-        return sp.csr_matrix(
-            (slices.data, indices, slices.indptr),
-            shape=(slices.shape[0], self.num_cols_alive),
-        )
+        return projected
 
 
 def compact_slice_set(

@@ -6,6 +6,12 @@ matrix with a single (blocked) sparse matrix multiplication:
 matches all ``L`` predicates; sizes, errors, and maximum tuple errors then
 follow from column reductions over ``I``.
 
+The enumeration hands a level over as its key array (``num_slices x L``
+projected column ids, rows ascending; see :mod:`repro.core.pairs`).
+:func:`evaluate_slices` takes keys; only the public mixed-level
+:func:`evaluate_slice_set` takes a CSR ``S``, and it converts each level
+group to keys once before the kernels see it.
+
 The block size ``b`` realizes the paper's hybrid execution: ``b = 1`` is
 pure task-parallel evaluation (one slice at a time, vector intermediates
 only), ``b = nrow(S)`` pure data-parallel evaluation (one big intermediate),
@@ -13,22 +19,24 @@ and moderate ``b`` shares scans of ``X`` across ``b`` slices while bounding
 the ``n x b`` intermediate (Figure 6(b) studies this trade-off).
 
 Two workspace-reuse optimizations serve the enumeration hot path: the CSC
-transpose ``S^T`` is built once per kernel call and blocks are cheap column
-slices of it (instead of transposing every row block separately), and
-callers may pass a :class:`~repro.linalg.KernelWorkspace` so every level of
-a run shares one persistent thread pool instead of constructing a fresh
-``ThreadPoolExecutor`` per call.  When the caller evaluates against a
-row/column-compacted data matrix (:mod:`repro.core.compaction`), the
-``num_rows``/``total_error`` overrides keep the scores referenced to the
-full population, and the optional ``coverage`` accumulator records which
-data rows matched at least one slice — the input of the next level's row
-compaction — as a by-product of the indicator that is computed anyway.
+transpose ``S^T`` is built from the keys once per kernel call and blocks
+are cheap column slices of it (instead of transposing every row block
+separately), and callers may pass a :class:`~repro.linalg.KernelWorkspace`
+so every level of a run shares one persistent thread pool instead of
+constructing a fresh ``ThreadPoolExecutor`` per call.  When the caller
+evaluates against a row/column-compacted data matrix
+(:mod:`repro.core.compaction`), the ``num_rows``/``total_error``
+overrides keep the scores referenced to the full population, and the
+optional ``coverage`` accumulator records which data rows matched at
+least one slice — the input of the next level's row compaction — as a
+by-product of the indicator that is computed anyway.
 
 The driver may route a level to the packed-bitset backend instead
 (:mod:`repro.linalg.kernels`, chosen per level by a
 :class:`~repro.linalg.KernelState`); it computes the same indicator from
 ``X`` alone, bitwise identical to the sparse product, and no indicator is
-kept from one level to the next.
+kept from one level to the next.  That backend ANDs the column bitsets the
+keys name directly, so it never builds ``S`` at all.
 """
 
 from __future__ import annotations
@@ -46,12 +54,12 @@ from repro.linalg import (
     col_maxs,
     col_sums,
     ensure_vector,
+    keys_to_csr,
     resolve_workspace,
     row_nnz,
 )
 from repro.linalg.kernels import (
     BITSET_CHUNK,
-    is_binary_matrix,
     pack_binary_errors,
     words_block_stats,
 )
@@ -135,7 +143,7 @@ def evaluate_block(
 def _evaluate_uniform_level(
     x_onehot: sp.csr_matrix,
     errors: np.ndarray,
-    slices: sp.csr_matrix,
+    keys: np.ndarray,
     level: int,
     block_size: int,
     num_threads: int,
@@ -145,29 +153,27 @@ def _evaluate_uniform_level(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
     """Blocked ``(ss, se, sm, binary)`` evaluation of same-level slices.
 
-    With a prepared :class:`~repro.linalg.KernelState` whose per-level
-    decision is ``"bitset"``, candidates are processed in spans of at most
+    *keys* are the slices' sorted column ids (``num_slices x level``) in
+    *x_onehot*'s column space.  With a prepared
+    :class:`~repro.linalg.KernelState` whose per-level decision is
+    ``"bitset"``, candidates are processed in spans of at most
     :data:`~repro.linalg.kernels.BITSET_CHUNK`, cut so that every thread
     gets one — independent of *block_size*, which cannot matter there
     because every candidate's statistics are computed in isolation from its
-    own indicator bitset.  Otherwise the transpose ``S^T`` is materialized
-    once in CSC form and each block of *block_size* slices is a column
-    slice of it.  Both paths are bitwise identical by construction, and
-    their tasks are pure, so the thread pool never races shared state.
+    own indicator bitset.  Otherwise the transpose ``S^T`` is built from
+    the keys once in CSC form and each block of *block_size* slices is a
+    column slice of it.  Both paths are bitwise identical by construction,
+    and their tasks are pure, so the thread pool never races shared state.
     When *coverage* (a boolean vector over the data rows) is given, rows
     matching >= 1 evaluated slice are OR-ed into it.  *binary* is true only
     when the bitset backend took its 0/1-error popcount path; the sparse
     path always reports false.
     """
-    num_slices = slices.shape[0]
+    num_slices = keys.shape[0]
     track_rows = coverage is not None
     binary = False
     if kernels is not None and kernels.backend != "sparse":
         num_rows = x_onehot.shape[0]
-        if not slices.has_sorted_indices:
-            slices = slices.copy()
-            slices.sort_indices()
-        keys = slices.indices.reshape(num_slices, level)
         error_words = pack_binary_errors(errors)
         binary = error_words is not None
         span = min(BITSET_CHUNK, max(1, -(-num_slices // max(1, num_threads))))
@@ -184,7 +190,8 @@ def _evaluate_uniform_level(
             )
 
     else:
-        slices_t = slices.T.tocsc()
+        # The transpose of a CSR is a CSC view: no copy, no conversion.
+        slices_t = keys_to_csr(keys, x_onehot.shape[1]).T
         tasks = [
             slices_t[:, start : min(start + block_size, num_slices)]
             for start in range(0, num_slices, block_size)
@@ -228,8 +235,9 @@ def evaluate_slice_set(
     and therefore assumes every row of ``slices`` has exactly ``level``
     predicates — this helper accepts arbitrary one-hot slice rows (the
     projected ``S`` representation: one column per ``feature == value``
-    predicate).  Rows are grouped by predicate count and each group runs
-    through the same blocked ``(X S^T) == L`` kernel, so the returned
+    predicate; every stored entry of a row is one predicate).  Rows are
+    grouped by predicate count, each group becomes a key array once, and
+    it runs through the same kernels as the enumeration, so the returned
     statistics are bitwise identical to what the enumeration would compute
     for the same slices over the same rows.
 
@@ -274,6 +282,8 @@ def evaluate_slice_set(
     if num_slices == 0:
         return SliceSetStats(sizes, slice_errors, max_errors)
 
+    # Canonical row order turns each level group's indices into its keys.
+    slices = slices.sorted_indices()
     levels = row_nnz(slices)
     for level in np.unique(levels):
         members = np.flatnonzero(levels == level)
@@ -289,14 +299,11 @@ def evaluate_slice_set(
                     float(errors.max()) if errors.shape[0] else 0.0
                 )
             continue
-        group = slices[members]
+        keys = slices[members].indices.reshape(members.size, level)
         if kernels is not None:
-            kernels.begin_level(
-                x_onehot, int(level), int(members.size),
-                slices_binary=is_binary_matrix(group),
-            )
+            kernels.begin_level(x_onehot, int(level), int(members.size))
         group_sizes, group_errors, group_max, _ = _evaluate_uniform_level(
-            x_onehot, errors, group, int(level), block_size,
+            x_onehot, errors, keys, int(level), block_size,
             num_threads, workspace=workspace, kernels=kernels,
         )
         sizes[members] = group_sizes
@@ -308,7 +315,7 @@ def evaluate_slice_set(
 def evaluate_slices(
     x_onehot: sp.csr_matrix,
     errors: np.ndarray,
-    slices: sp.csr_matrix,
+    slices: np.ndarray,
     level: int,
     alpha: float,
     block_size: int = 16,
@@ -323,9 +330,11 @@ def evaluate_slices(
 ) -> np.ndarray:
     """Evaluate all candidate *slices* and return their ``R`` statistics.
 
-    Blocks of ``block_size`` slices are evaluated independently (optionally
-    on a thread pool — scipy's matmul releases the GIL for the heavy part),
-    then concatenated into the level's ``R`` matrix ``[sc, se, sm, ss]``.
+    *slices* is the level's key array (``num_slices x level`` sorted column
+    ids in *x_onehot*'s column space).  Blocks of ``block_size`` slices are
+    evaluated independently (optionally on a thread pool — scipy's matmul
+    releases the GIL for the heavy part), then concatenated into the
+    level's ``R`` matrix ``[sc, se, sm, ss]``.
     Passing a :class:`~repro.linalg.KernelWorkspace` reuses one pool across
     calls; the enumeration driver holds one for the whole run.
 
@@ -351,7 +360,6 @@ def evaluate_slices(
         num_rows = x_onehot.shape[0]
     if total_error is None:
         total_error = float(errors.sum())
-    slices = as_csr(slices)
     num_slices = slices.shape[0]
     if num_slices == 0:
         return np.zeros((0, 4), dtype=np.float64)

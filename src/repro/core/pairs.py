@@ -1,7 +1,12 @@
 """Pair enumeration with pruning and deduplication (Section 4.3).
 
 Candidates for lattice level ``L`` are built Apriori-style by joining
-compatible level ``L-1`` slices:
+compatible level ``L-1`` slices.  A level's slice set is a *key array*:
+an ``int64`` array of shape ``(n, L)`` whose row ``i`` holds slice ``i``'s
+``L`` projected column ids in ascending order.  :func:`get_pair_candidates`
+takes the parents' keys and returns the candidates' keys; the 0/1 matrix
+``S`` is built from them (:func:`~repro.linalg.keys_to_csr`) only for the
+sparse Gram product of step 2.
 
 1. *Input filtering* — drop parents violating ``ss >= sigma`` or ``se > 0``.
 2. *Self-join* — pairs whose one-hot vectors overlap in exactly ``L-2``
@@ -74,6 +79,7 @@ from repro.core.scoring import score_upper_bound
 from repro.core.types import StatsCol
 from repro.linalg import (
     cell_bounded_partitions,
+    keys_to_csr,
     pack_rows_mixed_radix,
     unique_sorted,
     upper_tri_pairs_in_range,
@@ -275,7 +281,7 @@ def _empty_chunk_result(generated: int, invalid: int, pruned: int, level: int):
 def _process_pair_chunk(
     s: sp.csr_matrix,
     st: sp.csc_matrix,
-    key_rows: np.ndarray | None,
+    parent_keys: np.ndarray,
     start: int,
     stop: int,
     level: int,
@@ -294,8 +300,8 @@ def _process_pair_chunk(
 ) -> _ChunkResult:
     """Steps 2-6 for one join-row range — pure, no shared mutable state.
 
-    Reads only the broadcast inputs (slice matrix + transpose, dense parent
-    key rows, parent stats, pruning constants) and returns one
+    Reads only the broadcast inputs (slice matrix + transpose, parent keys,
+    parent stats, pruning constants) and returns one
     :class:`_ChunkResult`; all counter/tracer recording happens on the
     driver after the chunk map, so any thread may run this.
     """
@@ -307,7 +313,7 @@ def _process_pair_chunk(
     for batch_start in range(0, rows.size, _PAIR_BATCH):
         left = rows[batch_start : batch_start + _PAIR_BATCH]
         right = cols[batch_start : batch_start + _PAIR_BATCH]
-        keys = _merge_keys(s, key_rows, left, right, level)
+        keys = _merge_keys_dense(parent_keys, left, right, level)
         feasible = _feature_valid(keys, feature_map)
         invalid += int(left.size - np.count_nonzero(feasible))
         if not feasible.any():
@@ -366,7 +372,7 @@ def _process_pair_chunk(
 
 
 def get_pair_candidates(
-    slices: sp.csr_matrix,
+    slices: np.ndarray,
     stats: np.ndarray,
     level: int,
     *,
@@ -381,22 +387,24 @@ def get_pair_candidates(
     tracer=NULL_TRACER,
     workspace=None,
     pair_parallelism: int = 1,
-) -> tuple[sp.csr_matrix, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Generate deduplicated, pruned candidate slices for *level*.
 
-    *slices*/*stats* are the evaluated slices of level ``L-1`` and their
-    ``R`` matrix in the projected one-hot space; *feature_map* maps each
-    projected column to its original feature index (non-decreasing).
+    *slices* are the keys (``num_parents x (L-1)``, rows ascending) of the
+    evaluated level ``L-1`` slices and *stats* their ``R`` matrix, in the
+    projected one-hot space; *feature_map* maps each projected column to
+    its original feature index (non-decreasing), so its length is the
+    projected width.
     *topk_min_score* is the score of the current K-th best slice (0.0 while
     the top-K is not yet full), a monotonically increasing lower bound for
     score pruning.
 
-    Returns the candidate slice matrix ``S`` for level ``L`` (possibly with
-    zero rows) together with the per-candidate upper-bound scores
-    ``ceil(sc)`` (``None`` when score pruning is disabled) — the driver uses
-    them for priority evaluation.  When *level_stats* is given, per-step
-    counters are recorded into it; when *tracer* is given, the join,
-    deduplication, and pruning steps report spans into it.
+    Returns the candidates' keys for level ``L`` (``num_candidates x L``,
+    possibly with zero rows) together with the per-candidate upper-bound
+    scores ``ceil(sc)`` (``None`` when score pruning is disabled) — the
+    driver uses them for priority evaluation.  When *level_stats* is given,
+    per-step counters are recorded into it; when *tracer* is given, the
+    join, deduplication, and pruning steps report spans into it.
 
     Only the candidates and their bounds leave this function: evaluation
     recomputes every candidate's indicator from ``X`` alone (Eq. 10), so
@@ -410,8 +418,8 @@ def get_pair_candidates(
     """
     pruning = pruning or PruningConfig()
     recorder = level_stats or LevelCounters(level=level)
-    num_cols = slices.shape[1]
-    empty = sp.csr_matrix((0, num_cols), dtype=np.float64)
+    num_cols = int(feature_map.shape[0])
+    empty = np.empty((0, level), dtype=np.int64)
     recorder.input_slices += int(slices.shape[0])
 
     # -- step 1: prune invalid input slices ---------------------------------
@@ -433,7 +441,7 @@ def get_pair_candidates(
             )
             keep &= (parent_bound > topk_min_score) & (parent_bound >= 0.0)
         recorder.input_filtered += int(keep.size - np.count_nonzero(keep))
-        slices = slices[np.flatnonzero(keep)]
+        slices = slices[keep]
         stats = stats[keep]
     if slices.shape[0] < 2:
         return empty, None
@@ -442,18 +450,15 @@ def get_pair_candidates(
     if pair_parallelism < 1 and workspace is not None:
         pair_parallelism = int(getattr(workspace, "num_threads", 1))
     plan = choose_pair_plan(
-        slices.shape[0], int(slices.nnz), pair_parallelism, level
+        slices.shape[0], int(slices.size), pair_parallelism, level
     )
-    s = slices.tocsr()
-    s.sort_indices()
-    st = s.T.tocsc()
-    key_rows = _parent_key_rows(s, level)
+    # The Gram join needs S and its transpose; S^T of a CSR is a CSC view.
+    s = keys_to_csr(slices, num_cols)
+    st = s.T
     # Level 2 over parents whose single columns ascend strictly (basic
     # slices) emits unique sorted keys, so dedup is skipped: see step 6.
     deduplicate = pruning.deduplicate and not (
-        level == 2
-        and key_rows is not None
-        and bool(np.all(key_rows[1:, 0] > key_rows[:-1, 0]))
+        level == 2 and bool(np.all(slices[1:, 0] > slices[:-1, 0]))
     )
     parent_sizes = stats[:, StatsCol.SIZE]
     parent_errors = stats[:, StatsCol.ERROR]
@@ -461,7 +466,7 @@ def get_pair_candidates(
 
     def run_chunk(row_range: tuple[int, int]) -> _ChunkResult:
         return _process_pair_chunk(
-            s, st, key_rows, row_range[0], row_range[1], level, feature_map,
+            s, st, slices, row_range[0], row_range[1], level, feature_map,
             parent_sizes, parent_errors, parent_max_errors,
             num_rows, total_error, sigma, alpha, topk_min_score,
             pruning.by_score, deduplicate, num_cols,
@@ -571,9 +576,9 @@ def get_pair_candidates(
     recorder.candidates_emitted += int(kept.size)
     recorder.candidates_nnz += int(kept.size) * level
     keys_started = time.perf_counter()
-    matrix = _keys_to_matrix(unique_keys[kept], level, num_cols)
+    keys = unique_keys[kept]
     recorder.keys_seconds += time.perf_counter() - keys_started
-    return matrix, bounds[kept] if bounds is not None else None
+    return keys, bounds[kept] if bounds is not None else None
 
 
 def reference_pair_candidates(
@@ -735,39 +740,9 @@ def reference_pair_candidates(
     recorder.candidates_emitted += int(kept.size)
     recorder.candidates_nnz += int(kept.size) * level
     return (
-        _keys_to_matrix(unique_keys[kept], level, num_cols),
+        keys_to_csr(unique_keys[kept], num_cols),
         bounds[kept] if bounds is not None else None,
     )
-
-
-def _parent_key_rows(slices: sp.csr_matrix, level: int) -> np.ndarray | None:
-    """Dense ``num_parents x (L-1)`` sorted-column-key matrix of the parents.
-
-    Every evaluated level ``L-1`` slice has exactly ``L-1`` set columns, so
-    the canonical CSR ``indices`` array reshapes directly.  Returns ``None``
-    for non-uniform inputs (only reachable by direct callers feeding ad-hoc
-    matrices) — the merge then falls back to the sparse row-addition path.
-    """
-    if level < 2 or slices.shape[0] == 0:
-        return None
-    if not np.all(np.diff(slices.indptr) == level - 1):
-        return None
-    return slices.indices.reshape(slices.shape[0], level - 1).astype(
-        np.int64, copy=False
-    )
-
-
-def _merge_keys(
-    s: sp.csr_matrix,
-    key_rows: np.ndarray | None,
-    left: np.ndarray,
-    right: np.ndarray,
-    level: int,
-) -> np.ndarray:
-    """Sorted column-index keys of the merged slices ``S[left] | S[right]``."""
-    if key_rows is None:
-        return _merge_keys_sparse(s, left, right, level)
-    return _merge_keys_dense(key_rows, left, right, level)
 
 
 def _merge_keys_dense(
@@ -796,7 +771,7 @@ def _merge_keys_dense(
 def _merge_keys_sparse(
     slices: sp.csr_matrix, left: np.ndarray, right: np.ndarray, level: int
 ) -> np.ndarray:
-    """Merged keys via sparse row addition (fallback for ad-hoc inputs).
+    """Merged keys via sparse row addition (the reference pipeline's merge).
 
     Joined parents overlap in exactly ``L-2`` predicates, so every union has
     exactly ``L`` set columns: the CSR ``indices`` array reshapes into a
@@ -849,22 +824,6 @@ def _dedup_keys(
         keys, axis=0, return_index=True, return_inverse=True
     )
     return unique_keys, first_index, group.ravel()
-
-
-def _keys_to_matrix(keys: np.ndarray, level: int, num_cols: int) -> sp.csr_matrix:
-    """Build the 0/1 candidate matrix from sorted column-index keys.
-
-    Indices stay in the canonical ``int64`` index dtype: a downcast (the
-    former ``astype(np.int32)``) silently wraps for one-hot spaces wider
-    than ``2^31`` columns, which wide-domain feature crosses can reach.
-    """
-    num_slices = keys.shape[0]
-    indptr = np.arange(0, num_slices * level + 1, level, dtype=np.int64)
-    data = np.ones(num_slices * level, dtype=np.float64)
-    return sp.csr_matrix(
-        (data, keys.ravel().astype(np.int64, copy=False), indptr),
-        shape=(num_slices, num_cols),
-    )
 
 
 def _group_min(values: np.ndarray, group: np.ndarray, num_groups: int) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.core.types import StatsCol, empty_stats
-from repro.linalg import as_csr, vstack_rows
+from repro.linalg import keys_to_csr, vstack_rows
 
 
 def empty_topk(num_columns: int) -> tuple[sp.csr_matrix, np.ndarray]:
@@ -25,7 +25,7 @@ def empty_topk(num_columns: int) -> tuple[sp.csr_matrix, np.ndarray]:
 
 
 def maintain_topk(
-    slices: sp.csr_matrix,
+    slices: np.ndarray,
     stats: np.ndarray,
     top_slices: sp.csr_matrix,
     top_stats: np.ndarray,
@@ -34,17 +34,21 @@ def maintain_topk(
 ) -> tuple[sp.csr_matrix, np.ndarray]:
     """Merge newly scored *slices* into the running top-K.
 
-    Returns the new ``(TS, TR)`` pair sorted by descending score.  Slices
-    enumerated at different levels are necessarily distinct (they differ in
-    predicate count), so no cross-level deduplication is needed.
+    *slices* is one level's key array (``num_slices x L`` sorted projected
+    column ids); the running top-K ``TS`` mixes levels, so it stays a CSR
+    matrix of at most K rows, and only the valid new slices are converted
+    to join it.  Returns the new ``(TS, TR)`` pair sorted by descending
+    score.  Slices enumerated at different levels are necessarily distinct
+    (they differ in predicate count), so no cross-level deduplication is
+    needed.
     """
-    slices = as_csr(slices)
+    num_cols = top_slices.shape[1]
     valid = (stats[:, StatsCol.SCORE] > 0) & (stats[:, StatsCol.SIZE] >= sigma)
     kept = np.flatnonzero(valid)
     if kept.size == 0 and top_slices.shape[0] == 0:
-        return empty_topk(slices.shape[1])
+        return empty_topk(num_cols)
 
-    candidates = as_csr(vstack_rows(top_slices, slices[kept]))
+    candidates = vstack_rows(top_slices, keys_to_csr(slices[kept], num_cols))
     candidate_stats = np.vstack([top_stats, stats[kept]])
 
     def column_key(index: int) -> tuple[int, ...]:

@@ -18,11 +18,9 @@ from repro.linalg.ops import (
     iter_upper_tri_pair_chunks,
     one_hot_encode,
     pack_rows_mixed_radix,
-    remove_empty_rows,
     row_index_max,
     row_maxs,
     row_nnz,
-    row_sums,
     selection_matrix,
     unique_sorted,
     upper_tri_pairs,
@@ -33,6 +31,7 @@ from repro.linalg.sparse import (
     density,
     ensure_vector,
     is_sparse,
+    keys_to_csr,
     to_dense,
     vstack_rows,
 )
@@ -71,11 +70,9 @@ __all__ = [
     "iter_upper_tri_pair_chunks",
     "one_hot_encode",
     "pack_rows_mixed_radix",
-    "remove_empty_rows",
     "row_index_max",
     "row_maxs",
     "row_nnz",
-    "row_sums",
     "selection_matrix",
     "unique_sorted",
     "upper_tri_pairs",
@@ -84,6 +81,7 @@ __all__ = [
     "density",
     "ensure_vector",
     "is_sparse",
+    "keys_to_csr",
     "to_dense",
     "vstack_rows",
     "BlockedMatrix",

@@ -13,8 +13,11 @@ compute the same indicator two ways:
     For 0/1 data the indicator of a slice is the AND of its predicate
     columns.  Each one-hot column of ``X`` is packed into a row bitset
     (``np.packbits`` -> ``uint64`` words, :class:`BitsetTable`); a
-    candidate's indicator is ``L-1`` word-wise ANDs and ``ss`` is a
-    popcount — no ``n x b`` float intermediate, no sparse overhead.
+    candidate's indicator is ``L-1`` word-wise ANDs of the table rows its
+    keys name, and ``ss`` is a popcount — no ``n x b`` float intermediate,
+    no sparse overhead.  :meth:`KernelState.chunk_words` takes the keys
+    straight from the pair stage (remapped only by compaction), so this
+    backend never builds the slice matrix ``S``.
 
 Every level is evaluated against ``X`` alone, as in the paper (Eq. 10):
 no indicator is carried from one level to the next.
@@ -328,11 +331,7 @@ class KernelState:
         self.table: BitsetTable | None = None
 
     def begin_level(
-        self,
-        x_eval: sp.spmatrix,
-        level: int,
-        num_candidates: int,
-        slices_binary: bool = True,
+        self, x_eval: sp.spmatrix, level: int, num_candidates: int
     ) -> str:
         """Choose and prepare the backend for one level; returns its name."""
         num_rows, num_cols = x_eval.shape
@@ -341,7 +340,7 @@ class KernelState:
             num_rows=num_rows,
             num_cols=num_cols,
             num_candidates=num_candidates,
-            binary_data=slices_binary and is_binary_matrix(x_eval),
+            binary_data=is_binary_matrix(x_eval),
         )
         self.table = (
             BitsetTable.from_matrix(x_eval) if self.backend == "bitset" else None
@@ -351,8 +350,10 @@ class KernelState:
     def chunk_words(self, keys: np.ndarray) -> np.ndarray:
         """Indicator bitsets for one candidate chunk.
 
-        *keys* are the candidates' sorted predicate-column indices
-        (``num_cands x L``).  Read-only, so worker threads may share it.
+        *keys* are a slice of the level's key array (``num_cands x L``
+        sorted predicate-column ids) exactly as the pair stage emitted it,
+        remapped to the compacted columns when compaction is on.
+        Read-only, so worker threads may share it.
         """
         return self.table.candidate_words(keys)
 

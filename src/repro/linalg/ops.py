@@ -10,7 +10,6 @@ Paper / DML         Here
 ``cumsum(v)``       :func:`cumsum`
 ``cumprod(v)``      :func:`cumprod`
 ``table(rix,cix)``  :func:`contingency_table` / :func:`one_hot_encode`
-``removeEmpty``     :func:`remove_empty_rows`
 ``rowIndexMax``     :func:`row_index_max`
 ``rowMaxs``         :func:`row_maxs`
 ``upper.tri(...)``  :func:`upper_tri_pairs`
@@ -40,13 +39,6 @@ def col_sums(matrix: Matrix) -> np.ndarray:
     if sp.issparse(matrix):
         return np.asarray(matrix.sum(axis=0), dtype=np.float64).ravel()
     return np.asarray(matrix, dtype=np.float64).sum(axis=0)
-
-
-def row_sums(matrix: Matrix) -> np.ndarray:
-    """Row sums as a 1-D float64 array (``rowSums`` in DML)."""
-    if sp.issparse(matrix):
-        return np.asarray(matrix.sum(axis=1), dtype=np.float64).ravel()
-    return np.asarray(matrix, dtype=np.float64).sum(axis=1)
 
 
 def col_maxs(matrix: Matrix) -> np.ndarray:
@@ -214,31 +206,6 @@ def unique_sorted(values: np.ndarray) -> np.ndarray:
     distinct[0] = True
     np.not_equal(ordered[1:], ordered[:-1], out=distinct[1:])
     return ordered[distinct]
-
-
-def remove_empty_rows(
-    matrix: Matrix, select: np.ndarray | None = None
-) -> tuple[Matrix, np.ndarray]:
-    """``removeEmpty(target, margin="rows", select)`` with kept-index output.
-
-    When *select* is given it is a boolean/0-1 vector choosing rows directly;
-    otherwise rows whose entries are all zero are dropped.  Returns the
-    filtered matrix and the original row indices that were kept.
-    """
-    if select is not None:
-        keep = np.flatnonzero(np.asarray(select).ravel())
-    else:
-        keep = np.flatnonzero(row_sums(abs_matrix(matrix)) > 0)
-    if sp.issparse(matrix):
-        return matrix.tocsr()[keep], keep
-    return np.asarray(matrix)[keep], keep
-
-
-def abs_matrix(matrix: Matrix) -> Matrix:
-    """Element-wise absolute value preserving sparsity."""
-    if sp.issparse(matrix):
-        return abs(matrix)
-    return np.abs(np.asarray(matrix))
 
 
 def selection_matrix(indices: np.ndarray, num_source_rows: int) -> sp.csr_matrix:

@@ -34,6 +34,23 @@ def as_csr(matrix: Matrix, dtype=None) -> sp.csr_matrix:
     return result
 
 
+def keys_to_csr(keys: np.ndarray, num_cols: int) -> sp.csr_matrix:
+    """The 0/1 slice matrix ``S`` of a key array, in canonical CSR form.
+
+    Row ``i`` of the ``(n, L)`` *keys* lists slice ``i``'s ``L`` column ids
+    in ascending order, so every row of ``S`` has exactly ``L`` sorted
+    entries.  scipy stores the indices as ``int32`` whenever they fit and
+    widens them to ``int64`` otherwise, so no column id of a one-hot space
+    wider than ``2^31`` wraps.
+    """
+    num_slices, level = keys.shape
+    indptr = np.arange(0, num_slices * level + 1, level, dtype=np.int64)
+    data = np.ones(num_slices * level, dtype=np.float64)
+    return sp.csr_matrix(
+        (data, keys.ravel(), indptr), shape=(num_slices, num_cols)
+    )
+
+
 def to_dense(matrix: Matrix) -> np.ndarray:
     """Return a dense 2-D numpy array view/copy of *matrix*."""
     if sp.issparse(matrix):

@@ -95,7 +95,8 @@ class LevelCounters:
     dedup_seconds: float = 0.0
     #: wall-clock seconds of the Equation-9 group-level pruning
     prune_seconds: float = 0.0
-    #: wall-clock seconds building the candidate matrix from surviving keys
+    #: wall-clock seconds gathering the surviving candidates' keys (the
+    #: level's key array) after pruning
     keys_seconds: float = 0.0
     #: join row-range tasks the pair plan split this level into
     join_chunks: int = 0

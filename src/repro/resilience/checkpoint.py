@@ -22,6 +22,11 @@ Bundle layout (one directory per level)::
         meta.json     # version, level, fingerprints, counters, warm state
         arrays.npz    # CSR components + statistic matrices + index maps
 
+In memory the frontier is the level's key array (``num_slices x level``
+sorted projected column ids, see :mod:`repro.core.pairs`); on disk it is
+stored as the CSR components of its 0/1 slice matrix, so the format is the
+same whether the bundle was written from keys or from a CSR frontier.
+
 This module imports nothing from :mod:`repro.core` at module scope so the
 core can import it without cycles.
 """
@@ -38,6 +43,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.exceptions import CheckpointError
+from repro.linalg.sparse import keys_to_csr
 from repro.resilience.atomic import atomic_replace_dir, remove_stale_tmp
 from repro.obs.counters import CounterRegistry, LevelCounters
 
@@ -142,8 +148,9 @@ class CheckpointState:
     """Everything ``repro.ckpt/v1`` persists at one level boundary."""
 
     level: int
-    #: the level's evaluated slice frontier (projected column space) + stats
-    slices: sp.csr_matrix
+    #: the level's evaluated slice frontier as a key array (``n x level``,
+    #: projected column space) + stats
+    slices: np.ndarray
     stats: np.ndarray
     #: running top-K
     top_slices: sp.csr_matrix
@@ -227,7 +234,10 @@ def save_checkpoint(directory: str, state: CheckpointState) -> str:
         "stats": state.stats,
         "top_stats": state.top_stats,
         "selected_columns": state.selected_columns,
-        **_csr_parts("slices", state.slices),
+        **_csr_parts(
+            "slices",
+            keys_to_csr(state.slices, int(state.selected_columns.size)),
+        ),
         **_csr_parts("top_slices", state.top_slices),
     }
     if state.row_indices is not None:
@@ -273,9 +283,13 @@ def load_checkpoint(path: str) -> CheckpointState:
             f"expected {CKPT_SCHEMA!r}"
         )
     try:
+        level = int(meta["level"])
         state = CheckpointState(
-            level=int(meta["level"]),
-            slices=_csr_load("slices", arrays),
+            level=level,
+            # Every frontier row holds exactly `level` sorted column ids.
+            slices=np.asarray(
+                arrays["slices_indices"], dtype=np.int64
+            ).reshape(-1, level),
             stats=np.asarray(arrays["stats"], dtype=np.float64),
             top_slices=_csr_load("top_slices", arrays),
             top_stats=np.asarray(arrays["top_stats"], dtype=np.float64),
@@ -311,6 +325,10 @@ def load_checkpoint(path: str) -> CheckpointState:
     except KeyError as exc:
         raise CheckpointError(
             f"checkpoint {bundle!r} is missing field {exc}"
+        ) from exc
+    except ValueError as exc:  # a frontier that is not `level` ids per row
+        raise CheckpointError(
+            f"checkpoint {bundle!r} is malformed: {exc}"
         ) from exc
     return state
 

@@ -4,7 +4,6 @@ import time
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from repro.core import (
     FeatureSpace,
@@ -154,7 +153,7 @@ class TestSliceLineFunction:
 
 
 def synthetic_level2(seed=0, n=400):
-    """Every valid level-2 slice of a random dataset (102 candidates).
+    """Every valid level-2 slice key of a random dataset (102 candidates).
 
     Errors grow with the first three features' codes, so many slices
     score above zero and the top-K threshold rises after the first chunk.
@@ -173,12 +172,7 @@ def synthetic_level2(seed=0, n=400):
         for b in range(a + 1, x.shape[1])
         if feature[a] != feature[b]
     ]
-    rows = np.repeat(np.arange(len(pairs)), 2)
-    slices = sp.csr_matrix(
-        (np.ones(rows.size), (rows, np.ravel(pairs))),
-        shape=(len(pairs), x.shape[1]),
-    )
-    return x, errors, slices
+    return x, errors, np.array(pairs, dtype=np.int64)
 
 
 class TestEvaluateLevel:
@@ -189,7 +183,7 @@ class TestEvaluateLevel:
     def run(self, x, errors, slices, bounds, cfg, tracker=None):
         current = LevelCounters(level=2)
         out = algorithm_mod._evaluate_level(
-            x, errors, slices, slices, bounds, 2, cfg,
+            x, errors, slices, bounds, 2, cfg,
             *empty_topk(x.shape[1]), self.SIGMA, 1, current,
             num_rows=x.shape[0], total_error=float(errors.sum()),
             tracker=tracker,
@@ -246,7 +240,7 @@ class TestEvaluateLevel:
         # The known overrun: the last chunk ignores the cut.
         assert current.evaluated + skipped > total
         assert got_slices.shape == (taken.size, slices.shape[1])
-        assert (got_slices != slices[taken]).nnz == 0
+        assert np.array_equal(got_slices, slices[taken])
         assert got_stats.tobytes() == stats[taken].tobytes()
         assert got_top_stats.tobytes() == top_stats.tobytes()
 
@@ -277,7 +271,7 @@ class TestEvaluateLevel:
         assert calls == [8] * 12 + [6]
         assert current.evaluated == ref_current.evaluated == slices.shape[0]
         assert current.skipped_by_budget == 0
-        assert (got_slices != ref_slices).nnz == 0
+        assert np.array_equal(got_slices, ref_slices)
         assert got_stats.tobytes() == ref_stats.tobytes()
         assert got_top.tobytes() == ref_top.tobytes()
 

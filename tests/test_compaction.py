@@ -22,8 +22,13 @@ from repro.core import (
     evaluate_slice_set,
     slice_line,
 )
-from repro.core.pairs import _dedup_keys, _keys_to_matrix
-from repro.linalg import KernelWorkspace, pack_rows_mixed_radix, resolve_workspace
+from repro.core.pairs import _dedup_keys
+from repro.linalg import (
+    KernelWorkspace,
+    keys_to_csr,
+    pack_rows_mixed_radix,
+    resolve_workspace,
+)
 from repro.streaming import MergeableSliceStats, expand_seed_slices
 from tests.conftest import random_small_problem
 
@@ -163,9 +168,7 @@ class TestCompactionState:
         errors = np.arange(4, dtype=np.float64)
         state = CompactionState.initial(x, errors)
         state.row_coverage = np.array([True, False, True, True])
-        candidates = sp.csr_matrix(
-            (np.ones(2), np.array([0, 3]), np.array([0, 1, 2])), shape=(2, 4)
-        )
+        candidates = np.array([[0], [3]], dtype=np.int64)
         state.begin_level(candidates)
         assert state.num_rows_alive == 3
         assert state.num_cols_alive == 2
@@ -176,31 +179,20 @@ class TestCompactionState:
     def test_project_slices_remaps_and_rejects_dead_columns(self):
         x = sp.csr_matrix(np.eye(3, dtype=np.float64))
         state = CompactionState.initial(x, np.ones(3))
-        candidates = sp.csr_matrix(
-            (np.ones(2), np.array([0, 2]), np.array([0, 1, 2])), shape=(2, 3)
-        )
+        candidates = np.array([[0], [2]], dtype=np.int64)
         state.begin_level(candidates)
+        assert state.num_cols_alive == 2
         projected = state.project_slices(candidates)
-        assert projected.shape == (2, 2)
-        assert np.array_equal(projected.indices, [0, 1])
-        dead = sp.csr_matrix(
-            (np.ones(1), np.array([1]), np.array([0, 1])), shape=(1, 3)
-        )
+        assert np.array_equal(projected, [[0], [1]])
         with pytest.raises(ValueError, match="compacted-away"):
-            state.project_slices(dead)
+            state.project_slices(np.array([[1]], dtype=np.int64))
 
     def test_begin_level_rejects_dead_candidate_columns(self):
         x = sp.csr_matrix(np.eye(3, dtype=np.float64))
         state = CompactionState.initial(x, np.ones(3))
-        first = sp.csr_matrix(
-            (np.ones(1), np.array([0]), np.array([0, 1])), shape=(1, 3)
-        )
-        state.begin_level(first)
-        stale = sp.csr_matrix(
-            (np.ones(1), np.array([2]), np.array([0, 1])), shape=(1, 3)
-        )
+        state.begin_level(np.array([[0]], dtype=np.int64))
         with pytest.raises(ValueError, match="surviving parents"):
-            state.begin_level(stale)
+            state.begin_level(np.array([[2]], dtype=np.int64))
 
 
 class TestCompactSliceSet:
@@ -298,10 +290,18 @@ class TestKeysToMatrixDtype:
     def test_indices_stay_int64_beyond_int32_range(self):
         wide = np.int64(2**31) + 16
         keys = np.array([[2**31 + 3, 2**31 + 7]], dtype=np.int64)
-        matrix = _keys_to_matrix(keys, level=2, num_cols=wide)
+        matrix = keys_to_csr(keys, wide)
         assert matrix.indices.dtype == np.int64
         assert matrix.indices.min() > 2**31  # would be negative if wrapped
         assert matrix.shape == (1, wide)
+
+    def test_indices_narrow_to_int32_when_they_fit(self):
+        """The dtype checkpoint bundles have always stored for ``S``."""
+        keys = np.array([[0, 3], [1, 2]], dtype=np.int64)
+        matrix = keys_to_csr(keys, 4)
+        assert matrix.indices.dtype == np.int32
+        assert matrix.has_sorted_indices
+        assert matrix.toarray().tolist() == [[1, 0, 0, 1], [0, 1, 1, 0]]
 
 
 class TestKernelWorkspace:

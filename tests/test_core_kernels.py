@@ -16,7 +16,7 @@ from repro.core import (
     empty_topk,
 )
 from repro.core.types import LevelStats, StatsCol, stats_matrix
-from repro.linalg import as_csr, vstack_rows
+from repro.linalg import keys_to_csr
 
 
 def brute_stats(x0, errors, predicates):
@@ -33,12 +33,14 @@ def reference_maintain_topk(slices, stats, top_slices, top_stats, k, sigma):
     The production version sorts a run only when its walk reaches it; both
     must return bitwise the same top-K.
     """
-    slices = as_csr(slices)
+    num_cols = top_slices.shape[1]
     valid = (stats[:, StatsCol.SCORE] > 0) & (stats[:, StatsCol.SIZE] >= sigma)
     kept = np.flatnonzero(valid)
     if kept.size == 0 and top_slices.shape[0] == 0:
-        return empty_topk(slices.shape[1])
-    candidates = as_csr(vstack_rows(top_slices, slices[kept]))
+        return empty_topk(num_cols)
+    candidates = sp.vstack(
+        [top_slices, keys_to_csr(slices[kept], num_cols)], format="csr"
+    )
     candidate_stats = np.vstack([top_stats, stats[kept]])
 
     def column_key(index):
@@ -80,13 +82,15 @@ def reference_maintain_topk(slices, stats, top_slices, top_stats, k, sigma):
 
 
 def tied_level(gen, num_cols, level, count, pool):
-    """*count* level-*level* slices drawn from *pool* distinct ones.
+    """*count* level-*level* slice keys drawn from *pool* distinct ones.
 
     A slice drawn twice carries the same statistics, as with deduplication
     off; statistics come from a few values, so runs of exact ties are long.
-    Each row lists its columns in a random order.
     """
-    distinct = [gen.choice(num_cols, level, replace=False) for _ in range(pool)]
+    distinct = [
+        np.sort(gen.choice(num_cols, level, replace=False))
+        for _ in range(pool)
+    ]
     pool_stats = stats_matrix(
         gen.choice([-1.0, 0.5, 1.0, 2.0], size=pool),
         gen.choice([1.0, 3.0], size=pool),
@@ -94,14 +98,8 @@ def tied_level(gen, num_cols, level, count, pool):
         gen.choice([2.0, 10.0, 20.0], size=pool),
     )
     picks = gen.integers(0, pool, size=count)
-    indices = np.concatenate(
-        [gen.permutation(distinct[p]) for p in picks]
-    ).astype(np.int32)
-    slices = sp.csr_matrix(
-        (np.ones(count * level), indices, np.arange(count + 1) * level),
-        shape=(count, num_cols),
-    )
-    return slices, pool_stats[picks]
+    keys = np.array([distinct[p] for p in picks], dtype=np.int64)
+    return keys, pool_stats[picks]
 
 
 class TestBasicSlices:
@@ -133,8 +131,13 @@ class TestBasicSlices:
     def test_slices_matrix_is_identity(self, tiny_x0, tiny_errors, tiny_space):
         x = tiny_space.encode(tiny_x0)
         basic = create_and_score_basic_slices(x, tiny_errors, sigma=1, alpha=0.9)
+        assert basic.slices.dtype == np.int64
+        assert np.array_equal(
+            basic.slices, np.arange(basic.num_slices)[:, np.newaxis]
+        )
         np.testing.assert_allclose(
-            basic.slices.toarray(), np.eye(basic.num_slices)
+            keys_to_csr(basic.slices, basic.num_slices).toarray(),
+            np.eye(basic.num_slices),
         )
 
 
@@ -160,12 +163,14 @@ class TestEvaluateSlices:
     def test_matches_brute_force(self, tiny_x0, tiny_errors, tiny_space):
         x = tiny_space.encode(tiny_x0)
         # candidate slices: {F0=1, F1=1} and {F0=2, F2=2}
-        s = np.zeros((2, 7))
-        s[0, tiny_space.column_of(0, 1)] = 1
-        s[0, tiny_space.column_of(1, 1)] = 1
-        s[1, tiny_space.column_of(0, 2)] = 1
-        s[1, tiny_space.column_of(2, 2)] = 1
-        stats = evaluate_slices(x, tiny_errors, sp.csr_matrix(s), 2, 0.9)
+        keys = np.array(
+            [
+                [tiny_space.column_of(0, 1), tiny_space.column_of(1, 1)],
+                [tiny_space.column_of(0, 2), tiny_space.column_of(2, 2)],
+            ],
+            dtype=np.int64,
+        )
+        stats = evaluate_slices(x, tiny_errors, keys, 2, 0.9)
         for i, predicates in enumerate([{0: 1, 1: 1}, {0: 2, 2: 2}]):
             size, err, max_err = brute_stats(tiny_x0, tiny_errors, predicates)
             assert stats[i, StatsCol.SIZE] == size
@@ -177,14 +182,13 @@ class TestEvaluateSlices:
         space = FeatureSpace.from_matrix(x0)
         x = space.encode(x0)
         gen = np.random.default_rng(5)
-        cols = np.arange(space.num_onehot)
-        rows = []
-        for _ in range(23):
-            pick = gen.choice(cols, size=2, replace=False)
-            row = np.zeros(space.num_onehot)
-            row[pick] = 1
-            rows.append(row)
-        s = sp.csr_matrix(np.array(rows))
+        s = np.array(
+            [
+                np.sort(gen.choice(space.num_onehot, size=2, replace=False))
+                for _ in range(23)
+            ],
+            dtype=np.int64,
+        )
         reference = evaluate_slices(x, errors, s, 2, 0.95, block_size=1)
         for block_size in (2, 7, 23, 64):
             out = evaluate_slices(x, errors, s, 2, 0.95, block_size=block_size)
@@ -194,7 +198,7 @@ class TestEvaluateSlices:
         x0, errors, _ = planted_dataset
         space = FeatureSpace.from_matrix(x0)
         x = space.encode(x0)
-        s = sp.identity(space.num_onehot, format="csr")
+        s = np.arange(space.num_onehot, dtype=np.int64)[:, np.newaxis]
         serial = evaluate_slices(x, errors, s, 1, 0.95, block_size=4)
         threaded = evaluate_slices(
             x, errors, s, 1, 0.95, block_size=4, num_threads=4
@@ -203,16 +207,16 @@ class TestEvaluateSlices:
 
     def test_empty_slices(self, tiny_x0, tiny_errors, tiny_space):
         x = tiny_space.encode(tiny_x0)
-        out = evaluate_slices(x, tiny_errors, sp.csr_matrix((0, 7)), 2, 0.9)
+        out = evaluate_slices(
+            x, tiny_errors, np.empty((0, 2), dtype=np.int64), 2, 0.9
+        )
         assert out.shape == (0, 4)
 
     def test_nonmatching_slice_scores_minus_inf(self, tiny_x0, tiny_errors, tiny_space):
         x = tiny_space.encode(tiny_x0)
-        s = np.zeros((1, 7))
         # F0=1 AND F0=2 is unsatisfiable (level-2 with both on one feature)
-        s[0, 0] = 1
-        s[0, 1] = 1
-        stats = evaluate_slices(x, tiny_errors, sp.csr_matrix(s), 2, 0.9)
+        keys = np.array([[0, 1]], dtype=np.int64)
+        stats = evaluate_slices(x, tiny_errors, keys, 2, 0.9)
         assert stats[0, StatsCol.SIZE] == 0
         assert stats[0, StatsCol.SCORE] == -np.inf
 
@@ -222,13 +226,11 @@ class TestMaintainTopK:
 
     def _mk(self, scores, sizes, first_column=0):
         k = len(scores)
-        rows = np.zeros((k, self.NUM_COLS))
-        for i in range(k):
-            rows[i, first_column + i] = 1.0
+        keys = (first_column + np.arange(k, dtype=np.int64))[:, np.newaxis]
         stats = stats_matrix(
             np.array(scores), np.ones(k), np.ones(k), np.array(sizes)
         )
-        return sp.csr_matrix(rows), stats
+        return keys, stats
 
     def test_orders_by_score(self):
         slices, stats = self._mk([0.5, 2.0, 1.0], [10, 10, 10])
@@ -308,12 +310,11 @@ class TestGetPairCandidates:
             sigma=1, alpha=0.9, topk_min_score=0.0, feature_map=fmap,
             pruning=PruningConfig(), level_stats=stats,
         )
-        dense = cands.toarray()
-        assert (dense.sum(axis=1) == 2).all()
+        assert cands.shape[1] == 2
+        assert (np.diff(cands, axis=1) > 0).all()  # keys ascend per row
         # no candidate uses two values of one feature
-        for row in dense:
-            feats = fmap[np.flatnonzero(row)]
-            assert len(set(feats.tolist())) == 2
+        for row in cands:
+            assert len(set(fmap[row].tolist())) == 2
 
     def test_no_duplicates_after_dedup(self, planted_dataset):
         x0, errors, _ = planted_dataset
@@ -323,7 +324,7 @@ class TestGetPairCandidates:
             num_rows=x0.shape[0], total_error=float(errors.sum()),
             sigma=5, alpha=0.95, topk_min_score=0.0, feature_map=fmap,
         )
-        keys = {tuple(row) for row in cands.toarray().astype(int).tolist()}
+        keys = {tuple(row) for row in cands.tolist()}
         assert len(keys) == cands.shape[0]
 
     def test_dedup_off_keeps_duplicates(self, planted_dataset):

@@ -43,7 +43,9 @@ def eval_problem(planted_dataset):
         row[pick] = 1
         rows.append(row)
     slices = sp.csr_matrix(np.array(rows))
-    reference = evaluate_slices(x, errors, slices, 2, 0.95)
+    # The executors take the CSR S; evaluate_slices takes its key array.
+    keys = slices.indices.reshape(-1, 2).astype(np.int64)
+    reference = evaluate_slices(x, errors, keys, 2, 0.95)
     return x, errors, slices, reference
 
 
@@ -237,7 +239,8 @@ class TestTopKTieBreakDeterminism:
             stats = make_executor(strategy, **kwargs).evaluate(
                 x, errors, slices, 1, 0.95
             )
-            shuffled = sp.csr_matrix(slices.toarray()[perm])
+            # Row i of the identity S is the key [i].
+            shuffled = perm.astype(np.int64)[:, np.newaxis]
             empty_s, empty_r = empty_topk(slices.shape[1])
             top_slices, top_stats = maintain_topk(
                 shuffled, stats[perm], empty_s, empty_r, k=6, sigma=1
@@ -261,8 +264,9 @@ class TestTopKTieBreakDeterminism:
         assert len({tuple(stats[i].tolist()) for i in winners}) == 1
         assert stats[winners[0], 0] > 0
         empty_s, empty_r = empty_topk(slices.shape[1])
+        reversed_keys = np.arange(slices.shape[0], dtype=np.int64)[::-1]
         top_slices, _ = maintain_topk(
-            sp.csr_matrix(slices.toarray()[::-1].copy()), stats[::-1],
+            reversed_keys[:, np.newaxis], stats[::-1],
             empty_s, empty_r, k=m, sigma=1,
         )
         assert [row.indices.tolist() for row in top_slices] == [

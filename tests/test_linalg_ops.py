@@ -14,10 +14,8 @@ from repro.linalg import (
     cumsum,
     iter_upper_tri_pair_chunks,
     one_hot_encode,
-    remove_empty_rows,
     row_index_max,
     row_maxs,
-    row_sums,
     selection_matrix,
     upper_tri_pairs,
 )
@@ -37,10 +35,6 @@ class TestReductions:
     def test_col_sums_dense_and_sparse_agree(self, dense, sparse):
         np.testing.assert_allclose(col_sums(dense), col_sums(sparse))
         np.testing.assert_allclose(col_sums(dense), [5.0, 2.0, 4.0])
-
-    def test_row_sums_dense_and_sparse_agree(self, dense, sparse):
-        np.testing.assert_allclose(row_sums(dense), row_sums(sparse))
-        np.testing.assert_allclose(row_sums(dense), [4.0, 3.0, 4.0])
 
     def test_col_maxs_includes_implicit_zeros(self):
         m = sp.csr_matrix(np.array([[-1.0, 0.0], [-2.0, -3.0]]))
@@ -119,20 +113,6 @@ class TestTables:
     def test_selection_matrix_out_of_range(self):
         with pytest.raises(ValidationError):
             selection_matrix([3], 3)
-
-
-class TestRemoveEmpty:
-    def test_removes_zero_rows(self):
-        m = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
-        out, kept = remove_empty_rows(m)
-        np.testing.assert_array_equal(kept, [1])
-        np.testing.assert_allclose(out, [[1.0, 0.0]])
-
-    def test_select_vector(self):
-        m = sp.csr_matrix(np.eye(3))
-        out, kept = remove_empty_rows(m, select=np.array([1, 0, 1]))
-        np.testing.assert_array_equal(kept, [0, 2])
-        assert out.shape == (2, 3)
 
 
 class TestUpperTriPairs:

@@ -7,7 +7,9 @@ configuration must reproduce :func:`reference_pair_candidates` (the
 preserved pre-pipeline implementation) bitwise: candidate matrices,
 bounds, and all non-execution counters, across any ``pair_parallelism``,
 chunk grid, pruning arm, compaction mode, and kernel backend.  These
-tests certify that contract end-to-end and unit-test the supporting
+tests certify that contract end-to-end (the oracle keeps the CSR format,
+so its inputs and outputs are converted at its boundary) and unit-test
+the supporting
 pieces (the geometric :class:`_PairAccumulator`, the
 :func:`choose_pair_plan` cost model,
 :func:`~repro.linalg.cell_bounded_partitions`,
@@ -36,6 +38,7 @@ from repro.exceptions import ValidationError
 from repro.linalg import (
     KernelWorkspace,
     cell_bounded_partitions,
+    keys_to_csr,
     upper_tri_pairs,
     upper_tri_pairs_in_range,
 )
@@ -95,9 +98,14 @@ def permuted_with_duplicate(problem, seed=5):
 
 
 def run_pairs(fn, problem, *, level=2, pruning=None, topk_min_score=0.0, **kw):
+    """``(keys, bounds, counters)`` of one pair-stage call."""
     recorder = LevelCounters(level=level)
-    matrix, bounds = fn(
-        problem["slices"],
+    slices = problem["slices"]
+    oracle = fn is reference_pair_candidates
+    if oracle:
+        slices = keys_to_csr(slices, problem["feature_map"].shape[0])
+    keys, bounds = fn(
+        slices,
         problem["stats"],
         level,
         num_rows=problem["num_rows"],
@@ -110,14 +118,19 @@ def run_pairs(fn, problem, *, level=2, pruning=None, topk_min_score=0.0, **kw):
         level_stats=recorder,
         **kw,
     )
-    return matrix, bounds, recorder
+    if oracle:
+        assert keys.has_sorted_indices
+        assert (np.diff(keys.indptr) == level).all()
+        keys = keys.indices.reshape(-1, level).astype(np.int64)
+    return keys, bounds, recorder
 
 
 def assert_pairs_identical(ref, new, label=""):
-    ref_matrix, ref_bounds, ref_rec = ref
-    new_matrix, new_bounds, new_rec = new
-    assert ref_matrix.shape == new_matrix.shape, label
-    assert (ref_matrix != new_matrix).nnz == 0, label
+    ref_keys, ref_bounds, ref_rec = ref
+    new_keys, new_bounds, new_rec = new
+    assert new_keys.dtype == np.int64, label
+    assert ref_keys.shape == new_keys.shape, label
+    assert np.array_equal(ref_keys, new_keys), label
     assert (ref_bounds is None) == (new_bounds is None), label
     if ref_bounds is not None:
         assert np.array_equal(ref_bounds, new_bounds), label

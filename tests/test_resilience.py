@@ -404,6 +404,19 @@ class TestCheckpointResume:
         with pytest.raises(CheckpointError):
             load_checkpoint(str(tmp_path))
 
+    def test_malformed_frontier_rejected(self, tmp_path):
+        x0, errors = dyadic_problem(38)
+        cfg = SliceLineConfig(k=4, max_level=2)
+        run_with_checkpoints(x0, errors, cfg, tmp_path)
+        path = tmp_path / "level-0002" / "arrays.npz"
+        arrays = dict(np.load(path))
+        assert arrays["slices_indices"].size > 0
+        # A level-2 frontier whose ids do not split into rows of two.
+        arrays["slices_indices"] = arrays["slices_indices"][:-1]
+        np.savez(path, **arrays)
+        with pytest.raises(CheckpointError, match="malformed"):
+            load_checkpoint(str(path.parent))
+
     def test_save_load_roundtrip_counters(self, tmp_path):
         x0, errors = dyadic_problem(39)
         cfg = SliceLineConfig(k=4)
