@@ -53,11 +53,11 @@ def _fixed_candidate_round(max_candidates: int = 4096):
     sigma = max(1, bundle.num_rows // 100)
     basic = create_and_score_basic_slices(x, bundle.errors, sigma, 0.95)
     fmap = np.searchsorted(space.ends, basic.selected_columns, side="right")
-    candidates, _ = get_pair_candidates(
+    candidates = get_pair_candidates(
         basic.slices, basic.stats, 2,
         num_rows=bundle.num_rows, total_error=float(bundle.errors.sum()),
         sigma=sigma, alpha=0.95, topk_min_score=0.0, feature_map=fmap,
-    )
+    ).keys
     return (
         x[:, basic.selected_columns].tocsr(),
         bundle.errors,

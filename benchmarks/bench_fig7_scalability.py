@@ -68,11 +68,11 @@ def _evaluation_round(bundle):
     sigma = max(1, bundle.num_rows // 100)
     basic = create_and_score_basic_slices(x, bundle.errors, sigma, 0.95)
     fmap = np.searchsorted(space.ends, basic.selected_columns, side="right")
-    keys, _ = get_pair_candidates(
+    keys = get_pair_candidates(
         basic.slices, basic.stats, 2,
         num_rows=bundle.num_rows, total_error=float(bundle.errors.sum()),
         sigma=sigma, alpha=0.95, topk_min_score=0.0, feature_map=fmap,
-    )
+    ).keys
     # The executors take the 0/1 slice matrix S built from the keys.
     candidates = keys_to_csr(keys, basic.selected_columns.size)
     return x[:, basic.selected_columns].tocsr(), candidates

@@ -38,7 +38,7 @@ import numpy as np
 
 import repro.core.algorithm as algorithm_mod
 from repro.core import slice_line
-from repro.core.pairs import reference_pair_candidates
+from repro.core.pairs import PairCandidates, reference_pair_candidates
 from repro.experiments import bench_config
 from repro.linalg import keys_to_csr
 from repro.obs import EXECUTION_FIELDS
@@ -66,11 +66,13 @@ def _reference_entry(
     The driver hands a level over as keys; the reference keeps the CSR
     format, so its input and output are converted at this boundary.
     """
-    matrix, bounds = reference_pair_candidates(
+    matrix, *rest = reference_pair_candidates(
         keys_to_csr(keys, feature_map.shape[0]), stats, level,
         feature_map=feature_map, **kwargs,
     )
-    return matrix.indices.reshape(-1, level).astype(np.int64), bounds
+    return PairCandidates(
+        matrix.indices.reshape(-1, level).astype(np.int64), *rest
+    )
 
 
 @contextlib.contextmanager

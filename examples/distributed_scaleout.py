@@ -30,11 +30,11 @@ sigma = max(1, bundle.num_rows // 100)
 basic = create_and_score_basic_slices(x, bundle.errors, sigma, alpha=0.95)
 feature_map = np.searchsorted(space.ends, basic.selected_columns, side="right")
 x_projected = x[:, basic.selected_columns].tocsr()
-keys, _ = get_pair_candidates(
+keys = get_pair_candidates(
     basic.slices, basic.stats, 2,
     num_rows=bundle.num_rows, total_error=float(bundle.errors.sum()),
     sigma=sigma, alpha=0.95, topk_min_score=0.0, feature_map=feature_map,
-)
+).keys
 # The pair stage returns key rows; the executors take the 0/1 matrix S.
 candidates = keys_to_csr(keys, x_projected.shape[1])
 print(f"level-2 candidates to evaluate: {candidates.shape[0]}")

@@ -27,11 +27,17 @@ from repro.core.decode import decode_topk, slice_membership
 # evaluate_slice_set is not called here, but bench/layers.py wraps it by
 # this module path, so the name stays importable from the driver.
 from repro.core.evaluate import evaluate_slice_set  # noqa: F401
-from repro.core.evaluate import evaluate_slices
+from repro.core.evaluate import SizeFirst, evaluate_slices
 from repro.core.onehot import FeatureSpace, validate_encoded_matrix
 from repro.core.pairs import get_pair_candidates
 from repro.core.topk import empty_topk, maintain_topk, topk_min_score
-from repro.core.types import Slice, SliceLineResult, StatsCol, WarmStartInfo
+from repro.core.types import (
+    Slice,
+    SliceLineResult,
+    StatsCol,
+    WarmStartInfo,
+    valid_rows,
+)
 from repro.exceptions import (
     CheckpointError,
     EncodingError,
@@ -326,7 +332,9 @@ def slice_line(
             tripped = False
             with tracer.span(f"level{level}", level=level) as level_span:
                 with tracer.span(f"level{level}.pairs", parents=slices.shape[0]):
-                    slices, bounds = get_pair_candidates(
+                    (
+                        slices, bounds, error_bounds, max_error_bounds
+                    ) = get_pair_candidates(
                         slices,
                         stats,
                         level,
@@ -397,6 +405,11 @@ def slice_line(
                             coverage=coverage, num_rows=num_rows,
                             total_error=total_error, tracker=tracker,
                             kernels=kernels, compact=compact,
+                            minima=(
+                                (error_bounds, max_error_bounds)
+                                if level == max_level
+                                else None
+                            ),
                         )
                     kernels.end_level()
                     if tracker is not None and tracker.trip is not None:
@@ -404,10 +417,7 @@ def slice_line(
                     if compact is not None:
                         compact.row_coverage = coverage
                     current.valid = int(
-                        np.count_nonzero(
-                            (stats[:, StatsCol.SIZE] >= sigma)
-                            & (stats[:, StatsCol.ERROR] > 0)
-                        )
+                        np.count_nonzero(valid_rows(stats, sigma))
                     )
                 level_span.annotate(
                     evaluated=current.evaluated, valid=current.valid,
@@ -685,6 +695,7 @@ def _evaluate_level(
     tracker=None,
     kernels=None,
     compact=None,
+    minima=None,
 ):
     """Evaluate one level's candidates in chunks, optionally in priority order.
 
@@ -712,6 +723,16 @@ def _evaluate_level(
     per-slice statistics are computed within independent blocks and top-K
     maintenance is order-independent, so an untripped chunked evaluation
     is bitwise identical to the single-shot one.
+
+    *minima* is the pair stage's ``(min se, min sm)`` over each candidate's
+    parents, passed at the last level only.  Each chunk then gets its
+    candidates' minima and the K-th score held before it as a
+    :class:`~repro.core.evaluate.SizeFirst`, so the bitset kernel sums
+    errors only for candidates that could still enter the top-K.  The
+    top-K after every chunk, and with it every threshold, cut and counter,
+    is what the full evaluation gives (see :mod:`repro.core.evaluate`).
+    In priority mode each chunk's keys and minima are gathered through the
+    bound order, so no reordered copy of the whole level is built.
     """
     tracer = tracer or NULL_TRACER
     total = int(slices.shape[0])
@@ -727,7 +748,6 @@ def _evaluate_level(
         # Negated once: the cut search below runs after every chunk.
         neg_bounds = -bounds
         order = np.argsort(neg_bounds, kind="stable")
-        slices = slices[order]
         neg_bounds = neg_bounds[order]
     kept_slices = []
     kept_stats = []
@@ -737,7 +757,18 @@ def _evaluate_level(
         # Known overrun: a chunk is always `step` long and ignores
         # `remaining`, so the last chunk of a priority level also evaluates
         # candidates the cut below already counted as skipped_by_priority.
-        chunk = slices[position : position + step]
+        index = (
+            order[position : position + step]
+            if use_priority
+            else slice(position, position + step)
+        )
+        chunk = slices[index]
+        size_first = None
+        if minima is not None:
+            size_first = SizeFirst(
+                minima[0][index], minima[1][index],
+                topk_min_score(top_stats, cfg.k), sigma,
+            )
         chunk_stats = evaluate_slices(
             x_eval, errors_eval,
             chunk if compact is None else compact.project_slices(chunk),
@@ -745,7 +776,7 @@ def _evaluate_level(
             block_size=cfg.block_size, num_threads=num_threads,
             tracer=tracer, counters=current, workspace=workspace,
             coverage=coverage, num_rows=num_rows, total_error=total_error,
-            kernels=kernels,
+            kernels=kernels, size_first=size_first,
         )
         kept_slices.append(chunk)
         kept_stats.append(chunk_stats)

@@ -37,6 +37,33 @@ The driver may route a level to the packed-bitset backend instead
 ``X`` alone, bitwise identical to the sparse product, and no indicator is
 kept from one level to the next.  That backend ANDs the column bitsets the
 keys name directly, so it never builds ``S`` at all.
+
+Size-first last level.  At ``level == max_level``, with the bitset backend
+and errors that are not all 0/1, :func:`evaluate_slices` gets a
+:class:`SizeFirst` per chunk and splits the work in two.  It popcounts
+every candidate's exact size ``|S|`` and its positive-error members first.
+Then it sums float errors only for the candidates whose
+:func:`~repro.core.scoring.score_at_exact_size` bound is ``>= T`` and
+``> 0``, where ``T`` is the K-th score held before the chunk (0.0 while
+the top-K is not full).  The result is exact:
+
+* the bound is at least the candidate's real ``score()`` in floating point
+  (the proof is in :func:`~repro.core.scoring.score_at_exact_size`);
+* a skipped candidate either scores ``< T``, so K held slices beat it
+  strictly, or scores ``<= 0`` and is invalid.  Either way the top-K after
+  the chunk is unchanged, and with it every later threshold, priority cut
+  and counter;
+* only the last level qualifies, because its statistics feed no pair join.
+  The next level's input filter needs exact parent statistics everywhere
+  else.
+
+A skipped candidate's ``R`` row holds its exact size.  If none of its
+members has a positive error, ``se`` and ``sm`` are exactly ``0.0``,
+which is what the sum gives, and its score is exact.  Otherwise ``se``,
+``sm`` and the score are ``NaN``: "not summed, known positive".
+:func:`~repro.core.types.valid_rows` counts such a row as valid, and the
+top-K never admits it.  The ``sparse`` backend, 0/1 errors and every
+level below the last compute what they always did.
 """
 
 from __future__ import annotations
@@ -61,9 +88,11 @@ from repro.linalg import (
 from repro.linalg.kernels import (
     BITSET_CHUNK,
     pack_binary_errors,
+    pack_bool_rows,
+    words_block_sizes,
     words_block_stats,
 )
-from repro.core.scoring import score
+from repro.core.scoring import score, score_at_exact_size
 from repro.core.types import stats_matrix
 from repro.obs import NULL_TRACER
 
@@ -80,6 +109,28 @@ class SliceSetStats(NamedTuple):
     sizes: np.ndarray
     errors: np.ndarray
     max_errors: np.ndarray
+
+
+#: Candidates summed per kernel call on the size-first path.  How many a
+#: span sums varies from chunk to chunk; equal-sized temporaries let the
+#: allocator reuse freed blocks instead of growing the heap (summing a
+#: span's candidates in one call raised kdd98-wide peak RSS by about 5%).
+_SUM_BLOCK = 1024
+
+
+class SizeFirst(NamedTuple):
+    """What a last-level chunk needs to sum errors only where they matter.
+
+    *error_bounds* and *max_error_bounds* are each candidate's parent
+    minima of ``se`` and ``sm`` (from the pair stage), and *threshold* is
+    the K-th best score held before the chunk (0.0 while the top-K is not
+    full).
+    """
+
+    error_bounds: np.ndarray
+    max_error_bounds: np.ndarray
+    threshold: float
+    sigma: int
 
 
 def indicator_equal(product: sp.csr_matrix, level: int) -> sp.csr_matrix:
@@ -176,11 +227,7 @@ def _evaluate_uniform_level(
         num_rows = x_onehot.shape[0]
         error_words = pack_binary_errors(errors)
         binary = error_words is not None
-        span = min(BITSET_CHUNK, max(1, -(-num_slices // max(1, num_threads))))
-        tasks = [
-            (start, min(start + span, num_slices))
-            for start in range(0, num_slices, span)
-        ]
+        tasks = _bitset_spans(num_slices, num_threads)
 
         def run(task):
             start, stop = task
@@ -200,12 +247,7 @@ def _evaluate_uniform_level(
         def run(task):
             return _block_stats(x_onehot, errors, task, level, track_rows)
 
-    ws, transient = resolve_workspace(workspace, num_threads)
-    try:
-        partials = ws.map(run, tasks)
-    finally:
-        if transient:
-            ws.close()
+    partials = _map_tasks(run, tasks, workspace, num_threads)
     if track_rows:
         for partial in partials:
             np.logical_or(coverage, partial[3], out=coverage)
@@ -215,6 +257,87 @@ def _evaluate_uniform_level(
         np.concatenate([p[2] for p in partials]),
         binary,
     )
+
+
+def _evaluate_size_first(
+    x_onehot: sp.csr_matrix,
+    errors: np.ndarray,
+    keys: np.ndarray,
+    size_first: SizeFirst,
+    num_rows: int,
+    total_error: float,
+    alpha: float,
+    num_threads: int,
+    workspace: KernelWorkspace | None,
+    coverage: np.ndarray | None,
+    kernels: KernelState,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """``(ss, se, sm, summed)`` of a last-level chunk, sized first.
+
+    Each span sizes all its candidates and counts their positive-error
+    members, then sums errors only for those whose
+    :func:`~repro.core.scoring.score_at_exact_size` bound is at least
+    *size_first*'s threshold and positive; *summed* counts them.  Every
+    other candidate gets ``se = sm = 0.0`` when no member's error is
+    positive (what the sum gives) and ``NaN`` ("not summed, known
+    positive") otherwise.
+    """
+    data_rows = x_onehot.shape[0]
+    positive_words = pack_bool_rows((errors > 0)[np.newaxis, :])[0]
+    track_rows = coverage is not None
+
+    def run(task):
+        start, stop = task
+        words = kernels.chunk_words(keys[start:stop])
+        sizes, positives, covered = words_block_sizes(
+            words, positive_words, data_rows, track_rows
+        )
+        bound = score_at_exact_size(
+            sizes, size_first.error_bounds[start:stop],
+            size_first.max_error_bounds[start:stop],
+            num_rows, total_error, size_first.sigma, alpha,
+        )
+        todo = np.flatnonzero((bound >= size_first.threshold) & (bound > 0.0))
+        slice_errors = np.where(positives > 0, np.nan, 0.0)
+        max_errors = slice_errors.copy()
+        for first in range(0, todo.size, _SUM_BLOCK):
+            part = todo[first : first + _SUM_BLOCK]
+            _, slice_errors[part], max_errors[part], _ = words_block_stats(
+                words[part], errors, data_rows
+            )
+        return sizes, slice_errors, max_errors, covered, todo.size
+
+    partials = _map_tasks(
+        run, _bitset_spans(keys.shape[0], num_threads), workspace, num_threads
+    )
+    if track_rows:
+        for partial in partials:
+            np.logical_or(coverage, partial[3], out=coverage)
+    return (
+        np.concatenate([p[0] for p in partials]),
+        np.concatenate([p[1] for p in partials]),
+        np.concatenate([p[2] for p in partials]),
+        sum(p[4] for p in partials),
+    )
+
+
+def _bitset_spans(num_slices: int, num_threads: int) -> list[tuple[int, int]]:
+    """Spans of at most :data:`BITSET_CHUNK` candidates, one per thread."""
+    span = min(BITSET_CHUNK, max(1, -(-num_slices // max(1, num_threads))))
+    return [
+        (start, min(start + span, num_slices))
+        for start in range(0, num_slices, span)
+    ]
+
+
+def _map_tasks(run, tasks, workspace: KernelWorkspace | None, num_threads: int):
+    """``run`` over *tasks* on the caller's pool, or a transient one."""
+    ws, transient = resolve_workspace(workspace, num_threads)
+    try:
+        return ws.map(run, tasks)
+    finally:
+        if transient:
+            ws.close()
 
 
 def evaluate_slice_set(
@@ -327,6 +450,7 @@ def evaluate_slices(
     num_rows: int | None = None,
     total_error: float | None = None,
     kernels: KernelState | None = None,
+    size_first: SizeFirst | None = None,
 ) -> np.ndarray:
     """Evaluate all candidate *slices* and return their ``R`` statistics.
 
@@ -352,6 +476,12 @@ def evaluate_slices(
     *kernels* is the driver's per-run :class:`~repro.linalg.KernelState`
     (already positioned at this level via ``begin_level``).  Omitting it
     keeps the sparse path — the default for every external caller.
+
+    *size_first* (the driver passes it at the last level only) lets the
+    bitset backend size every candidate first and sum float errors only
+    for those whose exact-size bound can still reach the top-K; the rest
+    get ``NaN`` (or exact zero) errors and scores, as the module docstring
+    explains.  It changes nothing for 0/1 errors or the sparse backend.
     """
     if block_size < 1:
         raise ValidationError("block_size must be >= 1")
@@ -372,11 +502,24 @@ def evaluate_slices(
         threads=num_threads,
         backend=kernels.backend if kernels is not None else "sparse",
     ) as span:
-        sizes, slice_errors, max_errors, binary = _evaluate_uniform_level(
-            x_onehot, errors, slices, level, block_size, num_threads,
-            workspace=workspace, coverage=coverage, kernels=kernels,
-        )
-        span.annotate(errors="binary" if binary else "general")
+        if (
+            size_first is not None
+            and kernels is not None
+            and kernels.backend != "sparse"
+            and pack_binary_errors(errors) is None
+        ):
+            sizes, slice_errors, max_errors, summed = _evaluate_size_first(
+                x_onehot, errors, slices, size_first, num_rows, total_error,
+                alpha, num_threads, workspace, coverage, kernels,
+            )
+            binary = False
+        else:
+            sizes, slice_errors, max_errors, binary = _evaluate_uniform_level(
+                x_onehot, errors, slices, level, block_size, num_threads,
+                workspace=workspace, coverage=coverage, kernels=kernels,
+            )
+            summed = num_slices
+        span.annotate(errors="binary" if binary else "general", summed=summed)
     if counters is not None:
         # Every stored entry of I = (X S^T == L) is one (row, slice)
         # membership, so sum(ss) over the level IS nnz(I) — free to track.

@@ -70,13 +70,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.core.config import PruningConfig
 from repro.core.scoring import score_upper_bound
-from repro.core.types import StatsCol
+from repro.core.types import StatsCol, valid_rows
 from repro.linalg import (
     cell_bounded_partitions,
     keys_to_csr,
@@ -124,6 +125,23 @@ class PairJoinPlan:
     @property
     def num_chunks(self) -> int:
         return len(self.ranges)
+
+
+class PairCandidates(NamedTuple):
+    """One level's candidates as :func:`get_pair_candidates` emits them.
+
+    *keys* is the level's key array.  *bounds* are the upper-bound scores
+    ``ceil(sc)`` that drive priority evaluation (``None`` when score
+    pruning is off).  *error_bounds* and *max_error_bounds* are the minima
+    of the parents' ``se`` and ``sm``, the group minima the bounds were
+    computed from; the last level's size-first evaluation bounds each
+    candidate with them once its exact size is known.
+    """
+
+    keys: np.ndarray
+    bounds: np.ndarray | None
+    error_bounds: np.ndarray
+    max_error_bounds: np.ndarray
 
 
 def choose_pair_plan(
@@ -197,9 +215,8 @@ class _PairAccumulator:
     def empty(self) -> bool:
         return self._size == 0
 
-    def append(self, keys, left, right, size_ub, error_ub, max_error_ub) -> None:
-        batch = (keys, left, right, size_ub, error_ub, max_error_ub)
-        count = int(left.shape[0])
+    def append(self, *batch: np.ndarray) -> None:
+        count = int(batch[0].shape[0])
         if count == 0:
             return
         if self._size == 0 and self._arrays is None:
@@ -252,9 +269,11 @@ class _ChunkResult:
     locally distinct
     ``(group, parent)`` incidences feeding the global distinct-parent
     count.  With deduplication off, the arrays are the raw surviving pairs
-    in join order and the incidence arrays are ``None``.  *survivors*
-    counts surviving pairs before local dedup (feeds
-    ``candidates_before_dedup`` exactly).
+    in join order, the incidence arrays are ``None``, and *score_ub* holds
+    the surviving pairs' bounds when score pruning is on: each pair is its
+    own candidate then, so its bound is final.  *survivors* counts
+    surviving pairs before local dedup (feeds ``candidates_before_dedup``
+    exactly).
     """
 
     pairs_generated: int
@@ -267,6 +286,7 @@ class _ChunkResult:
     max_error_ub: np.ndarray
     parent_groups: np.ndarray | None
     parent_ids: np.ndarray | None
+    score_ub: np.ndarray | None = None
 
 
 def _empty_chunk_result(generated: int, invalid: int, pruned: int, level: int):
@@ -324,6 +344,7 @@ def _process_pair_chunk(
         max_error_ub = np.minimum(
             parent_max_errors[left], parent_max_errors[right]
         )
+        batch = (keys, left, right, size_ub, error_ub, max_error_ub)
         if by_score:
             # The pair-level bound already upper-bounds the slice score;
             # dropping failing pairs here keeps memory proportional to
@@ -338,19 +359,21 @@ def _process_pair_chunk(
             pruned += int(passing.size - np.count_nonzero(passing))
             if not passing.any():
                 continue
-            left, right, keys = left[passing], right[passing], keys[passing]
-            size_ub, error_ub, max_error_ub = (
-                size_ub[passing], error_ub[passing], max_error_ub[passing],
-            )
-        acc.append(keys, left, right, size_ub, error_ub, max_error_ub)
+            if not deduplicate:
+                batch += (sc_ub,)
+            batch = tuple(part[passing] for part in batch)
+        acc.append(*batch)
     if acc.empty:
         return _empty_chunk_result(generated, invalid, pruned, level)
-    keys, left, right, size_ub, error_ub, max_error_ub = acc.concatenated()
+    keys, left, right, size_ub, error_ub, max_error_ub, *score_ub = (
+        acc.concatenated()
+    )
     survivors = int(keys.shape[0])
     if not deduplicate:
         return _ChunkResult(
             generated, invalid, pruned, survivors,
             keys, size_ub, error_ub, max_error_ub, None, None,
+            score_ub[0] if score_ub else None,
         )
     # Chunk-local dedup: shrink this chunk's pairs to locally unique keys
     # with folded group minima before the driver's global dedup ever sees
@@ -387,7 +410,7 @@ def get_pair_candidates(
     tracer=NULL_TRACER,
     workspace=None,
     pair_parallelism: int = 1,
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> PairCandidates:
     """Generate deduplicated, pruned candidate slices for *level*.
 
     *slices* are the keys (``num_parents x (L-1)``, rows ascending) of the
@@ -399,12 +422,13 @@ def get_pair_candidates(
     the top-K is not yet full), a monotonically increasing lower bound for
     score pruning.
 
-    Returns the candidates' keys for level ``L`` (``num_candidates x L``,
-    possibly with zero rows) together with the per-candidate upper-bound
+    Returns a :class:`PairCandidates`: the candidates' keys for level ``L``
+    (``num_candidates x L``, possibly with zero rows), their upper-bound
     scores ``ceil(sc)`` (``None`` when score pruning is disabled) — the
-    driver uses them for priority evaluation.  When *level_stats* is given,
-    per-step counters are recorded into it; when *tracer* is given, the
-    join, deduplication, and pruning steps report spans into it.
+    driver uses them for priority evaluation — and the parents' minima of
+    ``se`` and ``sm`` those bounds were computed from.  When *level_stats*
+    is given, per-step counters are recorded into it; when *tracer* is
+    given, the join, deduplication, and pruning steps report spans into it.
 
     Only the candidates and their bounds leave this function: evaluation
     recomputes every candidate's indicator from ``X`` alone (Eq. 10), so
@@ -419,12 +443,15 @@ def get_pair_candidates(
     pruning = pruning or PruningConfig()
     recorder = level_stats or LevelCounters(level=level)
     num_cols = int(feature_map.shape[0])
-    empty = np.empty((0, level), dtype=np.int64)
+    no_bounds = np.empty(0, dtype=np.float64)
+    empty = PairCandidates(
+        np.empty((0, level), dtype=np.int64), None, no_bounds, no_bounds
+    )
     recorder.input_slices += int(slices.shape[0])
 
     # -- step 1: prune invalid input slices ---------------------------------
     if pruning.filter_input_slices:
-        keep = (stats[:, StatsCol.SIZE] >= sigma) & (stats[:, StatsCol.ERROR] > 0)
+        keep = valid_rows(stats, sigma)
         if pruning.by_score:
             # A parent's own bound also bounds every one of its children
             # (child bounds are minima over parents), so parents that cannot
@@ -444,7 +471,7 @@ def get_pair_candidates(
         slices = slices[keep]
         stats = stats[keep]
     if slices.shape[0] < 2:
-        return empty, None
+        return empty
 
     # -- steps 2-6 (chunk-local): join, merge, validity, prune, local dedup --
     if pair_parallelism < 1 and workspace is not None:
@@ -496,26 +523,17 @@ def get_pair_candidates(
 
     chunk_results = [chunk for chunk in chunk_results if chunk.survivors]
     if not chunk_results:
-        return empty, None
+        return empty
     survivors = sum(chunk.survivors for chunk in chunk_results)
     recorder.candidates_before_dedup += survivors
 
     # -- step 6 (global): merge chunk results, dedup the shrunk keys ----------
     dedup_started = time.perf_counter()
     with tracer.span("pairs.dedup", pairs=survivors) as dedup_span:
-        if len(chunk_results) == 1:
-            only = chunk_results[0]
-            keys = only.keys
-            size_ub, error_ub, max_error_ub = (
-                only.size_ub, only.error_ub, only.max_error_ub,
-            )
-        else:
-            keys = np.concatenate([chunk.keys for chunk in chunk_results])
-            size_ub = np.concatenate([chunk.size_ub for chunk in chunk_results])
-            error_ub = np.concatenate([chunk.error_ub for chunk in chunk_results])
-            max_error_ub = np.concatenate(
-                [chunk.max_error_ub for chunk in chunk_results]
-            )
+        keys, size_ub, error_ub, max_error_ub, score_ub = (
+            _concatenated(chunk_results, name)
+            for name in ("keys", "size_ub", "error_ub", "max_error_ub", "score_ub")
+        )
         if deduplicate:
             unique_keys, first_index, group = _dedup_keys(keys, num_cols)
             num_groups = int(first_index.size)
@@ -552,7 +570,9 @@ def get_pair_candidates(
             keep_mask &= parents_ok
         bounds: np.ndarray | None = None
         if pruning.by_score:
-            sc_ub = score_upper_bound(
+            # Without dedup every candidate is one surviving pair, whose
+            # bound its chunk already computed from these very minima.
+            sc_ub = score_ub if not deduplicate else score_upper_bound(
                 grouped_size_ub,
                 grouped_error_ub,
                 grouped_max_error_ub,
@@ -572,13 +592,18 @@ def get_pair_candidates(
         prune_span.annotate(kept=int(kept.size))
     recorder.prune_seconds += time.perf_counter() - prune_started
     if kept.size == 0:
-        return empty, None
+        return empty
     recorder.candidates_emitted += int(kept.size)
     recorder.candidates_nnz += int(kept.size) * level
     keys_started = time.perf_counter()
-    keys = unique_keys[kept]
+    candidates = PairCandidates(
+        unique_keys[kept],
+        bounds[kept] if bounds is not None else None,
+        grouped_error_ub[kept],
+        grouped_max_error_ub[kept],
+    )
     recorder.keys_seconds += time.perf_counter() - keys_started
-    return keys, bounds[kept] if bounds is not None else None
+    return candidates
 
 
 def reference_pair_candidates(
@@ -595,21 +620,25 @@ def reference_pair_candidates(
     pruning: PruningConfig | None = None,
     level_stats: LevelCounters | None = None,
     tracer=NULL_TRACER,
-) -> tuple[sp.csr_matrix, np.ndarray | None]:
+) -> tuple[sp.csr_matrix, np.ndarray | None, np.ndarray, np.ndarray]:
     """The pre-pipeline (serial, globally deduplicating) implementation.
 
-    Preserved verbatim as the differential oracle: it streams the join
+    Preserved as the differential oracle: it streams the join
     single-threadedly, merges via sparse row addition, deduplicates once
     globally, and counts distinct parents with a structured row sort —
     sharing no execution strategy with :func:`get_pair_candidates`, which
-    must match it bitwise (matrix, bounds, and counters) in every
-    configuration.  ``benchmarks/bench_pairs.py`` uses it as the speedup
-    baseline.
+    must match it bitwise (matrix, bounds, parent minima, and counters) in
+    every configuration.  It returns the fields of :class:`PairCandidates`,
+    with the candidates as a CSR matrix.  ``benchmarks/bench_pairs.py``
+    uses it as the speedup baseline.
     """
     pruning = pruning or PruningConfig()
     recorder = level_stats or LevelCounters(level=level)
     num_cols = slices.shape[1]
-    empty = sp.csr_matrix((0, num_cols), dtype=np.float64)
+    no_bounds = np.empty(0, dtype=np.float64)
+    empty = (
+        sp.csr_matrix((0, num_cols), dtype=np.float64), None, no_bounds, no_bounds
+    )
     recorder.input_slices += int(slices.shape[0])
 
     if pruning.filter_input_slices:
@@ -629,7 +658,7 @@ def reference_pair_candidates(
         slices = slices[np.flatnonzero(keep)]
         stats = stats[keep]
     if slices.shape[0] < 2:
-        return empty, None
+        return empty
 
     collected: list[tuple[np.ndarray, ...]] = []
     parent_sizes = stats[:, StatsCol.SIZE]
@@ -676,7 +705,7 @@ def reference_pair_candidates(
                 )
         join_span.annotate(pairs=recorder.pairs_generated)
     if not collected:
-        return empty, None
+        return empty
     keys, left, right, size_ub, error_ub, max_error_ub = (
         np.concatenate([batch[part] for batch in collected])
         for part in range(6)
@@ -736,12 +765,14 @@ def reference_pair_candidates(
         kept = np.flatnonzero(keep_mask)
         prune_span.annotate(kept=int(kept.size))
     if kept.size == 0:
-        return empty, None
+        return empty
     recorder.candidates_emitted += int(kept.size)
     recorder.candidates_nnz += int(kept.size) * level
     return (
         keys_to_csr(unique_keys[kept], num_cols),
         bounds[kept] if bounds is not None else None,
+        grouped_error_ub[kept],
+        grouped_max_error_ub[kept],
     )
 
 
@@ -831,6 +862,14 @@ def _group_min(values: np.ndarray, group: np.ndarray, num_groups: int) -> np.nda
     result = np.full(num_groups, np.inf, dtype=np.float64)
     np.minimum.at(result, group, values)
     return result
+
+
+def _concatenated(chunk_results: list[_ChunkResult], name: str):
+    """One field of every chunk result, joined (no copy for a single chunk)."""
+    parts = [getattr(chunk, name) for chunk in chunk_results]
+    if parts[0] is None:
+        return None
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _distinct_parent_incidences(

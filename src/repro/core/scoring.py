@@ -1,8 +1,9 @@
-"""The SliceLine scoring function and its upper bound.
+"""The SliceLine scoring function and its upper bounds.
 
-Implements Definition 1 (Equation 1/5) and the score upper bound of
-Equation 3.  Everything is vectorized over arrays of slice statistics so the
-same code scores one slice or a full lattice level.
+Implements Definition 1 (Equation 1/5), the score upper bound of Equation 3,
+and its collapse to one point once a slice's exact size is known.
+Everything is vectorized over arrays of slice statistics so the same code
+scores one slice or a full lattice level.
 """
 
 from __future__ import annotations
@@ -114,6 +115,59 @@ def score_upper_bound(
             ),
         )
     return np.where(hi >= lo, best, -np.inf)
+
+
+def score_at_exact_size(
+    sizes: np.ndarray,
+    error_bounds: np.ndarray,
+    max_error_bounds: np.ndarray,
+    num_rows: int,
+    total_error: float,
+    sigma: int,
+    alpha: float,
+) -> np.ndarray:
+    """A float-safe bound on :func:`score` for slices of known exact size.
+
+    Once a candidate's exact size ``|S|`` is counted, the Eq.-3 interval
+    ``[sigma, ceil(|S|)]`` is one point.  *error_bounds* and
+    *max_error_bounds* are the minima of the parents' ``se`` and ``sm``.
+    The result is ``-inf`` below *sigma* (no valid slice) and otherwise
+    ``score(|S|, min(se_ub, cap))`` with ``cap = |S|*sm_ub*(1 + (|S|+4)*2**-52)``
+    evaluated in that order.  It is at least the ``score()`` of the slice's
+    actual, kernel-computed ``se`` in floating point:
+
+    * ``se <= se_ub``: a slice's ``se`` is a sequential ascending-row sum
+      from ``0.0`` of non-negative terms (``csc_matvec`` at level 1, the
+      kernels' ``bincount`` fold above it), and a child's rows are a subset
+      of each parent's.  Rounding is monotone, so at every row the child's
+      partial sum stays at or below the parent's.
+    * ``se <= cap``: every member error is at most ``M = sm_ub``, so ``se``
+      is at most ``Q_n``, the sequential sum of ``n = |S|`` copies of
+      ``M``.  ``fl(n*M)`` alone can be below ``Q_n`` (``n = 31``,
+      ``M = 0.7294965609839984``: ``Q_n = 22.61439339050396``,
+      ``fl(n*M) = 22.61439339050395``), hence the margin.  With
+      ``u = 2**-53``: if ``n*M < 2**-1022`` every partial sum is a
+      multiple of ``2**-1074`` below the normal range, so ``Q_n = n*M``
+      exactly and the factor ``>= 1`` keeps ``cap >= Q_n``.  Otherwise the
+      recursive-summation bound gives ``Q_n <= n*M*(1 + g)`` with
+      ``g = (n-1)u / (1-(n-1)u) <= 2(n-1)u``, while ``(n+4)*2**-52`` is
+      exact and the three roundings of ``cap`` each lose at most a factor
+      ``1-u``: ``cap >= n*M*(1-u)**3*(1 + 2(n+4)u)
+      >= n*M*(1 + (2n+5)u - 6(n+4)u**2) >= n*M*(1 + 2(n-1)u)`` for
+      ``n <= 2**50``.  An overflowing ``cap`` is ``inf`` and bounds
+      nothing away.
+    * :func:`score` is a chain of monotone roundings in ``se`` at a fixed
+      size, so ``score(|S|, min(se_ub, cap)) >= score(|S|, se)``.
+      :func:`score_at_size` orders its operations differently and may
+      round below :func:`score` at equal ``se``, so it must not stand in.
+    """
+    sizes = np.asarray(sizes, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        cap = sizes * max_error_bounds * (1.0 + (sizes + 4.0) * 2.0**-52)
+    bound = score(
+        sizes, np.minimum(error_bounds, cap), num_rows, total_error, alpha
+    )
+    return np.where(sizes >= sigma, bound, -np.inf)
 
 
 def _validate_inputs(num_rows: int, total_error: float) -> None:

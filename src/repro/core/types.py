@@ -52,6 +52,19 @@ def stats_matrix(
     )
 
 
+def valid_rows(stats: np.ndarray, sigma: int) -> np.ndarray:
+    """Rows of ``R`` that are valid slices: ``ss >= sigma`` and ``se > 0``.
+
+    A ``NaN`` error means the size-first last level never summed the
+    slice's errors because it cannot reach the top-K, but some member's
+    error is positive (see :mod:`repro.core.evaluate`), so ``se > 0``.
+    """
+    slice_errors = stats[:, StatsCol.ERROR]
+    return (stats[:, StatsCol.SIZE] >= sigma) & (
+        (slice_errors > 0) | np.isnan(slice_errors)
+    )
+
+
 @dataclass(frozen=True)
 class Slice:
     """A decoded slice: the conjunction of predicates ``feature == value``.

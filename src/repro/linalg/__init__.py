@@ -2,15 +2,14 @@
 
 The SliceLine paper expresses its enumeration algorithm in the vocabulary of
 an ML system's linear-algebra language (SystemDS DML / R): ``colMaxs``,
-``cumsum``, ``table(rix, cix)``, ``removeEmpty``, ``upper.tri``,
-``rowIndexMax`` and friends.  This subpackage implements those primitives on
-top of numpy / scipy.sparse so the core algorithm in :mod:`repro.core` can be
-written as a near-literal transcription of Algorithm 1 of the paper.
+``cumsum``, ``table(rix, cix)``, ``upper.tri`` and friends.  This subpackage
+implements those primitives on top of numpy / scipy.sparse so the core
+algorithm in :mod:`repro.core` can be written as a near-literal
+transcription of Algorithm 1 of the paper.
 """
 
 from repro.linalg.ops import (
     col_maxs,
-    col_mins,
     col_sums,
     contingency_table,
     cumsum,
@@ -18,8 +17,6 @@ from repro.linalg.ops import (
     iter_upper_tri_pair_chunks,
     one_hot_encode,
     pack_rows_mixed_radix,
-    row_index_max,
-    row_maxs,
     row_nnz,
     selection_matrix,
     unique_sorted,
@@ -62,7 +59,6 @@ __all__ = [
     "unpack_bool_rows",
     "words_block_stats",
     "col_maxs",
-    "col_mins",
     "col_sums",
     "contingency_table",
     "cumsum",
@@ -70,8 +66,6 @@ __all__ = [
     "iter_upper_tri_pair_chunks",
     "one_hot_encode",
     "pack_rows_mixed_radix",
-    "row_index_max",
-    "row_maxs",
     "row_nnz",
     "selection_matrix",
     "unique_sorted",

@@ -55,6 +55,18 @@ above — the errors are packed once into a row bitset ``E``
   otherwise; the implicit-zero rule ``max(0, ...)`` changes neither value,
   and an empty slice has ``se = sm = 0.0`` on both paths.
 
+Size first.  For other errors at the last level,
+:mod:`repro.core.evaluate` runs :func:`words_block_sizes` over every
+candidate first: ``ss`` as above, plus a popcount of ``words &
+positive_words`` (``positive_words`` packs ``errors > 0``).  Only the
+candidates that can still reach the top-K then go through
+:func:`words_block_stats`.  Each candidate's statistics are computed in
+isolation, so they do not depend on which other candidates share its
+call.  The sequential sum above is also what makes the exact-size bound
+float-safe: a child's rows are a subset of each parent's, so its partial
+sums never pass the parent's (see
+:func:`repro.core.scoring.score_at_exact_size`).
+
 The per-level :func:`choose_backend` cost model keeps the sparse path for
 non-0/1 data, tiny workloads (where packing costs more than it saves), and
 whenever the packed table would exceed its byte cap, so ``auto`` never
@@ -269,13 +281,37 @@ def words_block_stats(
             partial, np.maximum(member_max, 0.0), member_max
         )
     if track_rows:
-        if num_slices:
-            covered = unpack_bool_rows(
-                np.bitwise_or.reduce(words, axis=0)[np.newaxis, :], num_rows
-            )[0]
-        else:
-            covered = np.zeros(num_rows, dtype=bool)
+        covered = _covered_rows(words, num_rows)
     return sizes, slice_errors, max_errors, covered
+
+
+def words_block_sizes(
+    words: np.ndarray,
+    positive_words: np.ndarray,
+    num_rows: int,
+    track_rows: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """``(ss, positives, row-any)`` of a block of candidate indicator bitsets.
+
+    The sizing pass of a size-first evaluation: ``ss`` exactly as
+    :func:`words_block_stats` computes it, and per candidate the number of
+    members whose error is positive, a popcount of ``words &
+    positive_words`` (*positive_words* packs ``errors > 0``).  No error is
+    summed.
+    """
+    sizes = popcount_rows(words).astype(np.float64)
+    positives = popcount_rows(words & positive_words)
+    covered = _covered_rows(words, num_rows) if track_rows else None
+    return sizes, positives, covered
+
+
+def _covered_rows(words: np.ndarray, num_rows: int) -> np.ndarray:
+    """Boolean vector of the rows set in at least one bitset of *words*."""
+    if not words.shape[0]:
+        return np.zeros(num_rows, dtype=bool)
+    return unpack_bool_rows(
+        np.bitwise_or.reduce(words, axis=0)[np.newaxis, :], num_rows
+    )[0]
 
 
 def choose_backend(
@@ -378,5 +414,6 @@ __all__ = [
     "pack_bool_rows",
     "popcount_rows",
     "unpack_bool_rows",
+    "words_block_sizes",
     "words_block_stats",
 ]

@@ -10,8 +10,6 @@ Paper / DML         Here
 ``cumsum(v)``       :func:`cumsum`
 ``cumprod(v)``      :func:`cumprod`
 ``table(rix,cix)``  :func:`contingency_table` / :func:`one_hot_encode`
-``rowIndexMax``     :func:`row_index_max`
-``rowMaxs``         :func:`row_maxs`
 ``upper.tri(...)``  :func:`upper_tri_pairs`
 ``P = table(...)``  :func:`selection_matrix`
 ==================  =====================================================
@@ -50,24 +48,6 @@ def col_maxs(matrix: Matrix) -> np.ndarray:
     return np.asarray(matrix).max(axis=0)
 
 
-def col_mins(matrix: Matrix) -> np.ndarray:
-    """Column minima as a 1-D array (``colMins``), including implicit zeros."""
-    if matrix.shape[0] == 0:
-        raise ValidationError("col_mins of a matrix with zero rows is undefined")
-    if sp.issparse(matrix):
-        return np.asarray(matrix.tocsc().min(axis=0).todense()).ravel()
-    return np.asarray(matrix).min(axis=0)
-
-
-def row_maxs(matrix: Matrix) -> np.ndarray:
-    """Row maxima as a 1-D array (``rowMaxs``), including implicit zeros."""
-    if matrix.shape[1] == 0:
-        raise ValidationError("row_maxs of a matrix with zero columns is undefined")
-    if sp.issparse(matrix):
-        return np.asarray(matrix.tocsr().max(axis=1).todense()).ravel()
-    return np.asarray(matrix).max(axis=1)
-
-
 def row_nnz(matrix: Matrix) -> np.ndarray:
     """Number of non-zero entries per row as an ``int64`` vector.
 
@@ -78,18 +58,6 @@ def row_nnz(matrix: Matrix) -> np.ndarray:
     if sp.issparse(matrix):
         return np.diff(as_csr(matrix).indptr).astype(np.int64)
     return np.count_nonzero(np.asarray(matrix), axis=1).astype(np.int64)
-
-
-def row_index_max(matrix: Matrix) -> np.ndarray:
-    """Per-row index of the maximum value (``rowIndexMax``), 0-based.
-
-    For an all-zero sparse row the result is 0 (the first column), matching
-    DML's convention of returning the first index; callers combine this with
-    :func:`row_maxs` to mask such rows out.
-    """
-    if sp.issparse(matrix):
-        return np.asarray(matrix.tocsr().argmax(axis=1)).ravel()
-    return np.asarray(matrix).argmax(axis=1)
 
 
 def cumsum(values) -> np.ndarray:

@@ -304,7 +304,7 @@ class TestGetPairCandidates:
     def test_level2_candidates_are_valid_conjunctions(self, tiny_x0, tiny_errors):
         space, x, basic, fmap = self._setup(tiny_x0, tiny_errors)
         stats = LevelStats(level=2)
-        cands, bounds = get_pair_candidates(
+        cands, bounds, *_ = get_pair_candidates(
             basic.slices, basic.stats, 2,
             num_rows=8, total_error=float(tiny_errors.sum()),
             sigma=1, alpha=0.9, topk_min_score=0.0, feature_map=fmap,
@@ -319,7 +319,7 @@ class TestGetPairCandidates:
     def test_no_duplicates_after_dedup(self, planted_dataset):
         x0, errors, _ = planted_dataset
         space, x, basic, fmap = self._setup(x0, errors, sigma=5)
-        cands, _ = get_pair_candidates(
+        cands, *_ = get_pair_candidates(
             basic.slices, basic.stats, 2,
             num_rows=x0.shape[0], total_error=float(errors.sum()),
             sigma=5, alpha=0.95, topk_min_score=0.0, feature_map=fmap,
@@ -335,12 +335,12 @@ class TestGetPairCandidates:
             sigma=5, alpha=0.95, topk_min_score=0.0, feature_map=fmap,
         )
         from repro.core.evaluate import evaluate_slices as ev
-        s2, _ = get_pair_candidates(
+        s2, *_ = get_pair_candidates(
             basic.slices, basic.stats, 2, pruning=PruningConfig(), **kwargs
         )
         r2 = ev(x[:, basic.selected_columns], errors, s2, 2, 0.95)
-        s3_dedup, _ = get_pair_candidates(s2, r2, 3, pruning=PruningConfig(), **kwargs)
-        s3_dup, _ = get_pair_candidates(
+        s3_dedup, *_ = get_pair_candidates(s2, r2, 3, pruning=PruningConfig(), **kwargs)
+        s3_dup, *_ = get_pair_candidates(
             s2, r2, 3, pruning=PruningConfig.none(), **kwargs
         )
         # without dedup, level-3 candidates appear once per generating pair
@@ -353,11 +353,11 @@ class TestGetPairCandidates:
             num_rows=x0.shape[0], total_error=float(errors.sum()),
             sigma=5, alpha=0.95, feature_map=fmap,
         )
-        with_pruning, _ = get_pair_candidates(
+        with_pruning, *_ = get_pair_candidates(
             basic.slices, basic.stats, 2, topk_min_score=0.5,
             pruning=PruningConfig(handle_missing_parents=False), **kwargs
         )
-        without, _ = get_pair_candidates(
+        without, *_ = get_pair_candidates(
             basic.slices, basic.stats, 2, topk_min_score=0.5,
             pruning=PruningConfig(
                 by_score=False, handle_missing_parents=False
@@ -369,7 +369,7 @@ class TestGetPairCandidates:
     def test_empty_input_returns_empty(self, tiny_x0, tiny_errors):
         space, x, basic, fmap = self._setup(tiny_x0, tiny_errors)
         empty = basic.slices[:0]
-        cands, bounds = get_pair_candidates(
+        cands, bounds, *_ = get_pair_candidates(
             empty, basic.stats[:0], 2,
             num_rows=8, total_error=1.0, sigma=1, alpha=0.9,
             topk_min_score=0.0, feature_map=fmap,
@@ -379,7 +379,7 @@ class TestGetPairCandidates:
     def test_bounds_returned_with_score_pruning(self, planted_dataset):
         x0, errors, _ = planted_dataset
         space, x, basic, fmap = self._setup(x0, errors, sigma=5)
-        cands, bounds = get_pair_candidates(
+        cands, bounds, *_ = get_pair_candidates(
             basic.slices, basic.stats, 2,
             num_rows=x0.shape[0], total_error=float(errors.sum()),
             sigma=5, alpha=0.95, topk_min_score=0.0, feature_map=fmap,

@@ -24,6 +24,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.evaluate as evaluate_mod
 import repro.linalg.kernels as kernels_mod
 from repro.core import (
     FeatureSpace,
@@ -52,7 +53,7 @@ from repro.linalg.kernels import (
     words_block_stats,
 )
 from repro.linalg.kernels import _popcount_rows_lut
-from repro.obs import Tracer
+from repro.obs import EXECUTION_FIELDS, Tracer
 from repro.resilience import BudgetConfig
 
 #: The two concrete backends plus the cost model — the full request space.
@@ -501,14 +502,61 @@ def test_random_problems_with_missing_codes(seed):
         assert_same_result(ref, other, f"{backend} seed={seed}")
 
 
+#: ``fl(31 * M)`` is below the sequential sum of 31 copies of ``M``.
+EQUAL_MAX = 0.7294965609839984
+
+
+def float_errors(gen, x0, flavor):
+    """Continuous errors; some flavors stress the size-first bound.
+
+    ``equal-max`` gives every row of ``x0[:, 0] == 1`` the error
+    :data:`EQUAL_MAX` and the others at most half of it: every slice inside
+    that feature value sums a run of one maximum, so its exact-size bound
+    is tight and its score sits right at it.  ``wide`` spans twelve orders
+    of magnitude and sets a tenth of the errors to ``-0.0``.
+    """
+    n = x0.shape[0]
+    errors = gen.random(n)
+    if flavor == "equal-max":
+        errors *= EQUAL_MAX / 2
+        errors[x0[:, 0] == 1] = EQUAL_MAX
+    elif flavor == "wide":
+        errors *= 10.0 ** gen.uniform(-6, 6, size=n)
+        errors[gen.random(n) < 0.1] = -0.0
+    return errors
+
+
+def counter_records(result):
+    """Per-level counters without the execution-shape fields."""
+    return [
+        {k: v for k, v in record.to_dict().items() if k not in EXECUTION_FIELDS}
+        for record in result.counters.levels
+    ]
+
+
+def summed_and_evaluated(tracer):
+    """Candidates whose errors the kernels summed, and all evaluated ones."""
+    spans = [s for s in tracer.iter_spans() if s.name == "evaluate.blocks"]
+    return (
+        sum(span.attrs["summed"] for span in spans),
+        sum(span.attrs["num_slices"] for span in spans),
+    )
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_continuous_float_errors_bitwise_identical(seed):
+def test_continuous_float_errors_bitwise_identical(seed, tmp_path, monkeypatch):
     """Arbitrary float errors over large slices: summation ORDER matters.
 
     Dyadic errors sum exactly under any association, so only continuous
     floats catch a backend whose accumulation order differs from scipy's
     strict sequential csc_matvec (pairwise np.sum / np.add.reduceat round
     differently on slices longer than ~8 rows).
+
+    With a level cap, the last level runs the bitset backend's size-first
+    path (sum errors only where the exact-size bound can reach the top-K).
+    It must leave the top-K, its statistics and every counter exactly as
+    the sparse backend computes them: over several priority chunks, from
+    warm seeds, and resumed from the level before the last.
     """
     gen = np.random.default_rng(seed)
     n = 700
@@ -524,6 +572,50 @@ def test_continuous_float_errors_bitwise_identical(seed):
             x0, errors, SliceLineConfig(k=6, sigma=5, kernel_backend=backend)
         )
         assert_same_result(ref, other, f"{backend} seed={seed}")
+
+    # A span's candidates to sum then take several kernel calls.
+    monkeypatch.setattr(evaluate_mod, "_SUM_BLOCK", 7)
+    skipped_some = False
+    for flavor in ("continuous", "equal-max", "wide"):
+        errors = float_errors(gen, x0, flavor)
+        warm = slice_line(x0, errors * 1.5 + 0.01, SliceLineConfig(k=6, sigma=5))
+        for max_level, chunk in ((2, 16), (3, 16), (3, 4096)):
+            cfg = SliceLineConfig(
+                k=6, sigma=5, max_level=max_level, priority_chunk=chunk
+            )
+            for seeds in (None, warm.top_slices):
+                ref = run_backend(
+                    x0, errors, "sparse", seeds=seeds,
+                    max_level=max_level, priority_chunk=chunk,
+                )
+                for backend in ("bitset", "auto"):
+                    label = f"{flavor} L={max_level} chunk={chunk} {backend}"
+                    tracer = Tracer()
+                    ckpt = tmp_path / label.replace(" ", "_")
+                    other = slice_line(
+                        x0, errors, cfg.with_overrides(kernel_backend=backend),
+                        trace=tracer, seed_slices=seeds,
+                        checkpoint_dir=str(ckpt) if seeds is None else None,
+                    )
+                    assert_same_result(ref, other, label)
+                    assert counter_records(ref) == counter_records(other), label
+                    summed, evaluated = summed_and_evaluated(tracer)
+                    skipped_some |= summed < evaluated
+                    if seeds is not None:
+                        continue
+                    # The level before the last re-runs the size-first
+                    # level; the last level's bundle carries its NaNs.
+                    for level in (max_level - 1, max_level):
+                        resumed = slice_line(
+                            x0, errors,
+                            cfg.with_overrides(kernel_backend=backend),
+                            resume_from=str(ckpt / f"level-{level:04d}"),
+                        )
+                        assert_same_result(ref, resumed, f"{label} @{level}")
+                        assert counter_records(ref) == counter_records(
+                            resumed
+                        ), f"{label} @{level}"
+    assert skipped_some
 
 
 # ---------------------------------------------------------------------------

@@ -7,15 +7,12 @@ import scipy.sparse as sp
 from repro.exceptions import ShapeError, ValidationError
 from repro.linalg import (
     col_maxs,
-    col_mins,
     col_sums,
     contingency_table,
     cumprod,
     cumsum,
     iter_upper_tri_pair_chunks,
     one_hot_encode,
-    row_index_max,
-    row_maxs,
     selection_matrix,
     upper_tri_pairs,
 )
@@ -41,28 +38,9 @@ class TestReductions:
         # column 1 has an implicit zero in row 0: max must be 0, not -3
         np.testing.assert_allclose(col_maxs(m), [-1.0, 0.0])
 
-    def test_col_mins_includes_implicit_zeros(self):
-        m = sp.csr_matrix(np.array([[5.0, 0.0], [2.0, 3.0]]))
-        np.testing.assert_allclose(col_mins(m), [2.0, 0.0])
-
-    def test_row_maxs(self, dense, sparse):
-        np.testing.assert_allclose(row_maxs(dense), row_maxs(sparse))
-
-    def test_row_index_max_dense_sparse(self, dense, sparse):
-        np.testing.assert_array_equal(row_index_max(dense), row_index_max(sparse))
-        np.testing.assert_array_equal(row_index_max(dense), [2, 1, 0])
-
-    def test_row_index_max_all_zero_row(self):
-        m = sp.csr_matrix((2, 3))
-        np.testing.assert_array_equal(row_index_max(m), [0, 0])
-
     def test_col_maxs_empty_raises(self):
         with pytest.raises(ValidationError):
             col_maxs(np.zeros((0, 3)))
-
-    def test_row_maxs_no_columns_raises(self):
-        with pytest.raises(ValidationError):
-            row_maxs(np.zeros((3, 0)))
 
 
 class TestCumulative:

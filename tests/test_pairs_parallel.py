@@ -98,13 +98,13 @@ def permuted_with_duplicate(problem, seed=5):
 
 
 def run_pairs(fn, problem, *, level=2, pruning=None, topk_min_score=0.0, **kw):
-    """``(keys, bounds, counters)`` of one pair-stage call."""
+    """``(keys, bounds, parent minima, counters)`` of one pair-stage call."""
     recorder = LevelCounters(level=level)
     slices = problem["slices"]
     oracle = fn is reference_pair_candidates
     if oracle:
         slices = keys_to_csr(slices, problem["feature_map"].shape[0])
-    keys, bounds = fn(
+    keys, bounds, *minima = fn(
         slices,
         problem["stats"],
         level,
@@ -122,18 +122,20 @@ def run_pairs(fn, problem, *, level=2, pruning=None, topk_min_score=0.0, **kw):
         assert keys.has_sorted_indices
         assert (np.diff(keys.indptr) == level).all()
         keys = keys.indices.reshape(-1, level).astype(np.int64)
-    return keys, bounds, recorder
+    return keys, bounds, minima, recorder
 
 
 def assert_pairs_identical(ref, new, label=""):
-    ref_keys, ref_bounds, ref_rec = ref
-    new_keys, new_bounds, new_rec = new
+    ref_keys, ref_bounds, ref_minima, ref_rec = ref
+    new_keys, new_bounds, new_minima, new_rec = new
     assert new_keys.dtype == np.int64, label
     assert ref_keys.shape == new_keys.shape, label
     assert np.array_equal(ref_keys, new_keys), label
     assert (ref_bounds is None) == (new_bounds is None), label
     if ref_bounds is not None:
         assert np.array_equal(ref_bounds, new_bounds), label
+    for ref_min, new_min in zip(ref_minima, new_minima, strict=True):
+        assert ref_min.tobytes() == new_min.tobytes(), label
     for field in fields(ref_rec):
         if field.name in EXECUTION_FIELDS:
             continue
@@ -172,7 +174,7 @@ class TestPipelineMatchesReference:
                 )
             assert_pairs_identical(ref, new, f"{inputs}/{arm}/p{parallelism}")
             if inputs == "permuted-duplicated" and pruning.deduplicate:
-                rec = new[2]
+                rec = new[-1]
                 assert rec.candidates_before_dedup > rec.deduplicated
 
     def test_level2_skips_dedup(self, monkeypatch):

@@ -1,4 +1,4 @@
-"""Tests for the scoring function (Eq. 1/5) and its upper bound (Eq. 3)."""
+"""Tests for the scoring function (Eq. 1/5) and its upper bounds (Eq. 3)."""
 
 import numpy as np
 import pytest
@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from repro.core.scoring import (
     score,
+    score_at_exact_size,
     score_at_size,
     score_single,
     score_upper_bound,
 )
 from repro.exceptions import ValidationError
+from repro.linalg.kernels import pack_bool_rows, words_block_stats
 
 
 class TestScoreProperties:
@@ -150,3 +152,88 @@ class TestScoreUpperBound:
             n, total, sigma, alpha,
         )[0]
         assert bound >= actual - 1e-6
+
+
+class TestScoreAtExactSize:
+    """The size-first point bound against the kernel's own float sums."""
+
+    #: ``fl(31 * M)`` is below the sequential sum of 31 copies of ``M``.
+    EQUAL_MAX = 0.7294965609839984
+
+    def kernel_stats(self, members, errors):
+        """``(ss, se, sm)`` as the bitset kernel computes them."""
+        sizes, slice_errors, max_errors, _ = words_block_stats(
+            pack_bool_rows(members), errors, errors.size
+        )
+        return sizes, slice_errors, max_errors
+
+    def adversarial(self, seed=0, trials=300):
+        """Blocks of rows that share one maximum error, one block per slice.
+
+        Half the blocks hold only that maximum (the largest sum a slice of
+        that size and maximum can reach), the other half mix in smaller
+        errors.  Sizes reach 150 rows, maxima span 1e-6..1e6.
+        """
+        gen = np.random.default_rng(seed)
+        sizes = gen.integers(1, 151, size=trials)
+        maxima = gen.random(trials) * 10.0 ** gen.uniform(-6, 6, size=trials)
+        blocks = []
+        for size, maximum, full in zip(sizes, maxima, np.arange(trials) % 2):
+            block = np.full(size, maximum)
+            if not full:
+                block[1:] *= gen.random(size - 1)
+            blocks.append(block)
+        errors = np.concatenate(blocks)
+        members = np.zeros((trials, errors.size), dtype=bool)
+        starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+        for row, (start, size) in enumerate(zip(starts, sizes)):
+            members[row, start : start + size] = True
+        return members, errors
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.95, 1.0])
+    def test_dominates_kernel_scores(self, alpha):
+        members, errors = self.adversarial()
+        num_rows, total = errors.size, float(errors.sum())
+        sizes, slice_errors, max_errors = self.kernel_stats(members, errors)
+        actual = score(sizes, slice_errors, num_rows, total, alpha)
+        # Parent sums at the slice's own sum (a tight parent) and far above
+        # it (the cap decides).
+        for error_bounds in (slice_errors, np.full(sizes.size, np.inf)):
+            bound = score_at_exact_size(
+                sizes, error_bounds, max_errors, num_rows, total, 1, alpha
+            )
+            assert (bound >= actual).all()
+
+    def test_margin_is_needed(self):
+        """Without its margin the cap rounds below the summed errors."""
+        num_rows, size = 200, 31
+        errors = np.full(num_rows, self.EQUAL_MAX / 2)
+        errors[:size] = self.EQUAL_MAX
+        members = np.zeros((1, num_rows), dtype=bool)
+        members[0, :size] = True
+        sizes, slice_errors, max_errors = self.kernel_stats(members, errors)
+        total = float(errors.sum())
+        actual = score(sizes, slice_errors, num_rows, total, 0.95)
+        assert slice_errors[0] > size * self.EQUAL_MAX
+        no_margin = score(sizes, sizes * max_errors, num_rows, total, 0.95)
+        assert no_margin[0] < actual[0]
+        bound = score_at_exact_size(
+            sizes, np.array([np.inf]), max_errors, num_rows, total, 1, 0.95
+        )
+        assert bound[0] >= actual[0]
+
+    def test_below_sigma_and_empty_are_minus_inf(self):
+        bound = score_at_exact_size(
+            np.array([0.0, 4.0, 5.0]), np.full(3, 10.0), np.full(3, 1.0),
+            100, 50.0, 5, 0.95,
+        )
+        assert bound[0] == -np.inf and bound[1] == -np.inf
+        assert np.isfinite(bound[2])
+
+    def test_overflowing_cap_is_harmless(self):
+        bound = score_at_exact_size(
+            np.array([1000.0]), np.array([1e300]), np.array([1e306]),
+            1000, 1e301, 1, 0.95,
+        )
+        want = score(np.array([1000.0]), np.array([1e300]), 1000, 1e301, 0.95)
+        assert bound.tobytes() == want.tobytes()
