@@ -123,8 +123,9 @@ class SliceLineConfig:
     #: worker width of the parallel pair-candidate pipeline (see
     #: :func:`repro.core.pairs.choose_pair_plan`): ``0`` follows
     #: ``num_threads``, ``1`` forces serial execution, ``N > 1`` requests
-    #: ``N`` workers for the join's chunk tasks (the per-level cost model
-    #: may still run small levels serially).  Like ``kernel_backend`` this
+    #: ``N`` workers for the join's chunk tasks (the per-level cost model,
+    #: which plans from the level's exact pair count, still runs levels
+    #: of fewer than about 131k pairs serially).  Like ``kernel_backend`` this
     #: never affects results — candidates, counters, and the top-K are
     #: bitwise identical at every width — so it is excluded from the
     #: checkpoint fingerprint.

@@ -4,17 +4,40 @@ Candidates for lattice level ``L`` are built Apriori-style by joining
 compatible level ``L-1`` slices.  A level's slice set is a *key array*:
 an ``int64`` array of shape ``(n, L)`` whose row ``i`` holds slice ``i``'s
 ``L`` projected column ids in ascending order.  :func:`get_pair_candidates`
-takes the parents' keys and returns the candidates' keys; the 0/1 matrix
-``S`` is built from them (:func:`~repro.linalg.keys_to_csr`) only for the
-sparse Gram product of step 2.
+takes the parents' keys and returns the candidates' keys; no 0/1 slice
+matrix ``S`` is built on the way.
 
 1. *Input filtering* — drop parents violating ``ss >= sigma`` or ``se > 0``.
-2. *Self-join* — pairs whose one-hot vectors overlap in exactly ``L-2``
-   predicates (``upper.tri((S S^T) == L-2)``), streamed in chunks.
-3. *Merge and bound* — union the predicate sets; carry
-   ``min(parent sizes/errors/max-errors)`` as upper bounds.
+2. *Self-join* — the paper pairs parents whose one-hot vectors overlap in
+   exactly ``L-2`` predicates, ``upper.tri((S S^T) == L-2)``.  Here the
+   parents are grouped by their ``(L-2)``-subsets instead (a *subset
+   index*, :func:`_subset_index`): each parent key of ``L-1`` columns has
+   ``L-1`` subsets, one per dropped column, and two parents pair exactly
+   when they sit in one group with different dropped columns.
+
+   * Distinct keys ``A`` and ``B`` with ``|A ∩ B| = L-2`` share exactly
+     one ``(L-2)``-subset, ``A ∩ B``; two keys sharing a subset overlap in
+     at least ``L-2`` columns, and in exactly ``L-2`` unless they are
+     equal.  So every Gram match appears in exactly one group, once.
+   * Identical parent rows (overlap ``L-1``, never a Gram match) share
+     every group with equal dropped columns; those pairs are dropped.  At
+     level 2 the subset is empty, one group holds every parent, and the
+     test is the Gram's overlap-0 test on single columns.
+   * A group is sorted by parent, so each pair takes its left parent from
+     the earlier position: ``left < right``, as in ``upper.tri``.
+
+   The pairs are the Gram join's, and the index counts each left row's
+   pairs exactly before any is generated, which drives the plan.
+3. *Merge and bound* — the union of ``A = T ∪ {a}`` and ``B = T ∪ {c}``
+   is ``A`` with ``B``'s dropped column ``c`` inserted in ascending place
+   (``c`` is outside ``T`` and differs from ``a``, so the union has exactly
+   ``L`` columns); carry ``min(parent sizes/errors/max-errors)`` as upper
+   bounds.
 4. *Feature validity* — discard merged slices assigning two values to one
-   original feature.
+   original feature.  It is tested before the merge: ``T``'s features are
+   distinct and differ from those of ``a`` and ``c`` when both parents are
+   valid, so the union is valid exactly when both parents are and
+   ``feature(a) != feature(c)``.
 5. *Early score pruning* — the pair-level bound (min over the two parents)
    already upper-bounds the slice score, so pairs that cannot beat the
    current top-K are dropped inside the streaming loop.  This keeps the
@@ -42,9 +65,10 @@ Every pruning technique is individually toggleable through
 
 Execution model
 ---------------
-Steps 2-6 run as a *chunk-local pipeline*: the join's row range is split
-into balanced chunks (:func:`choose_pair_plan`), each chunk is a pure task
-— join, merge, validity, pair-level score pruning, then a chunk-local
+Steps 2-6 run as a *chunk-local pipeline*.  The subset index gives every
+left row its exact pair count, and :func:`choose_pair_plan` cuts the rows
+into contiguous chunks of about equal pair volume.  Each chunk is a pure
+task — join, validity, merge, pair-level score pruning, then a chunk-local
 deduplication with group-min bound folding — returning one compact
 :class:`_ChunkResult`.  The driver merges chunk results in deterministic
 chunk order and runs a final global dedup over the already-shrunk keys.
@@ -61,9 +85,17 @@ Results are bitwise identical across any chunk grid and worker count:
 * the distinct-parent count is a set-union cardinality (associative);
 * every counter is an integer sum over disjoint pair subsets.
 
+For the same reasons a deduplicating chunk's pair order reaches no
+result, so a chunk emits its pairs in subset-index order.  Without
+deduplication each surviving pair is its own candidate, in pair order, so
+a chunk above level 2 sorts its pairs row-major first (at level 2 the one
+group already emits them row-major); the candidates then come out in the
+Gram join's order.
+
 The pre-pipeline implementation is preserved verbatim as
 :func:`reference_pair_candidates` — the differential oracle for the test
-suite and the baseline for ``benchmarks/bench_pairs.py``.
+suite and the baseline for ``benchmarks/bench_pairs.py``.  It keeps the
+Gram join, so the oracle shares no join code with the pipeline.
 """
 
 from __future__ import annotations
@@ -78,32 +110,23 @@ import scipy.sparse as sp
 from repro.core.config import PruningConfig
 from repro.core.scoring import score_upper_bound
 from repro.core.types import StatsCol, valid_rows
-from repro.linalg import (
-    cell_bounded_partitions,
-    keys_to_csr,
-    pack_rows_mixed_radix,
-    unique_sorted,
-    upper_tri_pairs_in_range,
-)
+from repro.linalg import keys_to_csr, pack_rows_mixed_radix, unique_sorted
 from repro.linalg import ops as _ops
 from repro.obs import NULL_TRACER, LevelCounters
 
-#: pairs processed per streaming step (bounds peak memory of the merge)
+#: pairs one chunk generates at most (a single row with more stays whole);
+#: also the streaming step of the merge, which bounds its peak memory
 _PAIR_BATCH = 1 << 20
 
-#: chunks below this many join rows are not worth a task dispatch
-_MIN_CHUNK_ROWS = 128
-
-#: estimated join work (Gram-product multiply-adds) below which the whole
-#: level runs serially — thread dispatch would dominate the arithmetic
+#: estimated join work below which the whole level runs serially — thread
+#: dispatch would dominate the arithmetic
 _MIN_PARALLEL_OPS = 1 << 22
 
 #: target task surplus per worker so uneven chunks still balance
 _CHUNKS_PER_WORKER = 4
 
-#: op-equivalents one generated pair costs downstream of the Gram product
-#: (merge sort, validity scan, bound minima, score bound, local dedup) —
-#: pair volume, not the sparse multiply, dominates wide levels
+#: op-equivalents one planned pair costs (join gathers, validity test,
+#: merge, bound minima, score bound, local dedup)
 _OPS_PER_PAIR = 32
 
 _INT64_MAX = np.iinfo(np.int64).max
@@ -115,7 +138,8 @@ class PairJoinPlan:
 
     *parallelism* is the worker width the chunk map should run at (``1``
     means serial execution on the driver thread); *ranges* are the
-    contiguous ``(start, stop)`` join-row ranges, one chunk task each.
+    contiguous ``(start, stop)`` left-row ranges, one chunk task each,
+    cut on the subset index's exact per-row pair counts.
     The plan never affects results — only how the identical work is cut.
     """
 
@@ -144,51 +168,148 @@ class PairCandidates(NamedTuple):
     max_error_bounds: np.ndarray
 
 
-def choose_pair_plan(
-    num_parents: int, nnz: int, pair_parallelism: int, level: int = 3
-) -> PairJoinPlan:
+def choose_pair_plan(row_pairs: np.ndarray, pair_parallelism: int) -> PairJoinPlan:
     """Pick chunk grid and serial-vs-parallel execution for the pair join.
 
     Mirrors :func:`repro.linalg.choose_backend`: a cheap closed-form cost
-    model, not a tuner.  Estimated work is the sparse Gram product (about
-    ``nnz^2 / num_parents`` multiply-adds) plus :data:`_OPS_PER_PAIR`
-    op-equivalents per expected pair — Gram stored entries bound the pair
-    count at ``overlap >= 1``, but level 2 joins on ``overlap == 0``
-    where *disjoint* parents match, so its expected pair volume is
-    quadratic in the parents regardless of ``nnz``.  Levels below
-    :data:`_MIN_PARALLEL_OPS` estimated ops (or with fewer join rows than
-    two minimum chunks) run serially because pool dispatch would cost
-    more than it saves.  Parallel plans cut :data:`_CHUNKS_PER_WORKER`
-    chunks per worker (bounded by the per-chunk dense-footprint budget
-    shared with :func:`~repro.linalg.iter_upper_tri_pair_chunks`) so
-    stragglers rebalance; serial plans keep the footprint-bounded grid
-    only.
+    model, not a tuner.  *row_pairs* holds each left row's exact pair
+    count from the subset index (identical parents included; the join
+    drops those), so the estimated work is the planned pairs times
+    :data:`_OPS_PER_PAIR`.  Levels below :data:`_MIN_PARALLEL_OPS` run
+    serially because pool dispatch would cost more than it saves.
+
+    The ranges are contiguous and cover every row.  They are cut on the
+    cumulative pair count: each chunk holds at most :data:`_PAIR_BATCH`
+    pairs, except that a single row with more stays whole, and a parallel
+    plan caps its chunks at a ``width * _CHUNKS_PER_WORKER``-th of the
+    level's pairs so stragglers rebalance.  A level without pairs gets no
+    ranges.
     """
-    join_rows = num_parents - 1  # the last row is never a left element
-    if join_rows <= 0:
+    counts = np.asarray(row_pairs, dtype=np.int64)
+    total = int(counts.sum())
+    if total == 0:
         return PairJoinPlan(1, ())
     width = max(int(pair_parallelism), 1)
-    gram_ops = (nnz * nnz) // max(num_parents, 1)
-    if level == 2:
-        est_pairs = (join_rows * num_parents) // 2
-    else:
-        est_pairs = gram_ops
-    est_ops = gram_ops + est_pairs * _OPS_PER_PAIR
-    if width > 1 and (
-        est_ops < _MIN_PARALLEL_OPS or join_rows < 2 * _MIN_CHUNK_ROWS
-    ):
+    if total * _OPS_PER_PAIR < _MIN_PARALLEL_OPS:
         width = 1
-    min_parts = 1
+    budget = _PAIR_BATCH
     if width > 1:
-        min_parts = min(
-            width * _CHUNKS_PER_WORKER, max(join_rows // _MIN_CHUNK_ROWS, 1)
-        )
-    ranges = cell_bounded_partitions(
-        join_rows, num_parents, _ops._PAIR_CHUNK_CELLS, min_parts
-    )
+        budget = max(1, min(budget, total // (width * _CHUNKS_PER_WORKER)))
+    ends = np.cumsum(counts)
+    ranges = []
+    start, done = 0, 0
+    while start < counts.size:
+        stop = int(np.searchsorted(ends, done + budget, side="right"))
+        stop = max(stop, start + 1)
+        ranges.append((start, stop))
+        start, done = stop, int(ends[stop - 1])
     if len(ranges) < 2:
         width = 1
     return PairJoinPlan(width, tuple(ranges))
+
+
+class _SubsetIndex(NamedTuple):
+    """One level's parents grouped by their shared ``(L-2)``-subsets.
+
+    A parent key of ``w = L-1`` columns has ``w`` *incidences*, one per
+    dropped column: the subset of its other ``w - 1`` columns.  The
+    ``n * w`` incidences are sorted by subset, then by parent, and the flat
+    arrays follow that order: *parents* and *dropped* give each
+    incidence's parent row and dropped column, and *later* counts the
+    members of its group after it — its partners.  *position* (``n x w``)
+    maps each parent's incidences to their sorted positions, and
+    *row_pairs* is each parent's exact number of partners as the left
+    element, identical parents included.
+    """
+
+    parents: np.ndarray
+    dropped: np.ndarray
+    later: np.ndarray
+    position: np.ndarray
+    row_pairs: np.ndarray
+
+
+def _subset_index(keys: np.ndarray, num_cols: int) -> _SubsetIndex:
+    """Sort the parents' ``(subset, parent, dropped column)`` incidences.
+
+    Subsets pack into mixed-radix ``int64`` labels
+    (:func:`~repro.linalg.pack_rows_mixed_radix`); when ``num_cols^(L-2)``
+    overflows, ``np.unique`` row labels stand in.  Incidences are numbered
+    parent-major, so a stable sort by label keeps every group's parents
+    ascending.  At level 2 every subset is empty and one group holds all
+    parents in row order.
+    """
+    num_parents, width = keys.shape
+    count = num_parents * width
+    subsets = np.stack(
+        [np.delete(keys, column, axis=1) for column in range(width)], axis=1
+    ).reshape(count, width - 1)
+    labels = pack_rows_mixed_radix(subsets, num_cols)
+    if labels is None:
+        labels = np.unique(subsets, axis=0, return_inverse=True)[1].ravel()
+    order = np.argsort(labels, kind="stable")
+    labels = labels[order]
+    firsts = np.flatnonzero(
+        np.concatenate(([True], labels[1:] != labels[:-1]))
+    )
+    sizes = np.diff(np.append(firsts, count))
+    later = np.repeat(firsts + sizes, sizes) - np.arange(count) - 1
+    position = np.empty(count, dtype=np.int64)
+    position[order] = np.arange(count)
+    position = position.reshape(num_parents, width)
+    return _SubsetIndex(
+        parents=order // width,
+        dropped=keys.ravel()[order],
+        later=later,
+        position=position,
+        row_pairs=later[position].sum(axis=1),
+    )
+
+
+def _subset_pairs(
+    index: _SubsetIndex, start: int, stop: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The Gram join's pairs ``(i, j)`` with ``start <= i < stop``.
+
+    Returns ``(left, right, left_dropped, right_dropped)``: every pair of
+    distinct parents sharing a subset, with the column each one dropped
+    from it.  Each left row's partners are the later members of its
+    groups, one contiguous run of sorted positions per incidence; a pair
+    whose dropped columns are equal joins identical parents and is
+    dropped.  Pairs come grouped by left row ascending, and within a row
+    by subset group (:func:`_row_major` sorts them fully).
+    """
+    first = index.position[start:stop].ravel()
+    counts = index.later[first]
+    total = int(counts.sum())
+    run_starts = np.cumsum(counts) - counts
+    partner = np.repeat(first + 1 - run_starts, counts) + np.arange(total)
+    left = np.repeat(
+        np.arange(start, stop, dtype=np.int64), index.row_pairs[start:stop]
+    )
+    right = index.parents[partner]
+    left_dropped = np.repeat(index.dropped[first], counts)
+    right_dropped = index.dropped[partner]
+    distinct = left_dropped != right_dropped
+    if distinct.all():
+        return left, right, left_dropped, right_dropped
+    return (
+        left[distinct], right[distinct],
+        left_dropped[distinct], right_dropped[distinct],
+    )
+
+
+def _row_major(
+    num_parents: int, left: np.ndarray, right: np.ndarray, *arrays: np.ndarray
+):
+    """Reorder pairs, and *arrays* alike, by ``(left, right)``.
+
+    That is the Gram join's order.  Each pair appears once, so the ids
+    ``left * num_parents + right`` are unique and a non-stable sort orders
+    them exactly.
+    """
+    order = np.argsort(left * num_parents + right)
+    return (left[order], right[order], *(array[order] for array in arrays))
 
 
 class _PairAccumulator:
@@ -299,9 +420,9 @@ def _empty_chunk_result(generated: int, invalid: int, pruned: int, level: int):
 
 
 def _process_pair_chunk(
-    s: sp.csr_matrix,
-    st: sp.csc_matrix,
-    parent_keys: np.ndarray,
+    index: _SubsetIndex,
+    key_columns: np.ndarray,
+    parent_ok: np.ndarray | None,
     start: int,
     stop: int,
     level: int,
@@ -318,33 +439,44 @@ def _process_pair_chunk(
     deduplicate: bool,
     num_cols: int,
 ) -> _ChunkResult:
-    """Steps 2-6 for one join-row range — pure, no shared mutable state.
+    """Steps 2-6 for one left-row range — pure, no shared mutable state.
 
-    Reads only the broadcast inputs (slice matrix + transpose, parent keys,
-    parent stats, pruning constants) and returns one
+    Reads only the broadcast inputs (subset index, the parents' key
+    columns and validity, parent stats, pruning constants) and returns one
     :class:`_ChunkResult`; all counter/tracer recording happens on the
-    driver after the chunk map, so any thread may run this.
+    driver after the chunk map, so any thread may run this.  *parent_ok*
+    is ``None`` when every parent is feature-valid.  Validity and the
+    pair-level bounds need only the two parents, so keys are merged for
+    the surviving pairs alone.
     """
-    rows, cols = upper_tri_pairs_in_range(s, st, start, stop, float(level - 2))
+    rows, cols, rows_dropped, cols_dropped = _subset_pairs(index, start, stop)
+    if not deduplicate and level > 2:
+        # Each surviving pair becomes a candidate in pair order.
+        rows, cols, rows_dropped, cols_dropped = _row_major(
+            parent_sizes.shape[0], rows, cols, rows_dropped, cols_dropped
+        )
     generated = int(rows.size)
     invalid = 0
     pruned = 0
     acc = _PairAccumulator()
     for batch_start in range(0, rows.size, _PAIR_BATCH):
-        left = rows[batch_start : batch_start + _PAIR_BATCH]
-        right = cols[batch_start : batch_start + _PAIR_BATCH]
-        keys = _merge_keys_dense(parent_keys, left, right, level)
-        feasible = _feature_valid(keys, feature_map)
+        window = slice(batch_start, batch_start + _PAIR_BATCH)
+        left, right, column = rows[window], cols[window], cols_dropped[window]
+        # The union of valid parents is valid exactly when their two
+        # dropped columns' features differ (step 4 of the module doc).
+        feasible = feature_map[rows_dropped[window]] != feature_map[column]
+        if parent_ok is not None:
+            feasible &= parent_ok[left] & parent_ok[right]
         invalid += int(left.size - np.count_nonzero(feasible))
         if not feasible.any():
             continue
-        left, right, keys = left[feasible], right[feasible], keys[feasible]
+        left, right, column = left[feasible], right[feasible], column[feasible]
         size_ub = np.minimum(parent_sizes[left], parent_sizes[right])
         error_ub = np.minimum(parent_errors[left], parent_errors[right])
         max_error_ub = np.minimum(
             parent_max_errors[left], parent_max_errors[right]
         )
-        batch = (keys, left, right, size_ub, error_ub, max_error_ub)
+        batch = (left, right, column, size_ub, error_ub, max_error_ub)
         if by_score:
             # The pair-level bound already upper-bounds the slice score;
             # dropping failing pairs here keeps memory proportional to
@@ -362,7 +494,8 @@ def _process_pair_chunk(
             if not deduplicate:
                 batch += (sc_ub,)
             batch = tuple(part[passing] for part in batch)
-        acc.append(*batch)
+        left, right, column, *bounds = batch
+        acc.append(_insert_column(key_columns, left, column), left, right, *bounds)
     if acc.empty:
         return _empty_chunk_result(generated, invalid, pruned, level)
     keys, left, right, size_ub, error_ub, max_error_ub, *score_ub = (
@@ -473,15 +606,9 @@ def get_pair_candidates(
     if slices.shape[0] < 2:
         return empty
 
-    # -- steps 2-6 (chunk-local): join, merge, validity, prune, local dedup --
+    # -- steps 2-6 (chunk-local): join, validity, merge, prune, local dedup --
     if pair_parallelism < 1 and workspace is not None:
         pair_parallelism = int(getattr(workspace, "num_threads", 1))
-    plan = choose_pair_plan(
-        slices.shape[0], int(slices.size), pair_parallelism, level
-    )
-    # The Gram join needs S and its transpose; S^T of a CSR is a CSC view.
-    s = keys_to_csr(slices, num_cols)
-    st = s.T
     # Level 2 over parents whose single columns ascend strictly (basic
     # slices) emits unique sorted keys, so dedup is skipped: see step 6.
     deduplicate = pruning.deduplicate and not (
@@ -491,21 +618,28 @@ def get_pair_candidates(
     parent_errors = stats[:, StatsCol.ERROR]
     parent_max_errors = stats[:, StatsCol.MAX_ERROR]
 
-    def run_chunk(row_range: tuple[int, int]) -> _ChunkResult:
-        return _process_pair_chunk(
-            s, st, slices, row_range[0], row_range[1], level, feature_map,
-            parent_sizes, parent_errors, parent_max_errors,
-            num_rows, total_error, sigma, alpha, topk_min_score,
-            pruning.by_score, deduplicate, num_cols,
+    join_started = time.perf_counter()
+    with tracer.span("pairs.join", parents=slices.shape[0]) as join_span:
+        index = _subset_index(slices, num_cols)
+        plan = choose_pair_plan(index.row_pairs, pair_parallelism)
+        key_columns = np.ascontiguousarray(slices.T)
+        parent_ok = _feature_valid(slices, feature_map)
+        if parent_ok.all():
+            parent_ok = None
+        join_span.annotate(
+            chunks=plan.num_chunks,
+            parallelism=plan.parallelism,
+            planned_pairs=int(index.row_pairs.sum()),
         )
 
-    join_started = time.perf_counter()
-    with tracer.span(
-        "pairs.join",
-        parents=slices.shape[0],
-        chunks=plan.num_chunks,
-        parallelism=plan.parallelism,
-    ) as join_span:
+        def run_chunk(row_range: tuple[int, int]) -> _ChunkResult:
+            return _process_pair_chunk(
+                index, key_columns, parent_ok, row_range[0], row_range[1], level,
+                feature_map, parent_sizes, parent_errors, parent_max_errors,
+                num_rows, total_error, sigma, alpha, topk_min_score,
+                pruning.by_score, deduplicate, num_cols,
+            )
+
         if workspace is not None and plan.parallelism > 1:
             chunk_results = workspace.map(
                 run_chunk, plan.ranges, width=plan.parallelism
@@ -776,27 +910,28 @@ def reference_pair_candidates(
     )
 
 
-def _merge_keys_dense(
-    key_rows: np.ndarray, left: np.ndarray, right: np.ndarray, level: int
+def _insert_column(
+    key_columns: np.ndarray, left: np.ndarray, column: np.ndarray
 ) -> np.ndarray:
-    """Merged keys via a dense row-wise sort of both parents' key rows.
+    """Parent key rows *left* with *column* inserted in ascending place.
 
-    Concatenating the two parents' sorted ``L-1``-column keys and sorting
-    each ``2L-2``-wide row makes the ``L-2`` shared predicates adjacent;
-    dropping adjacent duplicates leaves exactly the ``L`` distinct columns
-    of the union, in ascending order — the same rows the sparse
-    row-addition path produces, without materializing any sparse sum.
+    *key_columns* is the parents' key array transposed (one contiguous row
+    per key column), which makes each column gather a 1-D take.  Each
+    inserted column is absent from its row (it is the partner's dropped
+    column), so one insertion pass from the right merges it: every key
+    column keeps the larger of itself and the carried value in its slot
+    one to the right, and carries the smaller on.  At level 2 this is a
+    min/max.
     """
-    both = np.concatenate([key_rows[left], key_rows[right]], axis=1)
-    both.sort(axis=1)
-    distinct = np.empty(both.shape, dtype=bool)
-    distinct[:, 0] = True
-    np.not_equal(both[:, 1:], both[:, :-1], out=distinct[:, 1:])
-    if int(np.count_nonzero(distinct)) != level * left.size:
-        raise AssertionError(
-            "pair merge invariant violated: unions must have exactly L columns"
-        )
-    return both[distinct].reshape(left.size, level)
+    width = key_columns.shape[0]
+    merged = np.empty((left.size, width + 1), dtype=np.int64)
+    carry = column
+    for position in range(width - 1, -1, -1):
+        key_column = key_columns[position][left]
+        merged[:, position + 1] = np.maximum(key_column, carry)
+        carry = np.minimum(key_column, carry)
+    merged[:, 0] = carry
+    return merged
 
 
 def _merge_keys_sparse(

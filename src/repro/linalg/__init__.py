@@ -18,7 +18,6 @@ from repro.linalg.ops import (
     one_hot_encode,
     pack_rows_mixed_radix,
     row_nnz,
-    selection_matrix,
     unique_sorted,
     upper_tri_pairs,
     upper_tri_pairs_in_range,
@@ -34,7 +33,6 @@ from repro.linalg.sparse import (
 )
 from repro.linalg.blocks import (
     BlockedMatrix,
-    cell_bounded_partitions,
     row_partitions,
 )
 from repro.linalg.kernels import (
@@ -67,7 +65,6 @@ __all__ = [
     "one_hot_encode",
     "pack_rows_mixed_radix",
     "row_nnz",
-    "selection_matrix",
     "unique_sorted",
     "upper_tri_pairs",
     "upper_tri_pairs_in_range",
@@ -79,7 +76,6 @@ __all__ = [
     "to_dense",
     "vstack_rows",
     "BlockedMatrix",
-    "cell_bounded_partitions",
     "row_partitions",
     "KernelWorkspace",
     "resolve_workspace",

@@ -35,31 +35,6 @@ def row_partitions(num_rows: int, num_parts: int) -> list[tuple[int, int]]:
     ]
 
 
-def cell_bounded_partitions(
-    num_rows: int, num_cols: int, max_cells: int, min_parts: int = 1
-) -> list[tuple[int, int]]:
-    """Contiguous row ranges whose per-range ``rows x num_cols`` footprint
-    stays at or below *max_cells*, with at least *min_parts* ranges.
-
-    The pair join and the blocked kernels both size their work units by the
-    dense footprint of one range (``range_rows * num_cols`` matrix cells);
-    *min_parts* additionally forces enough ranges to feed a thread pool.
-    Ranges are balanced (sizes differ by at most one row) so parallel maps
-    over them see near-uniform task costs.  Never returns more ranges than
-    rows; empty inputs return no ranges.
-    """
-    if max_cells < 1:
-        raise ValidationError("max_cells must be positive")
-    if min_parts < 1:
-        raise ValidationError("min_parts must be positive")
-    if num_rows <= 0:
-        return []
-    rows_per_part = max(1, max_cells // max(num_cols, 1))
-    parts = -(-num_rows // rows_per_part)  # ceil division
-    parts = min(max(parts, min_parts), num_rows)
-    return row_partitions(num_rows, parts)
-
-
 @dataclass
 class BlockedMatrix:
     """A row-partitioned sparse matrix emulating a distributed collection.

@@ -11,7 +11,6 @@ Paper / DML         Here
 ``cumprod(v)``      :func:`cumprod`
 ``table(rix,cix)``  :func:`contingency_table` / :func:`one_hot_encode`
 ``upper.tri(...)``  :func:`upper_tri_pairs`
-``P = table(...)``  :func:`selection_matrix`
 ==================  =====================================================
 
 All functions accept dense arrays or scipy sparse matrices and return dense
@@ -176,23 +175,6 @@ def unique_sorted(values: np.ndarray) -> np.ndarray:
     return ordered[distinct]
 
 
-def selection_matrix(indices: np.ndarray, num_source_rows: int) -> sp.csr_matrix:
-    """Build the extraction matrix ``P = table(seq(1,k), indices)``.
-
-    ``P @ M`` then selects (and reorders) the rows of ``M`` named by
-    *indices* — the paper uses this to materialize ``P1``/``P2`` for pair
-    construction and the final top-K extraction.
-    """
-    idx = np.asarray(indices, dtype=np.int64).ravel()
-    if idx.size and (idx.min() < 0 or idx.max() >= num_source_rows):
-        raise ValidationError("selection index out of range")
-    data = np.ones(idx.shape[0], dtype=np.float64)
-    rows = np.arange(idx.shape[0], dtype=np.int64)
-    return sp.coo_matrix(
-        (data, (rows, idx)), shape=(idx.shape[0], num_source_rows)
-    ).tocsr()
-
-
 def upper_tri_pairs_in_range(
     s: sp.csr_matrix,
     st: sp.csc_matrix,
@@ -205,9 +187,8 @@ def upper_tri_pairs_in_range(
     The per-row-range slice of the paper's
     ``upper.tri((S %*% t(S)) == (L-2))``: *s* is the canonical CSR slice
     matrix, *st* its CSC transpose (built once by the caller so every range
-    shares it).  Ranges are pure — no shared mutable state — so the pair
-    join can map them over a thread pool; concatenating the results in
-    range order reproduces the full-scan row-major match order exactly.
+    shares it).  Concatenating the results in range order reproduces the
+    full-scan row-major match order exactly.
     ``overlap == 0`` is handled correctly (implicit zeros of the sparse
     Gram matrix count as matches).
     """
@@ -253,8 +234,9 @@ def iter_upper_tri_pair_chunks(slices: Matrix, overlap: float):
     footprint stays below a fixed budget, and matches are yielded chunk by
     chunk so callers can stream them (the full match set can be huge on
     feature-rich data).  Each chunk is one :func:`upper_tri_pairs_in_range`
-    call; the parallel pair pipeline in :mod:`repro.core.pairs` maps those
-    ranges over a thread pool instead of iterating them here.
+    call.  The reference pair oracle joins this way; the pair pipeline in
+    :mod:`repro.core.pairs` pairs parents by shared ``(L-2)``-subsets
+    instead, which yields the same pairs.
     """
     s = as_csr(slices)
     nr = s.shape[0]

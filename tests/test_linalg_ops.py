@@ -13,7 +13,6 @@ from repro.linalg import (
     cumsum,
     iter_upper_tri_pair_chunks,
     one_hot_encode,
-    selection_matrix,
     upper_tri_pairs,
 )
 
@@ -83,14 +82,6 @@ class TestTables:
     def test_one_hot_encode_out_of_range(self):
         with pytest.raises(ValidationError):
             one_hot_encode(np.array([[3]]), np.array([0]), 2)
-
-    def test_selection_matrix_selects_rows(self, dense):
-        p = selection_matrix([2, 0], 3)
-        np.testing.assert_allclose((p @ dense), dense[[2, 0]])
-
-    def test_selection_matrix_out_of_range(self):
-        with pytest.raises(ValidationError):
-            selection_matrix([3], 3)
 
 
 class TestUpperTriPairs:

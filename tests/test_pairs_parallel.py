@@ -1,8 +1,8 @@
 """Parallel chunk-local pair pipeline: bitwise oracle matrix + unit coverage.
 
-The pair-candidate pipeline (chunked join, fused merge/validity/prune,
-chunk-local dedup with group-min folding, deterministic merge, global
-dedup over shrunk keys) is a pure performance optimization — every
+The pair-candidate pipeline (subset-index join, fused validity/prune/
+merge, chunk-local dedup with group-min folding, deterministic merge,
+global dedup over shrunk keys) is a pure performance optimization — every
 configuration must reproduce :func:`reference_pair_candidates` (the
 preserved pre-pipeline implementation) bitwise: candidate matrices,
 bounds, and all non-execution counters, across any ``pair_parallelism``,
@@ -10,10 +10,9 @@ chunk grid, pruning arm, compaction mode, and kernel backend.  These
 tests certify that contract end-to-end (the oracle keeps the CSR format,
 so its inputs and outputs are converted at its boundary) and unit-test
 the supporting
-pieces (the geometric :class:`_PairAccumulator`, the
-:func:`choose_pair_plan` cost model,
-:func:`~repro.linalg.cell_bounded_partitions`,
-:func:`~repro.linalg.upper_tri_pairs_in_range`, and the per-call
+pieces (the subset-index join against the Gram join it replaces, the
+geometric :class:`_PairAccumulator`, the :func:`choose_pair_plan` cost
+model, :func:`~repro.linalg.upper_tri_pairs_in_range`, and the per-call
 ``width`` of :class:`~repro.linalg.KernelWorkspace`).
 """
 
@@ -27,6 +26,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import PruningConfig, SliceLineConfig, slice_line
 from repro.core import pairs as pairs_mod
 from repro.core.basic import create_and_score_basic_slices
+from repro.core.evaluate import evaluate_slices
 from repro.core.onehot import FeatureSpace
 from repro.core.pairs import (
     _PairAccumulator,
@@ -34,16 +34,15 @@ from repro.core.pairs import (
     get_pair_candidates,
     reference_pair_candidates,
 )
-from repro.exceptions import ValidationError
+from repro.core.types import StatsCol, valid_rows
 from repro.linalg import (
     KernelWorkspace,
-    cell_bounded_partitions,
     keys_to_csr,
     upper_tri_pairs,
     upper_tri_pairs_in_range,
 )
 from repro.linalg import ops as ops_mod
-from repro.obs import EXECUTION_FIELDS, LevelCounters
+from repro.obs import EXECUTION_FIELDS, LevelCounters, Tracer
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +77,7 @@ def pairs_problem(seed=11, n=700, m=6, missing=0.0):
         "stats": basic.stats,
         "x0": x0,
         "errors": errors,
+        "x_projected": x_onehot[:, basic.selected_columns],
     }
 
 
@@ -177,6 +177,58 @@ class TestPipelineMatchesReference:
                 rec = new[-1]
                 assert rec.candidates_before_dedup > rec.deduplicated
 
+    @pytest.mark.parametrize("arm", sorted(PRUNING_ARMS))
+    @pytest.mark.parametrize("parallelism", [1, 2, 8])
+    def test_deeper_levels_oracle(self, arm, parallelism, monkeypatch):
+        """Levels 3 and 4 match the Gram oracle, invalid parents included.
+
+        Each level's parents are the previous level's candidates, evaluated,
+        plus a repeated parent and a parent holding two values of one
+        feature (the driver never passes one; direct callers may).
+        """
+        monkeypatch.setattr(pairs_mod, "_PAIR_BATCH", 257)
+        pruning = PRUNING_ARMS[arm]
+        # alpha near 1 keeps most deeper parents' score bounds positive
+        problem = {**pairs_problem(n=400, m=5), "alpha": 0.99}
+        feature_map = problem["feature_map"]
+        same_feature = np.flatnonzero(feature_map[1:] == feature_map[:-1])[0]
+        other_feature = np.flatnonzero(
+            feature_map != feature_map[same_feature]
+        )[: 2]
+        for level in (3, 4):
+            keys = run_pairs(
+                get_pair_candidates, problem, level=level - 1,
+                pruning=PruningConfig(by_score=False),
+            )[0]
+            stats = evaluate_slices(
+                problem["x_projected"], problem["errors"], keys, level - 1,
+                problem["alpha"],
+            )
+            # copy the stats of a parent that passes every input filter
+            passing = valid_rows(stats, problem["sigma"])
+            best = np.argmax(np.where(passing, stats[:, StatsCol.SCORE], -np.inf))
+            invalid = np.sort(
+                np.append(
+                    other_feature[: level - 3], [same_feature, same_feature + 1]
+                )
+            )
+            problem = {
+                **problem,
+                "slices": np.vstack([keys, keys[best], invalid]),
+                "stats": np.vstack([stats, stats[best], stats[best]]),
+            }
+            ref = run_pairs(
+                reference_pair_candidates, problem, level=level, pruning=pruning
+            )
+            with KernelWorkspace(parallelism) as workspace:
+                new = run_pairs(
+                    get_pair_candidates, problem, level=level, pruning=pruning,
+                    workspace=workspace, pair_parallelism=parallelism,
+                )
+            assert_pairs_identical(ref, new, f"L{level}/{arm}/p{parallelism}")
+            assert new[-1].invalid_feature_pairs > 0
+            assert new[-1].candidates_emitted > 0
+
     def test_level2_skips_dedup(self, monkeypatch):
         """Level 2 over basic slices, as slice_line runs it, never dedups."""
         problem = pairs_problem()
@@ -209,6 +261,7 @@ class TestPipelineMatchesReference:
         problem = pairs_problem()
         ref = run_pairs(reference_pair_candidates, problem)
         monkeypatch.setattr(ops_mod, "_PAIR_CHUNK_CELLS", 64)
+        monkeypatch.setattr(pairs_mod, "_PAIR_BATCH", 37)
         with KernelWorkspace(parallelism) as workspace:
             new = run_pairs(
                 get_pair_candidates, problem,
@@ -330,6 +383,7 @@ class TestEndToEndOracle:
     def test_flow_conservation_on_chunked_counters(self, monkeypatch):
         """The chunk-reduced counters still satisfy every flow identity."""
         monkeypatch.setattr(ops_mod, "_PAIR_CHUNK_CELLS", 256)
+        monkeypatch.setattr(pairs_mod, "_PAIR_BATCH", 256)
         problem = pairs_problem(n=500)
         result = slice_line(
             problem["x0"], problem["errors"],
@@ -340,7 +394,7 @@ class TestEndToEndOracle:
         assert result.counters.reconcile() == []
         level2 = result.counters.level(2)
         assert level2.pairs_generated > 0
-        assert level2.join_chunks >= 1
+        assert level2.join_chunks > 1
         assert level2.join_parallelism >= 1
 
 
@@ -418,72 +472,197 @@ class TestPairAccumulator:
 
 
 class TestChoosePairPlan:
+    @staticmethod
+    def _assert_covers(plan, num_rows):
+        assert plan.ranges[0][0] == 0 and plan.ranges[-1][1] == num_rows
+        for (_, prev_stop), (start, stop) in zip(plan.ranges, plan.ranges[1:]):
+            assert prev_stop == start < stop
+
+    @staticmethod
+    def _covtype_level3_counts():
+        """187,501 pairs over 2,755 left rows (covtype-deep's level 3)."""
+        gen = np.random.default_rng(0)
+        return gen.multinomial(187_501, np.full(2755, 1 / 2755))
+
     def test_empty_and_singleton_inputs(self):
-        assert choose_pair_plan(0, 0, 8).ranges == ()
-        assert choose_pair_plan(1, 3, 8).ranges == ()
+        assert choose_pair_plan(np.zeros(0, dtype=np.int64), 8).ranges == ()
+        assert choose_pair_plan(np.zeros(1, dtype=np.int64), 8).ranges == ()
+        # parents that share no subset plan no chunk either
+        assert choose_pair_plan(np.zeros(40, dtype=np.int64), 8).ranges == ()
 
     def test_small_levels_run_serially(self):
-        plan = choose_pair_plan(50, 150, 8)
+        plan = choose_pair_plan(np.arange(49, -1, -1), 8)  # 50 parents, level 2
         assert plan.parallelism == 1
-        assert plan.num_chunks >= 1
+        assert plan.ranges == ((0, 50),)
 
     def test_large_levels_go_parallel_with_spare_chunks(self):
-        num_parents, nnz = 5000, 200_000
-        plan = choose_pair_plan(num_parents, nnz, 4)
-        assert plan.parallelism == 4
-        assert plan.num_chunks >= 8  # several chunks per worker
-        covered = []
-        for start, stop in plan.ranges:
-            covered.extend(range(start, stop))
-        assert covered == list(range(num_parents - 1))
+        counts = self._covtype_level3_counts()
+        assert counts.sum() * pairs_mod._OPS_PER_PAIR >= pairs_mod._MIN_PARALLEL_OPS
+        plan = choose_pair_plan(counts, 2)
+        assert plan.parallelism == 2
+        assert plan.num_chunks >= 2 * pairs_mod._CHUNKS_PER_WORKER
+        self._assert_covers(plan, counts.size)
 
     def test_parallelism_one_never_goes_parallel(self):
-        plan = choose_pair_plan(5000, 25000, 1)
+        plan = choose_pair_plan(self._covtype_level3_counts(), 1)
         assert plan.parallelism == 1
+        assert plan.ranges == ((0, 2755),)
 
     def test_level2_disjoint_join_counts_quadratic_pairs(self):
-        """At overlap 0 the pair volume is ~parents^2/2 regardless of nnz."""
+        """At level 2 one group holds every parent: row i has n-1-i pairs."""
         num_parents = 1500
-        serial_by_gram = choose_pair_plan(num_parents, num_parents, 4)
-        assert serial_by_gram.parallelism == 1  # Gram estimate alone: tiny
-        plan = choose_pair_plan(num_parents, num_parents, 4, level=2)
+        keys = np.arange(num_parents, dtype=np.int64)[:, None]
+        index = pairs_mod._subset_index(keys, num_parents)
+        assert np.array_equal(
+            index.row_pairs, np.arange(num_parents - 1, -1, -1)
+        )
+        plan = choose_pair_plan(index.row_pairs, 4)
         assert plan.parallelism == 4
+        self._assert_covers(plan, num_parents)
+        # chunks balance pairs, not rows: the triangular head gets few rows
+        pairs_per_chunk = [
+            int(index.row_pairs[start:stop].sum()) for start, stop in plan.ranges
+        ]
+        budget = int(index.row_pairs.sum()) // (4 * pairs_mod._CHUNKS_PER_WORKER)
+        assert max(pairs_per_chunk) <= budget
+        rows_per_chunk = [stop - start for start, stop in plan.ranges]
+        assert rows_per_chunk[0] < rows_per_chunk[-1]
 
-    def test_plan_respects_chunk_cell_budget(self, monkeypatch):
-        monkeypatch.setattr(ops_mod, "_PAIR_CHUNK_CELLS", 1000)
-        plan = choose_pair_plan(200, 500, 1)
-        for start, stop in plan.ranges:
-            assert (stop - start) * 200 <= 1000
+    def test_plan_respects_pair_budget(self, monkeypatch):
+        monkeypatch.setattr(pairs_mod, "_PAIR_BATCH", 100)
+        gen = np.random.default_rng(7)
+        counts = gen.integers(0, 40, size=300)
+        counts[[3, 150, 299]] = [250, 101, 400]  # rows above the budget
+        for width in (1, 2, 8):
+            plan = choose_pair_plan(counts, width)
+            self._assert_covers(plan, counts.size)
+            for start, stop in plan.ranges:
+                assert counts[start:stop].sum() <= 100 or stop - start == 1
 
 
-class TestCellBoundedPartitions:
-    def test_covers_rows_contiguously(self):
-        parts = cell_bounded_partitions(100, 7, 100)
-        assert parts[0][0] == 0 and parts[-1][1] == 100
-        for (_, prev_stop), (start, _) in zip(parts, parts[1:]):
-            assert prev_stop == start
+def _random_parent_keys(gen, level, num_parents, pool, duplicates, wide):
+    """Parent keys with repeated rows, in random row order.
 
-    def test_respects_cell_budget(self):
-        for rows, cols, budget in [(100, 7, 100), (37, 19, 50), (5, 1, 1)]:
-            for start, stop in cell_bounded_partitions(rows, cols, budget):
-                assert (stop - start) * cols <= max(budget, cols)
+    Each row holds ``L-1`` distinct ascending columns drawn from a pool of
+    ``L-1+pool`` columns, so rows overlap often.  *wide* draws the pool
+    from ``[0, 2^32)``, where ``num_cols^(L-2)`` overflows ``int64`` from
+    level 4 on.  Returns the keys and ``num_cols``.
+    """
+    width = level - 1
+    if wide:
+        num_cols = 2**32
+        columns = np.unique(gen.integers(0, num_cols, size=width + pool))
+        while columns.size < width + pool:
+            columns = np.unique(
+                np.append(columns, gen.integers(0, num_cols, size=1))
+            )
+    else:
+        num_cols = width + pool
+        columns = np.arange(num_cols)
+    rows = [
+        np.sort(gen.choice(columns, size=width, replace=False))
+        for _ in range(num_parents)
+    ]
+    keys = np.array(rows, dtype=np.int64).reshape(num_parents, width)
+    if num_parents:
+        repeated = keys[gen.integers(0, num_parents, size=duplicates)]
+        keys = np.concatenate([keys, repeated])
+    return keys[gen.permutation(keys.shape[0])], num_cols
 
-    def test_min_parts_forced(self):
-        parts = cell_bounded_partitions(100, 2, 10_000, min_parts=8)
-        assert len(parts) == 8
 
-    def test_never_more_parts_than_rows(self):
-        parts = cell_bounded_partitions(3, 2, 10_000, min_parts=50)
-        assert len(parts) == 3
+class TestSubsetJoin:
+    """The subset-index join is the Gram join, array for array."""
 
-    def test_empty_rows(self):
-        assert cell_bounded_partitions(0, 5, 100) == []
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        level=st.integers(2, 5),
+        num_parents=st.integers(0, 40),
+        pool=st.integers(0, 5),
+        duplicates=st.integers(0, 6),
+        wide=st.booleans(),
+        data=st.data(),
+    )
+    def test_matches_gram_join(
+        self, seed, level, num_parents, pool, duplicates, wide, data
+    ):
+        gen = np.random.default_rng(seed)
+        keys, num_cols = _random_parent_keys(
+            gen, level, num_parents, pool, duplicates, wide
+        )
+        n = keys.shape[0]
+        start = data.draw(st.integers(0, n), label="start")
+        stop = data.draw(
+            st.sampled_from(sorted({start, min(start + 1, n), n})), label="stop"
+        )
+        # The Gram oracle runs on dense column ranks: relabeling columns
+        # injectively keeps every overlap, so the pairs are the same.
+        columns, ranks = np.unique(keys, return_inverse=True)
+        s = keys_to_csr(ranks.reshape(keys.shape), max(columns.size, 1))
+        rows, cols = upper_tri_pairs_in_range(
+            s, s.T, start, stop, float(level - 2)
+        )
 
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            cell_bounded_partitions(10, 2, 0)
-        with pytest.raises(ValidationError):
-            cell_bounded_partitions(10, 2, 5, min_parts=0)
+        index = pairs_mod._subset_index(keys, num_cols)
+        joined = pairs_mod._subset_pairs(index, start, stop)
+        left, right, left_dropped, right_dropped = pairs_mod._row_major(
+            n, *joined
+        )
+        assert np.array_equal(left, rows)
+        assert np.array_equal(right, cols)
+        if level == 2:  # one group already emits row-major order
+            ordered = (left, right, left_dropped, right_dropped)
+            for got, want in zip(joined, ordered, strict=True):
+                assert np.array_equal(got, want)
+        # identical parents are planned, then dropped
+        identical = sum(
+            int(np.count_nonzero((keys[i + 1 :] == keys[i]).all(axis=1)))
+            for i in range(start, stop)
+        ) * (level - 1)
+        assert int(index.row_pairs[start:stop].sum()) == left.size + identical
+
+        merged = pairs_mod._insert_column(
+            np.ascontiguousarray(keys.T), left, right_dropped
+        )
+        expected = columns[pairs_mod._merge_keys_sparse(s, left, right, level)]
+        assert merged.dtype == np.int64
+        assert np.array_equal(merged, expected.reshape(left.size, level))
+        # each dropped column is the one column its parent does not share
+        assert (keys[left] == left_dropped[:, None]).any(axis=1).all()
+        assert (keys[right] == right_dropped[:, None]).any(axis=1).all()
+        assert not (keys[right] == left_dropped[:, None]).any()
+        assert not (keys[left] == right_dropped[:, None]).any()
+
+    def test_feature_validity_from_dropped_columns(self):
+        """The pre-merge test equals validity of the merged keys."""
+        gen = np.random.default_rng(3)
+        for level in (2, 3, 4):
+            keys, num_cols = _random_parent_keys(gen, level, 60, 4, 5, False)
+            feature_map = np.sort(gen.integers(0, num_cols // 2 + 1, size=num_cols))
+            index = pairs_mod._subset_index(keys, num_cols)
+            left, right, left_dropped, right_dropped = pairs_mod._subset_pairs(
+                index, 0, keys.shape[0]
+            )
+            merged = pairs_mod._insert_column(
+                np.ascontiguousarray(keys.T), left, right_dropped
+            )
+            parent_ok = pairs_mod._feature_valid(keys, feature_map)
+            fast = (
+                parent_ok[left]
+                & parent_ok[right]
+                & (feature_map[left_dropped] != feature_map[right_dropped])
+            )
+            assert np.array_equal(fast, pairs_mod._feature_valid(merged, feature_map))
+
+    def test_join_span_reports_planned_pairs(self):
+        problem = permuted_with_duplicate(pairs_problem())
+        tracer = Tracer()
+        _, _, _, recorder = run_pairs(get_pair_candidates, problem, tracer=tracer)
+        span = tracer.find("pairs.join")
+        assert span.attrs["pairs"] == recorder.pairs_generated
+        # the one repeated basic slice pairs once with its copy, then drops
+        assert span.attrs["planned_pairs"] == recorder.pairs_generated + 1
+        assert span.attrs["chunks"] >= 1
 
 
 class TestUpperTriPairsInRange:
