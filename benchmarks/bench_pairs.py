@@ -2,9 +2,9 @@
 
 The chunk-local pair pipeline of :mod:`repro.core.pairs` (parallel join
 chunks fusing merge/validity/pruning with chunk-local dedup, packed
-distinct-parent counting, geometric accumulators) is a pure performance
-optimization — it must produce *bitwise identical* top-K slices, bounds,
-and counters as :func:`~repro.core.pairs.reference_pair_candidates`, the
+distinct-parent counting) is a pure performance optimization — it must
+produce *bitwise identical* top-K slices, bounds, and counters as
+``reference_pair_candidates`` from ``tests/pair_oracle.py``, the
 preserved pre-pipeline implementation.  This bench asserts exactly that
 (the exactness gate: any divergence fails the suite) and **reports** the
 measured numbers: end-to-end seconds per arm plus the non-evaluate
@@ -33,17 +33,25 @@ import contextlib
 import json
 import os
 import pathlib
+import sys
 
 import numpy as np
 
 import repro.core.algorithm as algorithm_mod
 from repro.core import slice_line
-from repro.core.pairs import PairCandidates, reference_pair_candidates
+from repro.core.pairs import PairCandidates
 from repro.experiments import bench_config
 from repro.linalg import keys_to_csr
 from repro.obs import EXECUTION_FIELDS
 
 from conftest import bench_dataset, run_once
+
+# The oracle lives in the test tree; a plain ``pytest`` run of this file
+# puts only ``benchmarks/`` on the path, so add the repository root.
+_REPO_ROOT = str(pathlib.Path(__file__).resolve().parent.parent)
+if _REPO_ROOT not in sys.path:
+    sys.path.insert(0, _REPO_ROOT)
+from tests.pair_oracle import reference_pair_candidates  # noqa: E402
 
 ARMS = ("reference", "serial", "parallel")
 PARALLEL_WIDTH = 4

@@ -23,7 +23,6 @@ from repro.core.pairs import (
     PairJoinPlan,
     choose_pair_plan,
     get_pair_candidates,
-    reference_pair_candidates,
 )
 from repro.core.scoring import (
     score,
@@ -64,7 +63,6 @@ __all__ = [
     "PairJoinPlan",
     "choose_pair_plan",
     "get_pair_candidates",
-    "reference_pair_candidates",
     "score",
     "score_at_size",
     "score_single",

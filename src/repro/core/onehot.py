@@ -152,31 +152,3 @@ class FeatureSpace:
                 )
             predicates[feature] = self.column_value(int(column))
         return predicates
-
-    def value_count_matrix(self) -> sp.csr_matrix:
-        """Sparse ``l x m`` map of one-hot columns to their original feature.
-
-        ``P @ value_count_matrix()`` counts predicates per original feature —
-        the vectorized form of the paper's per-feature ``rowSums`` validity
-        scan during pair construction.
-        """
-        cols = np.arange(self.num_onehot, dtype=np.int64)
-        feats = np.searchsorted(self.ends, cols, side="right")
-        data = np.ones(self.num_onehot, dtype=np.float64)
-        return sp.coo_matrix(
-            (data, (cols, feats)), shape=(self.num_onehot, self.num_features)
-        ).tocsr()
-
-    def value_index_matrix(self) -> sp.csr_matrix:
-        """Sparse ``l x m`` map carrying the 1-based code of each column.
-
-        ``P @ value_index_matrix()`` yields, per candidate slice and original
-        feature, the selected code (0 when the feature is free) — the digit
-        matrix for the deduplication IDs of Section 4.3.
-        """
-        cols = np.arange(self.num_onehot, dtype=np.int64)
-        feats = np.searchsorted(self.ends, cols, side="right")
-        values = (cols - self.begins[feats] + 1).astype(np.float64)
-        return sp.coo_matrix(
-            (values, (cols, feats)), shape=(self.num_onehot, self.num_features)
-        ).tocsr()

@@ -40,7 +40,7 @@ matrix ``S`` is built on the way.
    ``feature(a) != feature(c)``.
 5. *Early score pruning* — the pair-level bound (min over the two parents)
    already upper-bounds the slice score, so pairs that cannot beat the
-   current top-K are dropped inside the streaming loop.  This keeps the
+   current top-K are dropped inside each chunk task.  This keeps the
    pair set in memory proportional to the *surviving* candidates, which is
    what makes feature-rich/correlated datasets (KDD98, USCensus) tractable.
 6. *Deduplication* — identical candidates generated from different parent
@@ -68,14 +68,15 @@ Execution model
 Steps 2-6 run as a *chunk-local pipeline*.  The subset index gives every
 left row its exact pair count, and :func:`choose_pair_plan` cuts the rows
 into contiguous chunks of about equal pair volume.  Each chunk is a pure
-task — join, validity, merge, pair-level score pruning, then a chunk-local
-deduplication with group-min bound folding — returning one compact
-:class:`_ChunkResult`.  The driver merges chunk results in deterministic
-chunk order and runs a final global dedup over the already-shrunk keys.
-Chunk tasks share only read-only inputs, so they map over the
+task that takes all its pairs through in one pass — join, validity,
+pair-level score pruning, merge, then a chunk-local deduplication with
+group-min bound folding — and returns one compact :class:`_ChunkResult`.
+The driver concatenates chunk results in deterministic chunk order and
+runs a final global dedup over the already-shrunk keys.  Chunk tasks
+share only read-only inputs, so they map over the
 :class:`~repro.linalg.KernelWorkspace` thread pool when the cost model
 elects parallel execution (SystemDS runs this join under ``parfor``,
-paper Section 4.3).
+paper Section 4.3); without a workspace they run serially.
 
 Results are bitwise identical across any chunk grid and worker count:
 
@@ -92,10 +93,11 @@ a chunk above level 2 sorts its pairs row-major first (at level 2 the one
 group already emits them row-major); the candidates then come out in the
 Gram join's order.
 
-The pre-pipeline implementation is preserved verbatim as
-:func:`reference_pair_candidates` — the differential oracle for the test
-suite and the baseline for ``benchmarks/bench_pairs.py``.  It keeps the
-Gram join, so the oracle shares no join code with the pipeline.
+The pre-pipeline implementation is preserved in the test tree, in
+``tests/pair_oracle.py`` — the differential oracle for the test suite and
+the baseline for ``benchmarks/bench_pairs.py``.  It keeps the Gram join
+``upper.tri((S S^T) == L-2)``, so the oracle shares no join code with the
+pipeline.
 """
 
 from __future__ import annotations
@@ -105,17 +107,15 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.core.config import PruningConfig
 from repro.core.scoring import score_upper_bound
 from repro.core.types import StatsCol, valid_rows
-from repro.linalg import keys_to_csr, pack_rows_mixed_radix, unique_sorted
-from repro.linalg import ops as _ops
+from repro.linalg import pack_rows_mixed_radix, unique_sorted
 from repro.obs import NULL_TRACER, LevelCounters
 
-#: pairs one chunk generates at most (a single row with more stays whole);
-#: also the streaming step of the merge, which bounds its peak memory
+#: pairs one chunk generates at most (a single row with more stays whole),
+#: which bounds a chunk task's peak memory
 _PAIR_BATCH = 1 << 20
 
 #: estimated join work below which the whole level runs serially — thread
@@ -312,75 +312,6 @@ def _row_major(
     return (left[order], right[order], *(array[order] for array in arrays))
 
 
-class _PairAccumulator:
-    """Collects surviving pair batches in geometrically grown buffers.
-
-    The first appended batch is adopted by reference — the common case of a
-    single surviving batch costs zero copies in :meth:`concatenated`.  From
-    the second batch on, rows are written into preallocated buffers grown
-    geometrically (doubling), so total copy work is ``O(final size)``
-    instead of the former list-append + one big ``np.concatenate`` per
-    array, which peaked at twice the final footprint and re-copied every
-    batch at the end.
-    """
-
-    __slots__ = ("_adopted", "_arrays", "_size", "_capacity")
-
-    def __init__(self) -> None:
-        self._adopted: tuple[np.ndarray, ...] | None = None
-        self._arrays: tuple[np.ndarray, ...] | None = None
-        self._size = 0
-        self._capacity = 0
-
-    @property
-    def empty(self) -> bool:
-        return self._size == 0
-
-    def append(self, *batch: np.ndarray) -> None:
-        count = int(batch[0].shape[0])
-        if count == 0:
-            return
-        if self._size == 0 and self._arrays is None:
-            self._adopted = batch
-            self._size = count
-            return
-        if self._adopted is not None:
-            first, self._adopted = self._adopted, None
-            first_count, self._size = self._size, 0
-            self._reserve(first_count + count, first)
-            self._write(first, first_count)
-        self._reserve(self._size + count, batch)
-        self._write(batch, count)
-
-    def _write(self, batch: tuple[np.ndarray, ...], count: int) -> None:
-        for buf, arr in zip(self._arrays, batch):
-            buf[self._size : self._size + count] = arr
-        self._size += count
-
-    def _reserve(self, needed: int, template: tuple[np.ndarray, ...]) -> None:
-        if self._arrays is None:
-            capacity = max(needed, 1024)
-            self._arrays = tuple(
-                np.empty((capacity,) + arr.shape[1:], dtype=arr.dtype)
-                for arr in template
-            )
-            self._capacity = capacity
-        elif self._capacity < needed:
-            capacity = max(needed, 2 * self._capacity)
-            grown = []
-            for buf in self._arrays:
-                wider = np.empty((capacity,) + buf.shape[1:], dtype=buf.dtype)
-                wider[: self._size] = buf[: self._size]
-                grown.append(wider)
-            self._arrays = tuple(grown)
-            self._capacity = capacity
-
-    def concatenated(self) -> tuple[np.ndarray, ...]:
-        if self._adopted is not None:
-            return self._adopted
-        return tuple(buf[: self._size] for buf in self._arrays)
-
-
 @dataclass
 class _ChunkResult:
     """Compact output of one pure chunk task (counters + reduced arrays).
@@ -447,7 +378,9 @@ def _process_pair_chunk(
     driver after the chunk map, so any thread may run this.  *parent_ok*
     is ``None`` when every parent is feature-valid.  Validity and the
     pair-level bounds need only the two parents, so keys are merged for
-    the surviving pairs alone.
+    the surviving pairs alone.  The chunk's pairs go through in one pass:
+    the plan caps a chunk at :data:`_PAIR_BATCH` pairs unless one left row
+    has more, and :func:`_subset_pairs` has built that row's arrays whole.
     """
     rows, cols, rows_dropped, cols_dropped = _subset_pairs(index, start, stop)
     if not deduplicate and level > 2:
@@ -456,57 +389,46 @@ def _process_pair_chunk(
             parent_sizes.shape[0], rows, cols, rows_dropped, cols_dropped
         )
     generated = int(rows.size)
-    invalid = 0
+    # The union of valid parents is valid exactly when their two dropped
+    # columns' features differ (step 4 of the module doc).
+    feasible = feature_map[rows_dropped] != feature_map[cols_dropped]
+    if parent_ok is not None:
+        feasible &= parent_ok[rows] & parent_ok[cols]
+    left, right, column = rows[feasible], cols[feasible], cols_dropped[feasible]
+    invalid = generated - int(left.size)
+    if left.size == 0:
+        return _empty_chunk_result(generated, invalid, 0, level)
+    size_ub = np.minimum(parent_sizes[left], parent_sizes[right])
+    error_ub = np.minimum(parent_errors[left], parent_errors[right])
+    max_error_ub = np.minimum(parent_max_errors[left], parent_max_errors[right])
     pruned = 0
-    acc = _PairAccumulator()
-    for batch_start in range(0, rows.size, _PAIR_BATCH):
-        window = slice(batch_start, batch_start + _PAIR_BATCH)
-        left, right, column = rows[window], cols[window], cols_dropped[window]
-        # The union of valid parents is valid exactly when their two
-        # dropped columns' features differ (step 4 of the module doc).
-        feasible = feature_map[rows_dropped[window]] != feature_map[column]
-        if parent_ok is not None:
-            feasible &= parent_ok[left] & parent_ok[right]
-        invalid += int(left.size - np.count_nonzero(feasible))
-        if not feasible.any():
-            continue
-        left, right, column = left[feasible], right[feasible], column[feasible]
-        size_ub = np.minimum(parent_sizes[left], parent_sizes[right])
-        error_ub = np.minimum(parent_errors[left], parent_errors[right])
-        max_error_ub = np.minimum(
-            parent_max_errors[left], parent_max_errors[right]
+    score_ub = None
+    if by_score:
+        # The pair-level bound already upper-bounds the slice score;
+        # dropping failing pairs here keeps memory proportional to
+        # surviving candidates.  Any dedup group containing a failing
+        # pair has an even lower group bound, so the group-level
+        # pruning downstream remains exact.
+        sc_ub = score_upper_bound(
+            size_ub, error_ub, max_error_ub,
+            num_rows, total_error, sigma, alpha,
         )
-        batch = (left, right, column, size_ub, error_ub, max_error_ub)
-        if by_score:
-            # The pair-level bound already upper-bounds the slice score;
-            # dropping failing pairs here keeps memory proportional to
-            # surviving candidates.  Any dedup group containing a failing
-            # pair has an even lower group bound, so the group-level
-            # pruning downstream remains exact.
-            sc_ub = score_upper_bound(
-                size_ub, error_ub, max_error_ub,
-                num_rows, total_error, sigma, alpha,
-            )
-            passing = (sc_ub > topk_min_score) & (sc_ub >= 0.0)
-            pruned += int(passing.size - np.count_nonzero(passing))
-            if not passing.any():
-                continue
-            if not deduplicate:
-                batch += (sc_ub,)
-            batch = tuple(part[passing] for part in batch)
-        left, right, column, *bounds = batch
-        acc.append(_insert_column(key_columns, left, column), left, right, *bounds)
-    if acc.empty:
-        return _empty_chunk_result(generated, invalid, pruned, level)
-    keys, left, right, size_ub, error_ub, max_error_ub, *score_ub = (
-        acc.concatenated()
-    )
-    survivors = int(keys.shape[0])
+        passing = (sc_ub > topk_min_score) & (sc_ub >= 0.0)
+        pruned = int(passing.size - np.count_nonzero(passing))
+        left, right, column, size_ub, error_ub, max_error_ub = (
+            part[passing]
+            for part in (left, right, column, size_ub, error_ub, max_error_ub)
+        )
+        if left.size == 0:
+            return _empty_chunk_result(generated, invalid, pruned, level)
+        if not deduplicate:
+            score_ub = sc_ub[passing]
+    survivors = int(left.size)
+    keys = _insert_column(key_columns, left, column)
     if not deduplicate:
         return _ChunkResult(
             generated, invalid, pruned, survivors,
-            keys, size_ub, error_ub, max_error_ub, None, None,
-            score_ub[0] if score_ub else None,
+            keys, size_ub, error_ub, max_error_ub, None, None, score_ub,
         )
     # Chunk-local dedup: shrink this chunk's pairs to locally unique keys
     # with folded group minima before the driver's global dedup ever sees
@@ -571,7 +493,8 @@ def get_pair_candidates(
     results: join chunks map over the workspace pool at the planned width
     (``pair_parallelism`` ``0`` follows the workspace's ``num_threads``,
     ``1`` forces serial, ``N`` requests ``N`` workers — the cost model may
-    still fall back to serial for small levels).
+    still fall back to serial for small levels).  Without a workspace the
+    level plans and runs serially.
     """
     pruning = pruning or PruningConfig()
     recorder = level_stats or LevelCounters(level=level)
@@ -607,7 +530,9 @@ def get_pair_candidates(
         return empty
 
     # -- steps 2-6 (chunk-local): join, validity, merge, prune, local dedup --
-    if pair_parallelism < 1 and workspace is not None:
+    if workspace is None:
+        pair_parallelism = 1  # no pool to map the chunks over
+    elif pair_parallelism < 1:
         pair_parallelism = int(getattr(workspace, "num_threads", 1))
     # Level 2 over parents whose single columns ascend strictly (basic
     # slices) emits unique sorted keys, so dedup is skipped: see step 6.
@@ -640,7 +565,7 @@ def get_pair_candidates(
                 pruning.by_score, deduplicate, num_cols,
             )
 
-        if workspace is not None and plan.parallelism > 1:
+        if plan.parallelism > 1:
             chunk_results = workspace.map(
                 run_chunk, plan.ranges, width=plan.parallelism
             )
@@ -740,176 +665,6 @@ def get_pair_candidates(
     return candidates
 
 
-def reference_pair_candidates(
-    slices: sp.csr_matrix,
-    stats: np.ndarray,
-    level: int,
-    *,
-    num_rows: int,
-    total_error: float,
-    sigma: int,
-    alpha: float,
-    topk_min_score: float,
-    feature_map: np.ndarray,
-    pruning: PruningConfig | None = None,
-    level_stats: LevelCounters | None = None,
-    tracer=NULL_TRACER,
-) -> tuple[sp.csr_matrix, np.ndarray | None, np.ndarray, np.ndarray]:
-    """The pre-pipeline (serial, globally deduplicating) implementation.
-
-    Preserved as the differential oracle: it streams the join
-    single-threadedly, merges via sparse row addition, deduplicates once
-    globally, and counts distinct parents with a structured row sort —
-    sharing no execution strategy with :func:`get_pair_candidates`, which
-    must match it bitwise (matrix, bounds, parent minima, and counters) in
-    every configuration.  It returns the fields of :class:`PairCandidates`,
-    with the candidates as a CSR matrix.  ``benchmarks/bench_pairs.py``
-    uses it as the speedup baseline.
-    """
-    pruning = pruning or PruningConfig()
-    recorder = level_stats or LevelCounters(level=level)
-    num_cols = slices.shape[1]
-    no_bounds = np.empty(0, dtype=np.float64)
-    empty = (
-        sp.csr_matrix((0, num_cols), dtype=np.float64), None, no_bounds, no_bounds
-    )
-    recorder.input_slices += int(slices.shape[0])
-
-    if pruning.filter_input_slices:
-        keep = (stats[:, StatsCol.SIZE] >= sigma) & (stats[:, StatsCol.ERROR] > 0)
-        if pruning.by_score:
-            parent_bound = score_upper_bound(
-                stats[:, StatsCol.SIZE],
-                stats[:, StatsCol.ERROR],
-                stats[:, StatsCol.MAX_ERROR],
-                num_rows,
-                total_error,
-                sigma,
-                alpha,
-            )
-            keep &= (parent_bound > topk_min_score) & (parent_bound >= 0.0)
-        recorder.input_filtered += int(keep.size - np.count_nonzero(keep))
-        slices = slices[np.flatnonzero(keep)]
-        stats = stats[keep]
-    if slices.shape[0] < 2:
-        return empty
-
-    collected: list[tuple[np.ndarray, ...]] = []
-    parent_sizes = stats[:, StatsCol.SIZE]
-    parent_errors = stats[:, StatsCol.ERROR]
-    parent_max_errors = stats[:, StatsCol.MAX_ERROR]
-    with tracer.span("pairs.join", parents=slices.shape[0]) as join_span:
-        for rows, cols in _ops.iter_upper_tri_pair_chunks(
-            slices, float(level - 2)
-        ):
-            for start in range(0, rows.size, _PAIR_BATCH):
-                left = rows[start : start + _PAIR_BATCH]
-                right = cols[start : start + _PAIR_BATCH]
-                recorder.pairs_generated += int(left.size)
-                keys = _merge_keys_sparse(slices, left, right, level)
-                feasible = _feature_valid(keys, feature_map)
-                recorder.invalid_feature_pairs += int(left.size - feasible.sum())
-                if not feasible.any():
-                    continue
-                left, right, keys = left[feasible], right[feasible], keys[feasible]
-                size_ub = np.minimum(parent_sizes[left], parent_sizes[right])
-                error_ub = np.minimum(parent_errors[left], parent_errors[right])
-                max_error_ub = np.minimum(
-                    parent_max_errors[left], parent_max_errors[right]
-                )
-                if pruning.by_score:
-                    sc_ub = score_upper_bound(
-                        size_ub, error_ub, max_error_ub,
-                        num_rows, total_error, sigma, alpha,
-                    )
-                    passing = (sc_ub > topk_min_score) & (sc_ub >= 0.0)
-                    recorder.pruned_by_score_pairs += int(
-                        passing.size - passing.sum()
-                    )
-                    if not passing.any():
-                        continue
-                    left, right, keys = (
-                        left[passing], right[passing], keys[passing],
-                    )
-                    size_ub, error_ub, max_error_ub = (
-                        size_ub[passing], error_ub[passing], max_error_ub[passing],
-                    )
-                collected.append(
-                    (keys, left, right, size_ub, error_ub, max_error_ub)
-                )
-        join_span.annotate(pairs=recorder.pairs_generated)
-    if not collected:
-        return empty
-    keys, left, right, size_ub, error_ub, max_error_ub = (
-        np.concatenate([batch[part] for batch in collected])
-        for part in range(6)
-    )
-    recorder.candidates_before_dedup += int(keys.shape[0])
-
-    with tracer.span("pairs.dedup", pairs=int(keys.shape[0])) as dedup_span:
-        if pruning.deduplicate:
-            unique_keys, first_index, group = _dedup_keys(keys, num_cols)
-            num_groups = int(first_index.size)
-            grouped_size_ub = _group_min(size_ub, group, num_groups)
-            grouped_error_ub = _group_min(error_ub, group, num_groups)
-            grouped_max_error_ub = _group_min(max_error_ub, group, num_groups)
-            num_parents = _distinct_parent_count_rowsort(
-                group, num_groups, left, right
-            )
-        else:
-            unique_keys = keys
-            num_groups = int(keys.shape[0])
-            grouped_size_ub = size_ub
-            grouped_error_ub = error_ub
-            grouped_max_error_ub = max_error_ub
-            num_parents = np.full(num_groups, 2, dtype=np.int64)
-        recorder.deduplicated += num_groups
-        dedup_span.annotate(distinct=num_groups)
-
-    with tracer.span("pairs.prune", candidates=num_groups) as prune_span:
-        keep_mask = np.ones(num_groups, dtype=bool)
-        if pruning.by_size:
-            size_ok = grouped_size_ub >= sigma
-            recorder.pruned_by_size += int(np.count_nonzero(keep_mask & ~size_ok))
-            keep_mask &= size_ok
-        if pruning.handle_missing_parents:
-            parents_ok = num_parents == level
-            recorder.pruned_by_parents += int(
-                np.count_nonzero(keep_mask & ~parents_ok)
-            )
-            keep_mask &= parents_ok
-        bounds: np.ndarray | None = None
-        if pruning.by_score:
-            sc_ub = score_upper_bound(
-                grouped_size_ub,
-                grouped_error_ub,
-                grouped_max_error_ub,
-                num_rows,
-                total_error,
-                sigma,
-                alpha,
-            )
-            score_ok = (sc_ub > topk_min_score) & (sc_ub >= 0.0)
-            recorder.pruned_by_score_groups += int(
-                np.count_nonzero(keep_mask & ~score_ok)
-            )
-            keep_mask &= score_ok
-            bounds = sc_ub
-
-        kept = np.flatnonzero(keep_mask)
-        prune_span.annotate(kept=int(kept.size))
-    if kept.size == 0:
-        return empty
-    recorder.candidates_emitted += int(kept.size)
-    recorder.candidates_nnz += int(kept.size) * level
-    return (
-        keys_to_csr(unique_keys[kept], num_cols),
-        bounds[kept] if bounds is not None else None,
-        grouped_error_ub[kept],
-        grouped_max_error_ub[kept],
-    )
-
-
 def _insert_column(
     key_columns: np.ndarray, left: np.ndarray, column: np.ndarray
 ) -> np.ndarray:
@@ -932,26 +687,6 @@ def _insert_column(
         carry = np.minimum(key_column, carry)
     merged[:, 0] = carry
     return merged
-
-
-def _merge_keys_sparse(
-    slices: sp.csr_matrix, left: np.ndarray, right: np.ndarray, level: int
-) -> np.ndarray:
-    """Merged keys via sparse row addition (the reference pipeline's merge).
-
-    Joined parents overlap in exactly ``L-2`` predicates, so every union has
-    exactly ``L`` set columns: the CSR ``indices`` array reshapes into a
-    dense ``num_pairs x L`` key matrix (rows sorted ascending — CSR
-    canonical form), the compact equivalent of the paper's mixed-radix IDs.
-    """
-    merged = (slices[left] + slices[right]).tocsr()
-    merged.sum_duplicates()
-    merged.sort_indices()
-    if merged.nnz != level * left.size:
-        raise AssertionError(
-            "pair merge invariant violated: unions must have exactly L columns"
-        )
-    return merged.indices.reshape(left.size, level).astype(np.int64)
 
 
 def _feature_valid(keys: np.ndarray, feature_map: np.ndarray) -> np.ndarray:
@@ -1085,30 +820,8 @@ def _fold_parent_counts(
     )
 
 
-def _distinct_parent_count_rowsort(
-    group: np.ndarray, num_groups: int, left: np.ndarray, right: np.ndarray
-) -> np.ndarray:
-    """Number of distinct surviving parents per deduplicated candidate.
-
-    The reference pipeline's structured-row-sort realization of
-    ``np = rowSums((M (P1 + P2)) != 0)``: every pair contributes its two
-    parents to its candidate's group; counting distinct parent ids per
-    group yields ``np``, which must equal ``L`` for a fully supported
-    candidate at level ``L``.
-    """
-    pairs = np.concatenate(
-        [
-            np.stack([group, left], axis=1),
-            np.stack([group, right], axis=1),
-        ]
-    )
-    unique_pairs = np.unique(pairs, axis=0)
-    return np.bincount(unique_pairs[:, 0], minlength=num_groups).astype(np.int64)
-
-
 __all__ = [
     "PairJoinPlan",
     "choose_pair_plan",
     "get_pair_candidates",
-    "reference_pair_candidates",
 ]

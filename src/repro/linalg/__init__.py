@@ -3,24 +3,20 @@
 The SliceLine paper expresses its enumeration algorithm in the vocabulary of
 an ML system's linear-algebra language (SystemDS DML / R): ``colMaxs``,
 ``cumsum``, ``table(rix, cix)``, ``upper.tri`` and friends.  This subpackage
-implements those primitives on top of numpy / scipy.sparse so the core
-algorithm in :mod:`repro.core` can be written as a near-literal
+implements the ones the core algorithm in :mod:`repro.core` runs on top of
+numpy / scipy.sparse, so that algorithm can be written as a near-literal
 transcription of Algorithm 1 of the paper.
 """
 
 from repro.linalg.ops import (
     col_maxs,
     col_sums,
-    contingency_table,
     cumsum,
     cumprod,
-    iter_upper_tri_pair_chunks,
     one_hot_encode,
     pack_rows_mixed_radix,
     row_nnz,
     unique_sorted,
-    upper_tri_pairs,
-    upper_tri_pairs_in_range,
 )
 from repro.linalg.sparse import (
     as_csr,
@@ -58,16 +54,12 @@ __all__ = [
     "words_block_stats",
     "col_maxs",
     "col_sums",
-    "contingency_table",
     "cumsum",
     "cumprod",
-    "iter_upper_tri_pair_chunks",
     "one_hot_encode",
     "pack_rows_mixed_radix",
     "row_nnz",
     "unique_sorted",
-    "upper_tri_pairs",
-    "upper_tri_pairs_in_range",
     "as_csr",
     "density",
     "ensure_vector",

@@ -9,8 +9,6 @@ Paper / DML         Here
 ``colSums(X)``      :func:`col_sums`
 ``cumsum(v)``       :func:`cumsum`
 ``cumprod(v)``      :func:`cumprod`
-``table(rix,cix)``  :func:`contingency_table` / :func:`one_hot_encode`
-``upper.tri(...)``  :func:`upper_tri_pairs`
 ==================  =====================================================
 
 All functions accept dense arrays or scipy sparse matrices and return dense
@@ -25,10 +23,6 @@ import scipy.sparse as sp
 from repro._typing import Matrix
 from repro.exceptions import ShapeError, ValidationError
 from repro.linalg.sparse import as_csr
-
-# Row-chunk budget (in matrix cells) for the chunked dense comparisons inside
-# upper_tri_pairs; bounds peak memory at ~64 MiB of float64 per chunk.
-_PAIR_CHUNK_CELLS = 8_000_000
 
 
 def col_sums(matrix: Matrix) -> np.ndarray:
@@ -77,24 +71,6 @@ def cumprod(values) -> np.ndarray:
         if log_sum >= 62:
             return np.cumprod(arr.astype(object))
     return np.cumprod(arr)
-
-
-def contingency_table(
-    rix: np.ndarray, cix: np.ndarray, nrow: int, ncol: int
-) -> sp.csr_matrix:
-    """Sparse contingency table ``table(rix, cix)`` with explicit dimensions.
-
-    Counts each (row, column) index pair; indices are 0-based here (the
-    paper's pseudo-code is 1-based).
-    """
-    rix = np.asarray(rix, dtype=np.int64).ravel()
-    cix = np.asarray(cix, dtype=np.int64).ravel()
-    if rix.shape != cix.shape:
-        raise ShapeError("rix and cix must have identical lengths")
-    data = np.ones(rix.shape[0], dtype=np.float64)
-    table = sp.coo_matrix((data, (rix, cix)), shape=(nrow, ncol))
-    table.sum_duplicates()
-    return table.tocsr()
 
 
 def one_hot_encode(
@@ -173,96 +149,3 @@ def unique_sorted(values: np.ndarray) -> np.ndarray:
     distinct[0] = True
     np.not_equal(ordered[1:], ordered[:-1], out=distinct[1:])
     return ordered[distinct]
-
-
-def upper_tri_pairs_in_range(
-    s: sp.csr_matrix,
-    st: sp.csc_matrix,
-    start: int,
-    stop: int,
-    overlap: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Matches ``(i, j)`` with ``start <= i < stop``, ``i < j``, dot == *overlap*.
-
-    The per-row-range slice of the paper's
-    ``upper.tri((S %*% t(S)) == (L-2))``: *s* is the canonical CSR slice
-    matrix, *st* its CSC transpose (built once by the caller so every range
-    shares it).  Concatenating the results in range order reproduces the
-    full-scan row-major match order exactly.
-    ``overlap == 0`` is handled correctly (implicit zeros of the sparse
-    Gram matrix count as matches).
-    """
-    product = s[start:stop] @ st
-    if overlap == 0:
-        # Only the dense comparison sees the Gram matrix's implicit
-        # zeros, which DO count as matches when overlap == 0 (two
-        # fully disjoint slices have dot product 0 without a stored
-        # entry).  Positive overlaps never need this: every stored
-        # entry of the 0/1 Gram matrix is positive, so an implicit
-        # zero cannot equal overlap >= 1.
-        match = product.toarray() == overlap
-        local_rows, cols = np.nonzero(match)
-    else:
-        product = product.tocsr()
-        # Canonical CSR order makes the stored-entry scan emit matches
-        # in the same row-major, column-ascending order as np.nonzero
-        # on the dense comparison.
-        product.sort_indices()
-        mask = product.data == overlap
-        local_rows = np.repeat(
-            np.arange(product.shape[0], dtype=np.int64),
-            np.diff(product.indptr),
-        )[mask]
-        cols = product.indices[mask].astype(np.int64, copy=False)
-    # Keep strictly-upper-triangular entries: global row < column.
-    global_rows = local_rows + start
-    upper = cols > global_rows
-    if not upper.any():
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    return (
-        global_rows[upper].astype(np.int64, copy=False),
-        cols[upper].astype(np.int64, copy=False),
-    )
-
-
-def iter_upper_tri_pair_chunks(slices: Matrix, overlap: float):
-    """Yield ``(i, j)`` index-array chunks with ``i < j`` and dot product == *overlap*.
-
-    Implements ``I = upper.tri((S %*% t(S)) == (L-2), values=TRUE)`` from the
-    paper's pair-construction step without ever materializing the full
-    ``nr x nr`` Gram matrix: rows are processed in chunks whose dense
-    footprint stays below a fixed budget, and matches are yielded chunk by
-    chunk so callers can stream them (the full match set can be huge on
-    feature-rich data).  Each chunk is one :func:`upper_tri_pairs_in_range`
-    call.  The reference pair oracle joins this way; the pair pipeline in
-    :mod:`repro.core.pairs` pairs parents by shared ``(L-2)``-subsets
-    instead, which yields the same pairs.
-    """
-    s = as_csr(slices)
-    nr = s.shape[0]
-    if nr < 2:
-        return
-    st = s.T.tocsc()
-    chunk = max(1, _PAIR_CHUNK_CELLS // max(nr, 1))
-    for start in range(0, nr - 1, chunk):
-        stop = min(start + chunk, nr - 1)
-        rows, cols = upper_tri_pairs_in_range(s, st, start, stop, overlap)
-        if rows.size:
-            yield rows, cols
-
-
-def upper_tri_pairs(slices: Matrix, overlap: float) -> tuple[np.ndarray, np.ndarray]:
-    """All row pairs ``(i, j)`` with ``i < j`` whose dot product equals *overlap*.
-
-    Materialized convenience wrapper around
-    :func:`iter_upper_tri_pair_chunks`; prefer the iterator when the match
-    count may be large.
-    """
-    rows_out: list[np.ndarray] = []
-    cols_out: list[np.ndarray] = []
-    for rows, cols in iter_upper_tri_pair_chunks(slices, overlap):
-        rows_out.append(rows)
-        cols_out.append(cols)
-    if not rows_out:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    return np.concatenate(rows_out), np.concatenate(cols_out)

@@ -4,17 +4,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.exceptions import ShapeError, ValidationError
-from repro.linalg import (
-    col_maxs,
-    col_sums,
-    contingency_table,
-    cumprod,
-    cumsum,
-    iter_upper_tri_pair_chunks,
-    one_hot_encode,
-    upper_tri_pairs,
-)
+from repro.exceptions import ValidationError
+from repro.linalg import col_maxs, col_sums, cumprod, cumsum, one_hot_encode
+from tests import pair_oracle
+from tests.pair_oracle import iter_upper_tri_pair_chunks, upper_tri_pairs
 
 
 @pytest.fixture
@@ -58,14 +51,6 @@ class TestCumulative:
 
 
 class TestTables:
-    def test_contingency_counts_duplicates(self):
-        table = contingency_table([0, 0, 1], [1, 1, 0], 2, 2)
-        np.testing.assert_allclose(table.toarray(), [[0, 2], [1, 0]])
-
-    def test_contingency_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            contingency_table([0, 1], [0], 2, 2)
-
     def test_one_hot_encode_basic(self):
         x0 = np.array([[1, 2], [2, 1]])
         offsets = np.array([0, 2])  # domains (2, 2)
@@ -85,6 +70,8 @@ class TestTables:
 
 
 class TestUpperTriPairs:
+    """The Gram join of the pair oracle (``tests/pair_oracle.py``)."""
+
     def test_zero_overlap_handles_implicit_zeros(self):
         # identity rows: every distinct pair has dot product 0
         s = sp.identity(4, format="csr")
@@ -144,13 +131,11 @@ class TestUpperTriPairs:
     @pytest.mark.parametrize("overlap", [0.0, 1.0, 2.0])
     def test_chunk_boundary_crossing(self, monkeypatch, overlap):
         # Force many tiny row chunks so matches span chunk boundaries.
-        import repro.linalg.ops as ops_mod
-
         gen = np.random.default_rng(29)
         dense = (gen.random((23, 9)) < 0.35).astype(float)
         s = sp.csr_matrix(dense)
         baseline = upper_tri_pairs(s, overlap)
-        monkeypatch.setattr(ops_mod, "_PAIR_CHUNK_CELLS", 3 * 23)
+        monkeypatch.setattr(pair_oracle, "_PAIR_CHUNK_CELLS", 3 * 23)
         chunked = upper_tri_pairs(s, overlap)
         np.testing.assert_array_equal(baseline[0], chunked[0])
         np.testing.assert_array_equal(baseline[1], chunked[1])

@@ -115,13 +115,3 @@ class TestFeatureSpace:
         assert space.feature_names == ("a", "b", "c")
         with pytest.raises(ShapeError):
             FeatureSpace.from_matrix(tiny_x0, feature_names=["a"])
-
-    def test_value_count_matrix(self, tiny_space):
-        vcm = tiny_space.value_count_matrix().toarray()
-        assert vcm.shape == (7, 3)
-        np.testing.assert_allclose(vcm.sum(axis=0), [2, 3, 2])
-
-    def test_value_index_matrix(self, tiny_space):
-        vim = tiny_space.value_index_matrix().toarray()
-        # column block of feature 1 carries codes 1, 2, 3
-        np.testing.assert_allclose(vim[2:5, 1], [1, 2, 3])

@@ -1,18 +1,18 @@
 """Parallel chunk-local pair pipeline: bitwise oracle matrix + unit coverage.
 
-The pair-candidate pipeline (subset-index join, fused validity/prune/
-merge, chunk-local dedup with group-min folding, deterministic merge,
-global dedup over shrunk keys) is a pure performance optimization — every
-configuration must reproduce :func:`reference_pair_candidates` (the
-preserved pre-pipeline implementation) bitwise: candidate matrices,
-bounds, and all non-execution counters, across any ``pair_parallelism``,
-chunk grid, pruning arm, compaction mode, and kernel backend.  These
-tests certify that contract end-to-end (the oracle keeps the CSR format,
-so its inputs and outputs are converted at its boundary) and unit-test
-the supporting
-pieces (the subset-index join against the Gram join it replaces, the
-geometric :class:`_PairAccumulator`, the :func:`choose_pair_plan` cost
-model, :func:`~repro.linalg.upper_tri_pairs_in_range`, and the per-call
+The pair-candidate pipeline (subset-index join, one-pass validity/prune/
+merge per chunk, chunk-local dedup with group-min folding, deterministic
+concatenation, global dedup over shrunk keys) is a pure performance
+optimization — every configuration must reproduce
+``reference_pair_candidates`` from ``tests/pair_oracle.py`` (the
+preserved pre-pipeline implementation, which keeps the Gram join)
+bitwise: candidate matrices, bounds, and all non-execution counters,
+across any ``pair_parallelism``, chunk grid, pruning arm, compaction
+mode, and kernel backend.  These tests certify that contract end-to-end
+(the oracle keeps the CSR format, so its inputs and outputs are converted
+at its boundary) and unit-test the supporting pieces (the subset-index
+join against the oracle's Gram join, the :func:`choose_pair_plan` cost
+model, the oracle's ``upper_tri_pairs_in_range``, and the per-call
 ``width`` of :class:`~repro.linalg.KernelWorkspace`).
 """
 
@@ -28,21 +28,16 @@ from repro.core import pairs as pairs_mod
 from repro.core.basic import create_and_score_basic_slices
 from repro.core.evaluate import evaluate_slices
 from repro.core.onehot import FeatureSpace
-from repro.core.pairs import (
-    _PairAccumulator,
-    choose_pair_plan,
-    get_pair_candidates,
-    reference_pair_candidates,
-)
+from repro.core.pairs import choose_pair_plan, get_pair_candidates
 from repro.core.types import StatsCol, valid_rows
-from repro.linalg import (
-    KernelWorkspace,
-    keys_to_csr,
+from repro.linalg import KernelWorkspace, keys_to_csr
+from repro.obs import EXECUTION_FIELDS, LevelCounters, Tracer
+from tests import pair_oracle
+from tests.pair_oracle import (
+    reference_pair_candidates,
     upper_tri_pairs,
     upper_tri_pairs_in_range,
 )
-from repro.linalg import ops as ops_mod
-from repro.obs import EXECUTION_FIELDS, LevelCounters, Tracer
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +120,19 @@ def run_pairs(fn, problem, *, level=2, pruning=None, topk_min_score=0.0, **kw):
     return keys, bounds, minima, recorder
 
 
+def record_subset_indexes(monkeypatch):
+    """Collect every subset index the pipeline builds, in call order."""
+    built = []
+    build = pairs_mod._subset_index
+
+    def recording(keys, num_cols):
+        built.append(build(keys, num_cols))
+        return built[-1]
+
+    monkeypatch.setattr(pairs_mod, "_subset_index", recording)
+    return built
+
+
 def assert_pairs_identical(ref, new, label=""):
     ref_keys, ref_bounds, ref_minima, ref_rec = ref
     new_keys, new_bounds, new_minima, new_rec = new
@@ -156,6 +164,19 @@ PRUNING_ARMS = {
 # bitwise oracle: pipeline vs the preserved reference implementation
 
 
+@pytest.fixture(scope="class")
+def plan_parallel_at_any_size():
+    """Let a width above 1 map chunks over the pool at these sizes.
+
+    The cost model keeps levels under ``_MIN_PARALLEL_OPS`` serial, and
+    every level in this module is far smaller.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pairs_mod, "_MIN_PARALLEL_OPS", 1)
+        yield
+
+
+@pytest.mark.usefixtures("plan_parallel_at_any_size")
 class TestPipelineMatchesReference:
     @pytest.mark.parametrize("arm", sorted(PRUNING_ARMS))
     @pytest.mark.parametrize("parallelism", [1, 2, 8])
@@ -173,6 +194,7 @@ class TestPipelineMatchesReference:
                     workspace=workspace, pair_parallelism=parallelism,
                 )
             assert_pairs_identical(ref, new, f"{inputs}/{arm}/p{parallelism}")
+            assert new[-1].join_parallelism == parallelism
             if inputs == "permuted-duplicated" and pruning.deduplicate:
                 rec = new[-1]
                 assert rec.candidates_before_dedup > rec.deduplicated
@@ -184,9 +206,12 @@ class TestPipelineMatchesReference:
 
         Each level's parents are the previous level's candidates, evaluated,
         plus a repeated parent and a parent holding two values of one
-        feature (the driver never passes one; direct callers may).
+        feature (the driver never passes one; direct callers may).  Some
+        left row has more pairs than a chunk's budget, so a one-row chunk
+        larger than ``_PAIR_BATCH`` goes through the merge in one pass.
         """
-        monkeypatch.setattr(pairs_mod, "_PAIR_BATCH", 257)
+        monkeypatch.setattr(pairs_mod, "_PAIR_BATCH", 10)
+        indexes = record_subset_indexes(monkeypatch)
         pruning = PRUNING_ARMS[arm]
         # alpha near 1 keeps most deeper parents' score bounds positive
         problem = {**pairs_problem(n=400, m=5), "alpha": 0.99}
@@ -226,6 +251,8 @@ class TestPipelineMatchesReference:
                     workspace=workspace, pair_parallelism=parallelism,
                 )
             assert_pairs_identical(ref, new, f"L{level}/{arm}/p{parallelism}")
+            assert new[-1].join_parallelism == parallelism
+            assert indexes[-1].row_pairs.max() > pairs_mod._PAIR_BATCH
             assert new[-1].invalid_feature_pairs > 0
             assert new[-1].candidates_emitted > 0
 
@@ -259,15 +286,19 @@ class TestPipelineMatchesReference:
     def test_tiny_chunk_grid(self, parallelism, monkeypatch):
         """Results are invariant under any chunk grid, however degenerate."""
         problem = pairs_problem()
+        monkeypatch.setattr(pair_oracle, "_PAIR_CHUNK_CELLS", 64)
         ref = run_pairs(reference_pair_candidates, problem)
-        monkeypatch.setattr(ops_mod, "_PAIR_CHUNK_CELLS", 64)
-        monkeypatch.setattr(pairs_mod, "_PAIR_BATCH", 37)
+        monkeypatch.setattr(pairs_mod, "_PAIR_BATCH", 16)
+        indexes = record_subset_indexes(monkeypatch)
         with KernelWorkspace(parallelism) as workspace:
             new = run_pairs(
                 get_pair_candidates, problem,
                 workspace=workspace, pair_parallelism=parallelism,
             )
         assert_pairs_identical(ref, new, f"tiny-grid/p{parallelism}")
+        assert new[-1].join_parallelism == parallelism
+        # rows with more pairs than the budget form one-row chunks
+        assert indexes[-1].row_pairs.max() > pairs_mod._PAIR_BATCH
 
     def test_topk_threshold_pruning(self):
         """Score pruning against a live top-K threshold reduces identically."""
@@ -283,11 +314,31 @@ class TestPipelineMatchesReference:
             assert_pairs_identical(ref, new, f"threshold={threshold}")
 
     def test_without_workspace_defaults_serial(self):
-        """Direct callers without a workspace keep the old call shape."""
+        """Direct callers without a workspace keep the old call shape.
+
+        Without a pool to map over, a level plans serially and reports so,
+        whatever width it was asked for; with one it plans parallel.
+        """
         problem = pairs_problem()
         ref = run_pairs(reference_pair_candidates, problem)
         new = run_pairs(get_pair_candidates, problem)
         assert_pairs_identical(ref, new, "defaults")
+        tracer = Tracer()
+        asked = run_pairs(
+            get_pair_candidates, problem, pair_parallelism=4, tracer=tracer
+        )
+        assert_pairs_identical(ref, asked, "no-workspace")
+        assert asked[-1].join_parallelism == 1
+        assert asked[-1].join_chunks == 1
+        assert tracer.find("pairs.join").attrs["parallelism"] == 1
+        with KernelWorkspace(2) as workspace:
+            pooled = run_pairs(
+                get_pair_candidates, problem,
+                workspace=workspace, pair_parallelism=4,
+            )
+        assert_pairs_identical(ref, pooled, "workspace")
+        assert pooled[-1].join_parallelism == 4
+        assert pooled[-1].join_chunks > 1
 
     def test_missing_codes(self):
         problem = pairs_problem(seed=23, missing=0.15)
@@ -328,6 +379,7 @@ class TestPipelineMatchesReference:
 # bitwise oracle: end-to-end runs across the full configuration matrix
 
 
+@pytest.mark.usefixtures("plan_parallel_at_any_size")
 class TestEndToEndOracle:
     @pytest.mark.parametrize("deduplicate", [True, False])
     @pytest.mark.parametrize("compaction", [True, False])
@@ -382,7 +434,6 @@ class TestEndToEndOracle:
 
     def test_flow_conservation_on_chunked_counters(self, monkeypatch):
         """The chunk-reduced counters still satisfy every flow identity."""
-        monkeypatch.setattr(ops_mod, "_PAIR_CHUNK_CELLS", 256)
         monkeypatch.setattr(pairs_mod, "_PAIR_BATCH", 256)
         problem = pairs_problem(n=500)
         result = slice_line(
@@ -395,7 +446,7 @@ class TestEndToEndOracle:
         level2 = result.counters.level(2)
         assert level2.pairs_generated > 0
         assert level2.join_chunks > 1
-        assert level2.join_parallelism >= 1
+        assert level2.join_parallelism == 8
 
 
 def _records(result):
@@ -409,66 +460,7 @@ def _records(result):
 
 
 # ---------------------------------------------------------------------------
-# unit coverage: accumulator, cost model, partitions, workspace width
-
-
-class TestPairAccumulator:
-    @staticmethod
-    def _batch(gen, count, level=3):
-        return (
-            gen.integers(0, 50, size=(count, level)).astype(np.int64),
-            gen.integers(0, 20, size=count).astype(np.int64),
-            gen.integers(0, 20, size=count).astype(np.int64),
-            gen.random(count),
-            gen.random(count),
-            gen.random(count),
-        )
-
-    def test_single_batch_adopted_without_copy(self):
-        gen = np.random.default_rng(0)
-        batch = self._batch(gen, 17)
-        acc = _PairAccumulator()
-        acc.append(*batch)
-        out = acc.concatenated()
-        for original, returned in zip(batch, out):
-            assert returned is original  # adopted by reference, zero copies
-
-    def test_multi_batch_matches_concatenate(self):
-        gen = np.random.default_rng(1)
-        batches = [self._batch(gen, int(gen.integers(1, 400))) for _ in range(9)]
-        acc = _PairAccumulator()
-        for batch in batches:
-            acc.append(*batch)
-        out = acc.concatenated()
-        for part in range(6):
-            expected = np.concatenate([batch[part] for batch in batches])
-            assert np.array_equal(out[part], expected)
-            assert out[part].dtype == expected.dtype
-
-    def test_empty_batches_ignored(self):
-        gen = np.random.default_rng(2)
-        acc = _PairAccumulator()
-        assert acc.empty
-        empty = self._batch(gen, 0)
-        acc.append(*empty)
-        assert acc.empty
-        real = self._batch(gen, 5)
-        acc.append(*empty)
-        acc.append(*real)
-        acc.append(*empty)
-        assert not acc.empty
-        out = acc.concatenated()
-        assert np.array_equal(out[0], real[0])
-
-    def test_growth_is_geometric(self):
-        gen = np.random.default_rng(3)
-        acc = _PairAccumulator()
-        for _ in range(64):
-            acc.append(*self._batch(gen, 100))
-        # 6400 rows through doubling from 1024 -> at most a handful of
-        # reallocations; capacity never exceeds 2x the final size + slack
-        assert acc._capacity <= 2 * 6400
-        assert acc.concatenated()[1].shape[0] == 6400
+# unit coverage: cost model, subset join, Gram join, workspace width
 
 
 class TestChoosePairPlan:
@@ -624,7 +616,7 @@ class TestSubsetJoin:
         merged = pairs_mod._insert_column(
             np.ascontiguousarray(keys.T), left, right_dropped
         )
-        expected = columns[pairs_mod._merge_keys_sparse(s, left, right, level)]
+        expected = columns[pair_oracle._merge_keys_sparse(s, left, right, level)]
         assert merged.dtype == np.int64
         assert np.array_equal(merged, expected.reshape(left.size, level))
         # each dropped column is the one column its parent does not share
