@@ -3,7 +3,9 @@
 (a) end-to-end runtime per dataset with Section 5 defaults;
 (b) block-size sweep on the USCensus-like dataset: moderate blocks share
 scans across slices and beat both extremes (b=1 task-parallel and very
-large b data-parallel with oversized intermediates).
+large b data-parallel with oversized intermediates).  The sweep runs the
+paper's sparse kernel (``repro.distributed``); the search's bitset kernel,
+which has no block, is timed on the same round next to it.
 """
 
 import time
@@ -14,7 +16,9 @@ import pytest
 from repro.core import FeatureSpace, evaluate_slices, slice_line
 from repro.core.basic import create_and_score_basic_slices
 from repro.core.pairs import get_pair_candidates
+from repro.distributed import SerialExecutor
 from repro.experiments import bench_config, format_table
+from repro.linalg import keys_to_csr
 
 from conftest import bench_dataset, run_once
 
@@ -68,34 +72,50 @@ def _fixed_candidate_round(max_candidates: int = 4096):
 def test_fig6b_block_size_sweep(benchmark):
     """Sweep the hybrid block size over one fixed evaluation round.
 
-    The sweep runs on a fixed set of level-2 candidates (rather than
-    end-to-end) so the pure task-parallel extreme (b=1) stays affordable:
-    its per-slice call overhead is exactly the effect the figure studies.
+    The sweep runs the paper's sparse kernel on a fixed set of level-2
+    candidates (rather than end-to-end) so the pure task-parallel extreme
+    (b=1) stays affordable: its per-slice call overhead is exactly the
+    effect the figure studies.  The bitset kernel the search uses gets the
+    last row, and every arm must produce the same statistics bitwise.
     """
     x_projected, errors, candidates = _fixed_candidate_round()
+    slices = keys_to_csr(candidates, x_projected.shape[1])
     rows = []
+    outputs = []
     for block_size in BLOCK_SIZES:
+        executor = SerialExecutor(block_size=block_size)
         started = time.perf_counter()
-        stats = evaluate_slices(
-            x_projected, errors, candidates, 2, 0.95, block_size=block_size
-        )
+        outputs.append(executor.evaluate(x_projected, errors, slices, 2, 0.95))
         rows.append(
             {
+                "kernel": "sparse",
                 "block_size": block_size,
                 "seconds": round(time.perf_counter() - started, 3),
-                "evaluated": stats.shape[0],
+                "evaluated": outputs[-1].shape[0],
             }
         )
+    started = time.perf_counter()
+    outputs.append(evaluate_slices(x_projected, errors, candidates, 2, 0.95))
+    rows.append(
+        {
+            "kernel": "bitset",
+            "block_size": "-",
+            "seconds": round(time.perf_counter() - started, 3),
+            "evaluated": outputs[-1].shape[0],
+        }
+    )
     print()
     print(format_table(rows, title="Figure 6(b): block-size sweep (uscensus)"))
     run_once(benchmark, lambda: None)  # keep this table in --benchmark-only runs
 
-    seconds = {r["block_size"]: r["seconds"] for r in rows}
+    seconds = {
+        r["block_size"]: r["seconds"] for r in rows if r["kernel"] == "sparse"
+    }
     # scan sharing: some moderate block beats pure task-parallel b=1
     moderate_best = min(seconds[b] for b in (16, 64, 256))
     assert moderate_best <= seconds[1]
-    # every configuration computes the same work
-    assert len({r["evaluated"] for r in rows}) == 1
+    # every arm computes the same statistics, bit for bit
+    assert len({out.tobytes() for out in outputs}) == 1
 
 
 @pytest.mark.parametrize("block_size", [1, 64])
@@ -104,10 +124,10 @@ def test_fig6b_benchmark_blocks(benchmark, block_size):
     x_projected, errors, candidates = _fixed_candidate_round(
         max_candidates=1024
     )
+    slices = keys_to_csr(candidates, x_projected.shape[1])
+    executor = SerialExecutor(block_size=block_size)
     stats = benchmark.pedantic(
-        lambda: evaluate_slices(
-            x_projected, errors, candidates, 2, 0.95, block_size=block_size
-        ),
+        lambda: executor.evaluate(x_projected, errors, slices, 2, 0.95),
         rounds=2, iterations=1,
     )
     assert stats.shape[0] == candidates.shape[0]

@@ -33,10 +33,8 @@ def test_fig7a_row_scalability(benchmark):
         x_rep, e_rep = replicate_dataset(
             bundle.x0, bundle.errors, row_factor=factor
         )
-        # relative sigma preserves enumeration characteristics (paper setup;
-        # the paper fixed b=4 on 112 vcores -- b=128 is the equivalent
-        # constant factor for scipy's per-call overhead)
-        cfg = bench_config("uscensus", x_rep.shape[0], max_level=2, block_size=128)
+        # relative sigma preserves enumeration characteristics (paper setup)
+        cfg = bench_config("uscensus", x_rep.shape[0], max_level=2)
         started = time.perf_counter()
         result = slice_line(x_rep, e_rep, cfg, num_threads=4)
         elapsed = time.perf_counter() - started

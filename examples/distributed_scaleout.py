@@ -82,7 +82,7 @@ print("expected shape: MT-PFor ~2x faster than MT-Ops; "
 # For completeness: the same dataset end-to-end through the public API.
 result = slice_line(
     bundle.x0, bundle.errors,
-    SliceLineConfig(k=4, sigma=sigma, max_level=2, block_size=64),
+    SliceLineConfig(k=4, sigma=sigma, max_level=2),
     num_threads=4,
 )
 print(f"\nend-to-end top-1 slice: {result.top_slices[0].describe()} "

@@ -7,7 +7,10 @@ with the paper's scoring function, and returns the exact top-K under the
 
 This is exponential in the number of features and is only intended for
 small inputs; the test suite uses it to certify that SliceLine's pruned,
-vectorized enumeration returns identical results.
+vectorized enumeration returns identical results, bit for bit: a slice's
+error is the left-to-right sum of its members' errors in row order, the
+fold the evaluation kernel computes (see :mod:`repro.linalg.kernels`).
+``np.sum`` would add pairwise and round differently on long slices.
 """
 
 from __future__ import annotations
@@ -71,10 +74,11 @@ def enumerate_all_slices(
                 if size == 0:
                     continue
                 slice_errors = errors[mask]
+                error = float(np.cumsum(slice_errors)[-1])
                 yield NaiveSlice(
                     predicates=dict(zip(features, values)),
-                    score=score_single(size, float(slice_errors.sum()), num_rows, total_error, alpha),
-                    error=float(slice_errors.sum()),
+                    score=score_single(size, error, num_rows, total_error, alpha),
+                    error=error,
                     max_error=float(slice_errors.max()),
                     size=size,
                 )

@@ -35,7 +35,6 @@ import numpy as np
 from repro.core import SliceLine, SliceLineConfig
 from repro.datasets import replay_batches
 from repro.exceptions import ReproError, ValidationError
-from repro.linalg.kernels import BACKENDS
 from repro.obs import counters_table, format_trace, write_json
 from repro.preprocessing import ColumnSpec, Preprocessor
 from repro.resilience import BudgetConfig
@@ -167,13 +166,6 @@ def _add_search_arguments(
         "(results are identical; this only changes kernel speed)",
     )
     parser.add_argument(
-        "--kernel-backend",
-        choices=BACKENDS,
-        default="auto",
-        help="evaluation-kernel backend; 'auto' picks per level via a cost "
-        "model (results are identical; this only changes kernel speed)",
-    )
-    parser.add_argument(
         "--pair-parallelism", type=int, default=0,
         help="worker width of the pair-candidate pipeline; 0 follows the "
         "thread count, 1 forces serial (results are identical; this only "
@@ -189,7 +181,6 @@ def _search_options(args) -> dict:
         "alpha": args.alpha,
         "max_level": args.max_level,
         "compaction": not args.no_compaction,
-        "kernel_backend": args.kernel_backend,
         "pair_parallelism": args.pair_parallelism,
     }
 

@@ -13,10 +13,8 @@ from repro.core.config import PruningConfig, SliceLineConfig
 from repro.core.decode import decode_topk, encode_slices, slice_membership
 from repro.core.evaluate import (
     SliceSetStats,
-    evaluate_block,
     evaluate_slice_set,
     evaluate_slices,
-    indicator_equal,
 )
 from repro.core.onehot import FeatureSpace, validate_encoded_matrix
 from repro.core.pairs import (
@@ -54,10 +52,8 @@ __all__ = [
     "encode_slices",
     "slice_membership",
     "SliceSetStats",
-    "evaluate_block",
     "evaluate_slice_set",
     "evaluate_slices",
-    "indicator_equal",
     "FeatureSpace",
     "validate_encoded_matrix",
     "PairJoinPlan",

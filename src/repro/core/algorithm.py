@@ -21,21 +21,20 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.core.basic import create_and_score_basic_slices
-from repro.core.compaction import CompactionState
+from repro.core.compaction import CompactionState, compact_slice_set
 from repro.core.config import PruningConfig, SliceLineConfig
 from repro.core.decode import decode_topk, slice_membership
-# evaluate_slice_set is not called here, but bench/layers.py wraps it by
-# this module path, so the name stays importable from the driver.
-from repro.core.evaluate import evaluate_slice_set  # noqa: F401
-from repro.core.evaluate import SizeFirst, evaluate_slices
+from repro.core.evaluate import SizeFirst, evaluate_slice_set, evaluate_slices
 from repro.core.onehot import FeatureSpace, validate_encoded_matrix
 from repro.core.pairs import get_pair_candidates
+from repro.core.scoring import score
 from repro.core.topk import empty_topk, maintain_topk, topk_min_score
 from repro.core.types import (
     Slice,
     SliceLineResult,
     StatsCol,
     WarmStartInfo,
+    stats_matrix,
     valid_rows,
 )
 from repro.exceptions import (
@@ -44,7 +43,13 @@ from repro.exceptions import (
     InvalidErrorsError,
     ShapeError,
 )
-from repro.linalg import KernelState, KernelWorkspace, ensure_vector
+from repro.linalg import (
+    KernelState,
+    KernelWorkspace,
+    ensure_vector,
+    keys_to_csr,
+)
+from repro.linalg.kernels import pack_binary_errors
 from repro.obs import NULL_TRACER, CounterRegistry, Tracer, resolve_tracer
 from repro.resilience.budgets import (
     BudgetConfig,
@@ -95,13 +100,13 @@ def slice_line(
         units, so a slice whose true error sum exceeds float64 reports an
         error of ``inf``.
     config:
-        Algorithm parameters (top-K, sigma, alpha, level cap, block size,
-        pruning toggles); defaults follow the paper.
+        Algorithm parameters (top-K, sigma, alpha, level cap, pruning
+        toggles); defaults follow the paper.
     feature_space:
         Optional pre-built :class:`FeatureSpace` (e.g. carrying feature
         names); derived from *x0* when omitted.
     num_threads:
-        Thread-pool width for blocked slice evaluation (1 = serial).
+        Thread-pool width for slice evaluation (1 = serial).
     trace:
         Observability switch: ``None``/``False`` (default) disables span
         recording at near-zero cost, ``True`` records a hierarchical trace
@@ -294,16 +299,16 @@ def slice_line(
     # One kernel workspace (persistent thread pool) serves seed evaluation
     # and every level; the context manager guarantees pool shutdown even
     # when a kernel or pair join raises mid-run.  One kernel state carries
-    # the per-level backend decision and that level's packed column table.
-    kernels = KernelState(cfg.kernel_backend)
+    # the current level's packed column table.
+    kernels = KernelState()
     with KernelWorkspace(num_threads) as workspace:
         # -- optional warm start: merge re-scored seeds into the top-K -------
         if seed_slices is not None and resume_state is None:
             top_slices, top_stats, warm_info, seed_keys = _seed_topk(
                 seed_slices, space, basic.selected_columns, x_projected,
                 errors, cfg, sigma, max_level, num_rows, total_error,
-                top_slices, top_stats, num_threads, tracer, kernels,
-                workspace=workspace, compact=compact,
+                top_slices, top_stats, num_threads, tracer,
+                workspace=workspace,
             )
         if checkpoint_dir is not None and resume_state is None:
             _write_checkpoint(
@@ -353,21 +358,16 @@ def slice_line(
                 if tracker is not None and slices.shape[0] > 0:
                     trip = tracker.check_candidates(level, int(slices.shape[0]))
                     if trip is None and budgets.max_memory_bytes is not None:
-                        rows_alive = (
-                            compact.num_rows_alive
-                            if compact is not None
-                            else num_rows
-                        )
-                        data_nnz = int(
-                            compact.matrix.nnz
-                            if compact is not None
-                            else x_projected.nnz
-                        )
+                        rows_alive, cols_alive = (
+                            compact.matrix if compact is not None
+                            else x_projected
+                        ).shape
+                        binary = pack_binary_errors(errors) is not None
                         trip = tracker.check_memory(
                             level,
                             estimate_level_memory(
-                                int(slices.shape[0]), level, rows_alive,
-                                data_nnz, cfg.block_size, num_threads,
+                                int(slices.shape[0]), rows_alive, cols_alive,
+                                num_threads, binary,
                             ),
                         )
                     if trip is not None:
@@ -391,12 +391,9 @@ def slice_line(
                         x_eval, errors_eval = compact.matrix, compact.errors
                         current.rows_alive = compact.num_rows_alive
                         current.cols_alive = compact.num_cols_alive
-                    current.backend_chosen = kernels.begin_level(
-                        x_eval, level, int(slices.shape[0])
-                    )
+                    kernels.begin_level(x_eval, level)
                     with tracer.span(
-                        f"level{level}.evaluate", candidates=slices.shape[0],
-                        backend=current.backend_chosen,
+                        f"level{level}.evaluate", candidates=slices.shape[0]
                     ):
                         slices, stats, top_slices, top_stats = _evaluate_level(
                             x_eval, errors_eval, slices, bounds,
@@ -590,9 +587,7 @@ def _seed_topk(
     top_stats: np.ndarray,
     num_threads: int,
     tracer,
-    kernels: KernelState,
     workspace: KernelWorkspace | None = None,
-    compact: CompactionState | None = None,
 ) -> tuple[sp.csr_matrix, np.ndarray, WarmStartInfo, set[tuple[int, ...]]]:
     """Re-score warm-start seeds on the current data and merge into the top-K.
 
@@ -600,11 +595,12 @@ def _seed_topk(
     pass already scores every single-predicate slice), as are seeds whose
     predicates fall outside the current domains or reference a basic slice
     that did not survive the sigma/error filter (by size monotonicity such a
-    seed is invalid here anyway).  Survivors are grouped by level into key
-    arrays, and each level is evaluated by the same kernel entry the
-    enumeration uses, on the same projected matrix (the row-compacted one
-    when compaction is enabled — an empty data row belongs to no slice, so
-    the statistics are unchanged), so their statistics are bitwise
+    seed is invalid here anyway).  The survivors are evaluated in one
+    :func:`~repro.core.evaluate.evaluate_slice_set` call over the projected
+    matrix compacted to the columns they name
+    (:func:`~repro.core.compaction.compact_slice_set`), so the packed table
+    holds only those columns.  The kernel is the enumeration's, and a
+    compacted-away row belongs to no seed, so their statistics are bitwise
     identical to what enumeration would produce — a prerequisite for
     warm == cold output equality.  Each level is merged into the top-K in
     turn; the top-K is a pure function of its candidate set, so the merge
@@ -642,33 +638,42 @@ def _seed_topk(
         by_level.setdefault(slice_.level, []).append(key)
     valid = 0
     if seen:
-        x_eval, errors_eval = x_projected, errors
-        if compact is not None:
-            x_eval, errors_eval = compact.matrix, compact.errors
+        groups = [
+            np.array(by_level[level], dtype=np.int64) for level in sorted(by_level)
+        ]
+        matrix = sp.vstack(
+            [keys_to_csr(keys, num_projected) for keys in groups], format="csr"
+        )
         with tracer.span(
             "seed.evaluate", requested=requested, encoded=len(seen)
         ):
-            for level in sorted(by_level):
-                keys = np.array(by_level[level], dtype=np.int64)
-                kernels.begin_level(x_eval, level, keys.shape[0])
-                seed_stats = evaluate_slices(
-                    x_eval, errors_eval,
-                    keys if compact is None else compact.project_slices(keys),
-                    level, cfg.alpha,
-                    block_size=cfg.block_size, num_threads=num_threads,
-                    workspace=workspace, num_rows=num_rows,
-                    total_error=total_error, kernels=kernels,
-                )
-                kernels.end_level()
-                valid += int(
-                    np.count_nonzero(
-                        (seed_stats[:, StatsCol.SCORE] > 0)
-                        & (seed_stats[:, StatsCol.SIZE] >= sigma)
-                    )
-                )
-                top_slices, top_stats = maintain_topk(
-                    keys, seed_stats, top_slices, top_stats, cfg.k, sigma
-                )
+            x_seeds, s_seeds, rows = compact_slice_set(x_projected, matrix)
+            seed_set = evaluate_slice_set(
+                x_seeds, s_seeds, errors[rows], num_threads=num_threads,
+                workspace=workspace, num_rows=num_rows,
+                total_error=total_error,
+            )
+        seed_stats = stats_matrix(
+            score(
+                seed_set.sizes, seed_set.errors, num_rows, total_error,
+                cfg.alpha,
+            ),
+            seed_set.errors, seed_set.max_errors, seed_set.sizes,
+        )
+        valid = int(
+            np.count_nonzero(
+                (seed_stats[:, StatsCol.SCORE] > 0)
+                & (seed_stats[:, StatsCol.SIZE] >= sigma)
+            )
+        )
+        start = 0
+        for keys in groups:
+            stop = start + keys.shape[0]
+            top_slices, top_stats = maintain_topk(
+                keys, seed_stats[start:stop], top_slices, top_stats,
+                cfg.k, sigma,
+            )
+            start = stop
     info = WarmStartInfo(
         requested=requested, encoded=len(seen), valid=valid, hits=0
     )
@@ -720,7 +725,7 @@ def _evaluate_level(
     is.  The deadline is checked between chunks so one level cannot
     overshoot it by more than a chunk's worth of kernel work; candidates
     past a trip are recorded as ``skipped_by_budget``.  Chunking is exact:
-    per-slice statistics are computed within independent blocks and top-K
+    every candidate's statistics are computed in isolation and top-K
     maintenance is order-independent, so an untripped chunked evaluation
     is bitwise identical to the single-shot one.
 
@@ -773,7 +778,7 @@ def _evaluate_level(
             x_eval, errors_eval,
             chunk if compact is None else compact.project_slices(chunk),
             level, cfg.alpha,
-            block_size=cfg.block_size, num_threads=num_threads,
+            num_threads=num_threads,
             tracer=tracer, counters=current, workspace=workspace,
             coverage=coverage, num_rows=num_rows, total_error=total_error,
             kernels=kernels, size_first=size_first,
@@ -864,24 +869,20 @@ class SliceLine:
         sigma: int | None = None,
         alpha: float = 0.95,
         max_level: int | None = None,
-        block_size: int = 16,
         pruning: PruningConfig | None = None,
         compaction: bool = True,
         num_threads: int = 1,
         trace: bool | str | Tracer | None = None,
         budgets: BudgetConfig | None = None,
         checkpoint_dir: str | None = None,
-        kernel_backend: str = "auto",
         pair_parallelism: int = 0,
     ) -> None:
         self.k = k
         self.sigma = sigma
         self.alpha = alpha
         self.max_level = max_level
-        self.block_size = block_size
         self.pruning = pruning or PruningConfig()
         self.compaction = compaction
-        self.kernel_backend = kernel_backend
         self.pair_parallelism = pair_parallelism
         self.num_threads = num_threads
         self.trace = trace
@@ -896,10 +897,8 @@ class SliceLine:
             sigma=self.sigma,
             alpha=self.alpha,
             max_level=self.max_level,
-            block_size=self.block_size,
             pruning=self.pruning,
             compaction=self.compaction,
-            kernel_backend=self.kernel_backend,
             pair_parallelism=self.pair_parallelism,
         )
 

@@ -177,12 +177,13 @@ def compact_slice_set(
     the one-hot columns *slices* references and the rows with at least one
     entry among them (``row_indices`` are the surviving original row
     positions, strictly increasing); a dropped row cannot match any slice
-    with >= 1 predicate, and a dropped column is multiplied by zero
-    everywhere.  Row/column relative order is preserved, so
+    with >= 1 predicate, and no slice names a dropped column.  Row/column
+    relative order is preserved, so
     :func:`repro.core.evaluate.evaluate_slice_set` over the compacted pair
     — scored against the *full* population via its ``num_rows``/
     ``total_error``/``max_error`` overrides — is bitwise identical to the
-    uncompacted evaluation.  Used by warm-start seeding and the streaming
+    uncompacted evaluation, and its packed table holds only the columns
+    the slices name.  Used by warm-start seeding and the streaming
     accumulators.
     """
     num_cols = x_onehot.shape[1]

@@ -1,10 +1,10 @@
 """Configuration objects for the SliceLine algorithm.
 
 Two configs exist: :class:`SliceLineConfig` covers the user-facing knobs of
-Definition 2 and Algorithm 1 (``K``, ``sigma``, ``alpha``, ``ceil(L)``,
-evaluation block size), and :class:`PruningConfig` toggles the individual
-pruning techniques of Section 3.2 so the Figure 3 ablation is expressible
-directly through the public API.
+Definition 2 and Algorithm 1 (``K``, ``sigma``, ``alpha``, ``ceil(L)``)
+plus the search's execution options, and :class:`PruningConfig` toggles
+the individual pruning techniques of Section 3.2 so the Figure 3 ablation
+is expressible directly through the public API.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 from repro.exceptions import ConfigError
-from repro.linalg.kernels import BACKENDS
 
 #: The paper's default minimum-support rule: ``sigma = max(32, n/100)``.
 DEFAULT_MIN_SUPPORT_FLOOR = 32
@@ -86,18 +85,18 @@ class SliceLineConfig:
 
     Parameters mirror Algorithm 1: ``k`` (top-K), ``sigma`` (minimum
     support; ``None`` selects the paper default ``max(32, ceil(n/100))``),
-    ``alpha`` (error/size weight in ``(0, 1]``), ``max_level`` (the lattice
-    level cap ``ceil(L)``; ``None`` means unbounded, i.e. up to ``m``), and
-    ``block_size`` (the hybrid-evaluation block ``b`` of Section 4.4 —
-    ``1`` is pure task-parallel, huge values are pure data-parallel; the
-    paper's default is 16).
+    ``alpha`` (error/size weight in ``(0, 1]``) and ``max_level`` (the
+    lattice level cap ``ceil(L)``; ``None`` means unbounded, i.e. up to
+    ``m``).  The paper's evaluation block size ``b`` (Section 4.4) is not
+    an option here: the search evaluates with one packed-bitset kernel
+    that has no block (see :mod:`repro.linalg.kernels`), and ``b`` sizes
+    the paper's sparse kernel in the :mod:`repro.distributed` executors.
     """
 
     k: int = 4
     sigma: int | None = None
     alpha: float = 0.95
     max_level: int | None = None
-    block_size: int = 16
     pruning: PruningConfig = field(default_factory=PruningConfig)
     #: per-level compaction of the evaluation data matrix: drop one-hot
     #: columns no emitted candidate references and rows that matched no
@@ -112,23 +111,14 @@ class SliceLineConfig:
     priority_evaluation: bool = True
     #: candidates evaluated between two re-pruning steps in priority mode
     priority_chunk: int = 8192
-    #: evaluation-kernel backend, one of
-    #: :data:`repro.linalg.kernels.BACKENDS`: ``"auto"`` lets a per-level
-    #: cost model pick between the sparse CSR x CSC path and the
-    #: packed-bitset path; ``"sparse"``/``"bitset"`` force one (subject to
-    #: its preconditions — a bitset request whose preconditions fail falls
-    #: back to sparse).  All choices are bitwise identical; this only
-    #: changes kernel speed.
-    kernel_backend: str = "auto"
     #: worker width of the parallel pair-candidate pipeline (see
     #: :func:`repro.core.pairs.choose_pair_plan`): ``0`` follows
     #: ``num_threads``, ``1`` forces serial execution, ``N > 1`` requests
     #: ``N`` workers for the join's chunk tasks (the per-level cost model,
     #: which plans from the level's exact pair count, still runs levels
-    #: of fewer than about 131k pairs serially).  Like ``kernel_backend`` this
-    #: never affects results — candidates, counters, and the top-K are
-    #: bitwise identical at every width — so it is excluded from the
-    #: checkpoint fingerprint.
+    #: of fewer than about 131k pairs serially).  This never affects
+    #: results — candidates, counters, and the top-K are bitwise identical
+    #: at every width — so it is excluded from the checkpoint fingerprint.
     pair_parallelism: int = 0
 
     def __post_init__(self) -> None:
@@ -140,16 +130,9 @@ class SliceLineConfig:
             raise ConfigError(f"alpha must be in (0, 1], got {self.alpha}")
         if self.max_level is not None and self.max_level < 1:
             raise ConfigError(f"max_level must be >= 1, got {self.max_level}")
-        if self.block_size < 1:
-            raise ConfigError(f"block_size must be >= 1, got {self.block_size}")
         if self.priority_chunk < 1:
             raise ConfigError(
                 f"priority_chunk must be >= 1, got {self.priority_chunk}"
-            )
-        if self.kernel_backend not in BACKENDS:
-            raise ConfigError(
-                f"kernel_backend must be one of {BACKENDS}, "
-                f"got {self.kernel_backend!r}"
             )
         if self.pair_parallelism < 0:
             raise ConfigError(

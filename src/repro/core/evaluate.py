@@ -1,48 +1,41 @@
 """Vectorized slice evaluation (Section 4.4, Figure 2).
 
 All candidate slices of a level are evaluated against the one-hot data
-matrix with a single (blocked) sparse matrix multiplication:
-``I = ((X @ S^T) == L)`` marks, per data row and slice, whether the row
-matches all ``L`` predicates; sizes, errors, and maximum tuple errors then
-follow from column reductions over ``I``.
+matrix ``X``: ``I = ((X @ S^T) == L)`` marks, per data row and slice,
+whether the row matches all ``L`` predicates; sizes, errors, and maximum
+tuple errors then follow from reductions over ``I``.
 
 The enumeration hands a level over as its key array (``num_slices x L``
 projected column ids, rows ascending; see :mod:`repro.core.pairs`).
 :func:`evaluate_slices` takes keys; only the public mixed-level
 :func:`evaluate_slice_set` takes a CSR ``S``, and it converts each level
-group to keys once before the kernels see it.
+group to keys once before the kernel sees it.
 
-The block size ``b`` realizes the paper's hybrid execution: ``b = 1`` is
-pure task-parallel evaluation (one slice at a time, vector intermediates
-only), ``b = nrow(S)`` pure data-parallel evaluation (one big intermediate),
-and moderate ``b`` shares scans of ``X`` across ``b`` slices while bounding
-the ``n x b`` intermediate (Figure 6(b) studies this trade-off).
+One kernel computes ``I``: the packed bitset table of
+:mod:`repro.linalg.kernels`.  A candidate's indicator is the AND of the
+column bitsets its keys name, so ``S`` is never built, and no indicator is
+kept from one level to the next.  The statistics are bitwise those of the
+paper's blocked sparse product, which :mod:`repro.distributed.sparse`
+keeps as the reference kernel of the Figure 6(b)/7 executors.  Candidates
+are processed in spans of at most
+:data:`~repro.linalg.kernels.BITSET_CHUNK`, one per thread; every
+candidate's statistics are computed in isolation, so the span grid cannot
+change a result.
 
-Two workspace-reuse optimizations serve the enumeration hot path: the CSC
-transpose ``S^T`` is built from the keys once per kernel call and blocks
-are cheap column slices of it (instead of transposing every row block
-separately), and callers may pass a :class:`~repro.linalg.KernelWorkspace`
-so every level of a run shares one persistent thread pool instead of
-constructing a fresh ``ThreadPoolExecutor`` per call.  When the caller
-evaluates against a row/column-compacted data matrix
-(:mod:`repro.core.compaction`), the ``num_rows``/``total_error``
-overrides keep the scores referenced to the full population, and the
-optional ``coverage`` accumulator records which data rows matched at
-least one slice — the input of the next level's row compaction — as a
-by-product of the indicator that is computed anyway.
+Callers may pass a :class:`~repro.linalg.KernelWorkspace` so every level
+of a run shares one persistent thread pool instead of constructing a fresh
+``ThreadPoolExecutor`` per call.  When the caller evaluates against a
+row/column-compacted data matrix (:mod:`repro.core.compaction`), the
+``num_rows``/``total_error`` overrides keep the scores referenced to the
+full population, and the optional ``coverage`` accumulator records which
+data rows matched at least one slice — the input of the next level's row
+compaction — as a by-product of the indicator that is computed anyway.
 
-The driver may route a level to the packed-bitset backend instead
-(:mod:`repro.linalg.kernels`, chosen per level by a
-:class:`~repro.linalg.KernelState`); it computes the same indicator from
-``X`` alone, bitwise identical to the sparse product, and no indicator is
-kept from one level to the next.  That backend ANDs the column bitsets the
-keys name directly, so it never builds ``S`` at all.
-
-Size-first last level.  At ``level == max_level``, with the bitset backend
-and errors that are not all 0/1, :func:`evaluate_slices` gets a
-:class:`SizeFirst` per chunk and splits the work in two.  It popcounts
-every candidate's exact size ``|S|`` and its positive-error members first.
-Then it sums float errors only for the candidates whose
+Size-first last level.  At ``level == max_level``, with errors that are
+not all 0/1, :func:`evaluate_slices` gets a :class:`SizeFirst` per chunk
+and splits the work in two.  It popcounts every candidate's exact size
+``|S|`` and its positive-error members first.  Then it sums float errors
+only for the candidates whose
 :func:`~repro.core.scoring.score_at_exact_size` bound is ``>= T`` and
 ``> 0``, where ``T`` is the K-th score held before the chunk (0.0 while
 the top-K is not full).  The result is exact:
@@ -62,8 +55,8 @@ members has a positive error, ``se`` and ``sm`` are exactly ``0.0``,
 which is what the sum gives, and its score is exact.  Otherwise ``se``,
 ``sm`` and the score are ``NaN``: "not summed, known positive".
 :func:`~repro.core.types.valid_rows` counts such a row as valid, and the
-top-K never admits it.  The ``sparse`` backend, 0/1 errors and every
-level below the last compute what they always did.
+top-K never admits it.  0/1 errors and every level below the last compute
+every statistic.
 """
 
 from __future__ import annotations
@@ -75,13 +68,11 @@ import scipy.sparse as sp
 
 from repro.exceptions import ValidationError
 from repro.linalg import (
+    BitsetTable,
     KernelState,
     KernelWorkspace,
     as_csr,
-    col_maxs,
-    col_sums,
     ensure_vector,
-    keys_to_csr,
     resolve_workspace,
     row_nnz,
 )
@@ -133,121 +124,38 @@ class SizeFirst(NamedTuple):
     sigma: int
 
 
-def indicator_equal(product: sp.csr_matrix, level: int) -> sp.csr_matrix:
-    """Sparse indicator ``(product == level)`` for a positive *level*.
-
-    Because ``X`` and ``S`` are 0/1 matrices, every stored entry of
-    ``X @ S^T`` is a positive integer count of matched predicates; implicit
-    zeros can never equal ``level >= 1``, so the comparison only needs to
-    filter stored entries (this is what makes the sparse formulation cheap).
-    """
-    if level < 1:
-        raise ValidationError("indicator_equal requires level >= 1")
-    result = product.tocsr(copy=True)
-    result.data = (result.data == level).astype(np.float64)
-    result.eliminate_zeros()
-    return result
-
-
-def _block_stats(
-    x_onehot: sp.csr_matrix,
-    errors: np.ndarray,
-    slices_t_block: sp.csc_matrix,
-    level: int,
-    track_rows: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-    """``(ss, se, sm, row-any)`` of one transposed slice block.
-
-    *slices_t_block* is a column block of the per-call cached ``S^T`` in
-    CSC form; the row-any vector (which data rows matched >= 1 slice of the
-    block) is only materialized when *track_rows* — it is the compaction
-    coverage input and falls out of the indicator for free.
-    """
-    product = x_onehot @ slices_t_block
-    indicator = indicator_equal(product, level)
-    sizes = col_sums(indicator)
-    slice_errors = np.asarray(indicator.T @ errors, dtype=np.float64).ravel()
-    if indicator.nnz:
-        max_errors = col_maxs(indicator.multiply(errors[:, np.newaxis]).tocsc())
-    else:
-        max_errors = np.zeros(indicator.shape[1], dtype=np.float64)
-    covered = row_nnz(indicator) > 0 if track_rows else None
-    return sizes, slice_errors, max_errors, covered
-
-
-def evaluate_block(
-    x_onehot: sp.csr_matrix,
-    errors: np.ndarray,
-    slices_block: sp.csr_matrix,
-    level: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sizes, errors, and max tuple errors for one block of slices.
-
-    Returns the vectors ``(ss, se, sm)`` of Equation 10 for the block.
-    """
-    sizes, slice_errors, max_errors, _ = _block_stats(
-        x_onehot, errors, slices_block.T.tocsc(), level
-    )
-    return sizes, slice_errors, max_errors
-
-
 def _evaluate_uniform_level(
-    x_onehot: sp.csr_matrix,
+    table: BitsetTable,
     errors: np.ndarray,
     keys: np.ndarray,
-    level: int,
-    block_size: int,
     num_threads: int,
     workspace: KernelWorkspace | None = None,
     coverage: np.ndarray | None = None,
-    kernels: KernelState | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """Blocked ``(ss, se, sm, binary)`` evaluation of same-level slices.
+    """``(ss, se, sm, binary)`` of same-level slices over a packed *table*.
 
     *keys* are the slices' sorted column ids (``num_slices x level``) in
-    *x_onehot*'s column space.  With a prepared
-    :class:`~repro.linalg.KernelState` whose per-level decision is
-    ``"bitset"``, candidates are processed in spans of at most
-    :data:`~repro.linalg.kernels.BITSET_CHUNK`, cut so that every thread
-    gets one — independent of *block_size*, which cannot matter there
-    because every candidate's statistics are computed in isolation from its
-    own indicator bitset.  Otherwise the transpose ``S^T`` is built from
-    the keys once in CSC form and each block of *block_size* slices is a
-    column slice of it.  Both paths are bitwise identical by construction,
-    and their tasks are pure, so the thread pool never races shared state.
-    When *coverage* (a boolean vector over the data rows) is given, rows
-    matching >= 1 evaluated slice are OR-ed into it.  *binary* is true only
-    when the bitset backend took its 0/1-error popcount path; the sparse
-    path always reports false.
+    the table's column space.  Candidates are processed in spans of at
+    most :data:`~repro.linalg.kernels.BITSET_CHUNK`, cut so that every
+    thread gets one; the tasks are pure, so the thread pool never races
+    shared state.  When *coverage* (a boolean vector over the data rows) is
+    given, rows matching >= 1 evaluated slice are OR-ed into it.  *binary*
+    is true when the errors took the 0/1 popcount path.
     """
-    num_slices = keys.shape[0]
+    num_rows = table.num_rows
     track_rows = coverage is not None
-    binary = False
-    if kernels is not None and kernels.backend != "sparse":
-        num_rows = x_onehot.shape[0]
-        error_words = pack_binary_errors(errors)
-        binary = error_words is not None
-        tasks = _bitset_spans(num_slices, num_threads)
+    error_words = pack_binary_errors(errors)
 
-        def run(task):
-            start, stop = task
-            return words_block_stats(
-                kernels.chunk_words(keys[start:stop]), errors, num_rows,
-                track_rows, error_words,
-            )
+    def run(task):
+        start, stop = task
+        return words_block_stats(
+            table.candidate_words(keys[start:stop]), errors, num_rows,
+            track_rows, error_words,
+        )
 
-    else:
-        # The transpose of a CSR is a CSC view: no copy, no conversion.
-        slices_t = keys_to_csr(keys, x_onehot.shape[1]).T
-        tasks = [
-            slices_t[:, start : min(start + block_size, num_slices)]
-            for start in range(0, num_slices, block_size)
-        ]
-
-        def run(task):
-            return _block_stats(x_onehot, errors, task, level, track_rows)
-
-    partials = _map_tasks(run, tasks, workspace, num_threads)
+    partials = _map_tasks(
+        run, _bitset_spans(keys.shape[0], num_threads), workspace, num_threads
+    )
     if track_rows:
         for partial in partials:
             np.logical_or(coverage, partial[3], out=coverage)
@@ -255,12 +163,12 @@ def _evaluate_uniform_level(
         np.concatenate([p[0] for p in partials]),
         np.concatenate([p[1] for p in partials]),
         np.concatenate([p[2] for p in partials]),
-        binary,
+        error_words is not None,
     )
 
 
 def _evaluate_size_first(
-    x_onehot: sp.csr_matrix,
+    table: BitsetTable,
     errors: np.ndarray,
     keys: np.ndarray,
     size_first: SizeFirst,
@@ -270,7 +178,6 @@ def _evaluate_size_first(
     num_threads: int,
     workspace: KernelWorkspace | None,
     coverage: np.ndarray | None,
-    kernels: KernelState,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """``(ss, se, sm, summed)`` of a last-level chunk, sized first.
 
@@ -282,13 +189,13 @@ def _evaluate_size_first(
     positive (what the sum gives) and ``NaN`` ("not summed, known
     positive") otherwise.
     """
-    data_rows = x_onehot.shape[0]
+    data_rows = table.num_rows
     positive_words = pack_bool_rows((errors > 0)[np.newaxis, :])[0]
     track_rows = coverage is not None
 
     def run(task):
         start, stop = task
-        words = kernels.chunk_words(keys[start:stop])
+        words = table.candidate_words(keys[start:stop])
         sizes, positives, covered = words_block_sizes(
             words, positive_words, data_rows, track_rows
         )
@@ -344,13 +251,11 @@ def evaluate_slice_set(
     x_onehot: sp.csr_matrix,
     slices: sp.csr_matrix,
     errors: np.ndarray,
-    block_size: int = 16,
     num_threads: int = 1,
     workspace: KernelWorkspace | None = None,
     num_rows: int | None = None,
     total_error: float | None = None,
     max_error: float | None = None,
-    backend: str = "sparse",
 ) -> SliceSetStats:
     """Evaluate a *fixed*, possibly mixed-level slice set against a dataset.
 
@@ -360,15 +265,18 @@ def evaluate_slice_set(
     projected ``S`` representation: one column per ``feature == value``
     predicate; every stored entry of a row is one predicate).  Rows are
     grouped by predicate count, each group becomes a key array once, and
-    it runs through the same kernels as the enumeration, so the returned
-    statistics are bitwise identical to what the enumeration would compute
-    for the same slices over the same rows.
+    every group runs through the enumeration's kernel over one packed
+    table of *x_onehot*, so the returned statistics are bitwise identical
+    to what the enumeration would compute for the same slices over the
+    same rows.  *x_onehot* must be a 0/1 matrix (see
+    :meth:`~repro.linalg.BitsetTable.from_matrix`).
 
     An all-zero slice row (no predicates) denotes the entire dataset and
     gets ``(n, sum(e), max(e))``.
 
     When *x_onehot*/*errors* are a compacted view of a larger population
-    (see :func:`repro.core.compaction.compact_slice_set`), pass the full
+    (see :func:`repro.core.compaction.compact_slice_set`, which also keeps
+    the packed table to the columns the slices name), pass the full
     population's ``num_rows``/``total_error``/``max_error`` so the
     whole-dataset statistics stay referenced to the original data; the
     per-slice vectors are unaffected (a compacted-away row belongs to no
@@ -377,18 +285,10 @@ def evaluate_slice_set(
     Returns a :class:`SliceSetStats` of row-aligned ``(sizes, errors,
     max_errors)`` vectors; combine with :func:`repro.core.scoring.score` for
     scores under a chosen ``alpha``.  This is the membership kernel behind
-    :class:`repro.streaming.MergeableSliceStats` and a vectorized
-    replacement for per-slice :func:`~repro.core.decode.slice_membership`
-    loops.
-
-    *backend* selects the evaluation kernel (one of
-    :data:`repro.linalg.kernels.BACKENDS`): ``"sparse"`` (the default, and
-    always exact), ``"bitset"`` or ``"auto"``.  Results are bitwise
-    identical for every choice.
+    warm-start seeding, :class:`repro.streaming.MergeableSliceStats` and a
+    vectorized replacement for per-slice
+    :func:`~repro.core.decode.slice_membership` loops.
     """
-    if block_size < 1:
-        raise ValidationError("block_size must be >= 1")
-    kernels = KernelState(backend) if backend != "sparse" else None
     errors = ensure_vector(errors, x_onehot.shape[0], "errors")
     if num_rows is None:
         num_rows = x_onehot.shape[0]
@@ -408,6 +308,7 @@ def evaluate_slice_set(
     # Canonical row order turns each level group's indices into its keys.
     slices = slices.sorted_indices()
     levels = row_nnz(slices)
+    table = BitsetTable.from_matrix(x_onehot) if levels.any() else None
     for level in np.unique(levels):
         members = np.flatnonzero(levels == level)
         if level == 0:
@@ -423,11 +324,8 @@ def evaluate_slice_set(
                 )
             continue
         keys = slices[members].indices.reshape(members.size, level)
-        if kernels is not None:
-            kernels.begin_level(x_onehot, int(level), int(members.size))
         group_sizes, group_errors, group_max, _ = _evaluate_uniform_level(
-            x_onehot, errors, keys, int(level), block_size,
-            num_threads, workspace=workspace, kernels=kernels,
+            table, errors, keys, num_threads, workspace=workspace
         )
         sizes[members] = group_sizes
         slice_errors[members] = group_errors
@@ -441,7 +339,6 @@ def evaluate_slices(
     slices: np.ndarray,
     level: int,
     alpha: float,
-    block_size: int = 16,
     num_threads: int = 1,
     tracer=NULL_TRACER,
     counters=None,
@@ -455,12 +352,11 @@ def evaluate_slices(
     """Evaluate all candidate *slices* and return their ``R`` statistics.
 
     *slices* is the level's key array (``num_slices x level`` sorted column
-    ids in *x_onehot*'s column space).  Blocks of ``block_size`` slices are
-    evaluated independently (optionally on a thread pool — scipy's matmul
-    releases the GIL for the heavy part), then concatenated into the
-    level's ``R`` matrix ``[sc, se, sm, ss]``.
-    Passing a :class:`~repro.linalg.KernelWorkspace` reuses one pool across
-    calls; the enumeration driver holds one for the whole run.
+    ids in *x_onehot*'s column space).  Spans of candidates are evaluated
+    independently (optionally on a thread pool), then concatenated into the
+    level's ``R`` matrix ``[sc, se, sm, ss]``.  Passing a
+    :class:`~repro.linalg.KernelWorkspace` reuses one pool across calls;
+    :func:`~repro.core.algorithm.slice_line` holds one for the whole run.
 
     When evaluating against a compacted data matrix, *num_rows* and
     *total_error* carry the full population (scores are defined against the
@@ -468,23 +364,22 @@ def evaluate_slices(
     rows — accumulates which rows matched >= 1 slice for the next level's
     row compaction.
 
-    The blocked multiplication reports one span into *tracer*; when a
+    The evaluation reports one span into *tracer*; when a
     :class:`~repro.obs.LevelCounters` record is passed as *counters*, the
     indicator fill (total row-slice memberships, which equals ``nnz(I)``)
     is accumulated on it.
 
-    *kernels* is the driver's per-run :class:`~repro.linalg.KernelState`
-    (already positioned at this level via ``begin_level``).  Omitting it
-    keeps the sparse path — the default for every external caller.
+    *kernels* is the search's per-run :class:`~repro.linalg.KernelState`,
+    already positioned at this level via ``begin_level``, so every chunk
+    of a level shares one packed table.  Without it the call packs
+    *x_onehot* itself, which must then be a 0/1 matrix.
 
-    *size_first* (the driver passes it at the last level only) lets the
-    bitset backend size every candidate first and sum float errors only
-    for those whose exact-size bound can still reach the top-K; the rest
-    get ``NaN`` (or exact zero) errors and scores, as the module docstring
-    explains.  It changes nothing for 0/1 errors or the sparse backend.
+    *size_first* (the search passes it at the last level only) lets the
+    kernel size every candidate first and sum float errors only for those
+    whose exact-size bound can still reach the top-K; the rest get ``NaN``
+    (or exact zero) errors and scores, as the module docstring explains.
+    It changes nothing for 0/1 errors.
     """
-    if block_size < 1:
-        raise ValidationError("block_size must be >= 1")
     errors = ensure_vector(errors, x_onehot.shape[0], "errors")
     if num_rows is None:
         num_rows = x_onehot.shape[0]
@@ -494,29 +389,23 @@ def evaluate_slices(
     if num_slices == 0:
         return np.zeros((0, 4), dtype=np.float64)
 
-    num_blocks = -(-num_slices // block_size)
+    table = (
+        kernels.table if kernels is not None
+        else BitsetTable.from_matrix(x_onehot)
+    )
     with tracer.span(
-        "evaluate.blocks",
-        num_slices=num_slices,
-        blocks=num_blocks,
-        threads=num_threads,
-        backend=kernels.backend if kernels is not None else "sparse",
+        "evaluate.blocks", num_slices=num_slices, threads=num_threads
     ) as span:
-        if (
-            size_first is not None
-            and kernels is not None
-            and kernels.backend != "sparse"
-            and pack_binary_errors(errors) is None
-        ):
+        if size_first is not None and pack_binary_errors(errors) is None:
             sizes, slice_errors, max_errors, summed = _evaluate_size_first(
-                x_onehot, errors, slices, size_first, num_rows, total_error,
-                alpha, num_threads, workspace, coverage, kernels,
+                table, errors, slices, size_first, num_rows, total_error,
+                alpha, num_threads, workspace, coverage,
             )
             binary = False
         else:
             sizes, slice_errors, max_errors, binary = _evaluate_uniform_level(
-                x_onehot, errors, slices, level, block_size, num_threads,
-                workspace=workspace, coverage=coverage, kernels=kernels,
+                table, errors, slices, num_threads,
+                workspace=workspace, coverage=coverage,
             )
             summed = num_slices
         span.annotate(errors="binary" if binary else "general", summed=summed)

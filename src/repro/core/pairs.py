@@ -171,8 +171,7 @@ class PairCandidates(NamedTuple):
 def choose_pair_plan(row_pairs: np.ndarray, pair_parallelism: int) -> PairJoinPlan:
     """Pick chunk grid and serial-vs-parallel execution for the pair join.
 
-    Mirrors :func:`repro.linalg.choose_backend`: a cheap closed-form cost
-    model, not a tuner.  *row_pairs* holds each left row's exact pair
+    A cheap closed-form cost model, not a tuner.  *row_pairs* holds each left row's exact pair
     count from the subset index (identical parents included; the join
     drops those), so the estimated work is the planned pairs times
     :data:`_OPS_PER_PAIR`.  Levels below :data:`_MIN_PARALLEL_OPS` run

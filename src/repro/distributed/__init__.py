@@ -13,7 +13,10 @@ The paper evaluates three parallelization strategies (Figure 7(b)):
 We reproduce the *strategy semantics* with local executors
 (:mod:`repro.distributed.executor`) over row partitions
 (:mod:`repro.linalg.blocks`), and the *cluster effects* with an analytic
-cost model (:mod:`repro.distributed.simulate`).
+cost model (:mod:`repro.distributed.simulate`).  The executors run the
+paper's blocked sparse kernel ``(X S^T) == L``
+(:mod:`repro.distributed.sparse`), which also serves as the reference the
+search's bitset kernel is checked against.
 """
 
 from repro.distributed.accumulate import partitioned_slice_stats
@@ -27,6 +30,7 @@ from repro.distributed.executor import (
 )
 from repro.distributed.partition import partition_work
 from repro.distributed.simulate import ClusterCostModel, ClusterSpec
+from repro.distributed.sparse import evaluate_block, indicator_equal
 
 __all__ = [
     "DistributedPForExecutor",
@@ -34,6 +38,8 @@ __all__ = [
     "MTOpsExecutor",
     "MTPForExecutor",
     "SerialExecutor",
+    "evaluate_block",
+    "indicator_equal",
     "make_executor",
     "partition_work",
     "partitioned_slice_stats",

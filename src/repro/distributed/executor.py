@@ -24,12 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.evaluate import evaluate_block
 from repro.core.scoring import score
 from repro.core.types import stats_matrix
 from repro.exceptions import ExecutionError, ValidationError
 from repro.linalg import BlockedMatrix, as_csr, ensure_vector
 from repro.distributed.partition import partition_work
+from repro.distributed.sparse import evaluate_block, indicator_equal
 from repro.obs import NULL_TRACER
 from repro.resilience.chaos import ChaosInjector
 from repro.resilience.retry import RetryPolicy, RetryStats, map_with_retries
@@ -133,8 +133,6 @@ class MTOpsExecutor(Executor):
             partitions=len(blocked.blocks),
         ), ThreadPoolExecutor(max_workers=self.num_threads) as pool:
             # Operation 1 (barrier): indicator per row partition.
-            from repro.core.evaluate import indicator_equal
-
             with tracer.span("mt-ops.indicator"):
                 products = list(
                     pool.map(
@@ -276,8 +274,6 @@ class DistributedPForExecutor(Executor):
 
         def worker(args):
             block, (start, stop) = args
-            from repro.core.evaluate import indicator_equal
-
             indicator = indicator_equal(block @ st, level)
             local_errors = errors[start:stop]
             partial_sizes = np.asarray(indicator.sum(axis=0)).ravel()

@@ -39,16 +39,14 @@ def bench_config(
 ) -> SliceLineConfig:
     """The Section 5 default configuration for *dataset*.
 
-    ``alpha = 0.95``, ``sigma = ceil(n/100)``, dataset-specific level cap,
-    block size 128 (the laptop equivalent of the paper's b=16 on 112
-    vcores: larger blocks amortize scipy's per-call overhead).
+    ``alpha = 0.95``, ``sigma = ceil(n/100)`` and a dataset-specific level
+    cap.
     """
     params = {
         "k": k,
         "alpha": alpha,
         "sigma": bench_sigma(num_rows),
         "max_level": BENCH_LEVEL_CAPS.get(dataset),
-        "block_size": 128,
     }
     params.update(overrides)
     return SliceLineConfig(**params)

@@ -32,10 +32,8 @@ from repro.linalg.blocks import (
     row_partitions,
 )
 from repro.linalg.kernels import (
-    BACKENDS,
     BitsetTable,
     KernelState,
-    choose_backend,
     pack_bool_rows,
     popcount_rows,
     unpack_bool_rows,
@@ -44,10 +42,8 @@ from repro.linalg.kernels import (
 from repro.linalg.workspace import KernelWorkspace, resolve_workspace
 
 __all__ = [
-    "BACKENDS",
     "BitsetTable",
     "KernelState",
-    "choose_backend",
     "pack_bool_rows",
     "popcount_rows",
     "unpack_bool_rows",

@@ -1,28 +1,26 @@
-"""Pluggable evaluation-kernel backends for the ``(X S^T) == L`` indicator.
+"""Packed row bitsets: the evaluation kernel for ``(X S^T) == L``.
 
 The enumeration's dominant cost is materializing, per level, the boolean
 indicator ``I[i, s] = row i matches all L predicates of slice s`` and
-reducing it to the Equation-10 vectors ``(ss, se, sm)``.  Two backends
-compute the same indicator two ways:
+reducing it to the Equation-10 vectors ``(ss, se, sm)``.  ``X`` is a 0/1
+one-hot matrix, so the indicator of a slice is the AND of its predicate
+columns.  Each one-hot column of ``X`` is packed into a row bitset
+(``np.packbits`` -> ``uint64`` words, :class:`BitsetTable`); a candidate's
+indicator is ``L-1`` word-wise ANDs of the table rows its keys name, and
+``ss`` is a popcount: no ``n x b`` float intermediate, no sparse product,
+and no slice matrix ``S``.  The keys come straight from the pair stage
+(remapped only by compaction).
 
-``sparse``
-    The paper's formulation: one blocked sparse CSR x CSC product
-    ``X @ S^T`` followed by ``== L`` filtering (see
-    :mod:`repro.core.evaluate`).  Works for any data and is the fallback.
-``bitset``
-    For 0/1 data the indicator of a slice is the AND of its predicate
-    columns.  Each one-hot column of ``X`` is packed into a row bitset
-    (``np.packbits`` -> ``uint64`` words, :class:`BitsetTable`); a
-    candidate's indicator is ``L-1`` word-wise ANDs of the table rows its
-    keys name, and ``ss`` is a popcount — no ``n x b`` float intermediate,
-    no sparse overhead.  :meth:`KernelState.chunk_words` takes the keys
-    straight from the pair stage (remapped only by compaction), so this
-    backend never builds the slice matrix ``S``.
+The paper's own formulation, one blocked sparse product ``X @ S^T``
+filtered by ``== L`` (Section 4.4), is the reference kernel of the
+Figure 6(b)/7 executors in :mod:`repro.distributed.sparse`.  This kernel
+is bitwise identical to it.  :meth:`BitsetTable.from_matrix` rejects any
+stored value other than ``0.0`` or ``1.0``, where the two would differ.
 
 Every level is evaluated against ``X`` alone, as in the paper (Eq. 10):
 no indicator is carried from one level to the next.
 
-Exactness.  The bitset backend is bitwise identical to the sparse path:
+Exactness.  The statistics equal the sparse reference kernel's bit for bit:
 
 * ``ss`` is an exact integer (popcount) cast to float64.
 * ``se``: scipy's ``indicator.T @ errors`` is a ``csc_matvec`` that
@@ -66,11 +64,6 @@ call.  The sequential sum above is also what makes the exact-size bound
 float-safe: a child's rows are a subset of each parent's, so its partial
 sums never pass the parent's (see
 :func:`repro.core.scoring.score_at_exact_size`).
-
-The per-level :func:`choose_backend` cost model keeps the sparse path for
-non-0/1 data, tiny workloads (where packing costs more than it saves), and
-whenever the packed table would exceed its byte cap, so ``auto`` never
-selects a backend whose preconditions do not hold.
 """
 
 from __future__ import annotations
@@ -80,21 +73,8 @@ import scipy.sparse as sp
 
 from repro.exceptions import ValidationError
 
-#: Recognized values of the ``kernel_backend`` option.
-BACKENDS = ("auto", "sparse", "bitset")
-
-#: Minimum indicator work (``num_rows * num_candidates`` cells) before
-#: ``auto`` leaves the sparse path — below this, packing dominates.
-MIN_BITSET_CELLS = 1 << 15
-#: Minimum candidate count before ``auto`` builds a column bitset table.
-MIN_BITSET_CANDIDATES = 64
-#: Byte cap for the per-level packed column table (``auto``/explicit
-#: requests fall back to sparse when the table would exceed it).
-MAX_TABLE_BYTES = 256 * 1024 * 1024
-
-#: Candidates per internal bitset work chunk.  Chunking is independent of
-#: the caller's ``block_size`` because every candidate's statistics are
-#: computed in isolation — results cannot depend on the chunk grid.
+#: Candidates per internal bitset work chunk.  Every candidate's statistics
+#: are computed in isolation, so results cannot depend on the chunk grid.
 BITSET_CHUNK = 8192
 
 _POPCOUNT_LUT = np.unpackbits(
@@ -171,19 +151,15 @@ def pack_binary_errors(errors: np.ndarray) -> np.ndarray | None:
     return pack_bool_rows(ones[np.newaxis, :])[0]
 
 
-def estimate_table_bytes(num_rows: int, num_cols: int) -> int:
-    """Bytes of the packed column table for an ``num_rows x num_cols`` X."""
-    return num_cols * num_packed_words(num_rows) * 8
-
-
 def is_binary_matrix(matrix: sp.spmatrix) -> bool:
-    """True when every stored entry equals ``1.0`` (a 0/1 matrix).
+    """True when every stored entry is ``0.0`` or ``1.0`` (a 0/1 matrix).
 
-    The bitset formulation models ``(X S^T) == L`` as per-column AND only
-    for 0/1 data; anything else must stay on the sparse path.
+    An explicitly stored zero is not a member, exactly as in the sparse
+    product; any other value would make the AND of the columns differ
+    from ``(X S^T) == L``.
     """
     data = matrix.data
-    return data.size == 0 or bool((data == 1.0).all())
+    return bool(((data == 1.0) | (data == 0.0)).all())
 
 
 class BitsetTable:
@@ -207,8 +183,23 @@ class BitsetTable:
     def from_matrix(
         cls, matrix: sp.spmatrix, col_chunk: int = 1024
     ) -> "BitsetTable":
+        """Pack every column of a 0/1 *matrix*.
+
+        Raises :class:`~repro.exceptions.ValidationError` when a stored
+        value (after summing duplicate entries) is anything but ``0.0`` or
+        ``1.0``: the AND of the columns is ``(X S^T) == L`` only for 0/1
+        data.  An explicitly stored ``0.0`` sets no bit.
+        """
         num_rows, num_cols = matrix.shape
         csc = matrix.tocsc()
+        if not csc.has_canonical_format:
+            csc = csc.copy()
+            csc.sum_duplicates()
+        if not is_binary_matrix(csc):
+            raise ValidationError(
+                "the bitset kernel needs a 0/1 data matrix: a stored value "
+                "other than 0.0 or 1.0 is not a one-hot membership"
+            )
         blocks = []
         for start in range(0, num_cols, col_chunk):
             dense = csc[:, start : start + col_chunk].toarray()
@@ -239,9 +230,9 @@ def words_block_stats(
 
     *error_words* is :func:`pack_binary_errors` of *errors*; when given,
     ``se`` and ``sm`` are popcounts of ``words & error_words`` and no
-    membership is unpacked.  Bitwise identical to the sparse
-    ``_block_stats`` either way (see the module docstring for the
-    exactness argument).
+    membership is unpacked.  Bitwise identical to the sparse reference
+    kernel either way (see the module docstring for the exactness
+    argument).
     """
     num_slices = words.shape[0]
     counts = popcount_rows(words)
@@ -314,84 +305,27 @@ def _covered_rows(words: np.ndarray, num_rows: int) -> np.ndarray:
     )[0]
 
 
-def choose_backend(
-    requested: str,
-    *,
-    num_rows: int,
-    num_cols: int,
-    num_candidates: int,
-    binary_data: bool,
-    max_table_bytes: int | None = None,
-) -> str:
-    """Resolve the backend for one level's evaluation (the cost model).
-
-    Preconditions are enforced here, not merely preferred: non-0/1 data
-    always runs sparse, and ``bitset`` needs the packed table to fit its
-    byte cap.  ``auto`` additionally requires the indicator work to clear
-    :data:`MIN_BITSET_CELLS` and :data:`MIN_BITSET_CANDIDATES` so tiny
-    levels keep the cheap sparse path.
-    """
-    if requested not in BACKENDS:
-        raise ValidationError(
-            f"unknown kernel backend {requested!r}; expected one of {BACKENDS}"
-        )
-    if requested == "sparse" or not binary_data:
-        return "sparse"
-    cap = MAX_TABLE_BYTES if max_table_bytes is None else max_table_bytes
-    fits = estimate_table_bytes(num_rows, num_cols) <= cap
-    if requested == "bitset":
-        return "bitset" if fits else "sparse"
-    cells = num_rows * num_candidates
-    if fits and cells >= MIN_BITSET_CELLS and num_candidates >= MIN_BITSET_CANDIDATES:
-        return "bitset"
-    return "sparse"
-
-
 class KernelState:
-    """Per-run backend request and the current level's packed column table.
+    """The current level's packed column table.
 
-    The enumeration driver owns one instance; per level it calls
-    :meth:`begin_level` (which runs the cost model and builds the packed
-    column table when needed) and :meth:`end_level` (which drops the
-    table).  Between those, the evaluation kernels call :meth:`chunk_words`
-    to materialize candidate indicator bitsets.
+    :func:`~repro.core.algorithm.slice_line` owns one instance; per level
+    it calls :meth:`begin_level`, which packs the level's evaluation
+    matrix, and :meth:`end_level`, which drops the table.  Between those,
+    the evaluation kernels read :attr:`table` (read-only, so worker
+    threads may share it).
     """
 
-    def __init__(self, backend: str = "auto") -> None:
-        if backend not in BACKENDS:
-            raise ValidationError(
-                f"unknown kernel backend {backend!r}; expected one of {BACKENDS}"
-            )
-        self.requested = backend
-        self.backend = "sparse"
+    def __init__(self) -> None:
         self.table: BitsetTable | None = None
 
-    def begin_level(
-        self, x_eval: sp.spmatrix, level: int, num_candidates: int
-    ) -> str:
-        """Choose and prepare the backend for one level; returns its name."""
-        num_rows, num_cols = x_eval.shape
-        self.backend = choose_backend(
-            self.requested,
-            num_rows=num_rows,
-            num_cols=num_cols,
-            num_candidates=num_candidates,
-            binary_data=is_binary_matrix(x_eval),
-        )
-        self.table = (
-            BitsetTable.from_matrix(x_eval) if self.backend == "bitset" else None
-        )
-        return self.backend
+    def begin_level(self, x_eval: sp.spmatrix, level: int) -> None:
+        """Pack *x_eval*'s columns for the evaluation of *level*.
 
-    def chunk_words(self, keys: np.ndarray) -> np.ndarray:
-        """Indicator bitsets for one candidate chunk.
-
-        *keys* are a slice of the level's key array (``num_cands x L``
-        sorted predicate-column ids) exactly as the pair stage emitted it,
-        remapped to the compacted columns when compaction is on.
-        Read-only, so worker threads may share it.
+        *level* does not change the table; it names the level being
+        evaluated, so a profiler that wraps this method can attribute
+        the packing time per level.
         """
-        return self.table.candidate_words(keys)
+        self.table = BitsetTable.from_matrix(x_eval)
 
     def end_level(self) -> None:
         """Finish one level: drop its packed column table."""
@@ -399,15 +333,9 @@ class KernelState:
 
 
 __all__ = [
-    "BACKENDS",
     "BITSET_CHUNK",
-    "MAX_TABLE_BYTES",
-    "MIN_BITSET_CANDIDATES",
-    "MIN_BITSET_CELLS",
     "BitsetTable",
     "KernelState",
-    "choose_backend",
-    "estimate_table_bytes",
     "is_binary_matrix",
     "num_packed_words",
     "pack_binary_errors",

@@ -1,10 +1,10 @@
-"""Reusable execution workspace for the blocked evaluation kernels.
+"""Reusable execution workspace for the evaluation and pair-join kernels.
 
-The enumeration driver calls the blocked ``(X S^T) == L`` kernel once per
-level (and once more per priority chunk); constructing a fresh
-:class:`~concurrent.futures.ThreadPoolExecutor` inside every call wastes
-thread start-up latency precisely on the small, frequent calls where it is
-most visible.  :class:`KernelWorkspace` owns one lazily created pool for the
+:func:`~repro.core.algorithm.slice_line` calls the ``(X S^T) == L``
+kernel once per level (and once more per priority chunk); constructing a
+fresh :class:`~concurrent.futures.ThreadPoolExecutor` inside every call
+wastes thread start-up latency precisely on the small, frequent calls where
+it is most visible.  :class:`KernelWorkspace` owns one lazily created pool for the
 lifetime of a run — every kernel invocation of that run maps its blocks over
 the same threads.
 

@@ -31,7 +31,6 @@ _TABLE_COLUMNS = (
     ("evaluated", "evaluated"),
     ("valid", "valid"),
     ("indicator_nnz", "nnz"),
-    ("backend_chosen", "backend"),
     ("elapsed_seconds", "seconds"),
 )
 

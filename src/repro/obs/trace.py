@@ -18,7 +18,7 @@ instrumentation point is one method call (see
 ``benchmarks/bench_obs_overhead.py`` for the <2% end-to-end bound).
 
 Tracers are not thread-safe: spans must be opened and closed from one
-thread.  Parallel sections (thread pools in the executors and the blocked
+thread.  Parallel sections (thread pools in the executors and the slice
 evaluation) are recorded as a single span around the fork/join point.
 """
 

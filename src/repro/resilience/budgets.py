@@ -27,6 +27,7 @@ import time
 from dataclasses import dataclass
 
 from repro.exceptions import ConfigError
+from repro.linalg.kernels import BITSET_CHUNK, num_packed_words
 
 
 @dataclass(frozen=True)
@@ -240,31 +241,42 @@ class SuspendHook:
 
 def estimate_level_memory(
     num_candidates: int,
-    level: int,
     rows_alive: int,
-    data_nnz: int,
-    block_size: int,
+    cols_alive: int,
     num_threads: int = 1,
+    binary_errors: bool = False,
 ) -> int:
-    """Rough upper estimate of one level's transient evaluation bytes.
+    """Rough estimate of one level's transient evaluation bytes.
 
-    Accounts for the dominant allocations of the blocked ``(X S^T) == L``
-    kernel: the candidate matrix ``S`` and its cached CSC transpose (CSR/CSC
-    with 8-byte data + 8-byte indices, nnz = candidates x level), the per
-    block ``X @ S_b^T`` product and its indicator copy (bounded by the data
-    matrix's nnz within a block's columns — we bound each in-flight block by
-    ``min(rows_alive * block_size, data_nnz)`` stored entries at 16 bytes,
-    with ``num_threads`` blocks in flight), and the four per-candidate
-    statistic vectors.  A deliberate over-approximation within a small
-    constant factor: budgets gate order-of-magnitude blowups, not bytes.
+    Models the packed-bitset kernel (:mod:`repro.linalg.kernels`) over a
+    ``rows_alive x cols_alive`` evaluation matrix:
+
+    * the level's packed column table, one ``rows_alive``-bit row bitset
+      per column;
+    * per thread, one span of at most ``BITSET_CHUNK`` candidates in
+      flight: its indicator words, twice over for 0/1 errors
+      (*binary_errors*), whose statistics AND the words with the packed
+      errors, and for other errors the words plus the unpacked indicator,
+      one byte per (candidate, row) cell;
+    * four 8-byte statistics per candidate, twice over (the per-span parts
+      and the concatenated level).
+
+    Not counted: the list of (row, slice) memberships the float-error path
+    builds from the unpacked indicator, a few 8-byte entries per member,
+    because a slice's size is only known once it is evaluated.  Levels
+    whose slices cover a large share of the rows can exceed the estimate
+    by that much.  Budgets gate order-of-magnitude blowups, not bytes.
     """
-    nnz_s = num_candidates * level
-    candidate_matrices = 2 * (16 * nnz_s + 8 * (num_candidates + 1))
-    per_block_nnz = min(rows_alive * block_size, max(data_nnz, 1))
-    in_flight = max(1, num_threads)
-    products = 2 * 16 * per_block_nnz * in_flight
-    stats = 4 * 8 * num_candidates
-    return int(candidate_matrices + products + stats)
+    row_bytes = num_packed_words(rows_alive) * 8
+    table = cols_alive * row_bytes
+    in_flight = max(1, min(num_threads, num_candidates))
+    span = min(BITSET_CHUNK, -(-num_candidates // in_flight))
+    if binary_errors:
+        per_span = 2 * span * row_bytes
+    else:
+        per_span = span * (row_bytes + rows_alive)
+    stats = 2 * 4 * 8 * num_candidates
+    return int(table + in_flight * per_span + stats)
 
 
 __all__ = [

@@ -129,7 +129,6 @@ def fingerprint_config(config) -> dict:
         "sigma": config.sigma,
         "alpha": config.alpha,
         "max_level": config.max_level,
-        "block_size": config.block_size,
         "compaction": config.compaction,
         "priority_evaluation": config.priority_evaluation,
         "priority_chunk": config.priority_chunk,

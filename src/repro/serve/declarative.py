@@ -61,11 +61,9 @@ _CONFIG_KEYS = frozenset(
         "sigma",
         "alpha",
         "max_level",
-        "block_size",
         "compaction",
         "priority_evaluation",
         "priority_chunk",
-        "kernel_backend",
         "pruning",
     }
 )
@@ -185,11 +183,9 @@ def spec_to_dict(spec: JobSpec) -> dict:
             "sigma": config.sigma,
             "alpha": config.alpha,
             "max_level": config.max_level,
-            "block_size": config.block_size,
             "compaction": config.compaction,
             "priority_evaluation": config.priority_evaluation,
             "priority_chunk": config.priority_chunk,
-            "kernel_backend": config.kernel_backend,
             "pruning": {
                 key: getattr(pruning, key) for key in sorted(_PRUNING_KEYS)
             },

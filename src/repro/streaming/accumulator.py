@@ -81,7 +81,6 @@ class MergeableSliceStats:
         errors: np.ndarray,
         slices: Sequence[Slice],
         feature_space: FeatureSpace | None = None,
-        block_size: int = 16,
         num_threads: int = 1,
     ) -> "MergeableSliceStats":
         """Evaluate *slices* on one batch via the ``(X S^T) == L`` kernel.
@@ -141,7 +140,7 @@ class MergeableSliceStats:
         with KernelWorkspace(num_threads) as workspace:
             first = evaluate_slice_set(
                 x_compact, s_compact, errors[alive_rows],
-                block_size=block_size, num_threads=num_threads,
+                num_threads=num_threads,
                 workspace=workspace, num_rows=totals["num_rows"],
                 total_error=totals["total_error"],
                 max_error=totals["max_error"],
@@ -149,7 +148,7 @@ class MergeableSliceStats:
             squared = errors * errors
             second = evaluate_slice_set(
                 x_compact, s_compact, squared[alive_rows],
-                block_size=block_size, num_threads=num_threads,
+                num_threads=num_threads,
                 workspace=workspace, num_rows=totals["num_rows"],
                 total_error=totals["total_sq_error"],
                 max_error=float(squared.max()) if num_rows else 0.0,

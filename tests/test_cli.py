@@ -229,9 +229,8 @@ def test_execution_flags_map_to_config(build):
     """find and monitor share one declaration of the execution flags."""
     args = build().parse_args([
         "data.csv", "--error-column", "err", "--no-compaction",
-        "--kernel-backend", "bitset", "--pair-parallelism", "2",
+        "--pair-parallelism", "2",
     ])
     config = SliceLineConfig(**_search_options(args))
     assert config.compaction is False
-    assert config.kernel_backend == "bitset"
     assert config.pair_parallelism == 2

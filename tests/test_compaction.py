@@ -36,8 +36,8 @@ from repro.obs.counters import EXECUTION_FIELDS
 
 #: counters whose values legitimately differ between the two modes: the
 #: compaction gauges stay 0 when compaction is off, and the timing /
-#: execution-shape fields (elapsed time, stage seconds, chunk grid,
-#: backend choice, cache pressure) vary with what the cost models see
+#: execution-shape fields (elapsed time, stage seconds, chunk grid) vary
+#: with what the cost model sees
 _MODE_DEPENDENT = {"rows_alive", "cols_alive"} | EXECUTION_FIELDS
 
 
@@ -354,7 +354,7 @@ class TestKernelWorkspace:
         x0, errors, _ = planted_dataset
         slice_line(
             x0, errors,
-            config=SliceLineConfig(k=4, sigma=5, block_size=4),
+            config=SliceLineConfig(k=4, sigma=5),
             num_threads=4,
         )
         assert len(set(created)) <= 1

@@ -20,9 +20,7 @@ class TestSliceLineConfig:
         ("alpha", 0.0),
         ("alpha", 1.5),
         ("max_level", 0),
-        ("block_size", 0),
         ("priority_chunk", 0),
-        ("kernel_backend", "incremental"),
     ])
     def test_invalid_values_rejected(self, field, value):
         with pytest.raises(ConfigError):

@@ -10,12 +10,12 @@ from repro.core import (
     create_and_score_basic_slices,
     evaluate_slices,
     get_pair_candidates,
-    indicator_equal,
     maintain_topk,
     topk_min_score,
     empty_topk,
 )
 from repro.core.types import LevelStats, StatsCol, stats_matrix
+from repro.distributed import SerialExecutor, indicator_equal
 from repro.linalg import keys_to_csr
 
 
@@ -178,7 +178,9 @@ class TestEvaluateSlices:
             assert stats[i, StatsCol.MAX_ERROR] == pytest.approx(max_err)
 
     def test_block_size_invariance(self, planted_dataset):
-        x0, errors, _ = planted_dataset
+        """The paper's blocked sparse kernel gives the bitset kernel's
+        statistics bitwise at every block size ``b``."""
+        x0, binary, _ = planted_dataset
         space = FeatureSpace.from_matrix(x0)
         x = space.encode(x0)
         gen = np.random.default_rng(5)
@@ -189,20 +191,22 @@ class TestEvaluateSlices:
             ],
             dtype=np.int64,
         )
-        reference = evaluate_slices(x, errors, s, 2, 0.95, block_size=1)
-        for block_size in (2, 7, 23, 64):
-            out = evaluate_slices(x, errors, s, 2, 0.95, block_size=block_size)
-            np.testing.assert_allclose(out, reference)
+        # Continuous errors: only the row-order fold sums them bitwise.
+        for errors in (binary, binary * gen.random(binary.size)):
+            out = evaluate_slices(x, errors, s, 2, 0.95)
+            for block_size in (1, 2, 7, 23, 64):
+                reference = SerialExecutor(block_size=block_size).evaluate(
+                    x, errors, keys_to_csr(s, space.num_onehot), 2, 0.95
+                )
+                assert reference.tobytes() == out.tobytes(), block_size
 
     def test_threaded_matches_serial(self, planted_dataset):
         x0, errors, _ = planted_dataset
         space = FeatureSpace.from_matrix(x0)
         x = space.encode(x0)
         s = np.arange(space.num_onehot, dtype=np.int64)[:, np.newaxis]
-        serial = evaluate_slices(x, errors, s, 1, 0.95, block_size=4)
-        threaded = evaluate_slices(
-            x, errors, s, 1, 0.95, block_size=4, num_threads=4
-        )
+        serial = evaluate_slices(x, errors, s, 1, 0.95)
+        threaded = evaluate_slices(x, errors, s, 1, 0.95, num_threads=4)
         np.testing.assert_allclose(serial, threaded)
 
     def test_empty_slices(self, tiny_x0, tiny_errors, tiny_space):

@@ -3,7 +3,8 @@
 The central claim of the paper is *exact* top-K enumeration despite
 aggressive pruning.  These tests compare SliceLine's output against
 exhaustive enumeration on randomized problems across the parameter space
-(k, sigma, alpha, pruning configurations, priority evaluation).
+(k, sigma, alpha, pruning configurations, priority evaluation), bit for
+bit: the oracle sums each slice's errors in row order, as the kernel does.
 """
 
 import numpy as np
@@ -23,9 +24,10 @@ def assert_matches_oracle(x0, errors, k, sigma, alpha, config=None):
         f"result count differs: {len(got)} vs oracle {len(oracle)}"
     )
     for ours, theirs in zip(got, oracle):
-        assert ours.score == pytest.approx(theirs.score, rel=1e-9)
+        assert ours.score == theirs.score
         assert ours.size == theirs.size
-        assert ours.error == pytest.approx(theirs.error, rel=1e-9)
+        assert ours.error == theirs.error
+        assert ours.max_error == theirs.max_error
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -1,16 +1,17 @@
-"""Differential tests for the pluggable evaluation-kernel backends.
+"""Differential tests for the evaluation kernel.
 
-The contract under test (see :mod:`repro.linalg.kernels`) is strict
-bitwise equality: every backend — sparse, bitset, and the ``auto`` cost
-model — must produce the exact same floats for every slice statistic and
-the exact same final top-K, across thread counts, block sizes, compaction
-modes, warm starts, checkpoints and budgets.  Errors in these tests are
-dyadic rationals (multiples of 1/16) so even *independently recomputed*
-oracle sums are exact, not merely close; the backends themselves must
-agree bitwise on arbitrary floats, which the oracle-free cross-backend
-assertions cover.  0/1 errors (a classifier's inaccuracy) take the bitset
-backend's popcount path, so the differential matrix, the hypothesis sweep
-and the block-statistics oracle run on them as well.
+The search evaluates every level, warm-start seed and
+:func:`~repro.core.evaluate.evaluate_slice_set` call with one kernel: the
+packed bitset table of :mod:`repro.linalg.kernels`.  The contract under
+test is strict bitwise equality with two references: the paper's blocked
+sparse kernel ``(X S^T) == L``, kept in :mod:`repro.distributed`, and the
+naive lattice oracle (:mod:`repro.baselines.naive`), whose row-order
+error sums are the kernel's fold.  Both must hold for every slice
+statistic and the final top-K, across thread counts, compaction modes,
+warm starts and checkpoints.  The errors are dyadic rationals (multiples
+of 1/16), 0/1 errors (a classifier's inaccuracy, which takes the
+kernel's popcount path) and continuous floats, where only the row-order
+fold sums bitwise.
 """
 
 from __future__ import annotations
@@ -24,8 +25,10 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.algorithm as algorithm
 import repro.core.evaluate as evaluate_mod
 import repro.linalg.kernels as kernels_mod
+from repro.baselines import naive_top_k
 from repro.core import (
     FeatureSpace,
     Slice,
@@ -34,16 +37,11 @@ from repro.core import (
     evaluate_slice_set,
     slice_line,
 )
-from repro.core.evaluate import _block_stats
+from repro.distributed import SerialExecutor, evaluate_block
 from repro.exceptions import ValidationError
-from repro.linalg import KernelWorkspace
+from repro.linalg import KernelWorkspace, keys_to_csr
 from repro.linalg.kernels import (
-    BACKENDS,
-    MIN_BITSET_CANDIDATES,
-    MIN_BITSET_CELLS,
     BitsetTable,
-    choose_backend,
-    estimate_table_bytes,
     is_binary_matrix,
     num_packed_words,
     pack_binary_errors,
@@ -54,14 +52,11 @@ from repro.linalg.kernels import (
 )
 from repro.linalg.kernels import _popcount_rows_lut
 from repro.obs import EXECUTION_FIELDS, Tracer
-from repro.resilience import BudgetConfig
 
-#: The two concrete backends plus the cost model — the full request space.
-ALL_BACKENDS = list(BACKENDS)
-FORCED = ["sparse", "bitset"]
+K, SIGMA, ALPHA = 6, 5, 0.95
 
 
-def backend_problem(seed=7, n=480, m=6):
+def kernel_problem(seed=7, n=480, m=6):
     """A problem deep enough that levels 2-3 emit hundreds of candidates.
 
     Errors are dyadic so any summation order is exact; a planted slice
@@ -99,10 +94,8 @@ def assert_bitwise(ref, other, label=""):
     assert ref.tobytes() == other.tobytes(), label
 
 
-def run_backend(x0, errors, backend, *, num_threads=1, seeds=None, **overrides):
-    config = SliceLineConfig(
-        k=6, sigma=5, kernel_backend=backend, **overrides
-    )
+def run(x0, errors, *, num_threads=1, seeds=None, **overrides):
+    config = SliceLineConfig(k=K, sigma=SIGMA, alpha=ALPHA, **overrides)
     return slice_line(
         x0, errors, config, num_threads=num_threads, seed_slices=seeds
     )
@@ -117,6 +110,54 @@ def assert_same_result(ref, other, label=""):
     assert [s.predicates for s in ref.top_slices] == [
         s.predicates for s in other.top_slices
     ], label
+
+
+def assert_matches_oracle(result, oracle, label=""):
+    """The top-K statistics are bitwise the naive oracle's, in order."""
+    want = np.array(
+        [[s.score, s.error, s.max_error, s.size] for s in oracle],
+        dtype=np.float64,
+    ).reshape(-1, 4)
+    assert_bitwise(want, result.top_stats, label)
+
+
+def sparse_reference(x0, errors, slices, block_size=16):
+    """``R`` of decoded *slices* by the paper's sparse kernel.
+
+    Each level group runs through :class:`~repro.distributed.SerialExecutor`
+    in blocks of *block_size* slices, against the whole one-hot ``X``.
+    """
+    space = FeatureSpace.from_matrix(x0)
+    x = space.encode(x0)
+    matrix = encode_slices(slices, space)
+    levels = np.diff(matrix.indptr)
+    stats = np.zeros((len(slices), 4))
+    executor = SerialExecutor(block_size=block_size)
+    for level in np.unique(levels):
+        rows = np.flatnonzero(levels == level)
+        stats[rows] = executor.evaluate(
+            x, errors, matrix[rows], int(level), ALPHA
+        )
+    return stats
+
+
+def sparse_slice_set(x, slices, errors):
+    """``(ss, se, sm)`` of a mixed-level CSR slice set by the sparse kernel.
+
+    An all-zero row denotes the whole dataset, as in
+    :func:`~repro.core.evaluate.evaluate_slice_set`.
+    """
+    slices = slices.tocsr()
+    levels = np.diff(slices.indptr)
+    out = np.zeros((3, slices.shape[0]))
+    whole = levels == 0
+    out[:, whole] = np.array(
+        [[x.shape[0]], [errors.sum()], [errors.max()]]
+    )
+    for level in np.unique(levels[~whole]):
+        rows = np.flatnonzero(levels == level)
+        out[:, rows] = evaluate_block(x, errors, slices[rows], int(level))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +204,65 @@ class TestPacking:
         assert is_binary_matrix(sp.csr_matrix(np.eye(3)))
         assert is_binary_matrix(sp.csr_matrix((3, 4)))
         assert not is_binary_matrix(sp.csr_matrix(np.eye(3) * 2.0))
+        # An explicitly stored zero is still 0/1 data; NaN is not.
+        explicit_zero = sp.csr_matrix(
+            (np.array([1.0, 0.0]), np.array([0, 1]), np.array([0, 2])),
+            shape=(1, 2),
+        )
+        assert explicit_zero.nnz == 2
+        assert is_binary_matrix(explicit_zero)
+        assert not is_binary_matrix(sp.csr_matrix(np.array([[np.nan]])))
+
+
+class TestBitsetTable:
+    """Only 0/1 data may be packed: a typed error, never another answer."""
+
+    def problem(self):
+        x0, dyadic = kernel_problem(17, n=200, m=4)
+        x = FeatureSpace.from_matrix(x0).encode(x0)
+        keys = np.array([[0, 3], [1, 4], [2, 5], [0, 7]], dtype=np.int64)
+        return x, keys, dyadic
+
+    def test_stored_non_binary_value_raises(self):
+        x, keys, errors = self.problem()
+        x.data[5] = 2.0
+        with pytest.raises(ValidationError):
+            BitsetTable.from_matrix(x)
+        with pytest.raises(ValidationError):
+            evaluate_slice_set(x, keys_to_csr(keys, x.shape[1]), errors)
+        # Duplicate entries that sum to 2 are a stored 2.0 as well.
+        doubled = sp.csr_matrix(
+            (np.ones(2), np.array([0, 0]), np.array([0, 2])), shape=(1, 3)
+        )
+        assert not doubled.has_canonical_format
+        with pytest.raises(ValidationError):
+            BitsetTable.from_matrix(doubled)
+
+    def test_explicit_zero_is_not_a_member(self):
+        x, keys, errors = self.problem()
+        slices = keys_to_csr(keys, x.shape[1])
+        want = evaluate_slice_set(x, slices, errors)
+        # Store an explicit 0.0 at every absent cell of column 0.
+        coo = x.tocoo()
+        absent = np.flatnonzero(x[:, 0].toarray().ravel() == 0)
+        padded = sp.csr_matrix(
+            (
+                np.concatenate([coo.data, np.zeros(absent.size)]),
+                (
+                    np.concatenate([coo.row, absent]),
+                    np.concatenate([coo.col, np.zeros(absent.size, int)]),
+                ),
+            ),
+            shape=x.shape,
+        )
+        assert padded.nnz == x.nnz + absent.size
+        got = evaluate_slice_set(padded, slices, errors)
+        for a, b in zip(want, got):
+            assert_bitwise(a, b)
+        assert np.array_equal(
+            BitsetTable.from_matrix(padded).words,
+            BitsetTable.from_matrix(x).words,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -235,12 +335,8 @@ class TestWordsBlockStats:
         keys = np.array([[7, 8], [0, 1], [2, 3], [7, 8], [4, 5], [3, 6], [7, 8]])
         words = BitsetTable.from_matrix(x).candidate_words(keys)
         got = words_block_stats(words, errors, num_rows)
-        slices = sp.csr_matrix(
-            (np.ones(keys.size), keys.ravel(), np.arange(0, keys.size + 1, 2)),
-            shape=(len(keys), cols),
-        )
-        want = _block_stats(x, errors, slices.T.tocsc(), 2)
-        for name, a, b in zip(("ss", "se", "sm"), want[:3], got[:3]):
+        want = evaluate_block(x, errors, keys_to_csr(keys, cols), 2)
+        for name, a, b in zip(("ss", "se", "sm"), want, got[:3]):
             assert_bitwise(a, b, name)
         dense = x.toarray() != 0
         sizes = []
@@ -275,137 +371,32 @@ class TestWordsBlockStats:
 
 
 # ---------------------------------------------------------------------------
-# the cost model: `auto` never violates a backend's preconditions
-
-
-class TestChooseBackend:
-    KDD98_LEVEL2 = dict(
-        num_rows=1000, num_cols=4446, num_candidates=696_320
-    )
-
-    def test_kdd98_level2_auto_picks_bitset(self):
-        assert (
-            choose_backend("auto", binary_data=True, **self.KDD98_LEVEL2)
-            == "bitset"
-        )
-
-    def test_tiny_level_stays_sparse(self):
-        # Work below MIN_BITSET_CELLS: packing costs more than it saves.
-        assert (
-            choose_backend(
-                "auto",
-                num_rows=100,
-                num_cols=20,
-                num_candidates=50,
-                binary_data=True,
-            )
-            == "sparse"
-        )
-        assert 100 * 50 < MIN_BITSET_CELLS
-
-    def test_few_candidates_stay_sparse(self):
-        assert (
-            choose_backend(
-                "auto",
-                num_rows=100_000,
-                num_cols=20,
-                num_candidates=MIN_BITSET_CANDIDATES - 1,
-                binary_data=True,
-            )
-            == "sparse"
-        )
-
-    @pytest.mark.parametrize("requested", ALL_BACKENDS)
-    def test_non_binary_always_sparse(self, requested):
-        assert (
-            choose_backend(
-                requested,
-                num_rows=10_000,
-                num_cols=100,
-                num_candidates=10_000,
-                binary_data=False,
-            )
-            == "sparse"
-        )
-
-    def test_bitset_over_table_cap_falls_back(self):
-        assert (
-            choose_backend(
-                "bitset",
-                num_rows=1000,
-                num_cols=100,
-                num_candidates=1000,
-                binary_data=True,
-                max_table_bytes=8,
-            )
-            == "sparse"
-        )
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValidationError):
-            choose_backend(
-                "gpu",
-                num_rows=1,
-                num_cols=1,
-                num_candidates=1,
-                binary_data=True,
-            )
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        requested=st.sampled_from(ALL_BACKENDS),
-        num_rows=st.integers(1, 1_000_000),
-        num_cols=st.integers(0, 10_000),
-        num_candidates=st.integers(0, 1_000_000),
-        binary_data=st.booleans(),
-        cap=st.integers(0, 1 << 30),
-    )
-    def test_choice_preconditions_always_hold(
-        self, requested, num_rows, num_cols, num_candidates, binary_data, cap,
-    ):
-        chosen = choose_backend(
-            requested,
-            num_rows=num_rows,
-            num_cols=num_cols,
-            num_candidates=num_candidates,
-            binary_data=binary_data,
-            max_table_bytes=cap,
-        )
-        assert chosen in ("sparse", "bitset")
-        if chosen == "bitset":
-            assert binary_data
-            assert estimate_table_bytes(num_rows, num_cols) <= cap
-
-
-# ---------------------------------------------------------------------------
-# the differential matrix: backends x threads x block size x compaction x warm
+# the differential matrix: threads x compaction x warm, against both
+# references (the sparse kernel at every block size b, and the oracle)
 
 
 @pytest.fixture(scope="module")
 def matrix_problem():
-    """``(x0, {error kind: (errors, cold sparse run)})``.
+    """``(x0, {error kind: (errors, cold run, oracle top-K)}, run cache)``.
 
     Dyadic errors take the unpacking statistics path, 0/1 errors the
-    popcount path; both must reach the bitset backend.
+    popcount path.  The cache holds one search per execution shape, which
+    every reference block size then checks.
     """
-    x0, dyadic = backend_problem()
+    x0, dyadic = kernel_problem()
     problems = {}
     for kind, errors in (("dyadic", dyadic), ("binary", binary_errors(x0))):
-        cold = run_backend(x0, errors, "sparse")
-        assert len(cold.top_slices) >= 2
-        # Non-sparse levels must actually have run somewhere in this suite.
         tracer = Tracer()
-        probe = slice_line(
-            x0, errors,
-            SliceLineConfig(k=6, sigma=5, kernel_backend="bitset"),
+        cold = slice_line(
+            x0, errors, SliceLineConfig(k=K, sigma=SIGMA, alpha=ALPHA),
             trace=tracer,
         )
-        chosen = [lv.backend_chosen for lv in probe.counters.levels]
-        assert "bitset" in chosen
+        assert len(cold.top_slices) >= 2
         expected_path = "binary" if kind == "binary" else "general"
-        assert expected_path in error_paths(tracer), kind
-        problems[kind] = (errors, cold)
-    return x0, problems
+        assert error_paths(tracer) == {expected_path}, kind
+        oracle = naive_top_k(x0, errors, K, SIGMA, ALPHA)
+        problems[kind] = (errors, cold, oracle)
+    return x0, problems, {}
 
 
 @pytest.mark.parametrize("num_threads", [1, 4])
@@ -416,55 +407,38 @@ class TestDifferentialMatrix:
     def test_all_backends_bitwise_identical(
         self, matrix_problem, num_threads, block_size, compaction, warm
     ):
-        x0, problems = matrix_problem
+        """The search, the sparse kernel at block size b and the oracle
+        agree bitwise, at every thread count, compaction mode and warm
+        start; the counters do not depend on the thread count."""
+        x0, problems, runs = matrix_problem
+
+        def search(kind, threads):
+            shape = (kind, threads, compaction, warm)
+            if shape not in runs:
+                errors, cold, _ = problems[kind]
+                runs[shape] = run(
+                    x0, errors, num_threads=threads,
+                    seeds=cold.top_slices[:2] if warm else None,
+                    compaction=compaction,
+                )
+            return runs[shape]
+
         block = x0.shape[0] if block_size == "n" else block_size
-        for kind, (errors, cold) in problems.items():
-            seeds = cold.top_slices[:2] if warm else None
-            ref = run_backend(
-                x0, errors, "sparse",
-                num_threads=num_threads, seeds=seeds,
-                block_size=block, compaction=compaction,
+        for kind, (errors, cold, oracle) in problems.items():
+            label = (
+                f"{kind} t={num_threads} b={block_size} "
+                f"compact={compaction} warm={warm}"
             )
-            for backend in ("bitset", "auto"):
-                other = run_backend(
-                    x0, errors, backend,
-                    num_threads=num_threads, seeds=seeds,
-                    block_size=block, compaction=compaction,
-                )
-                assert_same_result(
-                    ref, other,
-                    f"{kind} {backend} t={num_threads} b={block_size} "
-                    f"compact={compaction} warm={warm}",
-                )
-
-
-class TestGauges:
-    def test_backend_gauges_populate(self, matrix_problem):
-        x0, problems = matrix_problem
-        errors, _ = problems["dyadic"]
-        result = run_backend(x0, errors, "bitset")
-        by_level = {
-            lv.level: lv for lv in result.counters.levels if lv.evaluated
-        }
-        # Level 1 runs the basic pass; every deeper level ran the bitset.
-        assert by_level[2].backend_chosen == "bitset"
-        assert by_level[3].backend_chosen == "bitset"
-
-    def test_sparse_run_reports_sparse(self, matrix_problem):
-        x0, problems = matrix_problem
-        errors, _ = problems["dyadic"]
-        result = run_backend(x0, errors, "sparse")
-        for lv in result.counters.levels:
-            if lv.evaluated and lv.level >= 2:
-                assert lv.backend_chosen == "sparse"
-
-    def test_text_gauge_excluded_from_totals(self, matrix_problem):
-        x0, problems = matrix_problem
-        errors, _ = problems["dyadic"]
-        result = run_backend(x0, errors, "bitset")
-        totals = result.counters.totals()
-        assert "backend_chosen" not in totals
-        assert "pruned_by_score" in totals
+            result = search(kind, num_threads)
+            assert_same_result(cold, result, label)
+            assert_matches_oracle(result, oracle, label)
+            assert_bitwise(
+                sparse_reference(x0, errors, result.top_slices, block),
+                result.top_stats, label,
+            )
+            assert counter_records(result) == counter_records(
+                search(kind, 1)
+            ), label
 
 
 # ---------------------------------------------------------------------------
@@ -491,15 +465,13 @@ def test_random_problems_with_missing_codes(seed):
         errors[0] = 1.0
     k = int(gen.integers(1, 6))
     sigma = int(gen.integers(1, 10))
-    cfg = dict(k=k, sigma=sigma, alpha=float(gen.uniform(0.3, 1.0)))
-    ref = slice_line(
-        x0, errors, SliceLineConfig(kernel_backend="sparse", **cfg)
+    alpha = float(gen.uniform(0.3, 1.0))
+    result = slice_line(
+        x0, errors, SliceLineConfig(k=k, sigma=sigma, alpha=alpha)
     )
-    for backend in ("bitset", "auto"):
-        other = slice_line(
-            x0, errors, SliceLineConfig(kernel_backend=backend, **cfg)
-        )
-        assert_same_result(ref, other, f"{backend} seed={seed}")
+    assert_matches_oracle(
+        result, naive_top_k(x0, errors, k, sigma, alpha), f"seed={seed}"
+    )
 
 
 #: ``fl(31 * M)`` is below the sequential sum of 31 copies of ``M``.
@@ -543,20 +515,27 @@ def summed_and_evaluated(tracer):
     )
 
 
+def summing_every_candidate(monkeypatch, x0, errors, cfg, seeds):
+    """A run whose last level sums every candidate, as lower levels do."""
+    with monkeypatch.context() as patch:
+        patch.setattr(algorithm, "SizeFirst", lambda *args: None)
+        return slice_line(x0, errors, cfg, seed_slices=seeds)
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_continuous_float_errors_bitwise_identical(seed, tmp_path, monkeypatch):
     """Arbitrary float errors over large slices: summation ORDER matters.
 
     Dyadic errors sum exactly under any association, so only continuous
-    floats catch a backend whose accumulation order differs from scipy's
-    strict sequential csc_matvec (pairwise np.sum / np.add.reduceat round
+    floats catch a kernel whose accumulation order differs from the
+    oracle's row-order fold (pairwise np.sum / np.add.reduceat round
     differently on slices longer than ~8 rows).
 
-    With a level cap, the last level runs the bitset backend's size-first
-    path (sum errors only where the exact-size bound can reach the top-K).
-    It must leave the top-K, its statistics and every counter exactly as
-    the sparse backend computes them: over several priority chunks, from
-    warm seeds, and resumed from the level before the last.
+    With a level cap, the last level runs the size-first path (sum errors
+    only where the exact-size bound can reach the top-K).  It must leave
+    the top-K, its statistics and every counter exactly as a run that sums
+    every candidate computes them: over several priority chunks, from warm
+    seeds, and resumed from the level before the last.
     """
     gen = np.random.default_rng(seed)
     n = 700
@@ -564,57 +543,53 @@ def test_continuous_float_errors_bitwise_identical(seed, tmp_path, monkeypatch):
         [gen.integers(1, 4, size=n) for _ in range(5)]
     ).astype(np.int64)
     errors = gen.random(n)  # continuous: every slice sum rounds
-    ref = slice_line(
-        x0, errors, SliceLineConfig(k=6, sigma=5, kernel_backend="sparse")
+    assert_matches_oracle(
+        run(x0, errors), naive_top_k(x0, errors, K, SIGMA, ALPHA),
+        f"seed={seed}",
     )
-    for backend in ("bitset", "auto"):
-        other = slice_line(
-            x0, errors, SliceLineConfig(k=6, sigma=5, kernel_backend=backend)
-        )
-        assert_same_result(ref, other, f"{backend} seed={seed}")
 
     # A span's candidates to sum then take several kernel calls.
     monkeypatch.setattr(evaluate_mod, "_SUM_BLOCK", 7)
     skipped_some = False
     for flavor in ("continuous", "equal-max", "wide"):
         errors = float_errors(gen, x0, flavor)
-        warm = slice_line(x0, errors * 1.5 + 0.01, SliceLineConfig(k=6, sigma=5))
+        warm = slice_line(x0, errors * 1.5 + 0.01, SliceLineConfig(k=K, sigma=SIGMA))
         for max_level, chunk in ((2, 16), (3, 16), (3, 4096)):
             cfg = SliceLineConfig(
-                k=6, sigma=5, max_level=max_level, priority_chunk=chunk
+                k=K, sigma=SIGMA, alpha=ALPHA, max_level=max_level,
+                priority_chunk=chunk,
             )
+            oracle = naive_top_k(x0, errors, K, SIGMA, ALPHA, max_level)
             for seeds in (None, warm.top_slices):
-                ref = run_backend(
-                    x0, errors, "sparse", seeds=seeds,
-                    max_level=max_level, priority_chunk=chunk,
+                label = (
+                    f"{flavor} L={max_level} chunk={chunk} "
+                    f"warm={seeds is not None}"
                 )
-                for backend in ("bitset", "auto"):
-                    label = f"{flavor} L={max_level} chunk={chunk} {backend}"
-                    tracer = Tracer()
-                    ckpt = tmp_path / label.replace(" ", "_")
-                    other = slice_line(
-                        x0, errors, cfg.with_overrides(kernel_backend=backend),
-                        trace=tracer, seed_slices=seeds,
-                        checkpoint_dir=str(ckpt) if seeds is None else None,
+                ref = summing_every_candidate(monkeypatch, x0, errors, cfg, seeds)
+                assert_matches_oracle(ref, oracle, label)
+                tracer = Tracer()
+                ckpt = tmp_path / label.replace(" ", "_")
+                other = slice_line(
+                    x0, errors, cfg, trace=tracer, seed_slices=seeds,
+                    checkpoint_dir=str(ckpt) if seeds is None else None,
+                )
+                assert_same_result(ref, other, label)
+                assert counter_records(ref) == counter_records(other), label
+                summed, evaluated = summed_and_evaluated(tracer)
+                skipped_some |= summed < evaluated
+                if seeds is not None:
+                    continue
+                # The level before the last re-runs the size-first
+                # level; the last level's bundle carries its NaNs.
+                for level in (max_level - 1, max_level):
+                    resumed = slice_line(
+                        x0, errors, cfg,
+                        resume_from=str(ckpt / f"level-{level:04d}"),
                     )
-                    assert_same_result(ref, other, label)
-                    assert counter_records(ref) == counter_records(other), label
-                    summed, evaluated = summed_and_evaluated(tracer)
-                    skipped_some |= summed < evaluated
-                    if seeds is not None:
-                        continue
-                    # The level before the last re-runs the size-first
-                    # level; the last level's bundle carries its NaNs.
-                    for level in (max_level - 1, max_level):
-                        resumed = slice_line(
-                            x0, errors,
-                            cfg.with_overrides(kernel_backend=backend),
-                            resume_from=str(ckpt / f"level-{level:04d}"),
-                        )
-                        assert_same_result(ref, resumed, f"{label} @{level}")
-                        assert counter_records(ref) == counter_records(
-                            resumed
-                        ), f"{label} @{level}"
+                    assert_same_result(ref, resumed, f"{label} @{level}")
+                    assert counter_records(ref) == counter_records(
+                        resumed
+                    ), f"{label} @{level}"
     assert skipped_some
 
 
@@ -624,7 +599,8 @@ def test_continuous_float_errors_bitwise_identical(seed, tmp_path, monkeypatch):
 
 class TestEvaluateSliceSetBackends:
     def test_mixed_levels_identical_across_backends(self):
-        x0, errors = backend_problem(23, n=300, m=5)
+        """The bitset kernel gives the sparse kernel's statistics bitwise."""
+        x0, errors = kernel_problem(23, n=300, m=5)
         space = FeatureSpace.from_matrix(x0)
         gen = np.random.default_rng(24)
         slices = [Slice(predicates={}, score=0, error=0, max_error=0, size=0)]
@@ -641,32 +617,25 @@ class TestEvaluateSliceSetBackends:
             )
         matrix = encode_slices(slices, space)
         x = space.encode(x0)
-        ref = evaluate_slice_set(x, matrix, errors, backend="sparse")
-        # The all-zero row denotes the whole dataset.
-        assert ref.sizes[0] == float(x0.shape[0])
-        for backend in ("bitset", "auto"):
+        continuous = errors * gen.random(errors.size)
+        for errs in (errors, binary_errors(x0, 23), continuous):
+            ref = sparse_slice_set(x, matrix, errs)
+            # The all-zero row denotes the whole dataset.
+            assert ref[0, 0] == float(x0.shape[0])
             for threads in (1, 4):
-                out = evaluate_slice_set(
-                    x, matrix, errors, backend=backend, num_threads=threads
-                )
-                assert np.array_equal(ref.sizes, out.sizes), backend
-                assert np.array_equal(ref.errors, out.errors), backend
-                assert np.array_equal(ref.max_errors, out.max_errors), backend
+                out = evaluate_slice_set(x, matrix, errs, num_threads=threads)
+                for want, got in zip(ref, out):
+                    assert_bitwise(want, got, f"t={threads}")
 
     def pair_problem(self):
         """Every two-column slice of a small one-hot X (one level)."""
-        x0, dyadic = backend_problem(23, n=300, m=5)
+        x0, dyadic = kernel_problem(23, n=300, m=5)
         x = FeatureSpace.from_matrix(x0).encode(x0)
         cols = x.shape[1]
         pairs = np.array(
             [(a, b) for a in range(cols) for b in range(a + 1, cols)]
         )
-        rows = np.repeat(np.arange(len(pairs)), 2)
-        matrix = sp.csr_matrix(
-            (np.ones(rows.size), (rows, pairs.ravel())),
-            shape=(len(pairs), cols),
-        )
-        return x0, x, matrix, dyadic
+        return x0, x, keys_to_csr(pairs, cols), dyadic
 
     def test_threads_split_a_level_below_one_chunk(self):
         """Fewer than BITSET_CHUNK candidates still reach every thread."""
@@ -683,11 +652,10 @@ class TestEvaluateSliceSetBackends:
         x0, x, matrix, dyadic = self.pair_problem()
         assert matrix.shape[0] <= kernels_mod.BITSET_CHUNK
         for errors in (dyadic, binary_errors(x0, 23)):
-            ref = evaluate_slice_set(x, matrix, errors, backend="bitset")
+            ref = evaluate_slice_set(x, matrix, errors)
             with RecordingWorkspace(2) as workspace:
                 out = evaluate_slice_set(
-                    x, matrix, errors, backend="bitset", num_threads=2,
-                    workspace=workspace,
+                    x, matrix, errors, num_threads=2, workspace=workspace,
                 )
             assert workspace.mapped == [2]
             for want, got in zip(ref, out):
@@ -702,62 +670,63 @@ class TestEvaluateSliceSetBackends:
         # its members' max is a signed zero a popcount would not reproduce.
         errors[x0[:, 2] == 1] = value
         assert pack_binary_errors(errors) is None
-        ref = evaluate_slice_set(x, matrix, errors, backend="sparse")
-        for backend in ("bitset", "auto"):
-            out = evaluate_slice_set(x, matrix, errors, backend=backend)
-            for want, got in zip(ref, out):
-                assert_bitwise(want, got, backend)
+        out = evaluate_slice_set(x, matrix, errors)
+        for want, got in zip(sparse_slice_set(x, matrix, errors), out):
+            assert_bitwise(want, got)
         tracer = Tracer()
-        cold = run_backend(x0, errors, "sparse")
-        other = slice_line(
-            x0, errors, SliceLineConfig(k=6, sigma=5, kernel_backend="bitset"),
+        result = slice_line(
+            x0, errors, SliceLineConfig(k=K, sigma=SIGMA, alpha=ALPHA),
             trace=tracer,
         )
-        assert_same_result(cold, other)
+        assert_matches_oracle(result, naive_top_k(x0, errors, K, SIGMA, ALPHA))
+        assert_bitwise(
+            sparse_reference(x0, errors, result.top_slices), result.top_stats
+        )
         assert error_paths(tracer) == {"general"}
 
 
 # ---------------------------------------------------------------------------
-# checkpoints and budgets compose with every backend
+# warm-start seeds pack only the columns they name
 
 
-class TestComposition:
-    @pytest.mark.parametrize("backend", ["bitset", "auto"])
-    def test_resume_from_checkpoint(self, tmp_path, backend):
-        """A resumed run still matches the sparse reference."""
-        x0, errors = backend_problem(9)
-        cfg = SliceLineConfig(k=5, sigma=5, kernel_backend=backend)
-        full = slice_line(x0, errors, cfg, checkpoint_dir=str(tmp_path))
-        ref = slice_line(
-            x0, errors, cfg.with_overrides(kernel_backend="sparse")
-        )
-        assert_same_result(ref, full, f"{backend} full")
-        bundles = sorted(p.name for p in tmp_path.iterdir())
-        assert bundles
-        for bundle in bundles:
-            resumed = slice_line(
-                x0, errors, cfg, resume_from=str(tmp_path / bundle)
-            )
-            assert resumed.completed
-            assert_same_result(ref, resumed, f"{backend} from {bundle}")
+def test_seed_table_holds_only_seed_columns(monkeypatch):
+    """A warm-started run evaluates its seeds on one table as wide as the
+    seeds' distinct predicate columns, not the whole projected matrix."""
+    x0, errors = kernel_problem()
+    cold = run(x0, errors)
 
-    @pytest.mark.parametrize("backend", ["bitset", "auto"])
-    def test_candidate_budget_identical_across_backends(self, backend):
-        x0, errors = backend_problem(13)
-        budgets = BudgetConfig(max_candidates_per_level=100)
-        ref = run_backend(x0, errors, "sparse")
-        ref_b = slice_line(
-            x0, errors,
-            SliceLineConfig(k=6, sigma=5, kernel_backend="sparse"),
-            budgets=budgets,
-        )
-        out = slice_line(
-            x0, errors,
-            SliceLineConfig(k=6, sigma=5, kernel_backend=backend),
-            budgets=budgets,
-        )
-        assert_same_result(ref_b, out, f"{backend} budgeted")
-        # The budget genuinely bites (otherwise this test proves nothing).
-        assert ref_b.budget_trip is not None or np.array_equal(
-            ref.top_stats, ref_b.top_stats
-        )
+    def seed(predicates):
+        return Slice(predicates, score=0, error=0, max_error=0, size=0)
+
+    seeds = [
+        seed({0: 1, 1: 2}), seed({0: 1, 2: 3}), seed({1: 2, 2: 3}),
+        seed({0: 2, 3: 1, 4: 2}),
+    ]
+    distinct = {item for s in seeds for item in s.predicates.items()}
+    assert len(distinct) == 6 < sum(s.level for s in seeds)
+    # A level-1 seed and one outside the domains are dropped unevaluated.
+    seeds += [seed({5: 1}), seed({0: 9, 1: 1})]
+
+    widths, in_seeds = [], []
+    pack = BitsetTable.from_matrix.__func__
+    seed_eval = algorithm.evaluate_slice_set
+
+    def recording_pack(cls, matrix, *args, **kwargs):
+        table = pack(cls, matrix, *args, **kwargs)
+        if in_seeds:
+            widths.append(table.words.shape[0])
+        return table
+
+    def recording_seed_eval(*args, **kwargs):
+        in_seeds.append(True)
+        try:
+            return seed_eval(*args, **kwargs)
+        finally:
+            in_seeds.pop()
+
+    monkeypatch.setattr(BitsetTable, "from_matrix", classmethod(recording_pack))
+    monkeypatch.setattr(algorithm, "evaluate_slice_set", recording_seed_eval)
+    warm = run(x0, errors, seeds=seeds)
+    assert widths == [len(distinct)]
+    assert warm.warm_start.encoded == 4
+    assert_same_result(cold, warm)

@@ -7,8 +7,8 @@ optimization — every configuration must reproduce
 ``reference_pair_candidates`` from ``tests/pair_oracle.py`` (the
 preserved pre-pipeline implementation, which keeps the Gram join)
 bitwise: candidate matrices, bounds, and all non-execution counters,
-across any ``pair_parallelism``, chunk grid, pruning arm, compaction
-mode, and kernel backend.  These tests certify that contract end-to-end
+across any ``pair_parallelism``, chunk grid, pruning arm and compaction
+mode.  These tests certify that contract end-to-end
 (the oracle keeps the CSR format, so its inputs and outputs are converted
 at its boundary) and unit-test the supporting pieces (the subset-index
 join against the oracle's Gram join, the :func:`choose_pair_plan` cost
@@ -409,28 +409,6 @@ class TestEndToEndOracle:
         ref_records = _records(baseline)
         new_records = _records(run)
         assert ref_records == new_records
-
-    @pytest.mark.parametrize(
-        "backend", ["auto", "sparse", "bitset"]
-    )
-    def test_kernel_backends(self, backend):
-        problem = pairs_problem(n=400)
-        config = SliceLineConfig(
-            k=6, sigma=problem["sigma"], kernel_backend=backend,
-        )
-        baseline = slice_line(
-            problem["x0"], problem["errors"],
-            config=config.with_overrides(pair_parallelism=1),
-        )
-        run = slice_line(
-            problem["x0"], problem["errors"],
-            config=config.with_overrides(pair_parallelism=4),
-        )
-        assert np.array_equal(baseline.top_stats, run.top_stats)
-        assert np.array_equal(
-            baseline.top_slices_encoded, run.top_slices_encoded
-        )
-        assert _records(baseline) == _records(run)
 
     def test_flow_conservation_on_chunked_counters(self, monkeypatch):
         """The chunk-reduced counters still satisfy every flow identity."""

@@ -12,12 +12,16 @@ assertion throughout.
 import dataclasses
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import repro.core.algorithm as algorithm
 from repro.core import SliceLine, SliceLineConfig, slice_line
 from repro.core.config import PruningConfig
+from repro.datasets import load_dataset
+from repro.experiments import bench_config
 from repro.exceptions import (
     CheckpointError,
     ConfigError,
@@ -53,10 +57,9 @@ def dyadic_problem(seed, n=None, m=None):
 def counters_records(result):
     """Per-level counter dicts without timing/execution-shape fields.
 
-    A resumed run restarts with an empty indicator cache and may see a
-    different candidate geometry per level, so the kernel and pair-plan
-    cost models may legitimately make different (equally exact) choices
-    than the uninterrupted run did — everything in
+    A resumed run may see a different candidate geometry per level, so
+    the pair-plan cost model may legitimately make different (equally
+    exact) choices than the uninterrupted run did — everything in
     :data:`repro.obs.counters.EXECUTION_FIELDS` is excluded.
     """
     from repro.obs.counters import EXECUTION_FIELDS
@@ -162,9 +165,52 @@ class TestBudgetConfig:
         assert second is first
 
     def test_memory_estimate_scales(self):
-        small = estimate_level_memory(10, 2, 100, 500, 16)
-        big = estimate_level_memory(100000, 2, 100, 500, 16)
+        small = estimate_level_memory(10, 100, 50)
+        big = estimate_level_memory(100000, 100, 50)
         assert big > small > 0
+        # Float errors also unpack one byte per (candidate, row) cell.
+        assert estimate_level_memory(100000, 100, 50) > estimate_level_memory(
+            100000, 100, 50, binary_errors=True
+        )
+
+    @pytest.mark.parametrize("num_threads", [1, 2])
+    @pytest.mark.parametrize("kind", ["binary", "float"])
+    def test_memory_estimate_tracks_measured_peak(
+        self, kind, num_threads, monkeypatch
+    ):
+        """slice_line's level-2 estimate is within 4x of the bytes that
+        evaluating adult's level 2 allocates (the ``tracemalloc`` peak)."""
+        bundle = load_dataset("adult", seed=0)
+        x0, errors = bundle.x0, bundle.errors
+        if kind == "float":
+            errors = errors * np.random.default_rng(2).random(errors.size)
+        evaluate = algorithm.evaluate_slices
+        estimate = algorithm.estimate_level_memory
+        peaks, estimates = {}, []
+
+        def measured(x, e, keys, level, *args, **kwargs):
+            tracemalloc.start()
+            try:
+                out = evaluate(x, e, keys, level, *args, **kwargs)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            peaks[level] = max(peaks.get(level, 0), peak)
+            return out
+
+        def recorded(*args, **kwargs):
+            estimates.append(estimate(*args, **kwargs))
+            return estimates[-1]
+
+        monkeypatch.setattr(algorithm, "evaluate_slices", measured)
+        monkeypatch.setattr(algorithm, "estimate_level_memory", recorded)
+        slice_line(
+            x0, errors, bench_config("adult", x0.shape[0]),
+            num_threads=num_threads,
+            budgets=BudgetConfig(max_memory_bytes=2**60),
+        )
+        # slice_line estimates every level before evaluating it, from 2 on.
+        assert peaks[2] / 4 <= estimates[0] <= 4 * peaks[2]
 
 
 # ---------------------------------------------------------------------------

@@ -193,7 +193,7 @@ class TestEvaluateSliceSet:
         matrix = encode_slices(slices, space)
         x = space.encode(x0)
         one = evaluate_slice_set(x, matrix, errors, num_threads=1)
-        four = evaluate_slice_set(x, matrix, errors, num_threads=4, block_size=4)
+        four = evaluate_slice_set(x, matrix, errors, num_threads=4)
         assert np.array_equal(one.sizes, four.sizes)
         assert np.array_equal(one.errors, four.errors)
         assert np.array_equal(one.max_errors, four.max_errors)
