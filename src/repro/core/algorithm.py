@@ -49,7 +49,7 @@ from repro.linalg import (
     ensure_vector,
     keys_to_csr,
 )
-from repro.linalg.kernels import pack_binary_errors
+from repro.linalg.kernels import pack_binary_errors, pack_error_planes
 from repro.obs import NULL_TRACER, CounterRegistry, Tracer, resolve_tracer
 from repro.resilience.budgets import (
     BudgetConfig,
@@ -730,14 +730,16 @@ def _evaluate_level(
     is bitwise identical to the single-shot one.
 
     *minima* is the pair stage's ``(min se, min sm)`` over each candidate's
-    parents, passed at the last level only.  Each chunk then gets its
-    candidates' minima and the K-th score held before it as a
-    :class:`~repro.core.evaluate.SizeFirst`, so the bitset kernel sums
-    errors only for candidates that could still enter the top-K.  The
-    top-K after every chunk, and with it every threshold, cut and counter,
-    is what the full evaluation gives (see :mod:`repro.core.evaluate`).
-    In priority mode each chunk's keys and minima are gathered through the
-    bound order, so no reordered copy of the whole level is built.
+    parents, passed at the last level only.  With errors that are not all
+    0/1, each chunk then gets its candidates' minima, the K-th score held
+    before it and the level's error planes (built once, over
+    *errors_eval*) as a :class:`~repro.core.evaluate.SizeFirst`, so the
+    bitset kernel sums errors only for candidates that could still enter
+    the top-K.  The top-K after every chunk, and with it every threshold,
+    cut and counter, is what the full evaluation gives (see
+    :mod:`repro.core.evaluate`).  In priority mode each chunk's keys and
+    minima are gathered through the bound order, so no reordered copy of
+    the whole level is built.
     """
     tracer = tracer or NULL_TRACER
     total = int(slices.shape[0])
@@ -754,6 +756,9 @@ def _evaluate_level(
         neg_bounds = -bounds
         order = np.argsort(neg_bounds, kind="stable")
         neg_bounds = neg_bounds[order]
+    if minima is not None and pack_binary_errors(errors_eval) is not None:
+        minima = None  # 0/1 errors: popcounts give every statistic
+    planes = pack_error_planes(errors_eval) if minima is not None else None
     kept_slices = []
     kept_stats = []
     position = 0
@@ -772,7 +777,7 @@ def _evaluate_level(
         if minima is not None:
             size_first = SizeFirst(
                 minima[0][index], minima[1][index],
-                topk_min_score(top_stats, cfg.k), sigma,
+                topk_min_score(top_stats, cfg.k), sigma, planes,
             )
         chunk_stats = evaluate_slices(
             x_eval, errors_eval,

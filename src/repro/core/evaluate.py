@@ -33,15 +33,22 @@ compaction — as a by-product of the indicator that is computed anyway.
 
 Size-first last level.  At ``level == max_level``, with errors that are
 not all 0/1, :func:`evaluate_slices` gets a :class:`SizeFirst` per chunk
-and splits the work in two.  It popcounts every candidate's exact size
-``|S|`` and its positive-error members first.  Then it sums float errors
-only for the candidates whose
+and splits the work in three.  It popcounts every candidate's exact size
+``|S|`` and its positive-error members first.  A candidate whose
 :func:`~repro.core.scoring.score_at_exact_size` bound is ``>= T`` and
 ``> 0``, where ``T`` is the K-th score held before the chunk (0.0 while
-the top-K is not full).  The result is exact:
+the top-K is not full), then goes through the level's error planes
+(:func:`~repro.linalg.kernels.pack_error_planes`, built once per level):
+each row's error rounded up to an integer multiple ``q`` of a power of
+two, one row bitset per bit of ``q``.  A few popcounts give the exact
+integer sum ``Q`` of the candidate's ``q``, top planes first, and
+:func:`~repro.core.scoring.plane_error_cap` turns it into a cap on
+``se`` that tightens the same bound.  Only the candidates that still
+pass have their float errors summed: on kdd98-wide, 567 of the 314,092
+that pass the exact-size bound.  The result is exact:
 
-* the bound is at least the candidate's real ``score()`` in floating point
-  (the proof is in :func:`~repro.core.scoring.score_at_exact_size`);
+* each bound is at least the candidate's real ``score()`` in floating
+  point (the proofs are in :func:`~repro.core.scoring.score_at_exact_size`);
 * a skipped candidate either scores ``< T``, so K held slices beat it
   strictly, or scores ``<= 0`` and is invalid.  Either way the top-K after
   the chunk is unchanged, and with it every later threshold, priority cut
@@ -78,12 +85,14 @@ from repro.linalg import (
 )
 from repro.linalg.kernels import (
     BITSET_CHUNK,
+    PLANE_PASSES,
+    ErrorPlanes,
     pack_binary_errors,
     pack_bool_rows,
     words_block_sizes,
     words_block_stats,
 )
-from repro.core.scoring import score, score_at_exact_size
+from repro.core.scoring import plane_error_cap, score, score_at_exact_size
 from repro.core.types import stats_matrix
 from repro.obs import NULL_TRACER
 
@@ -102,10 +111,11 @@ class SliceSetStats(NamedTuple):
     max_errors: np.ndarray
 
 
-#: Candidates summed per kernel call on the size-first path.  How many a
-#: span sums varies from chunk to chunk; equal-sized temporaries let the
-#: allocator reuse freed blocks instead of growing the heap (summing a
-#: span's candidates in one call raised kdd98-wide peak RSS by about 5%).
+#: Candidates a size-first span takes through the error planes and the
+#: sums per step.  How many a span takes varies from chunk to chunk;
+#: equal-sized temporaries let the allocator reuse freed blocks instead of
+#: growing the heap (summing a span's candidates in one call raised
+#: kdd98-wide peak RSS by about 5%).
 _SUM_BLOCK = 1024
 
 
@@ -115,13 +125,16 @@ class SizeFirst(NamedTuple):
     *error_bounds* and *max_error_bounds* are each candidate's parent
     minima of ``se`` and ``sm`` (from the pair stage), and *threshold* is
     the K-th best score held before the chunk (0.0 while the top-K is not
-    full).
+    full).  *planes* are the level's
+    :func:`~repro.linalg.kernels.pack_error_planes`, built once per level
+    (``None`` skips the plane bound).
     """
 
     error_bounds: np.ndarray
     max_error_bounds: np.ndarray
     threshold: float
     sigma: int
+    planes: ErrorPlanes | None
 
 
 def _evaluate_uniform_level(
@@ -178,20 +191,34 @@ def _evaluate_size_first(
     num_threads: int,
     workspace: KernelWorkspace | None,
     coverage: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """``(ss, se, sm, summed)`` of a last-level chunk, sized first.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
+    """``(ss, se, sm, bounded, summed)`` of a last-level chunk, sized first.
 
     Each span sizes all its candidates and counts their positive-error
-    members, then sums errors only for those whose
+    members.  A candidate goes on only while its
     :func:`~repro.core.scoring.score_at_exact_size` bound is at least
-    *size_first*'s threshold and positive; *summed* counts them.  Every
-    other candidate gets ``se = sm = 0.0`` when no member's error is
-    positive (what the sum gives) and ``NaN`` ("not summed, known
+    *size_first*'s threshold and positive.  Those that pass go through the
+    error planes, top planes first
+    (:data:`~repro.linalg.kernels.PLANE_PASSES`).  After each pass, the cap
+    (:func:`~repro.core.scoring.plane_error_cap`) of the planes read so
+    far, plus the most the unread ones can add, tightens the same test.
+    *bounded* counts the candidates that reach the planes (0 without
+    planes), and *summed* those whose errors are summed after the last
+    pass.  Every other candidate gets ``se = sm = 0.0`` when no member's
+    error is positive (what the sum gives) and ``NaN`` ("not summed, known
     positive") otherwise.
     """
     data_rows = table.num_rows
     positive_words = pack_bool_rows((errors > 0)[np.newaxis, :])[0]
     track_rows = coverage is not None
+    planes = size_first.planes
+
+    def reaching(sizes, error_bounds, max_error_bounds):
+        bound = score_at_exact_size(
+            sizes, error_bounds, max_error_bounds,
+            num_rows, total_error, size_first.sigma, alpha,
+        )
+        return (bound >= size_first.threshold) & (bound > 0.0)
 
     def run(task):
         start, stop = task
@@ -199,12 +226,24 @@ def _evaluate_size_first(
         sizes, positives, covered = words_block_sizes(
             words, positive_words, data_rows, track_rows
         )
-        bound = score_at_exact_size(
-            sizes, size_first.error_bounds[start:stop],
-            size_first.max_error_bounds[start:stop],
-            num_rows, total_error, size_first.sigma, alpha,
-        )
-        todo = np.flatnonzero((bound >= size_first.threshold) & (bound > 0.0))
+        error_bounds = size_first.error_bounds[start:stop]
+        max_error_bounds = size_first.max_error_bounds[start:stop]
+        todo = np.flatnonzero(reaching(sizes, error_bounds, max_error_bounds))
+        bounded = 0
+        if planes is not None:
+            bounded = todo.size
+            quanta = np.zeros(todo.size, dtype=np.int64)
+            for low, high in PLANE_PASSES:
+                for first in range(0, todo.size, _SUM_BLOCK):
+                    rows = slice(first, first + _SUM_BLOCK)
+                    quanta[rows] += planes.sums(words[todo[rows]], low, high)
+                unread = ((1 << low) - 1) * positives[todo]
+                cap = plane_error_cap(quanta + unread, planes.step)
+                keep = reaching(
+                    sizes[todo], np.minimum(error_bounds[todo], cap),
+                    max_error_bounds[todo],
+                )
+                todo, quanta = todo[keep], quanta[keep]
         slice_errors = np.where(positives > 0, np.nan, 0.0)
         max_errors = slice_errors.copy()
         for first in range(0, todo.size, _SUM_BLOCK):
@@ -212,7 +251,7 @@ def _evaluate_size_first(
             _, slice_errors[part], max_errors[part], _ = words_block_stats(
                 words[part], errors, data_rows
             )
-        return sizes, slice_errors, max_errors, covered, todo.size
+        return sizes, slice_errors, max_errors, covered, bounded, todo.size
 
     partials = _map_tasks(
         run, _bitset_spans(keys.shape[0], num_threads), workspace, num_threads
@@ -225,6 +264,7 @@ def _evaluate_size_first(
         np.concatenate([p[1] for p in partials]),
         np.concatenate([p[2] for p in partials]),
         sum(p[4] for p in partials),
+        sum(p[5] for p in partials),
     )
 
 
@@ -376,9 +416,11 @@ def evaluate_slices(
 
     *size_first* (the search passes it at the last level only) lets the
     kernel size every candidate first and sum float errors only for those
-    whose exact-size bound can still reach the top-K; the rest get ``NaN``
-    (or exact zero) errors and scores, as the module docstring explains.
-    It changes nothing for 0/1 errors.
+    whose exact-size bound, and then the error planes' cap, can still
+    reach the top-K; the rest get ``NaN`` (or exact zero) errors and
+    scores, as the module docstring explains.  Its span then also reports
+    ``sized`` and ``bounded`` next to ``summed``.  It changes nothing for
+    0/1 errors.
     """
     errors = ensure_vector(errors, x_onehot.shape[0], "errors")
     if num_rows is None:
@@ -397,10 +439,13 @@ def evaluate_slices(
         "evaluate.blocks", num_slices=num_slices, threads=num_threads
     ) as span:
         if size_first is not None and pack_binary_errors(errors) is None:
-            sizes, slice_errors, max_errors, summed = _evaluate_size_first(
+            (
+                sizes, slice_errors, max_errors, bounded, summed
+            ) = _evaluate_size_first(
                 table, errors, slices, size_first, num_rows, total_error,
                 alpha, num_threads, workspace, coverage,
             )
+            span.annotate(sized=num_slices, bounded=bounded)
             binary = False
         else:
             sizes, slice_errors, max_errors, binary = _evaluate_uniform_level(

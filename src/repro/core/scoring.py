@@ -1,7 +1,8 @@
 """The SliceLine scoring function and its upper bounds.
 
 Implements Definition 1 (Equation 1/5), the score upper bound of Equation 3,
-and its collapse to one point once a slice's exact size is known.
+its collapse to one point once a slice's exact size is known, and the caps
+on a slice's error sum that tighten that point.
 Everything is vectorized over arrays of slice statistics so the same code
 scores one slice or a full lattice level.
 """
@@ -133,8 +134,11 @@ def score_at_exact_size(
     *max_error_bounds* are the minima of the parents' ``se`` and ``sm``.
     The result is ``-inf`` below *sigma* (no valid slice) and otherwise
     ``score(|S|, min(se_ub, cap))`` with ``cap = |S|*sm_ub*(1 + (|S|+4)*2**-52)``
-    evaluated in that order.  It is at least the ``score()`` of the slice's
-    actual, kernel-computed ``se`` in floating point:
+    evaluated in that order.  Where the bit-plane sum ``Q`` of the slice's
+    quantized errors is known, the caller passes ``min(se_ub, qcap)`` as
+    *error_bounds*, ``qcap`` being :func:`plane_error_cap`.  The result
+    is at least the ``score()`` of the slice's actual, kernel-computed
+    ``se`` in floating point:
 
     * ``se <= se_ub``: a slice's ``se`` is a sequential ascending-row sum
       from ``0.0`` of non-negative terms (``csc_matvec`` at level 1, the
@@ -156,6 +160,22 @@ def score_at_exact_size(
       >= n*M*(1 + (2n+5)u - 6(n+4)u**2) >= n*M*(1 + 2(n-1)u)`` for
       ``n <= 2**50``.  An overflowing ``cap`` is ``inf`` and bounds
       nothing away.
+    * ``se <= qcap = Q*step``: the level's error planes
+      (:func:`~repro.linalg.kernels.pack_error_planes`) give each member
+      an integer ``q`` with ``e <= q*step``, *step* a power of two.
+      ``e/step`` and ``q*step`` are exact, except where the quotient
+      underflows, and there ``q`` is bumped by one.  ``Q``, the sum of
+      the members' ``q``, is an exact int64, and so is each prefix
+      ``Q_k`` of it in row order.  While ``Q < 2**53``, every ``Q_k*step``
+      is an exact float (a multiple of *step*, in the subnormal range
+      too).  The fold's partial sums then stay below them: by induction,
+      ``s_{k-1} + e_k <= Q_{k-1}*step + q_k*step = Q_k*step``, and
+      rounding is monotone and keeps the representable ``Q_k*step``, so
+      ``s_k <= Q_k*step``.  No margin is needed, and the cap is tight when
+      every error is a multiple of *step*.  Any integer ``Q' >= Q`` caps
+      ``se`` as well; the top-planes-first pass of
+      :mod:`repro.core.evaluate` uses one.  ``Q >= 2**53`` and an
+      overflowing product give ``inf``, which bounds nothing away.
     * :func:`score` is a chain of monotone roundings in ``se`` at a fixed
       size, so ``score(|S|, min(se_ub, cap)) >= score(|S|, se)``.
       :func:`score_at_size` orders its operations differently and may
@@ -168,6 +188,19 @@ def score_at_exact_size(
         sizes, np.minimum(error_bounds, cap), num_rows, total_error, alpha
     )
     return np.where(sizes >= sigma, bound, -np.inf)
+
+
+def plane_error_cap(plane_sums: np.ndarray, step: float) -> np.ndarray:
+    """``qcap = Q*step``, a float-safe cap on the ``se`` of slices.
+
+    *plane_sums* are the slices' bit-plane sums ``Q``
+    (:meth:`~repro.linalg.kernels.ErrorPlanes.sums`, or any larger
+    integers) and *step* the planes' power-of-two quantum.  ``Q >= 2**53``
+    gives ``inf``.  The proof that ``qcap`` bounds the kernel's ``se`` is
+    in :func:`score_at_exact_size`, which takes ``min(se_ub, qcap)``.
+    """
+    with np.errstate(over="ignore"):
+        return np.where(plane_sums < 2**53, plane_sums * step, np.inf)
 
 
 def _validate_inputs(num_rows: int, total_error: float) -> None:

@@ -11,8 +11,6 @@ transcription of Algorithm 1 of the paper.
 from repro.linalg.ops import (
     col_maxs,
     col_sums,
-    cumsum,
-    cumprod,
     one_hot_encode,
     pack_rows_mixed_radix,
     row_nnz,
@@ -20,9 +18,7 @@ from repro.linalg.ops import (
 )
 from repro.linalg.sparse import (
     as_csr,
-    density,
     ensure_vector,
-    is_sparse,
     keys_to_csr,
     to_dense,
     vstack_rows,
@@ -50,16 +46,12 @@ __all__ = [
     "words_block_stats",
     "col_maxs",
     "col_sums",
-    "cumsum",
-    "cumprod",
     "one_hot_encode",
     "pack_rows_mixed_radix",
     "row_nnz",
     "unique_sorted",
     "as_csr",
-    "density",
     "ensure_vector",
-    "is_sparse",
     "keys_to_csr",
     "to_dense",
     "vstack_rows",

@@ -7,8 +7,6 @@ Paper / DML         Here
 ==================  =====================================================
 ``colMaxs(X)``      :func:`col_maxs`
 ``colSums(X)``      :func:`col_sums`
-``cumsum(v)``       :func:`cumsum`
-``cumprod(v)``      :func:`cumprod`
 ==================  =====================================================
 
 All functions accept dense arrays or scipy sparse matrices and return dense
@@ -51,26 +49,6 @@ def row_nnz(matrix: Matrix) -> np.ndarray:
     if sp.issparse(matrix):
         return np.diff(as_csr(matrix).indptr).astype(np.int64)
     return np.count_nonzero(np.asarray(matrix), axis=1).astype(np.int64)
-
-
-def cumsum(values) -> np.ndarray:
-    """Cumulative sum of a 1-D vector (``cumsum``)."""
-    return np.cumsum(np.asarray(values))
-
-
-def cumprod(values) -> np.ndarray:
-    """Cumulative product of a 1-D vector (``cumprod``).
-
-    Uses ``object`` dtype when the exact product may overflow int64 so the
-    ND-array-index deduplication of Section 4.3 never wraps around.
-    """
-    arr = np.asarray(values)
-    if np.issubdtype(arr.dtype, np.integer):
-        # Exact integer cumprod: fall back to Python ints on overflow risk.
-        log_sum = np.sum(np.log2(np.maximum(arr.astype(np.float64), 1.0)))
-        if log_sum >= 62:
-            return np.cumprod(arr.astype(object))
-    return np.cumprod(arr)
 
 
 def one_hot_encode(

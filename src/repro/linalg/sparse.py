@@ -1,8 +1,8 @@
 """Sparse-matrix helpers shared by the linear-algebra primitives.
 
-These wrap the handful of scipy.sparse idioms (format normalization, density
-inspection, stacking) that the core algorithm needs, so that the rest of the
-package never has to reason about matrix formats.
+These wrap the handful of scipy.sparse idioms (format normalization,
+stacking) that the core algorithm needs, so that the rest of the package
+never has to reason about matrix formats.
 """
 
 from __future__ import annotations
@@ -12,11 +12,6 @@ import scipy.sparse as sp
 
 from repro._typing import Matrix
 from repro.exceptions import ShapeError
-
-
-def is_sparse(matrix: Matrix) -> bool:
-    """Return ``True`` when *matrix* is any scipy sparse container."""
-    return sp.issparse(matrix)
 
 
 def as_csr(matrix: Matrix, dtype=None) -> sp.csr_matrix:
@@ -56,17 +51,6 @@ def to_dense(matrix: Matrix) -> np.ndarray:
     if sp.issparse(matrix):
         return np.asarray(matrix.todense())
     return np.asarray(matrix)
-
-
-def density(matrix: Matrix) -> float:
-    """Fraction of non-zero cells in *matrix* (0.0 for an empty matrix)."""
-    rows, cols = matrix.shape
-    cells = rows * cols
-    if cells == 0:
-        return 0.0
-    if sp.issparse(matrix):
-        return matrix.nnz / cells
-    return float(np.count_nonzero(matrix)) / cells
 
 
 def ensure_vector(values, length: int | None = None, name: str = "vector") -> np.ndarray:

@@ -82,6 +82,10 @@ _TERMINAL_WAL = {
     JobState.REJECTED: "reject",
 }
 
+#: ``reason`` of the ``fail`` record that recovery journals for a job it
+#: cannot rebuild; later recoveries skip a job whose last record it is.
+_RECOVERY_FAILED = "recovery-failed"
+
 
 class SliceService:
     """Submit/status/result/cancel façade over the serving subsystem.
@@ -792,8 +796,9 @@ class SliceService:
         is an **orphan** — it re-admits at the front of its tenant's
         backlog and resumes from its checkpoint when one exists.  A job
         the journal names but recovery cannot rebuild (its dataset or
-        inputs changed or vanished) lands in :attr:`recovery_errors`
-        instead of aborting recovery.
+        inputs changed or vanished, or its spec is from an older version)
+        lands in :attr:`recovery_errors` instead of aborting recovery, and
+        a ``fail`` record journals why; later recoveries skip the job.
         """
         by_job: dict[str, list[dict]] = {}
         for entry in self.journal.records:
@@ -807,7 +812,11 @@ class SliceService:
                 submit = next(
                     (e for e in entries if e["type"] == "submit"), None
                 )
-                if submit is None:
+                last = entries[-1]
+                if submit is None or (
+                    last["type"] == "fail"
+                    and last.get("reason") == _RECOVERY_FAILED
+                ):
                     continue
                 try:
                     record = self._rebuild_record(job_id, submit)
@@ -816,6 +825,13 @@ class SliceService:
                         {"job_id": job_id, "error": str(exc)}
                     )
                     self.registry.event("serve.recovery_quarantined")
+                    try:
+                        self.journal.append(
+                            "fail", job_id, reason=_RECOVERY_FAILED,
+                            error=f"{type(exc).__name__}: {exc}",
+                        )
+                    except OSError:
+                        pass  # the next recovery quarantines the job again
                     continue
                 record.recovered = True
                 self.jobs[job_id] = record
@@ -825,7 +841,6 @@ class SliceService:
                     self._submissions.get(record.fingerprint, 0), serial + 1
                 )
                 recovered += 1
-                last = entries[-1]
                 if last["type"] in (
                     "complete",
                     "cancel",

@@ -47,6 +47,7 @@ from repro.serve import (
     frame_record,
     scan_wal,
 )
+from repro.serve.declarative import spec_to_dict
 
 
 def _wal_record(record_type: str, job_id: str, **fields) -> dict:
@@ -516,6 +517,32 @@ class TestServiceRecovery:
             assert result.completed
         finally:
             recovered.shutdown()
+
+    def test_unrebuildable_job_is_quarantined_once(self, tmp_path):
+        """A submit record recovery cannot rebuild (here: a config key an
+        older version wrote) is reported by the first restart only; a
+        ``fail`` record in the journal keeps the reason."""
+        state = str(tmp_path / "state")
+        table = spec_to_dict(JobSpec(dataset="salaries", seed=3))
+        table["config"]["kernel_backend"] = "auto"
+        with JobJournal(os.path.join(state, "wal", "journal.wal")) as wal:
+            wal.append("submit", "old-job", serial=0, spec=table)
+
+        first = SliceService(state_dir=state, num_workers=1, start=False)
+        first.shutdown()
+        assert first.registry.events["serve.recovery_quarantined"] == 1
+        assert [e["job_id"] for e in first.recovery_errors] == ["old-job"]
+        assert "kernel_backend" in first.recovery_errors[0]["error"]
+
+        second = SliceService(state_dir=state, num_workers=1, start=False)
+        second.shutdown()
+        assert second.registry.events.get("serve.recovery_quarantined", 0) == 0
+        assert second.recovery_errors == []
+        assert "old-job" not in second.jobs
+        last = second.journal.records[-1]
+        assert (last["type"], last["job_id"]) == ("fail", "old-job")
+        assert last["reason"] == "recovery-failed"
+        assert "kernel_backend" in last["error"]
 
     def test_cache_bytes_gauge(self, tmp_path, planted_dataset):
         x0, errors, _ = planted_dataset

@@ -479,13 +479,17 @@ EQUAL_MAX = 0.7294965609839984
 
 
 def float_errors(gen, x0, flavor):
-    """Continuous errors; some flavors stress the size-first bound.
+    """Continuous errors; some flavors stress the size-first bounds.
 
     ``equal-max`` gives every row of ``x0[:, 0] == 1`` the error
     :data:`EQUAL_MAX` and the others at most half of it: every slice inside
     that feature value sums a run of one maximum, so its exact-size bound
     is tight and its score sits right at it.  ``wide`` spans twelve orders
-    of magnitude and sets a tenth of the errors to ``-0.0``.
+    of magnitude and sets a tenth of the errors to ``-0.0``.  The other
+    three stress the bit-plane cap: ``lognormal`` is heavy-tailed,
+    ``outlier`` has one error 1000 times the others' largest, which makes
+    the planes' step coarse, and ``multiples`` are exact multiples of the
+    step, where the cap equals the fold.
     """
     n = x0.shape[0]
     errors = gen.random(n)
@@ -495,6 +499,12 @@ def float_errors(gen, x0, flavor):
     elif flavor == "wide":
         errors *= 10.0 ** gen.uniform(-6, 6, size=n)
         errors[gen.random(n) < 0.1] = -0.0
+    elif flavor == "lognormal":
+        errors = gen.lognormal(0.0, 2.0, size=n)
+    elif flavor == "outlier":
+        errors[gen.integers(n)] = 1000.0
+    elif flavor == "multiples":
+        errors = gen.integers(0, 256, size=n) / 256.0
     return errors
 
 
@@ -506,12 +516,13 @@ def counter_records(result):
     ]
 
 
-def summed_and_evaluated(tracer):
-    """Candidates whose errors the kernels summed, and all evaluated ones."""
+def funnel(tracer):
+    """Candidates evaluated, sized first, bounded by the error planes, and
+    summed."""
     spans = [s for s in tracer.iter_spans() if s.name == "evaluate.blocks"]
-    return (
-        sum(span.attrs["summed"] for span in spans),
-        sum(span.attrs["num_slices"] for span in spans),
+    return tuple(
+        sum(span.attrs.get(key, 0) for span in spans)
+        for key in ("num_slices", "sized", "bounded", "summed")
     )
 
 
@@ -550,8 +561,10 @@ def test_continuous_float_errors_bitwise_identical(seed, tmp_path, monkeypatch):
 
     # A span's candidates to sum then take several kernel calls.
     monkeypatch.setattr(evaluate_mod, "_SUM_BLOCK", 7)
-    skipped_some = False
-    for flavor in ("continuous", "equal-max", "wide"):
+    skipped_some = planes_skipped_some = False
+    for flavor in (
+        "continuous", "equal-max", "wide", "lognormal", "outlier", "multiples",
+    ):
         errors = float_errors(gen, x0, flavor)
         warm = slice_line(x0, errors * 1.5 + 0.01, SliceLineConfig(k=K, sigma=SIGMA))
         for max_level, chunk in ((2, 16), (3, 16), (3, 4096)):
@@ -575,8 +588,9 @@ def test_continuous_float_errors_bitwise_identical(seed, tmp_path, monkeypatch):
                 )
                 assert_same_result(ref, other, label)
                 assert counter_records(ref) == counter_records(other), label
-                summed, evaluated = summed_and_evaluated(tracer)
+                evaluated, _, bounded, summed = funnel(tracer)
                 skipped_some |= summed < evaluated
+                planes_skipped_some |= summed < bounded
                 if seeds is not None:
                     continue
                 # The level before the last re-runs the size-first
@@ -590,7 +604,48 @@ def test_continuous_float_errors_bitwise_identical(seed, tmp_path, monkeypatch):
                     assert counter_records(ref) == counter_records(
                         resumed
                     ), f"{label} @{level}"
-    assert skipped_some
+    assert skipped_some and planes_skipped_some
+
+
+class TestErrorPlanes:
+    """The last level's bit-plane bound is used, and only on float errors."""
+
+    def tail_problem(self):
+        """Mostly tiny errors and 5% large ones: a parent's ``sm`` says
+        little about its children's sums, so the exact-size bound passes
+        thousands of candidates that the planes rule out."""
+        gen = np.random.default_rng(0)
+        n = 1000
+        x0 = np.column_stack(
+            [gen.integers(1, 11, size=n) for _ in range(20)]
+        ).astype(np.int64)
+        errors = gen.random(n) * 0.01
+        large = gen.random(n) < 0.05
+        errors[large] = gen.uniform(0.5, 1.0, size=int(large.sum()))
+        return x0, errors
+
+    def test_planes_rule_out_most_exact_size_survivors(self, monkeypatch):
+        x0, errors = self.tail_problem()
+        cfg = SliceLineConfig(k=10, sigma=10, max_level=2)
+        tracer = Tracer()
+        result = slice_line(x0, errors, cfg, trace=tracer)
+        evaluated, sized, bounded, summed = funnel(tracer)
+        assert evaluated == sized >= bounded > 1000
+        assert summed * 100 <= bounded
+        ref = summing_every_candidate(monkeypatch, x0, errors, cfg, None)
+        assert_same_result(ref, result)
+        assert counter_records(ref) == counter_records(result)
+
+    def test_only_float_errors_build_planes(self, monkeypatch):
+        def refuse(errors):
+            raise AssertionError("error planes built")
+
+        monkeypatch.setattr(algorithm, "pack_error_planes", refuse)
+        x0, dyadic = kernel_problem()
+        cfg = SliceLineConfig(k=K, sigma=SIGMA, max_level=2)
+        slice_line(x0, binary_errors(x0), cfg)
+        with pytest.raises(AssertionError, match="error planes built"):
+            slice_line(x0, dyadic, cfg)
 
 
 # ---------------------------------------------------------------------------

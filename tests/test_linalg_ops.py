@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro.exceptions import ValidationError
-from repro.linalg import col_maxs, col_sums, cumprod, cumsum, one_hot_encode
+from repro.linalg import col_maxs, col_sums, one_hot_encode
 from tests import pair_oracle
 from tests.pair_oracle import iter_upper_tri_pair_chunks, upper_tri_pairs
 
@@ -33,21 +33,6 @@ class TestReductions:
     def test_col_maxs_empty_raises(self):
         with pytest.raises(ValidationError):
             col_maxs(np.zeros((0, 3)))
-
-
-class TestCumulative:
-    def test_cumsum(self):
-        np.testing.assert_array_equal(cumsum([1, 2, 3]), [1, 3, 6])
-
-    def test_cumprod_small(self):
-        np.testing.assert_array_equal(cumprod([2, 3, 4]), [2, 6, 24])
-
-    def test_cumprod_huge_domains_exact(self):
-        # 40 features of domain 1000 would overflow int64 (1000^40); the
-        # object-dtype path keeps the IDs exact.
-        domains = np.full(40, 1000, dtype=np.int64)
-        result = cumprod(domains)
-        assert result[-1] == 1000**40
 
 
 class TestTables:
@@ -237,25 +222,3 @@ class TestUniqueSorted:
         assert result.dtype == expected.dtype
         np.testing.assert_array_equal(result, expected)
         np.testing.assert_array_equal(values, before)  # input untouched
-
-
-class TestCumprodBoundaries:
-    def test_object_fallback_triggers_at_62_bits(self):
-        # sum(log2) == 62 exactly: must take the exact object path.
-        result = cumprod(np.full(62, 2, dtype=np.int64))
-        assert result.dtype == object
-        assert result[-1] == 2**62
-
-    def test_int64_path_below_threshold(self):
-        result = cumprod(np.full(61, 2, dtype=np.int64))
-        assert result.dtype == np.int64
-        assert result[-1] == 2**61
-
-    def test_object_fallback_is_exact_past_int64(self):
-        result = cumprod(np.full(70, 2, dtype=np.int64))
-        assert result[-1] == 2**70  # would wrap negative under int64
-
-    def test_float_input_unaffected(self):
-        np.testing.assert_allclose(
-            cumprod(np.array([0.5, 2.0, 4.0])), [0.5, 1.0, 4.0]
-        )

@@ -8,9 +8,7 @@ from repro.exceptions import ShapeError, ValidationError
 from repro.linalg import (
     BlockedMatrix,
     as_csr,
-    density,
     ensure_vector,
-    is_sparse,
     row_partitions,
     to_dense,
     vstack_rows,
@@ -29,13 +27,6 @@ class TestAsCsr:
     def test_dtype_conversion(self):
         out = as_csr(np.eye(2, dtype=np.int64), dtype=np.float64)
         assert out.dtype == np.float64
-
-
-class TestDensity:
-    def test_density_values(self):
-        assert density(np.eye(4)) == pytest.approx(0.25)
-        assert density(sp.csr_matrix((3, 3))) == 0.0
-        assert density(np.zeros((0, 5))) == 0.0
 
 
 class TestEnsureVector:
@@ -65,9 +56,6 @@ class TestVstack:
     def test_column_mismatch(self):
         with pytest.raises(ShapeError):
             vstack_rows(np.eye(2), np.eye(3))
-
-    def test_is_sparse(self):
-        assert is_sparse(sp.eye(2)) and not is_sparse(np.eye(2))
 
     def test_to_dense_roundtrip(self):
         m = np.arange(6.0).reshape(2, 3)

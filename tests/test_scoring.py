@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.scoring import (
+    plane_error_cap,
     score,
     score_at_exact_size,
     score_at_size,
@@ -13,7 +14,14 @@ from repro.core.scoring import (
     score_upper_bound,
 )
 from repro.exceptions import ValidationError
-from repro.linalg.kernels import pack_bool_rows, words_block_stats
+from repro.linalg.kernels import (
+    ERROR_PLANE_BITS,
+    NUM_ERROR_PLANES,
+    pack_bool_rows,
+    pack_error_planes,
+    popcount_rows,
+    words_block_stats,
+)
 
 
 class TestScoreProperties:
@@ -237,3 +245,127 @@ class TestScoreAtExactSize:
         )
         want = score(np.array([1000.0]), np.array([1e300]), 1000, 1e301, 0.95)
         assert bound.tobytes() == want.tobytes()
+
+
+#: The smallest subnormal float64, ``2**-1074``.
+TINY = 5e-324
+
+
+def plane_errors(flavor, seed=0, n=600):
+    """Error vectors that stress the bit-plane cap.
+
+    ``multiples`` are exact multiples of the planes' step, so the plane sum
+    is the fold itself and the cap has no slack.  ``equal-max`` holds 31
+    copies of :attr:`TestScoreAtExactSize.EQUAL_MAX`, whose fold exceeds
+    ``fl(31*M)``.  In ``outlier`` one error of 1e6 makes the step 4096, and
+    smallest subnormals there divide to an underflowed quotient.
+    ``80-bit`` spans ``2**-40..2**40`` like salaries.  ``subnormal`` lies
+    wholly below the normal range, and so does its step.  ``top-plane``
+    errors lie in the top 1/256 of their binade, so every ``q`` is
+    ``2**ERROR_PLANE_BITS`` and sets only the top plane.
+    """
+    gen = np.random.default_rng(seed)
+    if flavor == "multiples":
+        errors = gen.integers(0, 256, size=n) * 2.0**-ERROR_PLANE_BITS
+        errors[0] = 255 * 2.0**-ERROR_PLANE_BITS
+    elif flavor == "equal-max":
+        errors = gen.random(n) * TestScoreAtExactSize.EQUAL_MAX / 2
+        errors[:31] = TestScoreAtExactSize.EQUAL_MAX
+    elif flavor == "outlier":
+        errors = gen.random(n)
+        errors[gen.random(n) < 0.05] = TINY
+        errors[n // 2] = 1e6
+    elif flavor == "80-bit":
+        errors = 2.0 ** gen.uniform(-40, 40, size=n)
+    elif flavor == "subnormal":
+        errors = gen.integers(0, 2**20, size=n) * TINY
+    else:  # top-plane
+        errors = 1.0 - gen.random(n) / 2**ERROR_PLANE_BITS
+    return errors
+
+
+PLANE_FLAVORS = (
+    "multiples", "equal-max", "outlier", "80-bit", "subnormal", "top-plane",
+)
+
+
+class TestPlaneErrorCap:
+    """The bit-plane cap against the kernel's own sequential fold."""
+
+    def subsets(self, errors, seed=1, count=300):
+        """Every single row, the whole set, the first 31 rows, and random
+        subsets whose densities run from 1% to 100%."""
+        n = errors.size
+        gen = np.random.default_rng(seed)
+        density = gen.uniform(0.01, 1.0, size=(count, 1))
+        members = np.vstack([
+            np.eye(n, dtype=bool),
+            np.ones((1, n), dtype=bool),
+            np.arange(n)[np.newaxis, :] < 31,
+            gen.random((count, n)) < density,
+        ])
+        return pack_bool_rows(members)
+
+    def folds_and_caps(self, errors):
+        words = self.subsets(errors)
+        _, folds, _, _ = words_block_stats(words, errors, errors.size)
+        planes = pack_error_planes(errors)
+        sums = planes.sums(words, 0, NUM_ERROR_PLANES)
+        return words, folds, planes, sums, plane_error_cap(sums, planes.step)
+
+    @pytest.mark.parametrize("flavor", PLANE_FLAVORS)
+    def test_dominates_kernel_fold(self, flavor):
+        errors = plane_errors(flavor)
+        _, folds, _, _, caps = self.folds_and_caps(errors)
+        assert (caps >= folds).all()
+        # Each single row's cap is its own quantized error.
+        assert (caps[: errors.size] >= errors).all()
+
+    @pytest.mark.parametrize("flavor", PLANE_FLAVORS)
+    def test_top_planes_bound_the_full_sum(self, flavor):
+        """A pass over planes ``low..`` plus the most the planes below can
+        add (``2**low - 1`` per positive member) is at least ``Q``."""
+        errors = plane_errors(flavor)
+        words, _, planes, sums, _ = self.folds_and_caps(errors)
+        positives = popcount_rows(
+            words & pack_bool_rows((errors > 0)[np.newaxis, :])
+        )
+        for low in range(NUM_ERROR_PLANES + 1):
+            high = planes.sums(words, low, NUM_ERROR_PLANES)
+            assert (high + planes.sums(words, 0, low) == sums).all()
+            assert (high + ((1 << low) - 1) * positives >= sums).all()
+
+    def test_tight_on_exact_multiples(self):
+        """No slack: the cap is exactly the fold, so any smaller cap (a
+        floor, a lost plane, a rounded-down product) would fail above."""
+        errors = plane_errors("multiples")
+        _, folds, planes, _, caps = self.folds_and_caps(errors)
+        assert planes.step == 2.0**-ERROR_PLANE_BITS
+        assert (caps == folds).all()
+
+    def test_equal_max_fold_exceeds_product(self):
+        errors = plane_errors("equal-max")
+        _, folds, _, _, caps = self.folds_and_caps(errors)
+        first_31 = errors.size + 1
+        assert folds[first_31] > 31 * TestScoreAtExactSize.EQUAL_MAX
+        assert caps[first_31] >= folds[first_31]
+
+    def test_underflowed_quotient_is_bumped(self):
+        errors = plane_errors("outlier")
+        planes = pack_error_planes(errors)
+        assert planes.step == 4096.0 and TINY / planes.step == 0.0
+        tiny = np.flatnonzero(errors == TINY)
+        rows = pack_bool_rows(np.eye(errors.size, dtype=bool)[tiny])
+        assert (planes.sums(rows, 0, NUM_ERROR_PLANES) == 1).all()
+
+    def test_edges(self):
+        # No positive error, or a step that underflows: no planes.
+        assert pack_error_planes(np.zeros(4)) is None
+        assert pack_error_planes(np.array([-0.0, 0.0])) is None
+        assert pack_error_planes(np.full(4, TINY)) is None
+        # A sum past 2**53 or an overflowing product caps nothing away.
+        caps = plane_error_cap(np.array([2**53 - 1, 2**53, 3]), 2.0**1023)
+        assert caps[0] == np.inf and caps[1] == np.inf and caps[2] == np.inf
+        caps = plane_error_cap(np.array([2**53 - 1, 2**53]), 1.0)
+        assert caps[0] == 2.0**53 - 1 and caps[1] == np.inf
+
