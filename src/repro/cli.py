@@ -165,12 +165,6 @@ def _add_search_arguments(
         help="disable per-level compaction of the evaluation matrix "
         "(results are identical; this only changes kernel speed)",
     )
-    parser.add_argument(
-        "--pair-parallelism", type=int, default=0,
-        help="worker width of the pair-candidate pipeline; 0 follows the "
-        "thread count, 1 forces serial (results are identical; this only "
-        "changes enumeration speed)",
-    )
 
 
 def _search_options(args) -> dict:
@@ -181,7 +175,6 @@ def _search_options(args) -> dict:
         "alpha": args.alpha,
         "max_level": args.max_level,
         "compaction": not args.no_compaction,
-        "pair_parallelism": args.pair_parallelism,
     }
 
 

@@ -49,7 +49,7 @@ from repro.linalg import (
     ensure_vector,
     keys_to_csr,
 )
-from repro.linalg.kernels import pack_binary_errors, pack_error_planes
+from repro.linalg.kernels import pack_binary_errors
 from repro.obs import NULL_TRACER, CounterRegistry, Tracer, resolve_tracer
 from repro.resilience.budgets import (
     BudgetConfig,
@@ -299,7 +299,7 @@ def slice_line(
     # One kernel workspace (persistent thread pool) serves seed evaluation
     # and every level; the context manager guarantees pool shutdown even
     # when a kernel or pair join raises mid-run.  One kernel state carries
-    # the current level's packed column table.
+    # the current level's packed table, coded errors and row coverage.
     kernels = KernelState()
     with KernelWorkspace(num_threads) as workspace:
         # -- optional warm start: merge re-scored seeds into the top-K -------
@@ -319,6 +319,7 @@ def slice_line(
 
         # -- level-wise lattice enumeration ----------------------------------
         suspended = False
+        binary_errors: bool | None = None  # the memory model's, once per run
         while slices.shape[0] > 0 and level < max_level:
             # Cooperative preemption lands exactly on a level boundary —
             # the state the checkpoint written at the end of the previous
@@ -353,7 +354,6 @@ def slice_line(
                         level_stats=current,
                         tracer=tracer,
                         workspace=workspace,
-                        pair_parallelism=cfg.pair_parallelism,
                     )
                 if tracker is not None and slices.shape[0] > 0:
                     trip = tracker.check_candidates(level, int(slices.shape[0]))
@@ -362,12 +362,13 @@ def slice_line(
                             compact.matrix if compact is not None
                             else x_projected
                         ).shape
-                        binary = pack_binary_errors(errors) is not None
+                        if binary_errors is None:
+                            binary_errors = pack_binary_errors(errors) is not None
                         trip = tracker.check_memory(
                             level,
                             estimate_level_memory(
                                 int(slices.shape[0]), rows_alive, cols_alive,
-                                num_threads, binary,
+                                num_threads, binary_errors,
                             ),
                         )
                     if trip is not None:
@@ -375,13 +376,12 @@ def slice_line(
                         # set so flow conservation still balances.
                         current.skipped_by_budget += int(slices.shape[0])
                         tripped = True
+                coverage = None
                 if slices.shape[0] > 0 and not tripped:
                     x_eval, errors_eval = x_projected, errors
-                    coverage = None
                     if compact is not None:
                         with tracer.span(f"level{level}.compact") as compact_span:
                             compact.begin_level(slices)
-                            coverage = compact.new_coverage()
                             compact_span.annotate(
                                 rows_alive=compact.num_rows_alive,
                                 cols_alive=compact.num_cols_alive,
@@ -391,7 +391,11 @@ def slice_line(
                         x_eval, errors_eval = compact.matrix, compact.errors
                         current.rows_alive = compact.num_rows_alive
                         current.cols_alive = compact.num_cols_alive
-                    kernels.begin_level(x_eval, level)
+                    # Row coverage only feeds the next level's compaction.
+                    kernels.begin_level(
+                        x_eval, level, errors_eval,
+                        compact is not None and level < max_level,
+                    )
                     with tracer.span(
                         f"level{level}.evaluate", candidates=slices.shape[0]
                     ):
@@ -399,7 +403,7 @@ def slice_line(
                             x_eval, errors_eval, slices, bounds,
                             level, cfg, top_slices, top_stats, sigma,
                             num_threads, current, tracer, workspace=workspace,
-                            coverage=coverage, num_rows=num_rows,
+                            num_rows=num_rows,
                             total_error=total_error, tracker=tracker,
                             kernels=kernels, compact=compact,
                             minima=(
@@ -408,14 +412,14 @@ def slice_line(
                                 else None
                             ),
                         )
-                    kernels.end_level()
+                    coverage = kernels.end_level()
                     if tracker is not None and tracker.trip is not None:
                         tripped = True
-                    if compact is not None:
-                        compact.row_coverage = coverage
                     current.valid = int(
                         np.count_nonzero(valid_rows(stats, sigma))
                     )
+                if compact is not None:
+                    compact.row_coverage = coverage
                 level_span.annotate(
                     evaluated=current.evaluated, valid=current.valid,
                     skipped=current.skipped_by_priority,
@@ -694,7 +698,6 @@ def _evaluate_level(
     current,
     tracer=None,
     workspace=None,
-    coverage=None,
     num_rows=None,
     total_error=None,
     tracker=None,
@@ -730,12 +733,12 @@ def _evaluate_level(
     is bitwise identical to the single-shot one.
 
     *minima* is the pair stage's ``(min se, min sm)`` over each candidate's
-    parents, passed at the last level only.  With errors that are not all
-    0/1, each chunk then gets its candidates' minima, the K-th score held
-    before it and the level's error planes (built once, over
-    *errors_eval*) as a :class:`~repro.core.evaluate.SizeFirst`, so the
-    bitset kernel sums errors only for candidates that could still enter
-    the top-K.  The top-K after every chunk, and with it every threshold,
+    parents, passed at the last level only.  Each chunk then gets its
+    candidates' minima and the K-th score held before it as a
+    :class:`~repro.core.evaluate.SizeFirst`.  With errors that are not all
+    0/1, the bitset kernel then sums errors only for candidates that could
+    still enter the top-K, through the error planes *kernels* builds once
+    per level.  The top-K after every chunk, and with it every threshold,
     cut and counter, is what the full evaluation gives (see
     :mod:`repro.core.evaluate`).  In priority mode each chunk's keys and
     minima are gathered through the bound order, so no reordered copy of
@@ -756,9 +759,6 @@ def _evaluate_level(
         neg_bounds = -bounds
         order = np.argsort(neg_bounds, kind="stable")
         neg_bounds = neg_bounds[order]
-    if minima is not None and pack_binary_errors(errors_eval) is not None:
-        minima = None  # 0/1 errors: popcounts give every statistic
-    planes = pack_error_planes(errors_eval) if minima is not None else None
     kept_slices = []
     kept_stats = []
     position = 0
@@ -777,7 +777,7 @@ def _evaluate_level(
         if minima is not None:
             size_first = SizeFirst(
                 minima[0][index], minima[1][index],
-                topk_min_score(top_stats, cfg.k), sigma, planes,
+                topk_min_score(top_stats, cfg.k), sigma,
             )
         chunk_stats = evaluate_slices(
             x_eval, errors_eval,
@@ -785,7 +785,7 @@ def _evaluate_level(
             level, cfg.alpha,
             num_threads=num_threads,
             tracer=tracer, counters=current, workspace=workspace,
-            coverage=coverage, num_rows=num_rows, total_error=total_error,
+            num_rows=num_rows, total_error=total_error,
             kernels=kernels, size_first=size_first,
         )
         kept_slices.append(chunk)
@@ -880,7 +880,6 @@ class SliceLine:
         trace: bool | str | Tracer | None = None,
         budgets: BudgetConfig | None = None,
         checkpoint_dir: str | None = None,
-        pair_parallelism: int = 0,
     ) -> None:
         self.k = k
         self.sigma = sigma
@@ -888,7 +887,6 @@ class SliceLine:
         self.max_level = max_level
         self.pruning = pruning or PruningConfig()
         self.compaction = compaction
-        self.pair_parallelism = pair_parallelism
         self.num_threads = num_threads
         self.trace = trace
         self.budgets = budgets
@@ -904,7 +902,6 @@ class SliceLine:
             max_level=self.max_level,
             pruning=self.pruning,
             compaction=self.compaction,
-            pair_parallelism=self.pair_parallelism,
         )
 
     def fit(

@@ -57,7 +57,9 @@ class CompactionState:
     num_rows_full: int
     num_cols_full: int
     #: boolean coverage over the *current* rows, accumulated during the last
-    #: level's evaluation: True where the row matched >= 1 evaluated slice
+    #: level's evaluation (:class:`~repro.linalg.KernelState`): True where
+    #: the row matched >= 1 evaluated slice; ``None`` after the search's
+    #: last level, which no later level compacts for
     row_coverage: np.ndarray | None = None
 
     # -- construction --------------------------------------------------------
@@ -150,10 +152,6 @@ class CompactionState:
         self.col_map = col_map
         self.matrix = matrix
         self.errors = errors
-
-    def new_coverage(self) -> np.ndarray:
-        """A fresh all-False row-coverage accumulator for the current rows."""
-        return np.zeros(self.num_rows_alive, dtype=bool)
 
     def project_slices(self, keys: np.ndarray) -> np.ndarray:
         """Remap projected-space keys into the compacted column space (rows

@@ -111,15 +111,6 @@ class SliceLineConfig:
     priority_evaluation: bool = True
     #: candidates evaluated between two re-pruning steps in priority mode
     priority_chunk: int = 8192
-    #: worker width of the parallel pair-candidate pipeline (see
-    #: :func:`repro.core.pairs.choose_pair_plan`): ``0`` follows
-    #: ``num_threads``, ``1`` forces serial execution, ``N > 1`` requests
-    #: ``N`` workers for the join's chunk tasks (the per-level cost model,
-    #: which plans from the level's exact pair count, still runs levels
-    #: of fewer than about 131k pairs serially).  This never affects
-    #: results — candidates, counters, and the top-K are bitwise identical
-    #: at every width — so it is excluded from the checkpoint fingerprint.
-    pair_parallelism: int = 0
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -133,11 +124,6 @@ class SliceLineConfig:
         if self.priority_chunk < 1:
             raise ConfigError(
                 f"priority_chunk must be >= 1, got {self.priority_chunk}"
-            )
-        if self.pair_parallelism < 0:
-            raise ConfigError(
-                "pair_parallelism must be >= 0 (0 follows num_threads), "
-                f"got {self.pair_parallelism}"
             )
 
     def resolve_sigma(self, num_rows: int) -> int:

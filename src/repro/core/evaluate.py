@@ -22,30 +22,40 @@ are processed in spans of at most
 candidate's statistics are computed in isolation, so the span grid cannot
 change a result.
 
-Callers may pass a :class:`~repro.linalg.KernelWorkspace` so every level
-of a run shares one persistent thread pool instead of constructing a fresh
-``ThreadPoolExecutor`` per call.  When the caller evaluates against a
-row/column-compacted data matrix (:mod:`repro.core.compaction`), the
-``num_rows``/``total_error`` overrides keep the scores referenced to the
-full population, and the optional ``coverage`` accumulator records which
-data rows matched at least one slice — the input of the next level's row
-compaction — as a by-product of the indicator that is computed anyway.
+Every evaluation runs on a :class:`~repro.linalg.KernelState`: the
+level's packed table, its errors coded once (the 0/1 bitset, or, for
+size-first spans, the bitset of ``errors > 0`` and the error planes), and
+its row coverage.
+The search begins one per level; :func:`evaluate_slices` without one and
+:func:`evaluate_slice_set` begin a one-off state, so every caller runs the
+same span task.  Callers may pass a :class:`~repro.linalg.KernelWorkspace`
+so every level of a run shares one persistent thread pool instead of
+constructing a fresh ``ThreadPoolExecutor`` per call.  When the caller
+evaluates against a row/column-compacted data matrix
+(:mod:`repro.core.compaction`), the ``num_rows``/``total_error``
+overrides keep the scores referenced to the full population, and a state
+begun with ``track_rows`` records which data rows matched at least one
+slice — the input of the next level's row compaction — as a by-product of
+the indicator that is computed anyway.  The last level tracks none: no
+later level reads it.
 
 Size-first last level.  At ``level == max_level``, with errors that are
 not all 0/1, :func:`evaluate_slices` gets a :class:`SizeFirst` per chunk
 and splits the work in three.  It popcounts every candidate's exact size
-``|S|`` and its positive-error members first.  A candidate whose
+``|S|`` first, and its positive-error members unless every error is
+positive (then that count is ``|S|``).  A candidate whose
 :func:`~repro.core.scoring.score_at_exact_size` bound is ``>= T`` and
 ``> 0``, where ``T`` is the K-th score held before the chunk (0.0 while
 the top-K is not full), then goes through the level's error planes
-(:func:`~repro.linalg.kernels.pack_error_planes`, built once per level):
-each row's error rounded up to an integer multiple ``q`` of a power of
-two, one row bitset per bit of ``q``.  A few popcounts give the exact
-integer sum ``Q`` of the candidate's ``q``, top planes first, and
-:func:`~repro.core.scoring.plane_error_cap` turns it into a cap on
-``se`` that tightens the same bound.  Only the candidates that still
-pass have their float errors summed: on kdd98-wide, 567 of the 314,092
-that pass the exact-size bound.  The result is exact:
+(:func:`~repro.linalg.kernels.pack_error_planes`, packed by the state on
+the level's first size-first chunk): each row's error rounded up to an
+integer multiple ``q`` of a power of two, one row bitset per bit of ``q``.
+A few popcounts give the exact integer sum ``Q`` of the candidate's
+``q``, top planes first, and :func:`~repro.core.scoring.plane_error_cap`
+turns it into a cap on ``se`` that tightens the same bound.  Only the
+candidates that still pass have their float errors summed: on
+kdd98-wide, 567 of the 314,092 that pass the exact-size bound.  The
+result is exact:
 
 * each bound is at least the candidate's real ``score()`` in floating
   point (the proofs are in :func:`~repro.core.scoring.score_at_exact_size`);
@@ -75,7 +85,6 @@ import scipy.sparse as sp
 
 from repro.exceptions import ValidationError
 from repro.linalg import (
-    BitsetTable,
     KernelState,
     KernelWorkspace,
     as_csr,
@@ -86,10 +95,8 @@ from repro.linalg import (
 from repro.linalg.kernels import (
     BITSET_CHUNK,
     PLANE_PASSES,
-    ErrorPlanes,
-    pack_binary_errors,
-    pack_bool_rows,
-    words_block_sizes,
+    covered_rows,
+    popcount_rows,
     words_block_stats,
 )
 from repro.core.scoring import plane_error_cap, score, score_at_exact_size
@@ -125,110 +132,74 @@ class SizeFirst(NamedTuple):
     *error_bounds* and *max_error_bounds* are each candidate's parent
     minima of ``se`` and ``sm`` (from the pair stage), and *threshold* is
     the K-th best score held before the chunk (0.0 while the top-K is not
-    full).  *planes* are the level's
-    :func:`~repro.linalg.kernels.pack_error_planes`, built once per level
-    (``None`` skips the plane bound).
+    full).  The error planes come from the level's
+    :class:`~repro.linalg.KernelState`.
     """
 
     error_bounds: np.ndarray
     max_error_bounds: np.ndarray
     threshold: float
     sigma: int
-    planes: ErrorPlanes | None
 
 
-def _evaluate_uniform_level(
-    table: BitsetTable,
-    errors: np.ndarray,
+def _evaluate_spans(
+    kernels: KernelState,
     keys: np.ndarray,
-    num_threads: int,
-    workspace: KernelWorkspace | None = None,
-    coverage: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """``(ss, se, sm, binary)`` of same-level slices over a packed *table*.
-
-    *keys* are the slices' sorted column ids (``num_slices x level``) in
-    the table's column space.  Candidates are processed in spans of at
-    most :data:`~repro.linalg.kernels.BITSET_CHUNK`, cut so that every
-    thread gets one; the tasks are pure, so the thread pool never races
-    shared state.  When *coverage* (a boolean vector over the data rows) is
-    given, rows matching >= 1 evaluated slice are OR-ed into it.  *binary*
-    is true when the errors took the 0/1 popcount path.
-    """
-    num_rows = table.num_rows
-    track_rows = coverage is not None
-    error_words = pack_binary_errors(errors)
-
-    def run(task):
-        start, stop = task
-        return words_block_stats(
-            table.candidate_words(keys[start:stop]), errors, num_rows,
-            track_rows, error_words,
-        )
-
-    partials = _map_tasks(
-        run, _bitset_spans(keys.shape[0], num_threads), workspace, num_threads
-    )
-    if track_rows:
-        for partial in partials:
-            np.logical_or(coverage, partial[3], out=coverage)
-    return (
-        np.concatenate([p[0] for p in partials]),
-        np.concatenate([p[1] for p in partials]),
-        np.concatenate([p[2] for p in partials]),
-        error_words is not None,
-    )
-
-
-def _evaluate_size_first(
-    table: BitsetTable,
-    errors: np.ndarray,
-    keys: np.ndarray,
-    size_first: SizeFirst,
-    num_rows: int,
-    total_error: float,
-    alpha: float,
     num_threads: int,
     workspace: KernelWorkspace | None,
-    coverage: np.ndarray | None,
+    reaching=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
-    """``(ss, se, sm, bounded, summed)`` of a last-level chunk, sized first.
+    """``(ss, se, sm, bounded, summed)`` of same-level candidates.
 
-    Each span sizes all its candidates and counts their positive-error
-    members.  A candidate goes on only while its
-    :func:`~repro.core.scoring.score_at_exact_size` bound is at least
-    *size_first*'s threshold and positive.  Those that pass go through the
+    *keys* are the candidates' sorted column ids (``num_slices x level``)
+    in the column space of *kernels*' table.  Candidates are processed in
+    spans of at most :data:`~repro.linalg.kernels.BITSET_CHUNK`, cut so
+    that every thread gets one; the tasks only read *kernels*, so the
+    thread pool never races shared state.  When *kernels* tracks row
+    coverage, the rows that match >= 1 candidate are OR-ed into it once
+    every span is back.
+
+    Without *reaching* every candidate's statistics are computed
+    (*bounded* is 0 and *summed* counts every candidate).  With it, the
+    span is sized first: ``reaching(rows, sizes, caps=None)`` tells which
+    candidates (chunk positions *rows*, exact *sizes*, optional caps on
+    ``se``) can still reach the top-K.  Those that can go through the
     error planes, top planes first
-    (:data:`~repro.linalg.kernels.PLANE_PASSES`).  After each pass, the cap
+    (:data:`~repro.linalg.kernels.PLANE_PASSES`); after each pass the cap
     (:func:`~repro.core.scoring.plane_error_cap`) of the planes read so
-    far, plus the most the unread ones can add, tightens the same test.
+    far, plus the most the unread ones can add, tightens the test.
     *bounded* counts the candidates that reach the planes (0 without
     planes), and *summed* those whose errors are summed after the last
     pass.  Every other candidate gets ``se = sm = 0.0`` when no member's
     error is positive (what the sum gives) and ``NaN`` ("not summed, known
     positive") otherwise.
     """
+    table, errors = kernels.table, kernels.errors
     data_rows = table.num_rows
-    positive_words = pack_bool_rows((errors > 0)[np.newaxis, :])[0]
-    track_rows = coverage is not None
-    planes = size_first.planes
-
-    def reaching(sizes, error_bounds, max_error_bounds):
-        bound = score_at_exact_size(
-            sizes, error_bounds, max_error_bounds,
-            num_rows, total_error, size_first.sigma, alpha,
-        )
-        return (bound >= size_first.threshold) & (bound > 0.0)
+    track_rows = kernels.coverage is not None
+    positive_words, planes = (
+        kernels.sizing_codes() if reaching is not None else (None, None)
+    )
 
     def run(task):
         start, stop = task
         words = table.candidate_words(keys[start:stop])
-        sizes, positives, covered = words_block_sizes(
-            words, positive_words, data_rows, track_rows
+        covered = covered_rows(words, data_rows) if track_rows else None
+        if reaching is None:
+            return (
+                *words_block_stats(
+                    words, errors, data_rows, kernels.error_words
+                ),
+                covered, 0, stop - start,
+            )
+        counts = popcount_rows(words)
+        sizes = counts.astype(np.float64)
+        # Every member of a candidate counts when every error is positive.
+        positives = (
+            counts if positive_words is None
+            else popcount_rows(words & positive_words)
         )
-        error_bounds = size_first.error_bounds[start:stop]
-        max_error_bounds = size_first.max_error_bounds[start:stop]
-        todo = np.flatnonzero(reaching(sizes, error_bounds, max_error_bounds))
+        todo = np.flatnonzero(reaching(slice(start, stop), sizes))
         bounded = 0
         if planes is not None:
             bounded = todo.size
@@ -238,17 +209,16 @@ def _evaluate_size_first(
                     rows = slice(first, first + _SUM_BLOCK)
                     quanta[rows] += planes.sums(words[todo[rows]], low, high)
                 unread = ((1 << low) - 1) * positives[todo]
-                cap = plane_error_cap(quanta + unread, planes.step)
                 keep = reaching(
-                    sizes[todo], np.minimum(error_bounds[todo], cap),
-                    max_error_bounds[todo],
+                    start + todo, sizes[todo],
+                    plane_error_cap(quanta + unread, planes.step),
                 )
                 todo, quanta = todo[keep], quanta[keep]
         slice_errors = np.where(positives > 0, np.nan, 0.0)
         max_errors = slice_errors.copy()
         for first in range(0, todo.size, _SUM_BLOCK):
             part = todo[first : first + _SUM_BLOCK]
-            _, slice_errors[part], max_errors[part], _ = words_block_stats(
+            _, slice_errors[part], max_errors[part] = words_block_stats(
                 words[part], errors, data_rows
             )
         return sizes, slice_errors, max_errors, covered, bounded, todo.size
@@ -258,7 +228,7 @@ def _evaluate_size_first(
     )
     if track_rows:
         for partial in partials:
-            np.logical_or(coverage, partial[3], out=coverage)
+            np.logical_or(kernels.coverage, partial[3], out=kernels.coverage)
     return (
         np.concatenate([p[0] for p in partials]),
         np.concatenate([p[1] for p in partials]),
@@ -348,7 +318,9 @@ def evaluate_slice_set(
     # Canonical row order turns each level group's indices into its keys.
     slices = slices.sorted_indices()
     levels = row_nnz(slices)
-    table = BitsetTable.from_matrix(x_onehot) if levels.any() else None
+    kernels = KernelState()
+    if levels.any():
+        kernels.begin_level(x_onehot, None, errors)
     for level in np.unique(levels):
         members = np.flatnonzero(levels == level)
         if level == 0:
@@ -364,8 +336,8 @@ def evaluate_slice_set(
                 )
             continue
         keys = slices[members].indices.reshape(members.size, level)
-        group_sizes, group_errors, group_max, _ = _evaluate_uniform_level(
-            table, errors, keys, num_threads, workspace=workspace
+        group_sizes, group_errors, group_max, _, _ = _evaluate_spans(
+            kernels, keys, num_threads, workspace
         )
         sizes[members] = group_sizes
         slice_errors[members] = group_errors
@@ -383,7 +355,6 @@ def evaluate_slices(
     tracer=NULL_TRACER,
     counters=None,
     workspace: KernelWorkspace | None = None,
-    coverage: np.ndarray | None = None,
     num_rows: int | None = None,
     total_error: float | None = None,
     kernels: KernelState | None = None,
@@ -400,9 +371,7 @@ def evaluate_slices(
 
     When evaluating against a compacted data matrix, *num_rows* and
     *total_error* carry the full population (scores are defined against the
-    whole dataset) and *coverage* — a boolean vector over the compacted
-    rows — accumulates which rows matched >= 1 slice for the next level's
-    row compaction.
+    whole dataset).
 
     The evaluation reports one span into *tracer*; when a
     :class:`~repro.obs.LevelCounters` record is passed as *counters*, the
@@ -411,8 +380,10 @@ def evaluate_slices(
 
     *kernels* is the search's per-run :class:`~repro.linalg.KernelState`,
     already positioned at this level via ``begin_level``, so every chunk
-    of a level shares one packed table.  Without it the call packs
-    *x_onehot* itself, which must then be a 0/1 matrix.
+    of a level shares one packed table and one coding of the errors, and
+    its row coverage, if tracked, grows with every chunk.  Without it the
+    call begins a one-off state over *x_onehot*, which must then be a 0/1
+    matrix.
 
     *size_first* (the search passes it at the last level only) lets the
     kernel size every candidate first and sum float errors only for those
@@ -431,29 +402,33 @@ def evaluate_slices(
     if num_slices == 0:
         return np.zeros((0, 4), dtype=np.float64)
 
-    table = (
-        kernels.table if kernels is not None
-        else BitsetTable.from_matrix(x_onehot)
-    )
+    if kernels is None:
+        kernels = KernelState()
+        kernels.begin_level(x_onehot, level, errors)
+    reaching = None
+    if size_first is not None and not kernels.binary:
+
+        def reaching(rows, sizes, caps=None):
+            error_bounds = size_first.error_bounds[rows]
+            if caps is not None:
+                error_bounds = np.minimum(error_bounds, caps)
+            bound = score_at_exact_size(
+                sizes, error_bounds, size_first.max_error_bounds[rows],
+                num_rows, total_error, size_first.sigma, alpha,
+            )
+            return (bound >= size_first.threshold) & (bound > 0.0)
+
     with tracer.span(
         "evaluate.blocks", num_slices=num_slices, threads=num_threads
     ) as span:
-        if size_first is not None and pack_binary_errors(errors) is None:
-            (
-                sizes, slice_errors, max_errors, bounded, summed
-            ) = _evaluate_size_first(
-                table, errors, slices, size_first, num_rows, total_error,
-                alpha, num_threads, workspace, coverage,
-            )
+        sizes, slice_errors, max_errors, bounded, summed = _evaluate_spans(
+            kernels, slices, num_threads, workspace, reaching
+        )
+        if reaching is not None:
             span.annotate(sized=num_slices, bounded=bounded)
-            binary = False
-        else:
-            sizes, slice_errors, max_errors, binary = _evaluate_uniform_level(
-                table, errors, slices, num_threads,
-                workspace=workspace, coverage=coverage,
-            )
-            summed = num_slices
-        span.annotate(errors="binary" if binary else "general", summed=summed)
+        span.annotate(
+            errors="binary" if kernels.binary else "general", summed=summed
+        )
     if counters is not None:
         # Every stored entry of I = (X S^T == L) is one (row, slice)
         # membership, so sum(ss) over the level IS nnz(I) — free to track.

@@ -94,8 +94,8 @@ group already emits them row-major); the candidates then come out in the
 Gram join's order.
 
 The pre-pipeline implementation is preserved in the test tree, in
-``tests/pair_oracle.py`` — the differential oracle for the test suite and
-the baseline for ``benchmarks/bench_pairs.py``.  It keeps the Gram join
+``tests/pair_oracle.py`` — the differential oracle of
+``tests/test_pairs_parallel.py``.  It keeps the Gram join
 ``upper.tri((S S^T) == L-2)``, so the oracle shares no join code with the
 pipeline.
 """
@@ -168,14 +168,15 @@ class PairCandidates(NamedTuple):
     max_error_bounds: np.ndarray
 
 
-def choose_pair_plan(row_pairs: np.ndarray, pair_parallelism: int) -> PairJoinPlan:
+def choose_pair_plan(row_pairs: np.ndarray, width: int) -> PairJoinPlan:
     """Pick chunk grid and serial-vs-parallel execution for the pair join.
 
     A cheap closed-form cost model, not a tuner.  *row_pairs* holds each left row's exact pair
     count from the subset index (identical parents included; the join
     drops those), so the estimated work is the planned pairs times
-    :data:`_OPS_PER_PAIR`.  Levels below :data:`_MIN_PARALLEL_OPS` run
-    serially because pool dispatch would cost more than it saves.
+    :data:`_OPS_PER_PAIR`.  *width* is the most workers the map may use.
+    Levels below :data:`_MIN_PARALLEL_OPS` run serially because pool
+    dispatch would cost more than it saves.
 
     The ranges are contiguous and cover every row.  They are cut on the
     cumulative pair count: each chunk holds at most :data:`_PAIR_BATCH`
@@ -188,7 +189,7 @@ def choose_pair_plan(row_pairs: np.ndarray, pair_parallelism: int) -> PairJoinPl
     total = int(counts.sum())
     if total == 0:
         return PairJoinPlan(1, ())
-    width = max(int(pair_parallelism), 1)
+    width = max(int(width), 1)
     if total * _OPS_PER_PAIR < _MIN_PARALLEL_OPS:
         width = 1
     budget = _PAIR_BATCH
@@ -463,7 +464,6 @@ def get_pair_candidates(
     level_stats: LevelCounters | None = None,
     tracer=NULL_TRACER,
     workspace=None,
-    pair_parallelism: int = 1,
 ) -> PairCandidates:
     """Generate deduplicated, pruned candidate slices for *level*.
 
@@ -488,12 +488,10 @@ def get_pair_candidates(
     recomputes every candidate's indicator from ``X`` alone (Eq. 10), so
     which parent pair generated a candidate is not returned.
 
-    *workspace* and *pair_parallelism* control execution only, never
-    results: join chunks map over the workspace pool at the planned width
-    (``pair_parallelism`` ``0`` follows the workspace's ``num_threads``,
-    ``1`` forces serial, ``N`` requests ``N`` workers — the cost model may
-    still fall back to serial for small levels).  Without a workspace the
-    level plans and runs serially.
+    *workspace* controls execution only, never results: join chunks map
+    over its pool, planned for its ``num_threads`` (the cost model still
+    runs small levels serially).  Without a workspace the level plans and
+    runs serially.
     """
     pruning = pruning or PruningConfig()
     recorder = level_stats or LevelCounters(level=level)
@@ -529,10 +527,8 @@ def get_pair_candidates(
         return empty
 
     # -- steps 2-6 (chunk-local): join, validity, merge, prune, local dedup --
-    if workspace is None:
-        pair_parallelism = 1  # no pool to map the chunks over
-    elif pair_parallelism < 1:
-        pair_parallelism = int(getattr(workspace, "num_threads", 1))
+    # Without a workspace there is no pool to map the chunks over.
+    width = 1 if workspace is None else workspace.num_threads
     # Level 2 over parents whose single columns ascend strictly (basic
     # slices) emits unique sorted keys, so dedup is skipped: see step 6.
     deduplicate = pruning.deduplicate and not (
@@ -545,7 +541,7 @@ def get_pair_candidates(
     join_started = time.perf_counter()
     with tracer.span("pairs.join", parents=slices.shape[0]) as join_span:
         index = _subset_index(slices, num_cols)
-        plan = choose_pair_plan(index.row_pairs, pair_parallelism)
+        plan = choose_pair_plan(index.row_pairs, width)
         key_columns = np.ascontiguousarray(slices.T)
         parent_ok = _feature_valid(slices, feature_map)
         if parent_ok.all():
@@ -565,9 +561,7 @@ def get_pair_candidates(
             )
 
         if plan.parallelism > 1:
-            chunk_results = workspace.map(
-                run_chunk, plan.ranges, width=plan.parallelism
-            )
+            chunk_results = workspace.map(run_chunk, plan.ranges)
         else:
             chunk_results = [run_chunk(row_range) for row_range in plan.ranges]
         for chunk in chunk_results:

@@ -54,11 +54,12 @@ above — the errors are packed once into a row bitset ``E``
   and an empty slice has ``se = sm = 0.0`` on both paths.
 
 Size first.  For other errors at the last level,
-:mod:`repro.core.evaluate` runs :func:`words_block_sizes` over every
-candidate first: ``ss`` as above, plus a popcount of ``words &
-positive_words`` (``positive_words`` packs ``errors > 0``).  The
-candidates whose exact-size bound can still reach the top-K then go
-through the :class:`ErrorPlanes`: the errors rounded up to integer
+:mod:`repro.core.evaluate` sizes every candidate first: ``ss`` as above,
+plus the number of members whose error is positive, a popcount of ``words
+& positive_words`` (``positive_words`` packs ``errors > 0``; when every
+error is positive that count is ``ss`` itself and no second popcount
+runs).  The candidates whose exact-size bound can still reach the top-K
+then go through the :class:`ErrorPlanes`: the errors rounded up to integer
 multiples ``q`` of a power-of-two step, packed one bit of ``q`` per row
 bitset.  ``sum_b 2**b * popcount(words & plane_b)`` is the exact integer
 sum ``Q`` of a candidate's ``q``, and ``Q * step`` caps its ``se``.  Only
@@ -70,6 +71,11 @@ float-safe: a child's rows are a subset of each parent's, so its partial
 sums never pass the parent's, and each partial sum stays at or below the
 exactly representable ``Q_k * step`` of the rows summed so far (see
 :func:`repro.core.scoring.score_at_exact_size`).
+
+:class:`KernelState` holds one level's whole evaluation state: the packed
+table, the level's errors coded once (the 0/1 bitset, or, on the level's
+first size-first chunk, the bitset of ``errors > 0`` and the error
+planes) and the level's row coverage.
 """
 
 from __future__ import annotations
@@ -94,6 +100,8 @@ NUM_ERROR_PLANES = ERROR_PLANE_BITS + 1
 #: top planes bound every candidate, and only their survivors read the rest
 #: (on kdd98-wide this cuts the plane popcounts' time by about 40%).
 PLANE_PASSES = ((4, NUM_ERROR_PLANES), (0, 4))
+#: Holds one word's weighted plane counts, at most ``64 * (2**planes - 1)``.
+_PLANE_WORD_DTYPE = np.min_scalar_type(64 * ((1 << NUM_ERROR_PLANES) - 1))
 
 _POPCOUNT_LUT = np.unpackbits(
     np.arange(256, dtype=np.uint8)[:, np.newaxis], axis=1
@@ -112,18 +120,22 @@ def num_packed_words(num_bits: int) -> int:
 
 def popcount_rows(words: np.ndarray) -> np.ndarray:
     """Per-row population count of a 2-D ``uint64`` word matrix (int64)."""
-    if words.shape[1] == 0:
-        return np.zeros(words.shape[0], dtype=np.int64)
+    return _popcount_words(words).sum(axis=1, dtype=np.int64)
+
+
+def _popcount_words(words: np.ndarray) -> np.ndarray:
+    """Population count of every ``uint64`` word (``uint8``, same shape)."""
     if _HAS_BITWISE_COUNT:
-        return np.bitwise_count(words).sum(axis=1, dtype=np.int64)
-    return _popcount_rows_lut(words)
+        return np.bitwise_count(words)
+    return _popcount_words_lut(words)
 
 
-def _popcount_rows_lut(words: np.ndarray) -> np.ndarray:
-    """Byte-LUT popcount fallback for numpy without ``np.bitwise_count``."""
-    return _POPCOUNT_LUT[
-        np.ascontiguousarray(words).view(np.uint8)
-    ].sum(axis=1, dtype=np.int64)
+def _popcount_words_lut(words: np.ndarray) -> np.ndarray:
+    """Byte-LUT fallback of :func:`_popcount_words` for numpy < 2.0."""
+    words = np.ascontiguousarray(words)
+    return _POPCOUNT_LUT[words.view(np.uint8)].reshape(
+        words.shape + (8,)
+    ).sum(axis=-1, dtype=np.uint8)
 
 
 def pack_bool_rows(rows: np.ndarray) -> np.ndarray:
@@ -189,12 +201,14 @@ class ErrorPlanes(NamedTuple):
         One int64 per row of *words*.  Over every plane this is ``Q``, the
         exact sum of the members' ``q``.  The planes below *low* add at
         most ``2**low - 1`` per member whose error is positive (``q = 0``
-        exactly where ``e <= 0``).
+        exactly where ``e <= 0``).  The shifted counts are added per word
+        and reduced per row once.
         """
-        sums = np.zeros(words.shape[0], dtype=np.int64)
+        per_word = np.zeros(words.shape, dtype=_PLANE_WORD_DTYPE)
         for plane in range(low, high):
-            sums += popcount_rows(words & self.words[plane]) << plane
-        return sums
+            counts = _popcount_words(words & self.words[plane])
+            per_word += counts.astype(_PLANE_WORD_DTYPE) << plane
+        return per_word.sum(axis=1, dtype=np.int64)
 
 
 def pack_error_planes(errors: np.ndarray) -> ErrorPlanes | None:
@@ -295,10 +309,9 @@ def words_block_stats(
     words: np.ndarray,
     errors: np.ndarray,
     num_rows: int,
-    track_rows: bool = False,
     error_words: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-    """``(ss, se, sm, row-any)`` of a block of candidate indicator bitsets.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(ss, se, sm)`` of a block of candidate indicator bitsets.
 
     *error_words* is :func:`pack_binary_errors` of *errors*; when given,
     ``se`` and ``sm`` are popcounts of ``words & error_words`` and no
@@ -311,7 +324,6 @@ def words_block_stats(
     sizes = counts.astype(np.float64)
     slice_errors = np.zeros(num_slices, dtype=np.float64)
     max_errors = np.zeros(num_slices, dtype=np.float64)
-    covered: np.ndarray | None = None
     if error_words is not None:
         error_counts = popcount_rows(words & error_words)
         slice_errors = error_counts.astype(np.float64)
@@ -343,32 +355,10 @@ def words_block_stats(
         max_errors[nonempty] = np.where(
             partial, np.maximum(member_max, 0.0), member_max
         )
-    if track_rows:
-        covered = _covered_rows(words, num_rows)
-    return sizes, slice_errors, max_errors, covered
+    return sizes, slice_errors, max_errors
 
 
-def words_block_sizes(
-    words: np.ndarray,
-    positive_words: np.ndarray,
-    num_rows: int,
-    track_rows: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """``(ss, positives, row-any)`` of a block of candidate indicator bitsets.
-
-    The sizing pass of a size-first evaluation: ``ss`` exactly as
-    :func:`words_block_stats` computes it, and per candidate the number of
-    members whose error is positive, a popcount of ``words &
-    positive_words`` (*positive_words* packs ``errors > 0``).  No error is
-    summed.
-    """
-    sizes = popcount_rows(words).astype(np.float64)
-    positives = popcount_rows(words & positive_words)
-    covered = _covered_rows(words, num_rows) if track_rows else None
-    return sizes, positives, covered
-
-
-def _covered_rows(words: np.ndarray, num_rows: int) -> np.ndarray:
+def covered_rows(words: np.ndarray, num_rows: int) -> np.ndarray:
     """Boolean vector of the rows set in at least one bitset of *words*."""
     if not words.shape[0]:
         return np.zeros(num_rows, dtype=bool)
@@ -378,30 +368,83 @@ def _covered_rows(words: np.ndarray, num_rows: int) -> np.ndarray:
 
 
 class KernelState:
-    """The current level's packed column table.
+    """One level's whole evaluation state.
 
     :func:`~repro.core.algorithm.slice_line` owns one instance; per level
-    it calls :meth:`begin_level`, which packs the level's evaluation
-    matrix, and :meth:`end_level`, which drops the table.  Between those,
-    the evaluation kernels read :attr:`table` (read-only, so worker
-    threads may share it).
+    it calls :meth:`begin_level` and, once the level is evaluated,
+    :meth:`end_level`.  A one-off instance serves every other evaluation
+    (:func:`~repro.core.evaluate.evaluate_slices` without one, and
+    :func:`~repro.core.evaluate.evaluate_slice_set`), so all of them run
+    one path.  Between the two calls the evaluation spans read
+    :attr:`table`, :attr:`errors`, :attr:`error_words` and the
+    :meth:`sizing_codes` (read-only, so worker threads may share them);
+    only the caller's thread packs the sizing codes and writes
+    :attr:`coverage`.
     """
 
     def __init__(self) -> None:
+        self._clear()
+
+    def _clear(self) -> None:
         self.table: BitsetTable | None = None
+        self.errors: np.ndarray | None = None
+        #: :func:`pack_binary_errors` of the errors: the popcount path
+        self.error_words: np.ndarray | None = None
+        #: rows matching >= 1 evaluated candidate, or ``None`` untracked
+        self.coverage: np.ndarray | None = None
+        self._sizing: tuple[np.ndarray | None, ErrorPlanes | None] | None = None
 
-    def begin_level(self, x_eval: sp.spmatrix, level: int) -> None:
-        """Pack *x_eval*'s columns for the evaluation of *level*.
+    def begin_level(
+        self,
+        x_eval: sp.spmatrix,
+        level: int | None,
+        errors: np.ndarray,
+        track_rows: bool = False,
+    ) -> None:
+        """Pack *x_eval*'s columns and code *errors* for one level.
 
-        *level* does not change the table; it names the level being
-        evaluated, so a profiler that wraps this method can attribute
-        the packing time per level.
+        The 0/1 check runs once per level: :attr:`error_words` is the
+        errors' bitset when :func:`pack_binary_errors` takes them.  With
+        *track_rows* the level's row coverage starts all False.  *level*
+        changes nothing; it names the level being evaluated (``None`` for
+        a mixed-level slice set), so a profiler that wraps this method can
+        attribute the packing time per level.
         """
+        self._clear()
         self.table = BitsetTable.from_matrix(x_eval)
+        self.errors = errors
+        self.error_words = pack_binary_errors(errors)
+        if track_rows:
+            self.coverage = np.zeros(self.table.num_rows, dtype=bool)
 
-    def end_level(self) -> None:
-        """Finish one level: drop its packed column table."""
-        self.table = None
+    @property
+    def binary(self) -> bool:
+        """True when the level's errors take the 0/1 popcount path."""
+        return self.error_words is not None
+
+    def sizing_codes(self) -> tuple[np.ndarray | None, ErrorPlanes | None]:
+        """``(positive_words, planes)`` of the errors, packed on first call.
+
+        *positive_words* is the bitset of ``errors > 0``, or ``None`` when
+        every error is positive (a candidate's positive members are then
+        all its members); *planes* is :func:`pack_error_planes` of the
+        errors.  Only size-first spans read them, so a level or slice set
+        that sizes nothing first never packs them.
+        """
+        if self._sizing is None:
+            positive = self.errors > 0
+            self._sizing = (
+                None if positive.all()
+                else pack_bool_rows(positive[np.newaxis, :])[0],
+                pack_error_planes(self.errors),
+            )
+        return self._sizing
+
+    def end_level(self) -> np.ndarray | None:
+        """Finish one level: drop its state and return its row coverage."""
+        coverage = self.coverage
+        self._clear()
+        return coverage
 
 
 __all__ = [
@@ -412,6 +455,7 @@ __all__ = [
     "KernelState",
     "NUM_ERROR_PLANES",
     "PLANE_PASSES",
+    "covered_rows",
     "is_binary_matrix",
     "num_packed_words",
     "pack_binary_errors",
@@ -419,6 +463,5 @@ __all__ = [
     "pack_error_planes",
     "popcount_rows",
     "unpack_bool_rows",
-    "words_block_sizes",
     "words_block_stats",
 ]

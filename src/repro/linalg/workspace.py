@@ -11,13 +11,16 @@ the same threads.
 The workspace is deliberately dumb about work semantics: :meth:`map` is
 order-preserving and falls back to a serial loop when the pool would not
 help (one thread configured, or a single block), so results are identical
-to transient-pool execution in every configuration.
+to transient-pool execution in every configuration.  The evaluation spans
+and the pair join's chunks (:func:`repro.core.pairs.choose_pair_plan`)
+both map at the workspace's ``num_threads``; the join's cost model runs
+small levels serially instead.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -37,44 +40,20 @@ class KernelWorkspace:
     def __init__(self, num_threads: int = 1) -> None:
         self.num_threads = int(num_threads)
         self._pool: ThreadPoolExecutor | None = None
-        self._pool_width = 0
         #: pools created over this workspace's lifetime (tests assert == 1)
         self.pools_created = 0
 
     # -- execution -----------------------------------------------------------
 
-    def map(
-        self,
-        fn: Callable[[T], R],
-        items: Sequence[T],
-        width: int | None = None,
-    ) -> list[R]:
-        """Order-preserving map over *items*, pooled when it pays off.
-
-        *width* overrides the configured thread count for this call — the
-        pair-generation pipeline runs at ``pair_parallelism`` while the
-        evaluation kernels keep ``num_threads``.  The pool is sized to the
-        widest request seen so far (one pool serves both consumers; a map
-        narrower than the pool may still use all its workers, which is
-        safe because every mapped task is pure and results are merged in
-        item order).
-        """
-        effective = self.num_threads if width is None else int(width)
-        if effective > 1 and len(items) > 1:
-            return list(self._ensure_pool(effective).map(fn, items))
+    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
+        """Order-preserving map over *items*, pooled when it pays off."""
+        if self.num_threads > 1 and len(items) > 1:
+            return list(self._ensure_pool().map(fn, items))
         return [fn(item) for item in items]
 
-    def _ensure_pool(self, width: int | None = None) -> ThreadPoolExecutor:
-        wanted = self.num_threads if width is None else int(width)
-        if self._pool is not None and wanted > self._pool_width:
-            # A wider request than the live pool: replace it.  Rare in
-            # practice (the first parallel map fixes the width), and safe —
-            # map() calls are strictly sequential per workspace.
-            self._pool.shutdown(wait=True)
-            self._pool = None
+    def _ensure_pool(self) -> ThreadPoolExecutor:
         if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=wanted)
-            self._pool_width = wanted
+            self._pool = ThreadPoolExecutor(max_workers=self.num_threads)
             self.pools_created += 1
         return self._pool
 

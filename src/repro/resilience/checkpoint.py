@@ -160,7 +160,8 @@ class CheckpointState:
     selected_columns: np.ndarray
     data_fingerprint: dict
     config_fingerprint: dict
-    #: compaction maps (``None`` when the run had compaction disabled)
+    #: compaction maps (``None`` when the run had compaction disabled;
+    #: ``row_coverage`` is ``None`` at the search's last level too)
     row_indices: np.ndarray | None = None
     col_map: np.ndarray | None = None
     row_coverage: np.ndarray | None = None

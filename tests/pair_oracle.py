@@ -5,8 +5,7 @@
 single-threadedly, merges by sparse row addition and deduplicates once
 globally.  :func:`repro.core.pairs.get_pair_candidates` must match it
 bitwise in every configuration; ``tests/test_pairs_parallel.py`` asserts
-that, and ``benchmarks/bench_pairs.py`` times the pipeline against it.
-It shares no join code with the pipeline.
+that.  It shares no join code with the pipeline.
 """
 
 from __future__ import annotations
@@ -143,8 +142,7 @@ def reference_pair_candidates(
     sharing no execution strategy with :func:`get_pair_candidates`, which
     must match it bitwise (matrix, bounds, parent minima, and counters) in
     every configuration.  It returns the fields of :class:`PairCandidates`,
-    with the candidates as a CSR matrix.  ``benchmarks/bench_pairs.py``
-    uses it as the speedup baseline.
+    with the candidates as a CSR matrix.
     """
     pruning = pruning or PruningConfig()
     recorder = level_stats or LevelCounters(level=level)

@@ -225,12 +225,16 @@ class TestMonitorSubcommand:
 
 
 @pytest.mark.parametrize("build", [build_parser, build_monitor_parser])
-def test_execution_flags_map_to_config(build):
+def test_execution_flags_map_to_config(build, capsys):
     """find and monitor share one declaration of the execution flags."""
     args = build().parse_args([
         "data.csv", "--error-column", "err", "--no-compaction",
-        "--pair-parallelism", "2",
     ])
     config = SliceLineConfig(**_search_options(args))
     assert config.compaction is False
-    assert config.pair_parallelism == 2
+    # The pair join's width follows the thread count; no flag sets it.
+    with pytest.raises(SystemExit):
+        build().parse_args([
+            "data.csv", "--error-column", "err", "--pair-parallelism", "2",
+        ])
+    assert "--pair-parallelism" in capsys.readouterr().err

@@ -23,6 +23,8 @@ from repro.core import (
     slice_line,
 )
 from repro.core.pairs import _dedup_keys
+from repro.datasets import load_dataset
+from repro.resilience import load_checkpoint
 from repro.linalg import (
     KernelWorkspace,
     keys_to_csr,
@@ -115,6 +117,24 @@ class TestCompactionOracle:
         for record in evaluated:
             assert 0 < record.rows_alive <= result.num_rows
             assert 0 < record.cols_alive <= levels[0].cols_alive
+
+    def test_lower_level_coverage_drops_rows(self, tmp_path):
+        """A level below the last tracks the rows its slices cover, and the
+        next level drops the others: salaries' level 2 covers 396 of its
+        397 rows.  The last level tracks none, and its bundle stores none."""
+        data = load_dataset("salaries", scale=1.0, seed=0)
+        config = SliceLineConfig(k=10, max_level=3)
+        on, _ = assert_bitwise_identical_runs(data.x0, data.errors, config)
+        level2, level3 = on.counters.level(2), on.counters.level(3)
+        assert level3.evaluated > 0
+        assert level3.rows_alive < level2.rows_alive
+        slice_line(
+            data.x0, data.errors, config=config, checkpoint_dir=str(tmp_path)
+        )
+        covered = load_checkpoint(str(tmp_path / "level-0002")).row_coverage
+        assert covered.size == level2.rows_alive
+        assert np.count_nonzero(covered) == level3.rows_alive
+        assert load_checkpoint(str(tmp_path / "level-0003")).row_coverage is None
 
     def test_compact_span_annotations(self, planted_dataset):
         x0, errors, _ = planted_dataset
@@ -345,8 +365,8 @@ class TestKernelWorkspace:
         created = []
         original = KernelWorkspace._ensure_pool
 
-        def counting(self, width=None):
-            pool = original(self, width)
+        def counting(self):
+            pool = original(self)
             created.append(self)
             return pool
 

@@ -37,11 +37,13 @@ from repro.core import (
     evaluate_slice_set,
     slice_line,
 )
+from repro.core.evaluate import SizeFirst, evaluate_slices
 from repro.distributed import SerialExecutor, evaluate_block
 from repro.exceptions import ValidationError
-from repro.linalg import KernelWorkspace, keys_to_csr
+from repro.linalg import KernelState, KernelWorkspace, keys_to_csr
 from repro.linalg.kernels import (
     BitsetTable,
+    covered_rows,
     is_binary_matrix,
     num_packed_words,
     pack_binary_errors,
@@ -50,8 +52,9 @@ from repro.linalg.kernels import (
     unpack_bool_rows,
     words_block_stats,
 )
-from repro.linalg.kernels import _popcount_rows_lut
+from repro.linalg.kernels import _popcount_words_lut
 from repro.obs import EXECUTION_FIELDS, Tracer
+from repro.resilience import load_checkpoint
 
 K, SIGMA, ALPHA = 6, 5, 0.95
 
@@ -191,8 +194,14 @@ class TestPacking:
         words = pack_bool_rows(rows)
         expected = rows.sum(axis=1)
         assert np.array_equal(popcount_rows(words), expected)
-        # The byte-LUT fallback (numpy without np.bitwise_count) must agree.
-        assert np.array_equal(_popcount_rows_lut(words), expected)
+        # The byte-LUT fallback (numpy without np.bitwise_count) must agree,
+        # word by word.
+        per_word = _popcount_words_lut(words)
+        assert per_word.shape == words.shape
+        assert np.array_equal(per_word.sum(axis=1), expected)
+        for i in range(words.shape[0]):
+            for j in range(words.shape[1]):
+                assert per_word[i, j] == bin(int(words[i, j])).count("1")
 
     def test_popcount_empty_words(self):
         assert np.array_equal(
@@ -296,11 +305,15 @@ class TestWordsBlockStats:
         # Pairs incl. (0, 0) -> the full slice, and (7, 8) -> an empty AND.
         keys = np.array([[0, 0], [1, 2], [3, 4], [5, 6], [7, 8]])
         words = table.candidate_words(keys)
+        expected_cover = np.zeros(num_rows, dtype=bool)
+        for a, b in keys:
+            expected_cover |= dense[:, a] & dense[:, b]
+        assert np.array_equal(covered_rows(words, num_rows), expected_cover)
         for kind, errors in error_kinds.items():
             error_words = pack_binary_errors(errors)
             assert (error_words is None) == (kind == "dyadic"), kind
-            sizes, se, sm, covered = words_block_stats(
-                words, errors, num_rows, True, error_words
+            sizes, se, sm = words_block_stats(
+                words, errors, num_rows, error_words
             )
             for i, (a, b) in enumerate(keys):
                 mask = dense[:, a] & dense[:, b]
@@ -311,13 +324,9 @@ class TestWordsBlockStats:
                 if 0 < count < num_rows:
                     member_max = max(member_max, 0.0)
                 assert sm[i] == member_max, kind
-            expected_cover = np.zeros(num_rows, dtype=bool)
-            for a, b in keys:
-                expected_cover |= dense[:, a] & dense[:, b]
-            assert np.array_equal(covered, expected_cover), kind
             # The popcount path is bitwise the unpacking path.
-            general = words_block_stats(words, errors, num_rows, True)
-            for got, want in zip((sizes, se, sm), general[:3]):
+            general = words_block_stats(words, errors, num_rows)
+            for got, want in zip((sizes, se, sm), general, strict=True):
                 assert_bitwise(want, got, kind)
 
     def test_general_path_folds_left_to_right(self):
@@ -336,7 +345,7 @@ class TestWordsBlockStats:
         words = BitsetTable.from_matrix(x).candidate_words(keys)
         got = words_block_stats(words, errors, num_rows)
         want = evaluate_block(x, errors, keys_to_csr(keys, cols), 2)
-        for name, a, b in zip(("ss", "se", "sm"), want, got[:3]):
+        for name, a, b in zip(("ss", "se", "sm"), want, got, strict=True):
             assert_bitwise(a, b, name)
         dense = x.toarray() != 0
         sizes = []
@@ -350,11 +359,11 @@ class TestWordsBlockStats:
 
     def test_empty_block(self):
         _, errors = self.build(4)
-        sizes, se, sm, covered = words_block_stats(
-            np.zeros((0, 3), dtype=np.uint64), errors, errors.size, True
-        )
-        assert sizes.shape == (0,)
-        assert not covered.any()
+        words = np.zeros((0, 3), dtype=np.uint64)
+        sizes, se, sm = words_block_stats(words, errors, errors.size)
+        assert sizes.shape == se.shape == sm.shape == (0,)
+        covered = covered_rows(words, errors.size)
+        assert covered.shape == (errors.size,) and not covered.any()
 
     def test_pack_binary_errors_checks_bit_patterns(self):
         errors = np.array([0.0, 1.0, 1.0, 0.0] * 20)
@@ -596,10 +605,14 @@ def test_continuous_float_errors_bitwise_identical(seed, tmp_path, monkeypatch):
                 # The level before the last re-runs the size-first
                 # level; the last level's bundle carries its NaNs.
                 for level in (max_level - 1, max_level):
-                    resumed = slice_line(
-                        x0, errors, cfg,
-                        resume_from=str(ckpt / f"level-{level:04d}"),
-                    )
+                    bundle = str(ckpt / f"level-{level:04d}")
+                    # Only a level between the first and the last tracks
+                    # the row coverage the next level compacts by.
+                    coverage = load_checkpoint(bundle).row_coverage
+                    assert (coverage is None) == (
+                        level in (1, max_level)
+                    ), f"{label} @{level}"
+                    resumed = slice_line(x0, errors, cfg, resume_from=bundle)
                     assert_same_result(ref, resumed, f"{label} @{level}")
                     assert counter_records(ref) == counter_records(
                         resumed
@@ -640,12 +653,186 @@ class TestErrorPlanes:
         def refuse(errors):
             raise AssertionError("error planes built")
 
-        monkeypatch.setattr(algorithm, "pack_error_planes", refuse)
+        monkeypatch.setattr(kernels_mod, "pack_error_planes", refuse)
         x0, dyadic = kernel_problem()
         cfg = SliceLineConfig(k=K, sigma=SIGMA, max_level=2)
         slice_line(x0, binary_errors(x0), cfg)
         with pytest.raises(AssertionError, match="error planes built"):
             slice_line(x0, dyadic, cfg)
+
+
+# ---------------------------------------------------------------------------
+# one evaluation state per level: errors coded once, one span task
+
+
+def recording_levels(monkeypatch):
+    """``(begun, coded, planes)``: the level of every
+    ``KernelState.begin_level`` call, and the level being begun or
+    evaluated when each ``pack_binary_errors`` and ``pack_error_planes``
+    call ran."""
+    begun, coded, planes = [], [], []
+    begin = KernelState.begin_level
+    pack_binary = kernels_mod.pack_binary_errors
+    pack_planes = kernels_mod.pack_error_planes
+
+    def recording_begin(self, x_eval, level, *args):
+        begun.append(level)
+        return begin(self, x_eval, level, *args)
+
+    def recording_binary(errors):
+        coded.append(begun[-1])
+        return pack_binary(errors)
+
+    def recording_planes(errors):
+        planes.append(begun[-1])
+        return pack_planes(errors)
+
+    monkeypatch.setattr(KernelState, "begin_level", recording_begin)
+    monkeypatch.setattr(kernels_mod, "pack_binary_errors", recording_binary)
+    monkeypatch.setattr(kernels_mod, "pack_error_planes", recording_planes)
+    return begun, coded, planes
+
+
+class TestKernelState:
+    """Each level codes its errors once, and every caller runs one path."""
+
+    @pytest.mark.parametrize("kind", ["binary", "dyadic", "continuous"])
+    def test_each_level_codes_its_errors_once(self, kind, monkeypatch):
+        x0, dyadic = kernel_problem()
+        errors = {
+            "binary": binary_errors(x0),
+            "dyadic": dyadic,
+            "continuous": np.random.default_rng(3).random(x0.shape[0]),
+        }[kind]
+        begun, coded, planes = recording_levels(monkeypatch)
+        tracer = Tracer()
+        cfg = SliceLineConfig(
+            k=K, sigma=SIGMA, alpha=ALPHA, max_level=3, priority_chunk=16
+        )
+        slice_line(x0, errors, cfg, trace=tracer)
+        chunks = [s for s in tracer.iter_spans() if s.name == "evaluate.blocks"]
+        assert begun == [2, 3] and len(chunks) > 2 * len(begun)
+        assert coded == begun
+        # At most once per level, at the last level only, never for 0/1.
+        assert planes == ([] if kind == "binary" else [3])
+
+    @pytest.mark.parametrize(
+        "kind", ["binary", "dyadic", "continuous", "all-positive"]
+    )
+    def test_evaluate_slices_with_and_without_a_state(self, kind):
+        """A one-off state gives bitwise what a caller's state gives, sized
+        first or not, and the caller's state covers exactly the rows that
+        some candidate of its chunks matches."""
+        x0, dyadic = kernel_problem(29, n=300, m=5)
+        gen = np.random.default_rng(30)
+        errors = {
+            "binary": binary_errors(x0, 29),
+            "dyadic": dyadic,
+            "continuous": gen.random(x0.shape[0]),
+            "all-positive": gen.uniform(0.5, 2.0, size=x0.shape[0]),
+        }[kind]
+        x = FeatureSpace.from_matrix(x0).encode(x0)
+        cols = x.shape[1]
+        keys = np.array(
+            [(a, b) for a in range(cols) for b in range(a + 1, cols)]
+        )[::5]
+        num = keys.shape[0]
+        full = evaluate_slices(x, errors, keys, 2, ALPHA)
+        threshold = float(np.median(full[np.isfinite(full[:, 0]), 0]))
+        sized_first = SizeFirst(
+            np.full(num, errors.sum()), np.full(num, errors.max()),
+            threshold, SIGMA,
+        )
+        want_cover = covered_rows(
+            BitsetTable.from_matrix(x).candidate_words(keys), x.shape[0]
+        )
+        assert want_cover.any() and not want_cover.all()
+        for size_first in (None, sized_first):
+            label = f"{kind} size_first={size_first is not None}"
+
+            def part(rows):
+                if size_first is None:
+                    return None
+                return SizeFirst(
+                    size_first.error_bounds[rows],
+                    size_first.max_error_bounds[rows], threshold, SIGMA,
+                )
+
+            alone = evaluate_slices(
+                x, errors, keys, 2, ALPHA, size_first=size_first
+            )
+            if size_first is None:
+                assert_bitwise(full, alone, label)
+            state = KernelState()
+            state.begin_level(x, 2, errors, track_rows=True)
+            # Two chunks on one state, the second on two threads.
+            first, second = slice(0, num // 2), slice(num // 2, num)
+            shared = np.vstack([
+                evaluate_slices(
+                    x, errors, keys[first], 2, ALPHA, kernels=state,
+                    size_first=part(first),
+                ),
+                evaluate_slices(
+                    x, errors, keys[second], 2, ALPHA, num_threads=2,
+                    kernels=state, size_first=part(second),
+                ),
+            ])
+            assert_bitwise(alone, shared, label)
+            assert np.array_equal(state.end_level(), want_cover), label
+            assert state.table is None and state.coverage is None
+
+
+@pytest.mark.parametrize("zeros", [False, True])
+def test_positive_members_are_the_sizes_when_every_error_is(zeros, monkeypatch):
+    """When every error is positive, size-first spans count no positive
+    members apart from the sizes; with zero errors they popcount them.
+    Either way the run is bitwise one that sums every candidate, and its
+    ``evaluate.blocks`` funnel is that of a run forced to popcount."""
+    gen = np.random.default_rng(41)
+    n = 700
+    x0 = np.column_stack(
+        [gen.integers(1, 4, size=n) for _ in range(5)]
+    ).astype(np.int64)
+    # A heavy tail, so the planes rule out some exact-size survivors.
+    errors = gen.uniform(0.01, 0.02, size=n)
+    large = gen.random(n) < 0.05
+    errors[large] = gen.uniform(0.5, 1.0, size=int(large.sum()))
+    if zeros:
+        # Every slice inside x0[:, 2] == x0[:, 3] == 1 sums to exactly 0.0,
+        # while both of its parents stay valid.
+        errors[(x0[:, 2] == 1) & (x0[:, 3] == 1)] = 0.0
+    cfg = SliceLineConfig(
+        k=K, sigma=SIGMA, alpha=ALPHA, max_level=2, priority_chunk=64
+    )
+    ref = summing_every_candidate(monkeypatch, x0, errors, cfg, None)
+
+    def search(force_popcount):
+        skipped = []
+        sizing_codes = KernelState.sizing_codes
+
+        def recording(self):
+            positive_words, planes = sizing_codes(self)
+            skipped.append(positive_words is None)
+            if force_popcount:
+                positive_words = pack_bool_rows((self.errors > 0)[None, :])[0]
+            return positive_words, planes
+
+        with monkeypatch.context() as patch:
+            patch.setattr(KernelState, "sizing_codes", recording)
+            tracer = Tracer()
+            result = slice_line(x0, errors, cfg, trace=tracer)
+        return result, funnel(tracer), skipped
+
+    result, seen, skipped = search(False)
+    forced, forced_seen, _ = search(True)
+    # One size-first chunk after another reads the level's codes.
+    assert len(skipped) > 1 and set(skipped) == {not zeros}
+    for other in (ref, forced):
+        assert_same_result(other, result)
+        assert counter_records(other) == counter_records(result)
+    assert seen == forced_seen
+    evaluated, sized, bounded, summed = seen
+    assert evaluated == sized > bounded > summed > 0
 
 
 # ---------------------------------------------------------------------------
@@ -700,9 +887,9 @@ class TestEvaluateSliceSetBackends:
                 super().__init__(num_threads)
                 self.mapped = []
 
-            def map(self, fn, items, width=None):
+            def map(self, fn, items):
                 self.mapped.append(len(items))
-                return super().map(fn, items, width)
+                return super().map(fn, items)
 
         x0, x, matrix, dyadic = self.pair_problem()
         assert matrix.shape[0] <= kernels_mod.BITSET_CHUNK

@@ -7,13 +7,13 @@ optimization — every configuration must reproduce
 ``reference_pair_candidates`` from ``tests/pair_oracle.py`` (the
 preserved pre-pipeline implementation, which keeps the Gram join)
 bitwise: candidate matrices, bounds, and all non-execution counters,
-across any ``pair_parallelism``, chunk grid, pruning arm and compaction
-mode.  These tests certify that contract end-to-end
-(the oracle keeps the CSR format, so its inputs and outputs are converted
-at its boundary) and unit-test the supporting pieces (the subset-index
-join against the oracle's Gram join, the :func:`choose_pair_plan` cost
-model, the oracle's ``upper_tri_pairs_in_range``, and the per-call
-``width`` of :class:`~repro.linalg.KernelWorkspace`).
+across any join width (a :class:`~repro.linalg.KernelWorkspace`'s
+``num_threads``), chunk grid, pruning arm and compaction mode.  These
+tests certify that contract end-to-end (the oracle keeps the CSR format,
+so its inputs and outputs are converted at its boundary) and unit-test
+the supporting pieces (the subset-index join against the oracle's Gram
+join, the :func:`choose_pair_plan` cost model, and the oracle's
+``upper_tri_pairs_in_range``).
 """
 
 from dataclasses import fields
@@ -191,7 +191,7 @@ class TestPipelineMatchesReference:
             with KernelWorkspace(parallelism) as workspace:
                 new = run_pairs(
                     get_pair_candidates, problem, pruning=pruning,
-                    workspace=workspace, pair_parallelism=parallelism,
+                    workspace=workspace,
                 )
             assert_pairs_identical(ref, new, f"{inputs}/{arm}/p{parallelism}")
             assert new[-1].join_parallelism == parallelism
@@ -248,7 +248,7 @@ class TestPipelineMatchesReference:
             with KernelWorkspace(parallelism) as workspace:
                 new = run_pairs(
                     get_pair_candidates, problem, level=level, pruning=pruning,
-                    workspace=workspace, pair_parallelism=parallelism,
+                    workspace=workspace,
                 )
             assert_pairs_identical(ref, new, f"L{level}/{arm}/p{parallelism}")
             assert new[-1].join_parallelism == parallelism
@@ -266,16 +266,12 @@ class TestPipelineMatchesReference:
 
         monkeypatch.setattr(pairs_mod, "_dedup_keys", no_dedup)
         with KernelWorkspace(2) as workspace:
-            new = run_pairs(
-                get_pair_candidates, problem,
-                workspace=workspace, pair_parallelism=2,
-            )
+            new = run_pairs(get_pair_candidates, problem, workspace=workspace)
         assert_pairs_identical(ref, new, "skip")
         result = slice_line(
             problem["x0"], problem["errors"],
-            config=SliceLineConfig(
-                k=6, sigma=problem["sigma"], max_level=2, pair_parallelism=2,
-            ),
+            config=SliceLineConfig(k=6, sigma=problem["sigma"], max_level=2),
+            num_threads=2,
         )
         assert result.counters.level(2).candidates_emitted > 0
         assert result.counters.reconcile() == []
@@ -293,7 +289,7 @@ class TestPipelineMatchesReference:
         with KernelWorkspace(parallelism) as workspace:
             new = run_pairs(
                 get_pair_candidates, problem,
-                workspace=workspace, pair_parallelism=parallelism,
+                workspace=workspace,
             )
         assert_pairs_identical(ref, new, f"tiny-grid/p{parallelism}")
         assert new[-1].join_parallelism == parallelism
@@ -309,33 +305,26 @@ class TestPipelineMatchesReference:
             )
             new = run_pairs(
                 get_pair_candidates, problem, topk_min_score=threshold,
-                pair_parallelism=4, workspace=None,
+                workspace=None,
             )
             assert_pairs_identical(ref, new, f"threshold={threshold}")
 
     def test_without_workspace_defaults_serial(self):
         """Direct callers without a workspace keep the old call shape.
 
-        Without a pool to map over, a level plans serially and reports so,
-        whatever width it was asked for; with one it plans parallel.
+        Without a pool to map over, a level plans serially and reports so;
+        with one it plans at the workspace's width.
         """
         problem = pairs_problem()
         ref = run_pairs(reference_pair_candidates, problem)
-        new = run_pairs(get_pair_candidates, problem)
-        assert_pairs_identical(ref, new, "defaults")
         tracer = Tracer()
-        asked = run_pairs(
-            get_pair_candidates, problem, pair_parallelism=4, tracer=tracer
-        )
-        assert_pairs_identical(ref, asked, "no-workspace")
-        assert asked[-1].join_parallelism == 1
-        assert asked[-1].join_chunks == 1
+        new = run_pairs(get_pair_candidates, problem, tracer=tracer)
+        assert_pairs_identical(ref, new, "no-workspace")
+        assert new[-1].join_parallelism == 1
+        assert new[-1].join_chunks == 1
         assert tracer.find("pairs.join").attrs["parallelism"] == 1
-        with KernelWorkspace(2) as workspace:
-            pooled = run_pairs(
-                get_pair_candidates, problem,
-                workspace=workspace, pair_parallelism=4,
-            )
+        with KernelWorkspace(4) as workspace:
+            pooled = run_pairs(get_pair_candidates, problem, workspace=workspace)
         assert_pairs_identical(ref, pooled, "workspace")
         assert pooled[-1].join_parallelism == 4
         assert pooled[-1].join_chunks > 1
@@ -346,7 +335,7 @@ class TestPipelineMatchesReference:
         with KernelWorkspace(3) as workspace:
             new = run_pairs(
                 get_pair_candidates, problem,
-                workspace=workspace, pair_parallelism=3,
+                workspace=workspace,
             )
         assert_pairs_identical(ref, new, "missing-codes")
 
@@ -370,7 +359,7 @@ class TestPipelineMatchesReference:
         with KernelWorkspace(parallelism) as workspace:
             new = run_pairs(
                 get_pair_candidates, problem, pruning=pruning,
-                workspace=workspace, pair_parallelism=parallelism,
+                workspace=workspace,
             )
         assert_pairs_identical(ref, new, f"seed={seed}")
 
@@ -394,13 +383,10 @@ class TestEndToEndOracle:
         config = SliceLineConfig(
             k=6, sigma=problem["sigma"], pruning=pruning, compaction=compaction,
         )
-        baseline = slice_line(
-            problem["x0"], problem["errors"],
-            config=config.with_overrides(pair_parallelism=1),
-        )
+        baseline = slice_line(problem["x0"], problem["errors"], config=config)
         run = slice_line(
-            problem["x0"], problem["errors"],
-            config=config.with_overrides(pair_parallelism=parallelism),
+            problem["x0"], problem["errors"], config=config,
+            num_threads=parallelism,
         )
         assert np.array_equal(baseline.top_stats, run.top_stats)
         assert np.array_equal(
@@ -416,9 +402,8 @@ class TestEndToEndOracle:
         problem = pairs_problem(n=500)
         result = slice_line(
             problem["x0"], problem["errors"],
-            config=SliceLineConfig(
-                k=6, sigma=problem["sigma"], pair_parallelism=8,
-            ),
+            config=SliceLineConfig(k=6, sigma=problem["sigma"]),
+            num_threads=8,
         )
         assert result.counters.reconcile() == []
         level2 = result.counters.level(2)
@@ -438,7 +423,7 @@ def _records(result):
 
 
 # ---------------------------------------------------------------------------
-# unit coverage: cost model, subset join, Gram join, workspace width
+# unit coverage: cost model, subset join, Gram join
 
 
 class TestChoosePairPlan:
@@ -661,28 +646,3 @@ class TestUpperTriPairsInRange:
         )
         assert rows.size == 0 and cols.size == 0
         assert rows.dtype == np.int64 and cols.dtype == np.int64
-
-
-class TestWorkspaceWidth:
-    def test_width_overrides_configured_threads(self):
-        with KernelWorkspace(1) as workspace:
-            out = workspace.map(lambda v: v * 2, [1, 2, 3], width=4)
-            assert out == [2, 4, 6]
-            assert workspace.pools_created == 1
-
-    def test_pool_grows_to_widest_request(self):
-        with KernelWorkspace(2) as workspace:
-            workspace.map(lambda v: v, [1, 2], width=2)
-            assert workspace._pool_width == 2
-            workspace.map(lambda v: v, [1, 2], width=6)
-            assert workspace._pool_width == 6
-            # narrower maps reuse the wider pool without recreating it
-            created = workspace.pools_created
-            workspace.map(lambda v: v, [1, 2], width=3)
-            assert workspace.pools_created == created
-
-    def test_serial_width_never_creates_pool(self):
-        with KernelWorkspace(4) as workspace:
-            out = workspace.map(lambda v: v + 1, [1, 2, 3], width=1)
-            assert out == [2, 3, 4]
-            assert workspace.pools_created == 0

@@ -14,12 +14,16 @@ from repro.core.scoring import (
     score_upper_bound,
 )
 from repro.exceptions import ValidationError
+import repro.linalg.kernels as kernels_mod
 from repro.linalg.kernels import (
     ERROR_PLANE_BITS,
     NUM_ERROR_PLANES,
+    PLANE_PASSES,
+    ErrorPlanes,
     pack_bool_rows,
     pack_error_planes,
     popcount_rows,
+    unpack_bool_rows,
     words_block_stats,
 )
 
@@ -170,10 +174,7 @@ class TestScoreAtExactSize:
 
     def kernel_stats(self, members, errors):
         """``(ss, se, sm)`` as the bitset kernel computes them."""
-        sizes, slice_errors, max_errors, _ = words_block_stats(
-            pack_bool_rows(members), errors, errors.size
-        )
-        return sizes, slice_errors, max_errors
+        return words_block_stats(pack_bool_rows(members), errors, errors.size)
 
     def adversarial(self, seed=0, trials=300):
         """Blocks of rows that share one maximum error, one block per slice.
@@ -308,7 +309,7 @@ class TestPlaneErrorCap:
 
     def folds_and_caps(self, errors):
         words = self.subsets(errors)
-        _, folds, _, _ = words_block_stats(words, errors, errors.size)
+        _, folds, _ = words_block_stats(words, errors, errors.size)
         planes = pack_error_planes(errors)
         sums = planes.sums(words, 0, NUM_ERROR_PLANES)
         return words, folds, planes, sums, plane_error_cap(sums, planes.step)
@@ -349,6 +350,35 @@ class TestPlaneErrorCap:
         first_31 = errors.size + 1
         assert folds[first_31] > 31 * TestScoreAtExactSize.EQUAL_MAX
         assert caps[first_31] >= folds[first_31]
+
+    @pytest.mark.parametrize("bitwise_count", [True, False])
+    def test_sums_equal_per_plane_popcounts(self, bitwise_count, monkeypatch):
+        """Per-word accumulation, reduced once, is the per-plane row sum,
+        on ``np.bitwise_count`` and on the byte-LUT fallback, up to the
+        largest per-word total (every bit of every plane set)."""
+        if bitwise_count and not hasattr(np, "bitwise_count"):
+            pytest.skip("numpy without np.bitwise_count")
+        monkeypatch.setattr(kernels_mod, "_HAS_BITWISE_COUNT", bitwise_count)
+        gen = np.random.default_rng(8)
+        errors = plane_errors("80-bit")
+        full = ErrorPlanes(
+            np.full((NUM_ERROR_PLANES, 3), ~np.uint64(0)), 1.0
+        )
+        for planes in (pack_error_planes(errors), full):
+            shape = (200, planes.words.shape[1])
+            words = gen.integers(0, 2**64, size=shape, dtype=np.uint64)
+            words[0] = ~np.uint64(0)
+            bits = unpack_bool_rows(words, 64 * shape[1])
+            for low, high in PLANE_PASSES + ((0, NUM_ERROR_PLANES),):
+                want = np.zeros(shape[0], dtype=np.int64)
+                for plane in range(low, high):
+                    plane_bits = unpack_bool_rows(
+                        planes.words[plane][np.newaxis, :], 64 * shape[1]
+                    )
+                    want += (bits & plane_bits).sum(axis=1) << plane
+                got = planes.sums(words, low, high)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, want), (low, high)
 
     def test_underflowed_quotient_is_bumped(self):
         errors = plane_errors("outlier")
