@@ -64,7 +64,9 @@ def _evaluation_round(bundle):
     space = FeatureSpace.from_matrix(bundle.x0)
     x = space.encode(bundle.x0)
     sigma = max(1, bundle.num_rows // 100)
-    basic = create_and_score_basic_slices(x, bundle.errors, sigma, 0.95)
+    basic = create_and_score_basic_slices(
+        bundle.x0, space, bundle.errors, sigma, 0.95
+    )
     fmap = np.searchsorted(space.ends, basic.selected_columns, side="right")
     keys = get_pair_candidates(
         basic.slices, basic.stats, 2,

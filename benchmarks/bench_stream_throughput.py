@@ -1,10 +1,15 @@
-"""Streaming monitor throughput: rows/sec per tick, warm vs cold.
+"""Streaming monitor cost: CPU seconds per drive, warm vs cold.
 
-Drives two :class:`~repro.streaming.SliceMonitor` instances — one
-warm-started, one cold — over the same replayed prediction-log stream and
-records per-tick latency, window throughput (rows ranked per second), and
-the enumeration work counters.  Results land in ``BENCH_stream.json`` so
-the streaming trajectory accumulates alongside ``BENCH_obs.json``.
+Drives two kinds of :class:`~repro.streaming.SliceMonitor` — one
+warm-started, one cold — over the same replayed prediction-log stream
+(ten ticks each) and records each kind's median process CPU seconds per
+drive over :data:`REPEATS` alternating drives, after one untimed drive of
+each that also supplies the per-tick work counters.  A single pass reads
+too noisily to compare two versions of the code (per-tick rows/s of one
+drive varied by half from run to run of unchanged code); the median CPU
+time of repeated drives does not.  Every tick runs
+:func:`~repro.core.slice_line`, so the figure follows the search's own
+cost.  Results land in ``BENCH_stream.json``.
 
 The stream uses constant-magnitude errors (every nonzero error is exactly
 1/16): with uniform ``sm`` the Equation-3 bound discriminates by error
@@ -17,6 +22,9 @@ Run:  pytest benchmarks/bench_stream_throughput.py --benchmark-only -s
 
 import json
 import pathlib
+import platform
+import statistics
+import time
 
 import numpy as np
 
@@ -29,6 +37,8 @@ from conftest import run_once
 NUM_ROWS = 40_000
 BATCH_SIZE = 4_000
 WINDOW = 4
+#: Timed drives of each kind, alternating warm and cold.
+REPEATS = 9
 
 
 def _stream():
@@ -58,8 +68,6 @@ def _drive(warm_start: bool):
             {
                 "tick": tick.index,
                 "rows": tick.num_rows,
-                "seconds": tick.seconds,
-                "rows_per_second": tick.num_rows / tick.seconds,
                 "evaluated_candidates": sum(
                     c.evaluated for c in tick.result.counters.levels
                 ),
@@ -71,6 +79,25 @@ def _drive(warm_start: bool):
             }
         )
     return monitor, ticks
+
+
+def _cpu_seconds(warm_start: bool) -> float:
+    started = time.process_time()
+    _drive(warm_start)
+    return time.process_time() - started
+
+
+def _summary(ticks, work, seconds) -> dict:
+    quartiles = statistics.quantiles(seconds, n=4)
+    median = statistics.median(seconds)
+    return {
+        "ticks": ticks,
+        "evaluated_candidates_after_first_tick": work,
+        "cpu_seconds_per_drive": seconds,
+        "median_cpu_seconds_per_drive": median,
+        "cpu_seconds_quartiles": [quartiles[0], quartiles[2]],
+        "rows_per_cpu_second": sum(t["rows"] for t in ticks) / median,
+    }
 
 
 def test_stream_throughput_warm_vs_cold(benchmark):
@@ -87,30 +114,29 @@ def test_stream_throughput_warm_vs_cold(benchmark):
         f"warm ticks evaluated {warm_work} candidates vs cold {cold_work}"
     )
 
+    warm_seconds, cold_seconds = [], []
+    for _ in range(REPEATS):
+        warm_seconds.append(_cpu_seconds(True))
+        cold_seconds.append(_cpu_seconds(False))
+
     summary = {
         "num_rows": NUM_ROWS,
         "batch_size": BATCH_SIZE,
         "window_batches": WINDOW,
-        "warm": {
-            "ticks": warm_ticks,
-            "evaluated_candidates_after_first_tick": warm_work,
-            "mean_rows_per_second": float(
-                np.mean([t["rows_per_second"] for t in warm_ticks])
-            ),
+        "repeats": REPEATS,
+        "host": {
+            "machine": platform.machine(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
         },
-        "cold": {
-            "ticks": cold_ticks,
-            "evaluated_candidates_after_first_tick": cold_work,
-            "mean_rows_per_second": float(
-                np.mean([t["rows_per_second"] for t in cold_ticks])
-            ),
-        },
+        "warm": _summary(warm_ticks, warm_work, warm_seconds),
+        "cold": _summary(cold_ticks, cold_work, cold_seconds),
     }
     out = pathlib.Path(__file__).parent / "BENCH_stream.json"
     out.write_text(json.dumps(summary, indent=2) + "\n")
     print(
-        f"\nwarm {summary['warm']['mean_rows_per_second']:,.0f} rows/s "
-        f"({warm_work} candidates) vs cold "
-        f"{summary['cold']['mean_rows_per_second']:,.0f} rows/s "
-        f"({cold_work} candidates) -> {out.name}"
+        f"\nwarm {summary['warm']['median_cpu_seconds_per_drive']:.3f} CPU s "
+        f"per drive ({warm_work} candidates) vs cold "
+        f"{summary['cold']['median_cpu_seconds_per_drive']:.3f} CPU s "
+        f"({cold_work} candidates), medians of {REPEATS} -> {out.name}"
     )

@@ -27,7 +27,9 @@ print(f"dataset: uscensus-like, n={bundle.num_rows}, m={bundle.num_features}")
 space = FeatureSpace.from_matrix(bundle.x0)
 x = space.encode(bundle.x0)
 sigma = max(1, bundle.num_rows // 100)
-basic = create_and_score_basic_slices(x, bundle.errors, sigma, alpha=0.95)
+basic = create_and_score_basic_slices(
+    bundle.x0, space, bundle.errors, sigma, alpha=0.95
+)
 feature_map = np.searchsorted(space.ends, basic.selected_columns, side="right")
 x_projected = x[:, basic.selected_columns].tocsr()
 keys = get_pair_candidates(

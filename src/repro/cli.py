@@ -162,7 +162,7 @@ def _add_search_arguments(
     )
     parser.add_argument(
         "--no-compaction", action="store_true",
-        help="disable per-level compaction of the evaluation matrix "
+        help="disable per-level column views of the packed table "
         "(results are identical; this only changes kernel speed)",
     )
 

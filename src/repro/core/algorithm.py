@@ -1,10 +1,15 @@
 """The SliceLine enumeration driver (Algorithm 1) and estimator facade.
 
 :func:`slice_line` is a faithful transcription of Algorithm 1: data
-preparation (one-hot encoding), initialization (basic slices + initial
-top-K), then level-wise lattice enumeration alternating pair generation
-(with pruning/deduplication), vectorized evaluation, and top-K maintenance,
-until no candidates remain or the level cap is hit.
+preparation (the one-hot layout of the integer codes), initialization
+(basic slices + initial top-K), then level-wise lattice enumeration
+alternating pair generation (with pruning/deduplication), vectorized
+evaluation, and top-K maintenance, until no candidates remain or the level
+cap is hit.  The validated codes are the search's only data
+representation: the basic pass scores the one-hot columns straight from
+them and packs the run's one bitset table over the valid columns, which
+every level and warm-start seed reads through column views
+(:mod:`repro.core.compaction`).  No sparse ``X`` is built.
 
 :class:`SliceLine` wraps the function in a scikit-learn-style estimator for
 interactive use (``fit`` / ``transform`` / fitted attributes).
@@ -21,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.core.basic import create_and_score_basic_slices
-from repro.core.compaction import CompactionState, compact_slice_set
+from repro.core.compaction import CompactionState, slice_set_columns
 from repro.core.config import PruningConfig, SliceLineConfig
 from repro.core.decode import decode_topk, slice_membership
 from repro.core.evaluate import SizeFirst, evaluate_slice_set, evaluate_slices
@@ -44,6 +49,7 @@ from repro.exceptions import (
     ShapeError,
 )
 from repro.linalg import (
+    BitsetTable,
     KernelState,
     KernelWorkspace,
     ensure_vector,
@@ -223,33 +229,40 @@ def slice_line(
         total_error = float(errors.sum())
 
     with tracer.span("encode", num_rows=num_rows, num_features=num_features):
-        x_onehot = space.encode(x0)
+        # X is never materialized: the codes are checked against the
+        # one-hot layout (a space derived from x0 fits it by construction).
+        if feature_space is not None:
+            space.check_codes(x0)
+    num_onehot = space.num_onehot
 
     if total_error <= 0:
         # A perfect model has no problematic slices: every score is <= 0.
         return _empty_result(
-            space, num_rows, x_onehot.shape[1], average_error,
+            space, num_rows, num_onehot, average_error,
             counters=counters, tracer=tracer, started=started,
         )
 
     # -- initialization: basic slices and initial top-K ----------------------
+    # The basic pass also packs the run's one table over the valid
+    # basic-slice columns (Algorithm 1 line 12's projection): all deeper
+    # slices are conjunctions of valid basic slices.
     level_started = time.perf_counter()
-    with tracer.span("level1.basic", onehot_columns=x_onehot.shape[1]):
-        basic = create_and_score_basic_slices(x_onehot, errors, sigma, cfg.alpha)
+    with tracer.span("level1.basic", onehot_columns=num_onehot):
+        basic = create_and_score_basic_slices(
+            x0, space, errors, sigma, cfg.alpha
+        )
         top_slices, top_stats = maintain_topk(
             basic.slices, basic.stats, *empty_topk(basic.num_slices), cfg.k, sigma
         )
     if resume_state is None:
         current = counters.level(1)
-        current.candidates_emitted = x_onehot.shape[1]
-        current.evaluated = x_onehot.shape[1]
+        current.candidates_emitted = num_onehot
+        current.evaluated = num_onehot
         current.valid = basic.num_slices
-        current.indicator_nnz = int(x_onehot.nnz)
+        current.indicator_nnz = basic.indicator_nnz
         current.elapsed_seconds = time.perf_counter() - level_started
 
-    # Project X to the valid basic-slice columns (Algorithm 1 line 12): all
-    # deeper slices are conjunctions of valid basic slices.
-    x_projected = x_onehot[:, basic.selected_columns].tocsr()
+    table = basic.table
     feature_map = np.searchsorted(
         space.ends, basic.selected_columns, side="right"
     ).astype(np.int64)
@@ -263,19 +276,15 @@ def slice_line(
 
     # Unless disabled, one compaction state serves every level of this run.
     # A level's keys stay in the projected column space throughout; only the
-    # data matrix the kernels multiply against shrinks, and each chunk's
-    # keys are remapped just before its kernel call (repro.core.compaction).
-    # On resume the state is rebuilt from the checkpointed row/column maps:
-    # compaction composes per level, so the matrix is exactly
-    # ``x_projected[row_indices][:, alive columns of col_map]``.
+    # table view the kernels read narrows, and each chunk's keys are
+    # remapped just before its kernel call (repro.core.compaction).  On
+    # resume the state is rebuilt from the checkpointed row/column maps.
     compact: CompactionState | None = None
     if cfg.compaction:
         if resume_state is not None and resume_state.row_indices is not None:
-            compact = _restore_compaction(
-                resume_state, x_projected, errors, num_rows
-            )
+            compact = _restore_compaction(resume_state, table)
         else:
-            compact = CompactionState.initial(x_projected, errors)
+            compact = CompactionState.initial(table)
     if resume_state is None and compact is not None:
         current.rows_alive = compact.num_rows_alive
         current.cols_alive = compact.num_cols_alive
@@ -299,13 +308,13 @@ def slice_line(
     # One kernel workspace (persistent thread pool) serves seed evaluation
     # and every level; the context manager guarantees pool shutdown even
     # when a kernel or pair join raises mid-run.  One kernel state carries
-    # the current level's packed table, coded errors and row coverage.
+    # the current level's table view, coded errors and row coverage.
     kernels = KernelState()
     with KernelWorkspace(num_threads) as workspace:
         # -- optional warm start: merge re-scored seeds into the top-K -------
         if seed_slices is not None and resume_state is None:
             top_slices, top_stats, warm_info, seed_keys = _seed_topk(
-                seed_slices, space, basic.selected_columns, x_projected,
+                seed_slices, space, basic.selected_columns, table,
                 errors, cfg, sigma, max_level, num_rows, total_error,
                 top_slices, top_stats, num_threads, tracer,
                 workspace=workspace,
@@ -358,17 +367,19 @@ def slice_line(
                 if tracker is not None and slices.shape[0] > 0:
                     trip = tracker.check_candidates(level, int(slices.shape[0]))
                     if trip is None and budgets.max_memory_bytes is not None:
-                        rows_alive, cols_alive = (
-                            compact.matrix if compact is not None
-                            else x_projected
-                        ).shape
+                        # The view narrows per level; the last one bounds
+                        # this one's width.
+                        cols_alive = (
+                            compact.view if compact is not None else table
+                        ).shape[1]
                         if binary_errors is None:
                             binary_errors = pack_binary_errors(errors) is not None
                         trip = tracker.check_memory(
                             level,
                             estimate_level_memory(
-                                int(slices.shape[0]), rows_alive, cols_alive,
+                                int(slices.shape[0]), num_rows, cols_alive,
                                 num_threads, binary_errors,
+                                table_cols=table.shape[1],
                             ),
                         )
                     if trip is not None:
@@ -378,7 +389,7 @@ def slice_line(
                         tripped = True
                 coverage = None
                 if slices.shape[0] > 0 and not tripped:
-                    x_eval, errors_eval = x_projected, errors
+                    x_eval = table
                     if compact is not None:
                         with tracer.span(f"level{level}.compact") as compact_span:
                             compact.begin_level(slices)
@@ -388,19 +399,19 @@ def slice_line(
                                 rows_retained=round(compact.rows_retained, 6),
                                 cols_retained=round(compact.cols_retained, 6),
                             )
-                        x_eval, errors_eval = compact.matrix, compact.errors
+                        x_eval = compact.view
                         current.rows_alive = compact.num_rows_alive
                         current.cols_alive = compact.num_cols_alive
-                    # Row coverage only feeds the next level's compaction.
+                    # Row coverage only feeds the next level's row count.
                     kernels.begin_level(
-                        x_eval, level, errors_eval,
+                        x_eval, level, errors,
                         compact is not None and level < max_level,
                     )
                     with tracer.span(
                         f"level{level}.evaluate", candidates=slices.shape[0]
                     ):
                         slices, stats, top_slices, top_stats = _evaluate_level(
-                            x_eval, errors_eval, slices, bounds,
+                            x_eval, errors, slices, bounds,
                             level, cfg, top_slices, top_stats, sigma,
                             num_threads, current, tracer, workspace=workspace,
                             num_rows=num_rows,
@@ -419,7 +430,7 @@ def slice_line(
                         np.count_nonzero(valid_rows(stats, sigma))
                     )
                 if compact is not None:
-                    compact.row_coverage = coverage
+                    compact.end_level(coverage)
                 level_span.annotate(
                     evaluated=current.evaluated, valid=current.valid,
                     skipped=current.skipped_by_priority,
@@ -488,7 +499,7 @@ def slice_line(
         total_seconds=time.perf_counter() - started,
         num_rows=num_rows,
         num_features=num_features,
-        num_onehot_columns=x_onehot.shape[1],
+        num_onehot_columns=num_onehot,
         average_error=average_error,
         counters=counters,
         trace=tracer if tracer.enabled else None,
@@ -500,31 +511,25 @@ def slice_line(
 
 
 def _restore_compaction(
-    state: CheckpointState,
-    x_projected: sp.csr_matrix,
-    errors: np.ndarray,
-    num_rows: int,
+    state: CheckpointState, table: BitsetTable
 ) -> CompactionState:
-    """Rebuild the checkpointed :class:`CompactionState` from the raw data.
+    """Rebuild the checkpointed :class:`CompactionState` over the run's table.
 
-    Per-level compaction composes: surviving rows/columns keep their
-    relative order, so the checkpointed matrix equals
-    ``x_projected[row_indices][:, alive_cols]`` where ``alive_cols`` are
-    the columns ``col_map`` maps to a compacted position.  Rebuilding from
-    the caller's data (whose identity the fingerprint already enforced)
-    keeps bundles small and bitwise-faithful.
+    The bundle's maps are the state itself: the view is the table's columns
+    that ``col_map`` maps to a position, in projected order, and
+    ``row_indices``/``row_coverage`` are the rows counted.  The table was
+    re-derived from the caller's data, whose identity the fingerprint
+    already enforced, which keeps bundles small and bitwise-faithful.
     """
     alive_cols = np.flatnonzero(state.col_map >= 0)
-    matrix = x_projected[state.row_indices]
-    if alive_cols.size < x_projected.shape[1]:
-        matrix = matrix[:, alive_cols]
     return CompactionState(
-        matrix=matrix.tocsr(),
-        errors=errors[state.row_indices],
+        table=table,
+        view=(
+            table if alive_cols.size == table.shape[1]
+            else table.columns(alive_cols)
+        ),
         col_map=state.col_map.copy(),
         row_indices=state.row_indices.copy(),
-        num_rows_full=num_rows,
-        num_cols_full=int(x_projected.shape[1]),
         row_coverage=(
             None
             if state.row_coverage is None
@@ -580,7 +585,7 @@ def _seed_topk(
     seed_slices: Sequence[Slice],
     space: FeatureSpace,
     selected_columns: np.ndarray,
-    x_projected: sp.csr_matrix,
+    table: BitsetTable,
     errors: np.ndarray,
     cfg: SliceLineConfig,
     sigma: int,
@@ -600,13 +605,12 @@ def _seed_topk(
     predicates fall outside the current domains or reference a basic slice
     that did not survive the sigma/error filter (by size monotonicity such a
     seed is invalid here anyway).  The survivors are evaluated in one
-    :func:`~repro.core.evaluate.evaluate_slice_set` call over the projected
-    matrix compacted to the columns they name
-    (:func:`~repro.core.compaction.compact_slice_set`), so the packed table
-    holds only those columns.  The kernel is the enumeration's, and a
-    compacted-away row belongs to no seed, so their statistics are bitwise
-    identical to what enumeration would produce — a prerequisite for
-    warm == cold output equality.  Each level is merged into the top-K in
+    :func:`~repro.core.evaluate.evaluate_slice_set` call over a view of the
+    run's *table* holding only the columns they name
+    (:func:`~repro.core.compaction.slice_set_columns`); nothing is packed.
+    The kernel and the table are the enumeration's, so their statistics are
+    bitwise identical to what enumeration would produce — a prerequisite
+    for warm == cold output equality.  Each level is merged into the top-K in
     turn; the top-K is a pure function of its candidate set, so the merge
     order does not matter.
     """
@@ -651,11 +655,10 @@ def _seed_topk(
         with tracer.span(
             "seed.evaluate", requested=requested, encoded=len(seen)
         ):
-            x_seeds, s_seeds, rows = compact_slice_set(x_projected, matrix)
+            columns, s_seeds = slice_set_columns(matrix)
             seed_set = evaluate_slice_set(
-                x_seeds, s_seeds, errors[rows], num_threads=num_threads,
-                workspace=workspace, num_rows=num_rows,
-                total_error=total_error,
+                table.columns(columns), s_seeds, errors,
+                num_threads=num_threads, workspace=workspace,
             )
         seed_stats = stats_matrix(
             score(
@@ -686,7 +689,7 @@ def _seed_topk(
 
 def _evaluate_level(
     x_eval,
-    errors_eval,
+    errors,
     slices,
     bounds,
     level,
@@ -718,9 +721,9 @@ def _evaluate_level(
 
     *slices* is the level's key array in the canonical projected column
     space (it feeds the top-K, decoding, and the next pair join).  With a
-    :class:`~repro.core.compaction.CompactionState` *compact*, each chunk's
-    keys are remapped to the compacted *x_eval* just before its kernel
-    call; the projected keys are what the level returns.
+    :class:`~repro.core.compaction.CompactionState` *compact*, *x_eval* is
+    its column view, and each chunk's keys are remapped to it just before
+    its kernel call; the projected keys are what the level returns.
 
     A chunk is ``cfg.priority_chunk`` candidates long in priority mode or
     when *tracker* carries a wall-clock deadline, and the whole level
@@ -780,7 +783,7 @@ def _evaluate_level(
                 topk_min_score(top_stats, cfg.k), sigma,
             )
         chunk_stats = evaluate_slices(
-            x_eval, errors_eval,
+            x_eval, errors,
             chunk if compact is None else compact.project_slices(chunk),
             level, cfg.alpha,
             num_threads=num_threads,
@@ -835,7 +838,7 @@ def _empty_result(
     """An empty result that still accounts for the work actually done.
 
     Even when no slice can score above zero (``total_error <= 0``), the
-    encoding pass over ``X0`` happened: record a level-1 entry with zero
+    validation pass over ``X0`` happened: record a level-1 entry with zero
     evaluations and the real elapsed time instead of pretending the run was
     free.
     """

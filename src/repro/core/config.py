@@ -98,11 +98,12 @@ class SliceLineConfig:
     alpha: float = 0.95
     max_level: int | None = None
     pruning: PruningConfig = field(default_factory=PruningConfig)
-    #: per-level compaction of the evaluation data matrix: drop one-hot
-    #: columns no emitted candidate references and rows that matched no
-    #: slice of the previous level (size monotonicity makes both exact —
-    #: results are bitwise identical; see :mod:`repro.core.compaction`).
-    #: Off is the ablation arm that measures what compaction buys.
+    #: per-level compaction: evaluate each level on a view of the run's
+    #: packed table holding only the columns its candidates reference, and
+    #: count the rows the previous level covered (size monotonicity makes
+    #: both exact — results are bitwise identical; see
+    #: :mod:`repro.core.compaction`).  Off is the ablation arm that
+    #: measures what compaction buys.
     compaction: bool = True
     #: evaluate candidates in descending upper-bound order, re-pruning the
     #: remainder against the rising top-K threshold between chunks (the

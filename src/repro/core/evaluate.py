@@ -25,19 +25,21 @@ change a result.
 Every evaluation runs on a :class:`~repro.linalg.KernelState`: the
 level's packed table, its errors coded once (the 0/1 bitset, or, for
 size-first spans, the bitset of ``errors > 0`` and the error planes), and
-its row coverage.
-The search begins one per level; :func:`evaluate_slices` without one and
-:func:`evaluate_slice_set` begin a one-off state, so every caller runs the
-same span task.  Callers may pass a :class:`~repro.linalg.KernelWorkspace`
-so every level of a run shares one persistent thread pool instead of
-constructing a fresh ``ThreadPoolExecutor`` per call.  When the caller
-evaluates against a row/column-compacted data matrix
-(:mod:`repro.core.compaction`), the ``num_rows``/``total_error``
-overrides keep the scores referenced to the full population, and a state
-begun with ``track_rows`` records which data rows matched at least one
-slice — the input of the next level's row compaction — as a by-product of
-the indicator that is computed anyway.  The last level tracks none: no
-later level reads it.
+its row coverage.  The data argument is either a 0/1 matrix, which the
+state packs, or a :class:`~repro.linalg.BitsetTable` such as the search's
+column view of its one table (:mod:`repro.core.compaction`), which it
+reads as is.  The search begins one state per level;
+:func:`evaluate_slices` without one and :func:`evaluate_slice_set` begin a
+one-off state, so every caller runs the same span task.  Callers may pass
+a :class:`~repro.linalg.KernelWorkspace` so every level of a run shares
+one persistent thread pool instead of constructing a fresh
+``ThreadPoolExecutor`` per call.  When the caller evaluates against a
+row-compacted data matrix (:func:`~repro.core.compaction.compact_slice_set`),
+the ``num_rows``/``total_error`` overrides keep the scores referenced to
+the full population.  A state begun with ``track_rows`` records which data
+rows matched at least one slice — the next level's ``rows_alive`` — as a
+by-product of the indicator that is computed anyway.  The last level
+tracks none: no later level reads it.
 
 Size-first last level.  At ``level == max_level``, with errors that are
 not all 0/1, :func:`evaluate_slices` gets a :class:`SizeFirst` per chunk
@@ -278,15 +280,17 @@ def evaluate_slice_set(
     every group runs through the enumeration's kernel over one packed
     table of *x_onehot*, so the returned statistics are bitwise identical
     to what the enumeration would compute for the same slices over the
-    same rows.  *x_onehot* must be a 0/1 matrix (see
-    :meth:`~repro.linalg.BitsetTable.from_matrix`).
+    same rows.  *x_onehot* is a 0/1 matrix (see
+    :meth:`~repro.linalg.BitsetTable.from_matrix`) or its packed
+    :class:`~repro.linalg.BitsetTable`, which is read without packing.
 
     An all-zero slice row (no predicates) denotes the entire dataset and
     gets ``(n, sum(e), max(e))``.
 
-    When *x_onehot*/*errors* are a compacted view of a larger population
-    (see :func:`repro.core.compaction.compact_slice_set`, which also keeps
-    the packed table to the columns the slices name), pass the full
+    When *x_onehot*/*errors* are a row-compacted view of a larger
+    population (see :func:`repro.core.compaction.compact_slice_set`, which
+    also keeps the packed table to the columns the slices name), pass the
+    full
     population's ``num_rows``/``total_error``/``max_error`` so the
     whole-dataset statistics stay referenced to the original data; the
     per-slice vectors are unaffected (a compacted-away row belongs to no
@@ -363,7 +367,8 @@ def evaluate_slices(
     """Evaluate all candidate *slices* and return their ``R`` statistics.
 
     *slices* is the level's key array (``num_slices x level`` sorted column
-    ids in *x_onehot*'s column space).  Spans of candidates are evaluated
+    ids in *x_onehot*'s column space; *x_onehot* is a 0/1 matrix or its
+    :class:`~repro.linalg.BitsetTable`).  Spans of candidates are evaluated
     independently (optionally on a thread pool), then concatenated into the
     level's ``R`` matrix ``[sc, se, sm, ss]``.  Passing a
     :class:`~repro.linalg.KernelWorkspace` reuses one pool across calls;
@@ -380,10 +385,9 @@ def evaluate_slices(
 
     *kernels* is the search's per-run :class:`~repro.linalg.KernelState`,
     already positioned at this level via ``begin_level``, so every chunk
-    of a level shares one packed table and one coding of the errors, and
+    of a level shares one table view and one coding of the errors, and
     its row coverage, if tracked, grows with every chunk.  Without it the
-    call begins a one-off state over *x_onehot*, which must then be a 0/1
-    matrix.
+    call begins a one-off state over *x_onehot*.
 
     *size_first* (the search passes it at the last level only) lets the
     kernel size every candidate first and sum float errors only for those

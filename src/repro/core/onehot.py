@@ -4,8 +4,10 @@ The paper expects the input feature matrix ``X0`` in a 1-based,
 contiguous integer encoding (codes ``1..d_j`` per feature ``F_j``).  This
 module derives the per-feature domains ``fdom`` and offsets ``fb``/``fe``
 and produces the sparse one-hot matrix ``X`` via the contingency-table
-trick.  The :class:`FeatureSpace` also provides the inverse mapping used to
-decode one-hot slice vectors back into predicate form.
+trick.  The search itself never builds ``X``: it reads the one-hot column
+ids off the codes (:mod:`repro.core.basic`).  The :class:`FeatureSpace`
+also provides the inverse mapping used to decode one-hot slice vectors
+back into predicate form.
 """
 
 from __future__ import annotations
@@ -102,9 +104,12 @@ class FeatureSpace:
         """``l`` — the total number of one-hot columns."""
         return int(self.domains.sum())
 
-    def encode(self, x0: np.ndarray) -> sp.csr_matrix:
-        """One-hot encode *x0* into the sparse ``n x l`` matrix ``X``."""
-        x0 = validate_encoded_matrix(x0, allow_missing=True)
+    def check_codes(self, x0: np.ndarray) -> None:
+        """Raise unless a validated *x0* fits this space.
+
+        *x0* must have one column per feature (:class:`ShapeError`) and
+        hold no code beyond its feature's domain (:class:`EncodingError`).
+        """
         if x0.shape[1] != self.num_features:
             raise ShapeError(
                 f"X0 has {x0.shape[1]} features, feature space expects "
@@ -112,6 +117,11 @@ class FeatureSpace:
             )
         if (x0.max(axis=0) > self.domains).any():
             raise EncodingError("X0 holds codes beyond the declared domains")
+
+    def encode(self, x0: np.ndarray) -> sp.csr_matrix:
+        """One-hot encode *x0* into the sparse ``n x l`` matrix ``X``."""
+        x0 = validate_encoded_matrix(x0, allow_missing=True)
+        self.check_codes(x0)
         return one_hot_encode(x0, self.begins, self.num_onehot)
 
     def feature_of_column(self, column: int) -> int:

@@ -41,9 +41,19 @@ def maintain_topk(
     score.  Slices enumerated at different levels are necessarily distinct
     (they differ in predicate count), so no cross-level deduplication is
     needed.
+
+    Once the top-K is full, a new slice that scores below its K-th score
+    cannot enter (K held slices beat it strictly), so it is dropped before
+    any merge work, and the held pair is returned as is when no new slice
+    is left.  A slice that ties the K-th score stays: size, error and key
+    break the tie.
     """
     num_cols = top_slices.shape[1]
     valid = (stats[:, StatsCol.SCORE] > 0) & (stats[:, StatsCol.SIZE] >= sigma)
+    if top_stats.shape[0] >= k:
+        valid &= stats[:, StatsCol.SCORE] >= top_stats[k - 1, StatsCol.SCORE]
+        if top_stats.shape[0] == k and not valid.any():
+            return top_slices, top_stats
     kept = np.flatnonzero(valid)
     if kept.size == 0 and top_slices.shape[0] == 0:
         return empty_topk(num_cols)

@@ -4,12 +4,20 @@ The enumeration's dominant cost is materializing, per level, the boolean
 indicator ``I[i, s] = row i matches all L predicates of slice s`` and
 reducing it to the Equation-10 vectors ``(ss, se, sm)``.  ``X`` is a 0/1
 one-hot matrix, so the indicator of a slice is the AND of its predicate
-columns.  Each one-hot column of ``X`` is packed into a row bitset
-(``np.packbits`` -> ``uint64`` words, :class:`BitsetTable`); a candidate's
-indicator is ``L-1`` word-wise ANDs of the table rows its keys name, and
-``ss`` is a popcount: no ``n x b`` float intermediate, no sparse product,
-and no slice matrix ``S``.  The keys come straight from the pair stage
-(remapped only by compaction).
+columns.  Each one-hot column of ``X`` is a row bitset (``uint64`` words in
+``np.packbits`` bit order, :class:`BitsetTable`); a candidate's indicator
+is ``L-1`` word-wise ANDs of the table rows its keys name, and ``ss`` is a
+popcount: no ``n x b`` float intermediate, no sparse product, and no slice
+matrix ``S``.  The keys come straight from the pair stage (remapped only by
+compaction's column view).
+
+:func:`pack_coordinates` packs a table from the ``(row, column)``
+coordinates of its ones.  The search packs one table per run, over the
+valid basic-slice columns, straight from the integer codes
+(:func:`repro.core.basic.create_and_score_basic_slices`), and every level
+and warm-start seed reads column views of it; ``X`` is never built.
+:meth:`BitsetTable.from_matrix` packs a given sparse 0/1 matrix through the
+same packer.
 
 The paper's own formulation, one blocked sparse product ``X @ S^T``
 filtered by ``== L`` (Section 4.4), is the reference kernel of the
@@ -72,10 +80,10 @@ sums never pass the parent's, and each partial sum stays at or below the
 exactly representable ``Q_k * step`` of the rows summed so far (see
 :func:`repro.core.scoring.score_at_exact_size`).
 
-:class:`KernelState` holds one level's whole evaluation state: the packed
-table, the level's errors coded once (the 0/1 bitset, or, on the level's
-first size-first chunk, the bitset of ``errors > 0`` and the error
-planes) and the level's row coverage.
+:class:`KernelState` holds one level's whole evaluation state: the table
+(or column view) it reads, the level's errors coded once (the 0/1 bitset,
+or, on the level's first size-first chunk, the bitset of ``errors > 0``
+and the error planes) and the level's row coverage.
 """
 
 from __future__ import annotations
@@ -111,6 +119,10 @@ _HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
 
 #: float64 bit pattern of ``1.0`` (``+0.0`` is all zero bits).
 _ONE_BITS = np.float64(1.0).view(np.uint64)
+
+#: Most table bits :func:`pack_coordinates` spells out at once, one byte
+#: each; a wider table is packed in blocks of whole columns.
+PACK_BLOCK_BITS = 1 << 26
 
 
 def num_packed_words(num_bits: int) -> int:
@@ -155,6 +167,42 @@ def pack_bool_rows(rows: np.ndarray) -> np.ndarray:
     if pad:
         packed = np.pad(packed, ((0, 0), (0, pad)))
     return np.ascontiguousarray(packed).view(np.uint64)
+
+
+def pack_coordinates(
+    rows: np.ndarray, cols: np.ndarray, num_rows: int, num_cols: int
+) -> np.ndarray:
+    """Packed columns of the 0/1 matrix whose ones sit at ``(rows, cols)``.
+
+    *rows* and *cols* are integer arrays that broadcast against each other
+    (say, a column of row ids against an ``n x m`` array of column ids).
+    Returns the ``(num_cols, num_packed_words(num_rows))`` ``uint64``
+    words of :class:`BitsetTable`: row ``c`` is column ``c``'s row bitset,
+    bit for bit what :func:`pack_bool_rows` gives for the column.  Each
+    coordinate sets one bit, so a repeated coordinate is one member.  The
+    bits are spelled out as bytes, at most :data:`PACK_BLOCK_BITS` at a
+    time, and packed with ``np.packbits``.
+    """
+    num_words = num_packed_words(num_rows)
+    bits = 64 * num_words
+    if num_cols > 1 and num_cols * bits > PACK_BLOCK_BITS:
+        block = max(1, PACK_BLOCK_BITS // bits)
+        rows, cols = np.broadcast_arrays(rows, cols)
+        parts = []
+        for start in range(0, num_cols, block):
+            stop = min(start + block, num_cols)
+            inside = (cols >= start) & (cols < stop)
+            parts.append(
+                pack_coordinates(
+                    rows[inside], cols[inside] - start, num_rows, stop - start
+                )
+            )
+        return np.vstack(parts)
+    index = np.multiply(cols, bits, dtype=np.int64)
+    index += rows
+    flags = np.zeros(num_cols * bits, dtype=bool)
+    flags[index] = True
+    return np.packbits(flags).view(np.uint64).reshape(num_cols, num_words)
 
 
 def unpack_bool_rows(words: np.ndarray, num_bits: int) -> np.ndarray:
@@ -253,8 +301,10 @@ class BitsetTable:
 
     ``words[c]`` is the bitset of rows where column ``c`` is set; a
     candidate slice's indicator is the AND of its predicate columns'
-    bitsets.  Built per level from the (possibly compacted) evaluation
-    matrix in bounded column chunks so the dense transient stays small.
+    bitsets.  The search packs one table per run
+    (:func:`pack_coordinates`) and hands each level a view of the columns
+    it references (:meth:`columns`).  :attr:`shape` is that of the data
+    matrix, so a table stands in for it wherever only its shape is read.
     """
 
     def __init__(self, words: np.ndarray, num_rows: int) -> None:
@@ -265,36 +315,44 @@ class BitsetTable:
     def nbytes(self) -> int:
         return int(self.words.nbytes)
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        """``(rows, columns)`` of the matrix the table packs."""
+        return self.num_rows, int(self.words.shape[0])
+
+    def columns(self, cols: np.ndarray) -> "BitsetTable":
+        """The table of columns *cols*, in that order: a row gather of
+        :attr:`words`, nothing repacked."""
+        return BitsetTable(self.words[cols], self.num_rows)
+
     @classmethod
-    def from_matrix(
-        cls, matrix: sp.spmatrix, col_chunk: int = 1024
-    ) -> "BitsetTable":
+    def from_matrix(cls, matrix: sp.spmatrix) -> "BitsetTable":
         """Pack every column of a 0/1 *matrix*.
 
         Raises :class:`~repro.exceptions.ValidationError` when a stored
         value (after summing duplicate entries) is anything but ``0.0`` or
         ``1.0``: the AND of the columns is ``(X S^T) == L`` only for 0/1
-        data.  An explicitly stored ``0.0`` sets no bit.
+        data.  An explicitly stored ``0.0`` sets no bit.  The stored ones
+        go to :func:`pack_coordinates`.
         """
         num_rows, num_cols = matrix.shape
-        csc = matrix.tocsc()
-        if not csc.has_canonical_format:
-            csc = csc.copy()
-            csc.sum_duplicates()
-        if not is_binary_matrix(csc):
+        csr = matrix.tocsr()
+        if not csr.has_canonical_format:
+            csr = csr.copy()
+            csr.sum_duplicates()
+        if not is_binary_matrix(csr):
             raise ValidationError(
                 "the bitset kernel needs a 0/1 data matrix: a stored value "
                 "other than 0.0 or 1.0 is not a one-hot membership"
             )
-        blocks = []
-        for start in range(0, num_cols, col_chunk):
-            dense = csc[:, start : start + col_chunk].toarray()
-            blocks.append(pack_bool_rows(np.ascontiguousarray(dense.T) != 0))
-        if blocks:
-            words = np.vstack(blocks)
-        else:
-            words = np.zeros((0, num_packed_words(num_rows)), dtype=np.uint64)
-        return cls(words, num_rows)
+        rows = np.repeat(
+            np.arange(num_rows, dtype=np.int64), np.diff(csr.indptr)
+        )
+        ones = csr.data != 0.0
+        return cls(
+            pack_coordinates(rows[ones], csr.indices[ones], num_rows, num_cols),
+            num_rows,
+        )
 
     def candidate_words(self, keys: np.ndarray) -> np.ndarray:
         """AND the column bitsets of each key row (``num_cands x L``)."""
@@ -396,22 +454,27 @@ class KernelState:
 
     def begin_level(
         self,
-        x_eval: sp.spmatrix,
+        x_eval: "BitsetTable | sp.spmatrix",
         level: int | None,
         errors: np.ndarray,
         track_rows: bool = False,
     ) -> None:
-        """Pack *x_eval*'s columns and code *errors* for one level.
+        """Take *x_eval*'s table and code *errors* for one level.
 
-        The 0/1 check runs once per level: :attr:`error_words` is the
-        errors' bitset when :func:`pack_binary_errors` takes them.  With
+        A :class:`BitsetTable` (the search's column view) is used as is;
+        a 0/1 matrix is packed (:meth:`BitsetTable.from_matrix`).  The 0/1
+        check runs once per level: :attr:`error_words` is the errors'
+        bitset when :func:`pack_binary_errors` takes them.  With
         *track_rows* the level's row coverage starts all False.  *level*
         changes nothing; it names the level being evaluated (``None`` for
         a mixed-level slice set), so a profiler that wraps this method can
-        attribute the packing time per level.
+        attribute the time per level.
         """
         self._clear()
-        self.table = BitsetTable.from_matrix(x_eval)
+        self.table = (
+            x_eval if isinstance(x_eval, BitsetTable)
+            else BitsetTable.from_matrix(x_eval)
+        )
         self.errors = errors
         self.error_words = pack_binary_errors(errors)
         if track_rows:
@@ -454,12 +517,14 @@ __all__ = [
     "ErrorPlanes",
     "KernelState",
     "NUM_ERROR_PLANES",
+    "PACK_BLOCK_BITS",
     "PLANE_PASSES",
     "covered_rows",
     "is_binary_matrix",
     "num_packed_words",
     "pack_binary_errors",
     "pack_bool_rows",
+    "pack_coordinates",
     "pack_error_planes",
     "popcount_rows",
     "unpack_bool_rows",

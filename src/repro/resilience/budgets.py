@@ -241,18 +241,21 @@ class SuspendHook:
 
 def estimate_level_memory(
     num_candidates: int,
-    rows_alive: int,
+    num_rows: int,
     cols_alive: int,
     num_threads: int = 1,
     binary_errors: bool = False,
+    table_cols: int = 0,
 ) -> int:
-    """Rough estimate of one level's transient evaluation bytes.
+    """Rough estimate of one level's resident and transient evaluation bytes.
 
-    Models the packed-bitset kernel (:mod:`repro.linalg.kernels`) over a
-    ``rows_alive x cols_alive`` evaluation matrix:
+    Models the packed-bitset kernel (:mod:`repro.linalg.kernels`) over
+    *num_rows* data rows (a view keeps every row):
 
-    * the level's packed column table, one ``rows_alive``-bit row bitset
-      per column;
+    * the run's table, one ``num_rows``-bit row bitset per projected column
+      (*table_cols*), resident for the whole run;
+    * the level's column view of it, one row bitset per column the level
+      references (*cols_alive*);
     * per thread, one span of at most ``BITSET_CHUNK`` candidates in
       flight: its indicator words, twice over for 0/1 errors
       (*binary_errors*), whose statistics AND the words with the packed
@@ -267,16 +270,16 @@ def estimate_level_memory(
     whose slices cover a large share of the rows can exceed the estimate
     by that much.  Budgets gate order-of-magnitude blowups, not bytes.
     """
-    row_bytes = num_packed_words(rows_alive) * 8
-    table = cols_alive * row_bytes
+    row_bytes = num_packed_words(num_rows) * 8
+    tables = (table_cols + cols_alive) * row_bytes
     in_flight = max(1, min(num_threads, num_candidates))
     span = min(BITSET_CHUNK, -(-num_candidates // in_flight))
     if binary_errors:
         per_span = 2 * span * row_bytes
     else:
-        per_span = span * (row_bytes + rows_alive)
+        per_span = span * (row_bytes + num_rows)
     stats = 2 * 4 * 8 * num_candidates
-    return int(table + in_flight * per_span + stats)
+    return int(tables + in_flight * per_span + stats)
 
 
 __all__ = [

@@ -13,7 +13,7 @@ config)`` and the same level-boundary frontier, every later pair join,
 kernel call, and top-K merge replays identically.  The bundle therefore only
 needs the frontier (the level's evaluated slices and their statistics), the
 running top-K, the per-level counters, and the compaction row/column maps —
-the data matrix itself is re-derived from the caller's ``x0`` (whose
+the packed table itself is re-derived from the caller's ``x0`` (whose
 identity is enforced by content fingerprints).
 
 Bundle layout (one directory per level)::
@@ -160,8 +160,10 @@ class CheckpointState:
     selected_columns: np.ndarray
     data_fingerprint: dict
     config_fingerprint: dict
-    #: compaction maps (``None`` when the run had compaction disabled;
-    #: ``row_coverage`` is ``None`` at the search's last level too)
+    #: compaction maps: counted rows, column-view map, and the rows the
+    #: level covered among the counted ones (``None`` when the run had
+    #: compaction disabled; ``row_coverage`` is ``None`` at the search's
+    #: last level too)
     row_indices: np.ndarray | None = None
     col_map: np.ndarray | None = None
     row_coverage: np.ndarray | None = None

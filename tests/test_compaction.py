@@ -4,7 +4,8 @@ Compaction is a pure performance optimization — the enumeration must
 produce *bitwise identical* output with it on or off, across thread
 counts, pruning ablation arms, priority evaluation, and warm starts.
 These tests certify that contract and unit-test the supporting pieces
-(:class:`~repro.core.compaction.CompactionState`,
+(:class:`~repro.core.compaction.CompactionState`, whose column views keep
+every row and only count the rows still covered,
 :func:`~repro.core.compaction.compact_slice_set`, mixed-radix key packing,
 the int64 candidate-index dtype, and the shared kernel workspace).
 """
@@ -26,6 +27,7 @@ from repro.core.pairs import _dedup_keys
 from repro.datasets import load_dataset
 from repro.resilience import load_checkpoint
 from repro.linalg import (
+    BitsetTable,
     KernelWorkspace,
     keys_to_csr,
     pack_rows_mixed_radix,
@@ -170,46 +172,71 @@ class TestCompactionOracle:
         assert_bitwise_identical_runs(x0, errors, config, num_threads)
 
 
+def table_of(dense) -> BitsetTable:
+    return BitsetTable.from_matrix(
+        sp.csr_matrix(np.asarray(dense, dtype=np.float64))
+    )
+
+
 class TestCompactionState:
-    def test_initial_drops_empty_rows(self):
-        x = sp.csr_matrix(
-            np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]], dtype=np.float64)
-        )
-        errors = np.array([0.5, 0.9, 0.25])
-        state = CompactionState.initial(x, errors)
+    """Rows are counted, not dropped: every view keeps all rows of the
+    run's table, and only its columns follow the level's candidates."""
+
+    def test_initial_counts_rows_with_a_basic_slice(self):
+        table = table_of([[1, 0], [0, 0], [0, 1]])
+        state = CompactionState.initial(table)
         assert state.num_rows_alive == 2
         assert state.num_cols_alive == 2
         assert np.array_equal(state.row_indices, [0, 2])
-        assert np.array_equal(state.errors, [0.5, 0.25])
         assert state.rows_retained == pytest.approx(2 / 3)
+        assert state.view is table  # nothing is gathered before level 2
 
-    def test_begin_level_compacts_columns_and_rows(self):
-        x = sp.csr_matrix(np.eye(4, dtype=np.float64))
-        errors = np.arange(4, dtype=np.float64)
-        state = CompactionState.initial(x, errors)
-        state.row_coverage = np.array([True, False, True, True])
-        candidates = np.array([[0], [3]], dtype=np.int64)
-        state.begin_level(candidates)
-        assert state.num_rows_alive == 3
-        assert state.num_cols_alive == 2
-        assert np.array_equal(state.row_indices, [0, 2, 3])
-        assert np.array_equal(state.col_map, [0, -1, -1, 1])
+    def test_begin_level_views_columns_and_counts_rows(self):
+        table = table_of(np.eye(5))
+        state = CompactionState.initial(table)
+        # The kernel state's coverage spans all rows; the state keeps it
+        # over the rows it counts, the form checkpoint bundles store.
+        state.end_level(np.array([True, False, True, True, True]))
+        assert np.array_equal(state.row_coverage, [True, False, True, True, True])
+        state.begin_level(np.array([[0], [3], [4]], dtype=np.int64))
         assert state.row_coverage is None  # consumed
+        assert state.num_rows_alive == 4
+        assert np.array_equal(state.row_indices, [0, 2, 3, 4])
+        assert np.array_equal(state.col_map, [0, -1, -1, 1, 2])
+        # A row gather of the table's words, every row kept.
+        assert state.view.shape == (5, 3)
+        assert np.array_equal(state.view.words, table.words[[0, 3, 4]])
+        assert state.cols_retained == pytest.approx(3 / 5)
+        state.end_level(np.array([True, False, False, True, False]))
+        assert np.array_equal(state.row_coverage, [True, False, True, False])
+        state.begin_level(np.array([[3]], dtype=np.int64))
+        assert np.array_equal(state.row_indices, [0, 3])
+        assert np.array_equal(state.col_map, [-1, -1, -1, 0, -1])
+        assert np.array_equal(state.view.words, table.words[[3]])
+        # A level that tracked no coverage leaves the count as it is.
+        state.end_level(None)
+        state.begin_level(np.array([[3]], dtype=np.int64))
+        assert np.array_equal(state.row_indices, [0, 3])
 
     def test_project_slices_remaps_and_rejects_dead_columns(self):
-        x = sp.csr_matrix(np.eye(3, dtype=np.float64))
-        state = CompactionState.initial(x, np.ones(3))
-        candidates = np.array([[0], [2]], dtype=np.int64)
+        gen = np.random.default_rng(3)
+        table = table_of(gen.random((70, 4)) < 0.6)
+        state = CompactionState.initial(table)
+        candidates = np.array([[0, 2], [2, 3], [0, 3]], dtype=np.int64)
         state.begin_level(candidates)
-        assert state.num_cols_alive == 2
+        assert state.num_cols_alive == 3
         projected = state.project_slices(candidates)
-        assert np.array_equal(projected, [[0], [1]])
+        assert np.array_equal(projected, [[0, 1], [1, 2], [0, 2]])
+        # The view under remapped keys is the table under the keys.
+        assert np.array_equal(
+            state.view.candidate_words(projected),
+            table.candidate_words(candidates),
+        )
         with pytest.raises(ValueError, match="compacted-away"):
             state.project_slices(np.array([[1]], dtype=np.int64))
 
     def test_begin_level_rejects_dead_candidate_columns(self):
-        x = sp.csr_matrix(np.eye(3, dtype=np.float64))
-        state = CompactionState.initial(x, np.ones(3))
+        state = CompactionState.initial(table_of(np.eye(3)))
         state.begin_level(np.array([[0]], dtype=np.int64))
         with pytest.raises(ValueError, match="surviving parents"):
             state.begin_level(np.array([[2]], dtype=np.int64))

@@ -104,8 +104,9 @@ def tied_level(gen, num_cols, level, count, pool):
 
 class TestBasicSlices:
     def test_sizes_and_errors_match_brute_force(self, tiny_x0, tiny_errors, tiny_space):
-        x = tiny_space.encode(tiny_x0)
-        basic = create_and_score_basic_slices(x, tiny_errors, sigma=1, alpha=0.9)
+        basic = create_and_score_basic_slices(
+            tiny_x0, tiny_space, tiny_errors, sigma=1, alpha=0.9
+        )
         for row, col in enumerate(basic.selected_columns):
             feature = tiny_space.feature_of_column(int(col))
             value = tiny_space.column_value(int(col))
@@ -115,22 +116,25 @@ class TestBasicSlices:
             assert basic.stats[row, StatsCol.MAX_ERROR] == pytest.approx(max_err)
 
     def test_sigma_filters_small_slices(self, tiny_x0, tiny_errors, tiny_space):
-        x = tiny_space.encode(tiny_x0)
-        basic = create_and_score_basic_slices(x, tiny_errors, sigma=3, alpha=0.9)
+        basic = create_and_score_basic_slices(
+            tiny_x0, tiny_space, tiny_errors, sigma=3, alpha=0.9
+        )
         assert (basic.stats[:, StatsCol.SIZE] >= 3).all()
 
     def test_zero_error_slices_filtered(self, tiny_x0, tiny_space):
         errors = np.zeros(8)
         errors[0] = 1.0  # only row 0 has error: slices not covering it drop
-        x = tiny_space.encode(tiny_x0)
-        basic = create_and_score_basic_slices(x, errors, sigma=1, alpha=0.9)
+        basic = create_and_score_basic_slices(
+            tiny_x0, tiny_space, errors, sigma=1, alpha=0.9
+        )
         assert (basic.stats[:, StatsCol.ERROR] > 0).all()
         # row 0 is [1, 1, 1]: exactly its three value-columns survive
         assert basic.num_slices == 3
 
     def test_slices_matrix_is_identity(self, tiny_x0, tiny_errors, tiny_space):
-        x = tiny_space.encode(tiny_x0)
-        basic = create_and_score_basic_slices(x, tiny_errors, sigma=1, alpha=0.9)
+        basic = create_and_score_basic_slices(
+            tiny_x0, tiny_space, tiny_errors, sigma=1, alpha=0.9
+        )
         assert basic.slices.dtype == np.int64
         assert np.array_equal(
             basic.slices, np.arange(basic.num_slices)[:, np.newaxis]
@@ -299,7 +303,7 @@ class TestGetPairCandidates:
     def _setup(self, x0, errors, sigma=1, alpha=0.9, k=4):
         space = FeatureSpace.from_matrix(x0)
         x = space.encode(x0)
-        basic = create_and_score_basic_slices(x, errors, sigma, alpha)
+        basic = create_and_score_basic_slices(x0, space, errors, sigma, alpha)
         fmap = np.searchsorted(
             space.ends, basic.selected_columns, side="right"
         ).astype(np.int64)

@@ -928,12 +928,13 @@ class TestEvaluateSliceSetBackends:
 
 
 # ---------------------------------------------------------------------------
-# warm-start seeds pack only the columns they name
+# warm-start seeds read a view of the run's table, and pack nothing
 
 
 def test_seed_table_holds_only_seed_columns(monkeypatch):
-    """A warm-started run evaluates its seeds on one table as wide as the
-    seeds' distinct predicate columns, not the whole projected matrix."""
+    """A warm-started run evaluates its seeds on a view of the run's table
+    as wide as the seeds' distinct predicate columns, not the whole
+    projected table, and packs nothing for them."""
     x0, errors = kernel_problem()
     cold = run(x0, errors)
 
@@ -949,15 +950,20 @@ def test_seed_table_holds_only_seed_columns(monkeypatch):
     # A level-1 seed and one outside the domains are dropped unevaluated.
     seeds += [seed({5: 1}), seed({0: 9, 1: 1})]
 
-    widths, in_seeds = [], []
-    pack = BitsetTable.from_matrix.__func__
+    views, packed, in_seeds = [], [], []
+    begin = KernelState.begin_level
+    pack = kernels_mod.pack_coordinates
     seed_eval = algorithm.evaluate_slice_set
 
-    def recording_pack(cls, matrix, *args, **kwargs):
-        table = pack(cls, matrix, *args, **kwargs)
+    def recording_begin(self, x_eval, level, *args):
         if in_seeds:
-            widths.append(table.words.shape[0])
-        return table
+            views.append(x_eval)
+        return begin(self, x_eval, level, *args)
+
+    def recording_pack(*args):
+        if in_seeds:
+            packed.append(args[3])
+        return pack(*args)
 
     def recording_seed_eval(*args, **kwargs):
         in_seeds.append(True)
@@ -966,9 +972,16 @@ def test_seed_table_holds_only_seed_columns(monkeypatch):
         finally:
             in_seeds.pop()
 
-    monkeypatch.setattr(BitsetTable, "from_matrix", classmethod(recording_pack))
+    monkeypatch.setattr(KernelState, "begin_level", recording_begin)
+    monkeypatch.setattr(kernels_mod, "pack_coordinates", recording_pack)
     monkeypatch.setattr(algorithm, "evaluate_slice_set", recording_seed_eval)
     warm = run(x0, errors, seeds=seeds)
-    assert widths == [len(distinct)]
+    assert packed == []
+    assert len(views) == 1 and isinstance(views[0], BitsetTable)
+    space = FeatureSpace.from_matrix(x0)
+    columns = sorted(space.column_of(f, v) for f, v in distinct)
+    want = BitsetTable.from_matrix(space.encode(x0)[:, columns])
+    assert views[0].shape == (x0.shape[0], len(distinct))
+    assert np.array_equal(views[0].words, want.words)
     assert warm.warm_start.encoded == 4
     assert_same_result(cold, warm)

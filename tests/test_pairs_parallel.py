@@ -58,7 +58,7 @@ def pairs_problem(seed=11, n=700, m=6, missing=0.0):
     x_onehot = space.encode(x0)
     sigma = max(5, n // 100)
     alpha = 0.95
-    basic = create_and_score_basic_slices(x_onehot, errors, sigma, alpha)
+    basic = create_and_score_basic_slices(x0, space, errors, sigma, alpha)
     feature_map = np.searchsorted(
         space.ends, basic.selected_columns, side="right"
     ).astype(np.int64)
