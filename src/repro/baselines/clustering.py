@@ -45,7 +45,7 @@ class ClusteringSlicer:
         """Cluster the data and describe the worst clusters as slices."""
         x0 = validate_encoded_matrix(x0, allow_missing=True)
         errors = ensure_vector(errors, x0.shape[0], "errors")
-        space = FeatureSpace.from_matrix(x0)
+        space = FeatureSpace.from_codes(x0)
         dense = to_dense(space.encode(x0))
 
         model = KMeans(

@@ -85,6 +85,8 @@ def slice_line(
     checkpoint_dir: str | None = None,
     resume_from: str | None = None,
     suspend: "SuspendHook | None" = None,
+    *,
+    input_fingerprint: dict | None = None,
 ) -> SliceLineResult:
     """Find the top-K problematic slices of an integer-encoded dataset.
 
@@ -164,6 +166,18 @@ def slice_line(
         suspended run can later be resumed via ``resume_from`` and
         completes bitwise-identically — this is how the serving scheduler
         preempts long batch jobs in favour of interactive ones.
+    input_fingerprint:
+        Optional ``fingerprint_inputs(x0, errors)`` of the arrays as passed,
+        when the caller has already hashed them (the serving layer hashes
+        every submission for its cache key).  With ``checkpoint_dir`` or
+        ``resume_from`` the run then stores it in its bundles and checks
+        the resumed bundle against it, instead of hashing the arrays again.
+        It stands for the run's own fingerprint only when validation hands
+        back the caller's own arrays (``int64`` codes, a contiguous 1-D
+        ``float64`` error vector); otherwise the run hashes its validated
+        copies, so bundles are the same with or without it.  A fingerprint
+        whose ``num_rows`` or ``num_features`` disagree with *x0* raises
+        :class:`~repro.exceptions.CheckpointError`.
 
     Returns
     -------
@@ -175,9 +189,22 @@ def slice_line(
     cfg = config or SliceLineConfig()
     tracer = resolve_tracer(trace)
     counters = CounterRegistry()
+    caller_x0, caller_errors = x0, errors
     x0 = validate_encoded_matrix(x0, allow_missing=True)
     num_rows, num_features = x0.shape
     errors = ensure_vector(errors, num_rows, "errors")
+    if input_fingerprint is not None:
+        shape = (input_fingerprint.get("num_rows"),
+                 input_fingerprint.get("num_features"))
+        if shape != (num_rows, num_features):
+            raise CheckpointError(
+                f"input_fingerprint describes {shape[0]} x {shape[1]} "
+                f"inputs, but x0 is {num_rows} x {num_features}"
+            )
+        if x0 is not caller_x0 or errors is not caller_errors:
+            # Validation made copies (another dtype or shape): the caller
+            # hashed other arrays, and bundles carry the search's own hash.
+            input_fingerprint = None
     if not np.isfinite(errors).all():
         bad = int(np.count_nonzero(~np.isfinite(errors)))
         raise InvalidErrorsError(
@@ -188,7 +215,7 @@ def slice_line(
             "errors must be non-negative (e >= 0 in the paper)"
         )
 
-    space = feature_space or FeatureSpace.from_matrix(x0)
+    space = feature_space or FeatureSpace.from_codes(x0)
     if space.num_features != num_features:
         raise ShapeError("feature_space does not match X0")
     sigma = cfg.resolve_sigma(num_rows)
@@ -205,16 +232,20 @@ def slice_line(
         else None
     )
 
+    # Hash once up front (or not at all, given the caller's hash): resume
+    # verification and every bundle this run writes reuse it.
+    data_fp: dict | None = None
+    if checkpoint_dir is not None or resume_from is not None:
+        data_fp = input_fingerprint or fingerprint_inputs(x0, errors)
     resume_state: CheckpointState | None = None
     if resume_from is not None:
         with tracer.span("checkpoint.load", path=resume_from):
             resume_state = load_checkpoint(resume_from)
-            verify_checkpoint(resume_state, x0, errors, cfg)
+            verify_checkpoint(resume_state, data_fp, cfg)
         counters = resume_state.restore_counters()
     fingerprints: tuple[dict, dict] | None = None
     if checkpoint_dir is not None:
-        # Hash once up front; every bundle this run writes reuses them.
-        fingerprints = (fingerprint_inputs(x0, errors), fingerprint_config(cfg))
+        fingerprints = (data_fp, fingerprint_config(cfg))
 
     # An inf error sum or a mean below the smallest normal float breaks
     # every score silently.  Scale the errors by an exact power of two that

@@ -25,7 +25,8 @@ from repro.linalg import one_hot_encode
 def validate_encoded_matrix(x0: np.ndarray, allow_missing: bool = False) -> np.ndarray:
     """Check that *x0* honours the 1-based contiguous integer contract.
 
-    Returns the validated ``int64`` matrix.  Codes must be integers in
+    Returns the validated ``int64`` matrix: *x0* itself when it already is
+    one (callers that keep it must copy it).  Codes must be integers in
     ``[1, d_j]`` (``0`` additionally allowed when *allow_missing*); fractional
     values or negatives raise :class:`EncodingError`.
     """
@@ -40,7 +41,7 @@ def validate_encoded_matrix(x0: np.ndarray, allow_missing: bool = False) -> np.n
             raise EncodingError("X0 must hold integer codes (recode/bin first)")
         arr = as_int
     else:
-        arr = arr.astype(np.int64)
+        arr = arr.astype(np.int64, copy=False)
     floor = 0 if allow_missing else 1
     if arr.min() < floor:
         raise EncodingError(
@@ -76,8 +77,16 @@ class FeatureSpace:
     def from_matrix(
         cls, x0: np.ndarray, feature_names: Sequence[str] | None = None
     ) -> "FeatureSpace":
-        """Derive domains from the column maxima of a validated ``X0``."""
-        x0 = validate_encoded_matrix(x0, allow_missing=True)
+        """Derive domains from the column maxima of ``X0``, validated here."""
+        return cls.from_codes(
+            validate_encoded_matrix(x0, allow_missing=True), feature_names
+        )
+
+    @classmethod
+    def from_codes(
+        cls, x0: np.ndarray, feature_names: Sequence[str] | None = None
+    ) -> "FeatureSpace":
+        """Derive domains from codes :func:`validate_encoded_matrix` returned."""
         domains = x0.max(axis=0)
         if domains.min() < 1:
             raise EncodingError("every feature must have at least one observed code")

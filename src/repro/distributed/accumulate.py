@@ -56,7 +56,7 @@ def partitioned_slice_stats(
     """
     x0 = validate_encoded_matrix(x0, allow_missing=True)
     errors = ensure_vector(errors, x0.shape[0], "errors")
-    space = feature_space or FeatureSpace.from_matrix(x0)
+    space = feature_space or FeatureSpace.from_codes(x0)
     ranges = partition_work(x0.shape[0], num_partitions)
     with tracer.span(
         "distributed.accumulate",

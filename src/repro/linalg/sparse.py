@@ -58,9 +58,16 @@ def ensure_vector(values, length: int | None = None, name: str = "vector") -> np
 
     Raises :class:`ShapeError` when the input is not one-dimensional (column
     vectors of shape ``(n, 1)`` are accepted and flattened) or when *length*
-    is given and does not match.
+    is given and does not match.  A plain ndarray that already is
+    contiguous, 1-D and float64 comes back as the very same object.
     """
-    arr = np.asarray(values, dtype=np.float64)
+    if type(values) is np.ndarray:
+        # astype hands back *values* itself for any float64 dtype object;
+        # asarray(dtype=) makes a view unless the dtype object is the same
+        # one, which an unpickled array's is not.
+        arr = values.astype(np.float64, copy=False)
+    else:
+        arr = np.asarray(values, dtype=np.float64)
     if arr.ndim == 2 and 1 in arr.shape:
         arr = arr.ravel()
     if arr.ndim != 1:

@@ -55,12 +55,16 @@ _DERIVED_COUNTER_KEYS = ("dedup_removed", "pruned_total")
 
 
 def _sha256(array: np.ndarray) -> str:
-    """Content hash of an array (C-order bytes, dtype-tagged)."""
+    """Content hash of an array (C-order bytes, dtype-tagged).
+
+    sha256 reads the C-contiguous buffer in place: the same bytes as
+    ``tobytes()``, so the same digest, without copying them.
+    """
     arr = np.ascontiguousarray(array)
     digest = hashlib.sha256()
     digest.update(str(arr.dtype).encode())
     digest.update(str(arr.shape).encode())
-    digest.update(arr.tobytes())
+    digest.update(arr)
     return digest.hexdigest()
 
 
@@ -352,19 +356,22 @@ def latest_checkpoint(directory: str) -> str | None:
 
 
 def verify_checkpoint(
-    state: CheckpointState, x0: np.ndarray, errors: np.ndarray, config
+    state: CheckpointState, data_fingerprint: dict, config
 ) -> None:
     """Raise :class:`CheckpointError` unless the bundle matches this run.
 
     Resume equivalence is only defined against the *same* data and the same
     result-affecting configuration; both are enforced by content hash so a
     stale or foreign bundle fails loudly instead of producing silently
-    wrong slices.
+    wrong slices.  *data_fingerprint* is the run's
+    ``fingerprint_inputs(x0, errors)``, hashed once by the caller and
+    reused for the bundles it writes.
     """
-    data = fingerprint_inputs(x0, errors)
-    if data != state.data_fingerprint:
+    if data_fingerprint != state.data_fingerprint:
         raise CheckpointError(
-            fingerprint_mismatch("input data", state.data_fingerprint, data)
+            fingerprint_mismatch(
+                "input data", state.data_fingerprint, data_fingerprint
+            )
         )
     cfg = fingerprint_config(config)
     if cfg != state.config_fingerprint:

@@ -161,8 +161,8 @@ def spec_to_dict(spec: JobSpec) -> dict:
     Exhaustive over every result-affecting field, so
     ``spec_from_dict(spec_to_dict(s))`` rebuilds an equivalent spec with
     the same job fingerprint.  Explicit ``x0``/``errors`` arrays are *not*
-    part of the table — the durable service spills them next to the job's
-    checkpoints and re-attaches them on recovery.
+    part of the table — the durable service spills them once per dataset
+    (``inputs/<data_digest>.npz``) and re-attaches them on recovery.
     """
     config = spec.config
     pruning = config.pruning

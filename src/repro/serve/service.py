@@ -30,6 +30,9 @@ every cacheable result spills to disk, so a service constructed over the
 same ``state_dir`` after a crash recovers: completed jobs are cache hits
 again, in-flight jobs re-admit at the front of their tenant's backlog and
 resume bitwise-identically from their last ``repro.ckpt/v1`` checkpoint.
+Explicit-array inputs spill once per dataset (``inputs/<data_digest>.npz``),
+and a job's input fingerprint, hashed once at submit, is what its
+checkpoints carry and its resume checks.
 
 Process isolation (``worker_mode="process"``): the heavy ``slice_line``
 call of a find job runs in a supervised spawned worker
@@ -47,6 +50,7 @@ import re
 import tempfile
 import threading
 import time
+import zipfile
 
 import numpy as np
 
@@ -114,9 +118,10 @@ class SliceService:
         submissions first — used by tests to make races deterministic).
     state_dir:
         Root of the durable state layout (``wal/journal.wal``, ``cache/``,
-        ``jobs/``, ``workers/``).  When set, the service journals every
-        job transition, spills cache entries to disk, and **recovers** the
-        pre-crash job table from whatever the directory holds.
+        ``inputs/``, ``jobs/``, ``workers/``).  When set, the service
+        journals every job transition, spills cache entries and each
+        explicit-array dataset to disk, and **recovers** the pre-crash job
+        table from whatever the directory holds.
     worker_mode:
         ``"thread"`` (default: the in-process :class:`Scheduler`) or
         ``"process"`` (a :class:`ProcessWorkerSupervisor` running find
@@ -168,8 +173,11 @@ class SliceService:
         #: jobs the journal held but recovery could not rebuild
         self.recovery_errors: list[dict] = []
         self._recovering = False
+        #: data digests whose ``inputs/<digest>.npz`` this instance wrote
+        #: (fsync'd as its journal is): later submits spill nothing
+        self._spilled: set[str] = set()
         if state_dir is not None:
-            os.makedirs(state_dir, exist_ok=True)
+            os.makedirs(os.path.join(state_dir, "inputs"), exist_ok=True)
             if workdir is None:
                 workdir = os.path.join(state_dir, "jobs")
             self.cache = DurableResultCache(
@@ -277,6 +285,7 @@ class SliceService:
                 tracer=Tracer() if self.trace else NULL_TRACER,
                 x0=x0,
                 errors=errors,
+                input_fingerprint=data_fp,
             )
             self.jobs[job_id] = record
             self._order.append(job_id)
@@ -598,6 +607,7 @@ class SliceService:
                         budgets=record.effective_budgets,
                         checkpoint_dir=checkpoint_dir,
                         resume_from=resume_from,
+                        input_fingerprint=record.input_fingerprint,
                     ),
                 )
             return slice_line(
@@ -611,6 +621,7 @@ class SliceService:
                 checkpoint_dir=checkpoint_dir,
                 resume_from=resume_from,
                 suspend=record.suspend,
+                input_fingerprint=record.input_fingerprint,
             )
 
     def _run_monitor(self, record: JobRecord):
@@ -659,6 +670,10 @@ class SliceService:
         path = os.path.join(self.workdir, safe)
         os.makedirs(path, exist_ok=True)
         return path
+
+    def _inputs_path(self, data_digest: str) -> str:
+        """The one input spill of every explicit-array job on one dataset."""
+        return os.path.join(self.state_dir, "inputs", f"{data_digest}.npz")
 
     def _finish_locked(
         self,
@@ -713,22 +728,25 @@ class SliceService:
         """Write-ahead record of one submission (spec table + identity).
 
         Explicit-array specs spill their ``(x0, errors)`` to
-        ``jobs/<id>/inputs.npz`` *before* the submit record references
-        them, so a crash between the two leaves an unreferenced spill
-        file, never a dangling reference.
+        ``inputs/<data_digest>.npz`` *before* the first submit record that
+        needs them, so a crash between the two leaves an unreferenced
+        spill file, never a dangling reference.  The file is shared by
+        every job on the same data: this instance writes it once, and the
+        submit record names it by its ``data_digest`` alone.
         """
         if self.journal is None or self._recovering:
             return
         spec = record.spec
         has_inputs = spec.dataset is None
-        if has_inputs:
+        if has_inputs and record.data_digest not in self._spilled:
             buffer = io.BytesIO()
             np.savez(buffer, x0=record.x0, errors=record.errors)
             atomic_write_bytes(
-                os.path.join(self._checkpoint_dir(record), "inputs.npz"),
+                self._inputs_path(record.data_digest),
                 buffer.getvalue(),
                 durable=self.journal.fsync,
             )
+            self._spilled.add(record.data_digest)
         self._journal_locked(
             record,
             "submit",
@@ -806,6 +824,9 @@ class SliceService:
         orphans: list[JobRecord] = []
         backlog: list[JobRecord] = []
         recovered = 0
+        #: data digest -> its shared spill's (x0, errors, fingerprint):
+        #: each intact file is read once
+        shared: dict[str, tuple] = {}
         self._recovering = True
         try:
             for job_id, entries in by_job.items():
@@ -819,7 +840,7 @@ class SliceService:
                 ):
                     continue
                 try:
-                    record = self._rebuild_record(job_id, submit)
+                    record = self._rebuild_record(job_id, submit, shared)
                 except Exception as exc:  # noqa: BLE001 — quarantine, don't abort
                     self.recovery_errors.append(
                         {"job_id": job_id, "error": str(exc)}
@@ -879,26 +900,30 @@ class SliceService:
                 "serve.wal_quarantined", len(self.journal.quarantined)
             )
 
-    def _rebuild_record(self, job_id: str, submit: dict) -> JobRecord:
-        """One :class:`JobRecord` from a journaled ``submit`` record."""
+    def _rebuild_record(
+        self, job_id: str, submit: dict, shared: dict
+    ) -> JobRecord:
+        """One :class:`JobRecord` from a journaled ``submit`` record.
+
+        *shared* holds the spills recovery has read so far, by data digest
+        (see :meth:`_recovered_inputs`).
+        """
         table = submit.get("spec")
         if not isinstance(table, dict):
             raise ServeError(
                 f"journal submit record for {job_id!r} carries no spec table"
             )
         if submit.get("has_inputs"):
-            safe = _JOB_ID_SANITIZE.sub("_", job_id)
-            inputs_path = os.path.join(self.workdir, safe, "inputs.npz")
-            with np.load(inputs_path) as bundle:
-                x0 = np.array(bundle["x0"])
-                errors = np.array(bundle["errors"])
+            x0, errors, data_fp = self._recovered_inputs(
+                job_id, submit.get("data_digest"), shared
+            )
             spec = spec_from_dict(
                 table, where=f"journal:{job_id}", x0=x0, errors=errors
             )
         else:
             spec = spec_from_dict(table, where=f"journal:{job_id}")
-        x0, errors = spec.resolve_data()
-        data_fp = fingerprint_inputs(x0, errors)
+            x0, errors = spec.resolve_data()
+            data_fp = fingerprint_inputs(x0, errors)
         config_fp = fingerprint_config(spec.config)
         data_digest = fingerprint_digest(data_fp)
         if spec.kind == "monitor":
@@ -922,6 +947,7 @@ class SliceService:
             tracer=Tracer() if self.trace else NULL_TRACER,
             x0=x0,
             errors=errors,
+            input_fingerprint=data_fp,
         )
         quota = self.quota_for(spec.tenant)
         if quota.budgets is not None:
@@ -929,6 +955,45 @@ class SliceService:
         else:
             record.effective_budgets = spec.budgets
         return record
+
+    def _recovered_inputs(
+        self, job_id: str, data_digest: str | None, shared: dict
+    ) -> tuple[np.ndarray, np.ndarray, dict]:
+        """``(x0, errors, fingerprint_inputs)`` of a journaled array job.
+
+        A job journaled before spills were shared owns
+        ``jobs/<id>/inputs.npz``, read for it alone.  Every other job reads
+        ``inputs/<data_digest>.npz``: loaded and hashed once per recovery,
+        checked against the digest that names it, and handed to each job
+        that needs it as the same read-only arrays.  A file that fails to
+        read or to hash to its digest fails every job that needs it (each
+        such job tries it again).  Reading a file back does not make it
+        durable (an earlier instance may have run without fsync), so this
+        instance's first submit of that data writes it again.
+        """
+        legacy = os.path.join(
+            self.workdir, _JOB_ID_SANITIZE.sub("_", job_id), "inputs.npz"
+        )
+        if os.path.exists(legacy):
+            x0, errors = _load_inputs(legacy)
+            return x0, errors, fingerprint_inputs(x0, errors)
+        if not isinstance(data_digest, str):
+            raise ServeError(
+                f"journal submit record for {job_id!r} names no data digest"
+            )
+        if data_digest not in shared:
+            path = self._inputs_path(data_digest)
+            x0, errors = _load_inputs(path)
+            data_fp = fingerprint_inputs(x0, errors)
+            if fingerprint_digest(data_fp) != data_digest:
+                raise ServeError(
+                    f"input spill {path} does not hash to its digest: the "
+                    "file is damaged"
+                )
+            x0.flags.writeable = False
+            errors.flags.writeable = False
+            shared[data_digest] = (x0, errors, data_fp)
+        return shared[data_digest]
 
     def _restore_terminal_locked(self, record: JobRecord, last: dict) -> None:
         """Replay one journaled terminal transition onto *record*."""
@@ -1078,6 +1143,17 @@ class SliceService:
         self.registry.gauge("serve.cache_bytes", cache["bytes"])
         self.registry.gauge("serve.cache_hits", cache["hits"])
         self.registry.gauge("serve.cache_misses", cache["misses"])
+
+
+def _load_inputs(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(x0, errors)`` arrays of one input spill."""
+    try:
+        # Our own handle: np.load leaves a path it opened unclosed when the
+        # file is not a readable zip.
+        with open(path, "rb") as handle, np.load(handle) as bundle:
+            return np.array(bundle["x0"]), np.array(bundle["errors"])
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+        raise ServeError(f"input spill {path} is unreadable: {exc}") from exc
 
 
 __all__ = ["SERVE_SCHEMA", "SliceService"]

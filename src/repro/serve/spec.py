@@ -192,6 +192,9 @@ class JobRecord:
     #: resolved data (kept so resume re-derives the identical matrices)
     x0: np.ndarray | None = None
     errors: np.ndarray | None = None
+    #: ``fingerprint_inputs(x0, errors)``, hashed once at submit (or
+    #: recovery); the run's checkpoints carry it and its resume checks it
+    input_fingerprint: dict | None = None
 
     @property
     def terminal(self) -> bool:

@@ -92,7 +92,7 @@ class MergeableSliceStats:
         """
         x0 = validate_encoded_matrix(x0, allow_missing=True)
         errors = ensure_vector(errors, x0.shape[0], "errors")
-        space = feature_space or FeatureSpace.from_matrix(x0)
+        space = feature_space or FeatureSpace.from_codes(x0)
         result = cls.empty(len(slices))
         encodable: list[int] = []
         rows: list[np.ndarray] = []

@@ -39,8 +39,10 @@ class PredictionBatch:
         errors = ensure_vector(self.errors, x0.shape[0], "errors")
         if (errors < 0).any():
             raise StreamingError("batch errors must be non-negative")
-        object.__setattr__(self, "x0", x0)
-        object.__setattr__(self, "errors", errors)
+        # Own copies: validation hands back the caller's buffers when they
+        # already have the right dtype, and the caller may reuse them.
+        object.__setattr__(self, "x0", x0.copy())
+        object.__setattr__(self, "errors", errors.copy())
 
     @property
     def num_rows(self) -> int:

@@ -276,6 +276,52 @@ class TestEvaluateLevel:
         assert got_top.tobytes() == ref_top.tobytes()
 
 
+class TestReadOnlyInputs:
+    """Validation no longer copies int64 codes or float64 errors, so the
+    search, the estimator and the oracle must only ever read them."""
+
+    @staticmethod
+    def _read_only(x0, errors):
+        x0, errors = x0.copy(), errors.copy()
+        x0.flags.writeable = False
+        errors.flags.writeable = False
+        return x0, errors
+
+    @pytest.mark.parametrize("float_errors", [False, True])
+    def test_slice_line_and_fit(self, planted_dataset, tmp_path, float_errors):
+        x0, errors, _ = planted_dataset
+        if float_errors:
+            errors = errors * np.linspace(0.5, 2.0, errors.size)
+        ro_x0, ro_errors = self._read_only(x0, errors)
+        cfg = SliceLineConfig(k=4, max_level=3, priority_chunk=8)
+        plain = slice_line(x0, errors, cfg)
+        for kwargs in ({}, {"num_threads": 2}, {"seed_slices": plain.top_slices}):
+            got = slice_line(ro_x0, ro_errors, cfg, **kwargs)
+            assert got.top_stats.tobytes() == plain.top_stats.tobytes()
+            np.testing.assert_array_equal(
+                got.top_slices_encoded, plain.top_slices_encoded
+            )
+        slice_line(ro_x0, ro_errors, cfg, checkpoint_dir=str(tmp_path))
+        resumed = slice_line(
+            ro_x0, ro_errors, cfg, resume_from=str(tmp_path / "level-0002")
+        )
+        assert resumed.top_stats.tobytes() == plain.top_stats.tobytes()
+        fitted = SliceLine(k=4, max_level=3).fit(ro_x0, ro_errors)
+        assert (
+            fitted.top_stats_.tobytes()
+            == SliceLine(k=4, max_level=3).fit(x0, errors).top_stats_.tobytes()
+        )
+
+    def test_naive_oracle(self, planted_dataset):
+        from repro.baselines.naive import naive_top_k
+
+        x0, errors, _ = planted_dataset
+        ro_x0, ro_errors = self._read_only(x0, errors)
+        assert naive_top_k(ro_x0, ro_errors, 4, 10, 0.95) == naive_top_k(
+            x0, errors, 4, 10, 0.95
+        )
+
+
 class TestSliceLineEstimator:
     def test_fit_and_attributes(self, planted_dataset):
         x0, errors, predicates = planted_dataset

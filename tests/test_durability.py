@@ -12,6 +12,10 @@ The load-bearing guarantees:
 - a :class:`SliceService` constructed over a ``state_dir`` recovers the
   pre-crash job table: completed results are cache hits again, in-flight
   jobs re-admit at the front and finish bitwise-identically;
+- explicit-array inputs spill once per dataset, before the first submit
+  record that needs them; recovery reads each spill once, still checks it
+  against the journaled fingerprint, and still reads the per-job spills
+  of older journals;
 - process workers survive SIGKILL and heartbeat-timeout kills with an
   orphan requeue, and a poison-pill job fails typed, not forever.
 """
@@ -34,6 +38,11 @@ from repro.core.algorithm import slice_line
 from repro.core.config import SliceLineConfig
 from repro.exceptions import ConfigError, ServeError
 from repro.resilience.chaos import corrupt_file, truncate_file
+from repro.resilience.checkpoint import (
+    fingerprint_config,
+    fingerprint_digest,
+    fingerprint_inputs,
+)
 from repro.serve import (
     DurableResultCache,
     JobJournal,
@@ -511,6 +520,7 @@ class TestServiceRecovery:
             if name == "inputs.npz"
         ]
         assert spills == []  # dataset specs re-resolve by name
+        assert os.listdir(os.path.join(state, "inputs")) == []
         recovered = SliceService(state_dir=state, num_workers=1)
         try:
             result = recovered.result(record.job_id, timeout=60)
@@ -556,6 +566,261 @@ class TestServiceRecovery:
     def test_rejects_bad_worker_mode(self):
         with pytest.raises(ConfigError):
             SliceService(worker_mode="fibers", start=False)
+
+
+# ---------------------------------------------------------------------------
+# shared input spills (one per dataset)
+
+
+def _journaled(state: str) -> list[dict]:
+    with open(os.path.join(state, "wal", "journal.wal"), "rb") as handle:
+        return scan_wal(handle.read())[0]
+
+
+def _input_spills(state: str) -> list[str]:
+    return sorted(os.listdir(os.path.join(state, "inputs")))
+
+
+def _per_job_spills(state: str) -> list[str]:
+    return [
+        os.path.join(directory, name)
+        for directory, _, names in os.walk(os.path.join(state, "jobs"))
+        for name in names
+        if name == "inputs.npz"
+    ]
+
+
+def _configs(count: int) -> list[SliceLineConfig]:
+    return [SliceLineConfig(k=2 + index, max_level=3) for index in range(count)]
+
+
+def _pending_jobs(state: str, x0, errors, configs, **options) -> list:
+    """Journal one submit per config and "crash" before any of them runs."""
+    service = SliceService(
+        state_dir=state, num_workers=1, start=False, **options
+    )
+    records = [
+        service.submit(JobSpec(x0=x0, errors=errors, config=config))
+        for config in configs
+    ]
+    service.shutdown()
+    return records
+
+
+class TestSharedInputSpills:
+    def test_one_spill_per_dataset(self, tmp_path, planted_dataset):
+        x0, errors, _ = planted_dataset
+        state = str(tmp_path / "state")
+        other = errors.copy()
+        other[:7] = 1.0
+        with SliceService(state_dir=state, num_workers=1) as service:
+            first = [
+                service.submit(JobSpec(x0=x0, errors=errors, config=config))
+                for config in _configs(3) * 2  # misses, then hits
+            ]
+            assert service.wait(timeout=120)
+            assert _input_spills(state) == [f"{first[0].data_digest}.npz"]
+            second = service.submit(JobSpec(x0=x0, errors=other))
+            assert service.wait(timeout=120)
+            assert second.data_digest != first[0].data_digest
+            assert _input_spills(state) == sorted(
+                f"{r.data_digest}.npz" for r in (first[0], second)
+            )
+            assert _per_job_spills(state) == []
+        submits = [r for r in _journaled(state) if r["type"] == "submit"]
+        # The submit record is the one it always was: no path journaled.
+        assert len(submits) == 7
+        for entry in submits:
+            assert entry["has_inputs"] is True
+            assert set(entry) == {
+                "schema", "type", "job_id", "fingerprint", "data_digest",
+                "serial", "spec", "has_inputs", "submitted_at",
+            }
+
+    def test_spill_is_durable_before_the_first_submit_record(
+        self, tmp_path, planted_dataset, monkeypatch
+    ):
+        import repro.serve.service as service_module
+
+        x0, errors, _ = planted_dataset
+        events = []
+        write = service_module.atomic_write_bytes
+        append = JobJournal.append
+
+        def recording_write(path, data, durable=True):
+            events.append(("spill", os.path.basename(path), durable))
+            return write(path, data, durable=durable)
+
+        def recording_append(journal, record_type, job_id, **fields):
+            events.append((record_type, job_id))
+            return append(journal, record_type, job_id, **fields)
+
+        monkeypatch.setattr(
+            service_module, "atomic_write_bytes", recording_write
+        )
+        monkeypatch.setattr(JobJournal, "append", recording_append)
+        records = _pending_jobs(
+            str(tmp_path / "state"), x0, errors, _configs(3)
+        )
+        digest = records[0].data_digest
+        assert events == [
+            ("spill", f"{digest}.npz", True),
+            *[("submit", r.job_id) for r in records],
+        ]
+
+    def test_legacy_per_job_spill_recovers_bitwise(
+        self, tmp_path, planted_dataset
+    ):
+        """A journal from before shared spills: the submit record as it
+        always was, and the inputs in ``jobs/<id>/inputs.npz``."""
+        x0, errors, _ = planted_dataset
+        config = SliceLineConfig(k=3, max_level=3)
+        spec = JobSpec(x0=x0, errors=errors, config=config)
+        data_fp = fingerprint_inputs(x0, errors)
+        fingerprint = fingerprint_digest(data_fp, fingerprint_config(config))
+        job_id = f"default/find-{fingerprint[:12]}-0"
+        state = tmp_path / "state"
+        with JobJournal(str(state / "wal" / "journal.wal")) as wal:
+            wal.append(
+                "submit", job_id, fingerprint=fingerprint,
+                data_digest=fingerprint_digest(data_fp), serial=0,
+                spec=spec_to_dict(spec), has_inputs=True,
+                submitted_at=time.time(),
+            )
+        job_dir = state / "jobs" / job_id.replace("/", "_")
+        job_dir.mkdir(parents=True)
+        np.savez(job_dir / "inputs.npz", x0=x0, errors=errors)
+
+        recovered = SliceService(state_dir=str(state), num_workers=1)
+        try:
+            assert recovered.recovery_errors == []
+            result = recovered.result(job_id, timeout=60)
+            assert recovered.jobs[job_id].recovered
+        finally:
+            recovered.shutdown()
+        _assert_results_equal(result, slice_line(x0, errors, config=config))
+        assert _input_spills(str(state)) == []
+
+    @pytest.mark.parametrize("damage", ["truncate", "flip", "rewrite"])
+    def test_damaged_spill_quarantines_every_job_that_needs_it(
+        self, tmp_path, planted_dataset, damage
+    ):
+        x0, errors, _ = planted_dataset
+        state = str(tmp_path / "state")
+        configs = _configs(3)
+        records = _pending_jobs(state, x0, errors, configs)
+        spill = os.path.join(
+            state, "inputs", f"{records[0].data_digest}.npz"
+        )
+        size = os.path.getsize(spill)
+        if damage == "truncate":
+            truncate_file(spill, size // 2)
+        elif damage == "rewrite":
+            # A well-formed file with other data: only the hash tells.
+            flipped = errors.copy()
+            flipped[0] = 1.0 - flipped[0]
+            np.savez(spill, x0=x0, errors=flipped)
+        else:
+            # One flipped byte in the middle of x0's data.
+            with open(spill, "r+b") as handle:
+                handle.seek(size // 2)
+                byte = handle.read(1)
+                handle.seek(size // 2)
+                handle.write(bytes([byte[0] ^ 0xFF]))
+
+        recovered = SliceService(state_dir=state, num_workers=1)
+        try:
+            quarantined = sorted(e["job_id"] for e in recovered.recovery_errors)
+            assert quarantined == sorted(r.job_id for r in records)
+            # Each quarantine names the damaged spill, not the job's spec.
+            for entry in recovered.recovery_errors:
+                assert f"input spill {spill} " in entry["error"]
+            last = {entry["job_id"]: entry for entry in _journaled(state)}
+            for record in records:
+                assert record.job_id not in recovered.jobs
+                assert last[record.job_id]["type"] == "fail"
+                assert last[record.job_id]["reason"] == "recovery-failed"
+            # A fresh submit of the same data spills it again and runs.
+            fresh = recovered.submit(
+                JobSpec(x0=x0, errors=errors, config=configs[0])
+            )
+            result = recovered.result(fresh.job_id, timeout=60)
+        finally:
+            recovered.shutdown()
+        _assert_results_equal(result, slice_line(x0, errors, config=configs[0]))
+        with np.load(spill) as bundle:
+            np.testing.assert_array_equal(bundle["x0"], x0)
+            np.testing.assert_array_equal(bundle["errors"], errors)
+
+    def test_recovery_reads_each_spill_once(
+        self, tmp_path, planted_dataset, monkeypatch
+    ):
+        import repro.serve.service as service_module
+
+        x0, errors, _ = planted_dataset
+        state = str(tmp_path / "state")
+        configs = _configs(4)
+        # The crashed instance ran without fsync: its spill is not durable.
+        records = _pending_jobs(state, x0, errors, configs, wal_fsync=False)
+        inputs_dir = os.path.join(state, "inputs")
+        loads = []
+        load = np.load
+
+        def counting_load(file, *args, **kwargs):
+            if str(getattr(file, "name", file)).startswith(inputs_dir):
+                loads.append(file)
+            return load(file, *args, **kwargs)
+
+        monkeypatch.setattr(np, "load", counting_load)
+        recovered = SliceService(state_dir=state, num_workers=1, start=False)
+        try:
+            assert len(loads) == 1
+            rebuilt = [recovered.jobs[r.job_id] for r in records]
+            for record in rebuilt:
+                assert record.x0 is rebuilt[0].x0
+                assert record.errors is rebuilt[0].errors
+                assert not record.x0.flags.writeable
+                assert not record.errors.flags.writeable
+                assert record.input_fingerprint == fingerprint_inputs(
+                    x0, errors
+                )
+            recovered.start()
+            results = [
+                recovered.result(r.job_id, timeout=60) for r in records
+            ]
+            # Reading the spill back does not make it durable: the first
+            # submit of this data writes it again, fsync'd, before its
+            # submit record, and the next one writes nothing.
+            events = []
+            write = service_module.atomic_write_bytes
+            append = JobJournal.append
+
+            def recording_write(path, data, durable=True):
+                events.append(("spill", os.path.basename(path), durable))
+                return write(path, data, durable=durable)
+
+            def recording_append(journal, record_type, job_id, **fields):
+                if record_type == "submit":
+                    events.append((record_type, job_id))
+                return append(journal, record_type, job_id, **fields)
+
+            monkeypatch.setattr(
+                service_module, "atomic_write_bytes", recording_write
+            )
+            monkeypatch.setattr(JobJournal, "append", recording_append)
+            again = [
+                recovered.submit(JobSpec(x0=x0, errors=errors, config=config))
+                for config in _configs(6)[4:]
+            ]
+            assert events == [
+                ("spill", f"{records[0].data_digest}.npz", True),
+                *[("submit", r.job_id) for r in again],
+            ]
+            assert len(loads) == 1
+        finally:
+            recovered.shutdown()
+        for config, result in zip(configs, results):
+            _assert_results_equal(result, slice_line(x0, errors, config=config))
 
 
 # ---------------------------------------------------------------------------

@@ -15,24 +15,31 @@ The load-bearing guarantees:
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
+import pickle
 import threading
 import time
+from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.resilience.checkpoint as checkpoint_module
 from repro.core.algorithm import slice_line
 from repro.core.config import SliceLineConfig
-from repro.exceptions import ConfigError, ServeError
+from repro.exceptions import CheckpointError, ConfigError, ServeError
+from repro.obs.counters import EXECUTION_FIELDS
 from repro.resilience.budgets import BudgetConfig, SuspendHook
 from repro.resilience.checkpoint import (
     fingerprint_config,
     fingerprint_digest,
     fingerprint_inputs,
     job_fingerprint,
+    latest_checkpoint,
 )
 from repro.serve import (
     JobQueue,
@@ -90,6 +97,181 @@ class TestJobFingerprint:
         cfg = fingerprint_config(SliceLineConfig())
         assert fingerprint_digest(data, cfg) != fingerprint_digest(cfg, data)
         assert fingerprint_digest(data) != fingerprint_digest(data, cfg)
+
+
+def _tobytes_sha256(array) -> str:
+    """The reference content hash: the same bytes through a copy."""
+    arr = np.ascontiguousarray(array)
+    digest = hashlib.sha256()
+    digest.update(str(arr.dtype).encode())
+    digest.update(str(arr.shape).encode())
+    digest.update(arr.tobytes())
+    return digest.hexdigest()
+
+
+_LAYOUTS = {
+    "c": lambda a: a,
+    "fortran": np.asfortranarray,
+    "strided": lambda a: a[::2, ::-1],
+    "transposed": lambda a: a.T,
+    "empty-rows": lambda a: a[:0],
+    "empty-cols": lambda a: a[:, :0],
+}
+
+
+def _bundle_fields(path: str) -> tuple[dict, dict]:
+    """A bundle's meta.json and arrays, less the counters' timings."""
+    with open(os.path.join(path, "meta.json")) as handle:
+        meta = json.load(handle)
+    meta["counters"] = [
+        {k: v for k, v in record.items() if k not in EXECUTION_FIELDS}
+        for record in meta["counters"]
+    ]
+    with np.load(os.path.join(path, "arrays.npz")) as arrays:
+        return meta, {name: arrays[name] for name in arrays.files}
+
+
+class TestInputFingerprint:
+    """One hash per job: the caller's ``fingerprint_inputs`` stands in for
+    ``slice_line``'s own, and bundles and resume do not change."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dtype=st.sampled_from(
+            [np.int8, np.int32, np.int64, np.uint16, np.float32, np.float64,
+             np.bool_, ">i8"]
+        ),
+        layout=st.sampled_from(sorted(_LAYOUTS)),
+        rows=st.integers(0, 7),
+        cols=st.integers(1, 5),
+        seed=st.integers(0, 2**16),
+    )
+    def test_no_copy_hash_equals_tobytes_hash(
+        self, dtype, layout, rows, cols, seed
+    ):
+        values = np.random.default_rng(seed).integers(0, 100, (rows, cols))
+        array = _LAYOUTS[layout](values.astype(dtype))
+        assert checkpoint_module._sha256(array) == _tobytes_sha256(array)
+
+    def test_rejects_a_fingerprint_of_another_shape(self, planted_dataset):
+        x0, errors, _ = planted_dataset
+        fingerprint = fingerprint_inputs(x0[:-1], errors[:-1])
+        with pytest.raises(CheckpointError, match="input_fingerprint"):
+            slice_line(x0, errors, input_fingerprint=fingerprint)
+        fingerprint = fingerprint_inputs(x0[:, :-1], errors)
+        with pytest.raises(CheckpointError, match="input_fingerprint"):
+            slice_line(x0, errors, input_fingerprint=fingerprint)
+
+    @pytest.mark.parametrize("codes", [np.int64, np.int32])
+    def test_bundles_and_resume_match_without_it(
+        self, planted_dataset, tmp_path, monkeypatch, codes
+    ):
+        """int64 codes take the caller's hash; int32 codes hash the
+        validated copy, as without it.  Either way the bundles agree field
+        for field, and resuming from either is bitwise."""
+        x0, errors, _ = planted_dataset
+        x0 = x0.astype(codes)
+        cfg = SliceLineConfig(k=4, max_level=3)
+        given_fp = fingerprint_inputs(x0, errors)
+        hashes = []
+        sha256 = checkpoint_module._sha256
+        monkeypatch.setattr(
+            checkpoint_module, "_sha256",
+            lambda array: hashes.append(1) or sha256(array),
+        )
+        plain = slice_line(x0, errors, cfg, checkpoint_dir=str(tmp_path / "a"))
+        assert len(hashes) == 2
+        hashes.clear()
+        given = slice_line(
+            x0, errors, cfg, checkpoint_dir=str(tmp_path / "b"),
+            input_fingerprint=given_fp,
+        )
+        assert len(hashes) == (0 if codes is np.int64 else 2)
+        np.testing.assert_array_equal(given.top_stats, plain.top_stats)
+        bundles = sorted(os.listdir(tmp_path / "a"))
+        assert bundles == sorted(os.listdir(tmp_path / "b"))
+        assert len(bundles) == 3
+        for name in bundles:
+            meta_a, arrays_a = _bundle_fields(str(tmp_path / "a" / name))
+            meta_b, arrays_b = _bundle_fields(str(tmp_path / "b" / name))
+            assert meta_a == meta_b
+            assert sorted(arrays_a) == sorted(arrays_b)
+            for key in arrays_a:
+                np.testing.assert_array_equal(arrays_a[key], arrays_b[key])
+
+        level2 = str(tmp_path / "b" / "level-0002")
+        hashes.clear()
+        resumed = slice_line(
+            x0, errors, cfg, resume_from=level2, input_fingerprint=given_fp
+        )
+        assert len(hashes) == (0 if codes is np.int64 else 2)
+        for source in (level2, str(tmp_path / "a" / "level-0002")):
+            for result in (resumed, slice_line(x0, errors, cfg, resume_from=source)):
+                np.testing.assert_array_equal(result.top_stats, plain.top_stats)
+                np.testing.assert_array_equal(
+                    result.top_slices_encoded, plain.top_slices_encoded
+                )
+
+    def test_resume_checks_the_given_fingerprint(
+        self, planted_dataset, tmp_path
+    ):
+        x0, errors, _ = planted_dataset
+        slice_line(x0, errors, checkpoint_dir=str(tmp_path))
+        other = fingerprint_inputs(x0, 1.0 - errors)
+        with pytest.raises(CheckpointError, match="fingerprint mismatch"):
+            slice_line(
+                x0, errors, resume_from=str(tmp_path), input_fingerprint=other
+            )
+
+    @pytest.mark.parametrize("worker_mode", ["thread", "process"])
+    def test_checkpointed_served_miss_hashes_its_input_once(
+        self, planted_dataset, tmp_path, monkeypatch, worker_mode
+    ):
+        x0, errors, _ = planted_dataset
+        hashed = []
+        sha256 = checkpoint_module._sha256
+        monkeypatch.setattr(
+            checkpoint_module, "_sha256",
+            lambda array: hashed.append(array.shape) or sha256(array),
+        )
+        with SliceService(
+            state_dir=str(tmp_path / "state"), num_workers=1,
+            worker_mode=worker_mode, start=False,
+        ) as service:
+            tasks = []
+            runner = getattr(service.scheduler, "run_find", None)
+            if runner is not None:
+                def recording_runner(record, task):
+                    tasks.append(task)
+                    return runner(record, task)
+
+                monkeypatch.setattr(
+                    service.scheduler, "run_find", recording_runner
+                )
+            record = service.submit(JobSpec(x0=x0, errors=errors))
+            service.start()
+            result = service.result(record.job_id, timeout=120)
+        # x0 and errors, once each, at submit; the run reused the dict.
+        assert hashed == [x0.shape, errors.shape]
+        assert record.input_fingerprint == fingerprint_inputs(x0, errors)
+        if worker_mode == "process":
+            assert [task["input_fingerprint"] for task in tasks] == [
+                record.input_fingerprint
+            ]
+            # The patch cannot see into the spawned child, so make the
+            # child's call here: the task as the queue pickles it.
+            child_task = pickle.loads(ForkingPickler.dumps(tasks[0]))
+            child_task["checkpoint_dir"] = str(tmp_path / "child")
+            hashed.clear()
+            child = slice_line(**child_task)
+            assert hashed == []
+            np.testing.assert_array_equal(child.top_stats, result.top_stats)
+        bundle = latest_checkpoint(service._checkpoint_dir(record))
+        with open(os.path.join(bundle, "meta.json")) as handle:
+            assert json.load(handle)["data"] == record.input_fingerprint
+        np.testing.assert_array_equal(
+            result.top_stats, slice_line(x0, errors).top_stats
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -291,6 +291,17 @@ class TestReplay:
                 x0=np.ones((2, 1), dtype=np.int64), errors=np.array([-1.0, 0.0])
             )
 
+    def test_batch_keeps_its_rows_when_the_source_is_reused(self):
+        """Validation hands back int64/float64 buffers as they are; the
+        batch copies them, so a caller refilling its buffers keeps it."""
+        x0, errors = dyadic_problem(55, n=30)
+        x0_buffer, errors_buffer = x0.copy(), errors.copy()
+        batch = PredictionBatch(x0=x0_buffer, errors=errors_buffer)
+        x0_buffer[:] = 1
+        errors_buffer[:] = 0.0
+        assert np.array_equal(batch.x0, x0)
+        assert np.array_equal(batch.errors, errors)
+
 
 class TestWarmStartSeeds:
     def make(self, predicates):
