@@ -1,20 +1,22 @@
-"""Multi-tenant slice-finding as a service: submit, cache, preempt, resume.
+"""Slice finding as a service: submit, cache, preempt, resume.
 
 One :class:`repro.SliceService` turns the one-shot ``slice_line`` call
-into a job service: tenants submit declarative jobs, admission control
-queues or rejects them against per-tenant quotas, results land in a
+into a job service: jobs wait in one backlog, results land in a
 fingerprint-keyed cache, and interactive jobs can preempt running batch
 jobs at a checkpointed level boundary (the victim later resumes
-bitwise-identically).
+bitwise-identically).  A job's ``tenant`` is a label (it leads the job
+id); the worker pool is the only limit on how many jobs run at once.
 
 This script walks the full surface on a synthetic workload:
 
-1. an analytics tenant submits a batch job (cold run);
+1. a batch job, labelled with the "analytics" tenant (cold run);
 2. resubmitting the identical job is an exact cache hit — no
    enumeration at all;
 3. a wider follow-up job on the same data warm-starts from the cached
    top-K and still matches a cold run bitwise;
-4. an interactive job from a second tenant preempts the batch queue;
+4. with the one worker busy on a batch job, an interactive "oncall" job
+   preempts it; the batch job resumes from its checkpoint and still
+   matches a cold run bitwise;
 5. the same jobs expressed as a declarative JSON document
    (``examples/serve_jobs.json`` runs the equivalent via
    ``python -m repro serve examples/serve_jobs.json``).
@@ -23,10 +25,11 @@ Run:  python examples/serve_jobs.py
 """
 
 import os
+import time
 
 import numpy as np
 
-from repro import JobSpec, SliceService, TenantQuota
+from repro import JobSpec, SliceService
 from repro.core import SliceLineConfig, slice_line
 
 rng = np.random.default_rng(7)
@@ -47,12 +50,8 @@ errors[weak] = (rng.random(int(weak.sum())) < 0.55).astype(float)
 
 cfg = SliceLineConfig(k=4, max_level=3, sigma=max(32, num_rows // 200))
 
-quotas = {
-    "analytics": TenantQuota(max_running=2, max_queued=16),
-    "oncall": TenantQuota(max_running=1, max_queued=4, weight=2.0),
-}
-
-with SliceService(quotas=quotas, num_workers=2) as service:
+# One worker: an interactive job that arrives while it is busy preempts.
+with SliceService(num_workers=1) as service:
     # 1. cold batch run -----------------------------------------------------
     job = service.submit(
         JobSpec(tenant="analytics", name="baseline", x0=x0, errors=errors,
@@ -84,16 +83,32 @@ with SliceService(quotas=quotas, num_workers=2) as service:
     print(f"[{deep.job_id}] warm-started from {len(deep.warm_seeds)} cached "
           "seeds; result bitwise-identical to a cold run")
 
-    # 4. an interactive on-call job jumps the line --------------------------
+    # 4. an interactive on-call job preempts a running batch job ----------
+    # A deeper scan over twelve more (noise) features keeps the worker busy.
+    x_wide = np.column_stack(
+        [x0] + [rng.integers(1, 4, size=num_rows) for _ in range(12)]
+    )
+    nightly_cfg = SliceLineConfig(k=8, max_level=4, sigma=8)
+    nightly = service.submit(
+        JobSpec(tenant="analytics", name="nightly", x0=x_wide,
+                errors=errors, config=nightly_cfg)
+    )
+    while service.status(nightly.job_id)["state"] == "pending":
+        time.sleep(0.001)
     live = service.submit(
         JobSpec(tenant="oncall", name="incident", x0=x0, errors=errors,
                 config=SliceLineConfig(k=2, max_level=2, sigma=cfg.sigma),
                 interactive=True)
     )
     service.result(live.job_id, timeout=300)
-    print(f"[{live.job_id}] interactive job completed "
-          f"(preemptions observed service-wide: "
-          f"{service.stats()['events'].get('serve.preemptions', 0)})")
+    resumed = service.result(nightly.job_id, timeout=300)
+    assert np.array_equal(
+        resumed.top_stats, slice_line(x_wide, errors, nightly_cfg).top_stats
+    )
+    print(f"[{live.job_id}] interactive job completed; "
+          f"[{nightly.job_id}] preempted x{nightly.preemptions}, "
+          f"resumed x{nightly.resumes}, result bitwise-identical to a cold "
+          "run")
 
     stats = service.stats()
     print(

@@ -28,7 +28,7 @@ from repro.resilience import (
     FaultPlan,
     RetryPolicy,
 )
-from repro.serve import JobSpec, SliceService, TenantQuota
+from repro.serve import JobSpec, SliceService
 from repro.streaming import (
     MergeableSliceStats,
     MonitorTick,
@@ -53,7 +53,6 @@ __all__ = [
     "RetryPolicy",
     "JobSpec",
     "SliceService",
-    "TenantQuota",
     "MergeableSliceStats",
     "MonitorTick",
     "PredictionBatch",

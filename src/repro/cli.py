@@ -389,9 +389,9 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro serve",
         description="Run declarative slice-finding job files (JSON/TOML, "
-        "skll-style defaults + jobs) through the multi-tenant job service: "
-        "admission control, fingerprint-keyed result caching, and "
-        "suspend/resume scheduling.",
+        "skll-style defaults + jobs) through the job service: one backlog "
+        "for every tenant, fingerprint-keyed result caching, and "
+        "suspend/resume scheduling.  --workers N runs N jobs at once.",
     )
     parser.add_argument(
         "jobs", nargs="+", metavar="PATH",
@@ -399,7 +399,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--workers", type=int, default=2,
-        help="worker-thread pool width (default 2)",
+        help="worker pool width: jobs run at once (default 2)",
     )
     parser.add_argument(
         "--cache-entries", type=int, default=64,

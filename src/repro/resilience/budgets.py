@@ -81,39 +81,6 @@ class BudgetConfig:
             or self.max_memory_bytes is not None
         )
 
-    def merged(self, other: "BudgetConfig | None") -> "BudgetConfig":
-        """Compose two budget sets, tightest-wins on every field.
-
-        A limit set on either side survives; when both sides set the same
-        limit the smaller one wins.  This is how a tenant quota composes
-        with a user-supplied per-job budget: neither can *loosen* the
-        other, so over-quota jobs cannot buy themselves more resources by
-        passing their own ``BudgetConfig``.
-        """
-        if other is None:
-            return self
-        if not isinstance(other, BudgetConfig):
-            raise ConfigError(
-                f"merged() expects a BudgetConfig or None, got {other!r}"
-            )
-
-        def tightest(a, b):
-            if a is None:
-                return b
-            if b is None:
-                return a
-            return min(a, b)
-
-        return BudgetConfig(
-            deadline_s=tightest(self.deadline_s, other.deadline_s),
-            max_candidates_per_level=tightest(
-                self.max_candidates_per_level, other.max_candidates_per_level
-            ),
-            max_memory_bytes=tightest(
-                self.max_memory_bytes, other.max_memory_bytes
-            ),
-        )
-
 
 @dataclass(frozen=True)
 class BudgetTrip:

@@ -126,24 +126,8 @@ def fingerprint_mismatch(kind: str, expected: dict, got: dict) -> str:
 
 
 def fingerprint_config(config) -> dict:
-    """JSON fingerprint of every result-affecting config field."""
-    pruning = config.pruning
-    return {
-        "k": config.k,
-        "sigma": config.sigma,
-        "alpha": config.alpha,
-        "max_level": config.max_level,
-        "compaction": config.compaction,
-        "priority_evaluation": config.priority_evaluation,
-        "priority_chunk": config.priority_chunk,
-        "pruning": {
-            "by_size": pruning.by_size,
-            "by_score": pruning.by_score,
-            "handle_missing_parents": pruning.handle_missing_parents,
-            "deduplicate": pruning.deduplicate,
-            "filter_input_slices": pruning.filter_input_slices,
-        },
-    }
+    """JSON fingerprint of the config: every field, nested ``pruning`` too."""
+    return dataclasses.asdict(config)
 
 
 @dataclass

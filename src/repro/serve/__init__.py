@@ -1,14 +1,14 @@
-"""Multi-tenant slice-finding job service.
+"""Slice-finding job service.
 
 The serving layer turns the one-shot :func:`repro.core.slice_line` call
 (and the streaming :class:`~repro.streaming.SliceMonitor`) into a
-concurrent, multi-tenant control plane:
+concurrent control plane:
 
 - :class:`JobSpec`/:class:`JobRecord` — declarative job description and
   its lifecycle record, identified by a deterministic fingerprint over
   the data and result-affecting config;
-- :class:`TenantQuota`/:class:`JobQueue` — admission control (typed
-  reject/queue decisions) and fair-share ordering across tenants;
+- :class:`JobQueue` — one service-wide backlog: admission control (typed
+  reject/queue decisions), interactive jobs first, otherwise FIFO;
 - :class:`ResultCache` — fingerprint-keyed cache (entry- and byte-bound
   LRU): exact hits skip enumeration entirely, same-data misses
   warm-start from the cached top-K (identical results, less work);
@@ -43,7 +43,7 @@ from repro.serve.durability import (
     frame_record,
     scan_wal,
 )
-from repro.serve.queue import AdmissionDecision, JobQueue, TenantQuota
+from repro.serve.queue import AdmissionDecision, JobQueue
 from repro.serve.scheduler import Scheduler
 from repro.serve.service import SERVE_SCHEMA, SliceService
 from repro.serve.spec import JobRecord, JobSpec, JobState
@@ -62,7 +62,6 @@ __all__ = [
     "SERVE_SCHEMA",
     "Scheduler",
     "SliceService",
-    "TenantQuota",
     "WAL_RECORD_TYPES",
     "WAL_SCHEMA",
     "WalQuarantine",

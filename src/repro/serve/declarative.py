@@ -25,6 +25,7 @@ older interpreters a TOML file raises a clear
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 
@@ -33,54 +34,20 @@ from repro.exceptions import ConfigError
 from repro.resilience.budgets import BudgetConfig
 from repro.serve.spec import JobSpec
 
-#: JobSpec fields a declarative entry may set directly.
-_SPEC_KEYS = frozenset(
-    {
-        "tenant",
-        "kind",
-        "name",
-        "dataset",
-        "scale",
-        "seed",
-        "num_threads",
-        "interactive",
-        "batch_size",
-        "window_size",
-        "policy",
-        "warm_start",
-        "tick_every",
-    }
-)
-
 #: Nested tables with their own key-wise merge.
 _NESTED_KEYS = frozenset({"config", "budgets"})
 
-_CONFIG_KEYS = frozenset(
-    {
-        "k",
-        "sigma",
-        "alpha",
-        "max_level",
-        "compaction",
-        "priority_evaluation",
-        "priority_chunk",
-        "pruning",
-    }
-)
 
-_PRUNING_KEYS = frozenset(
-    {
-        "by_size",
-        "by_score",
-        "handle_missing_parents",
-        "deduplicate",
-        "filter_input_slices",
-    }
-)
+def _field_names(cls) -> frozenset:
+    return frozenset(field.name for field in dataclasses.fields(cls))
 
-_BUDGET_KEYS = frozenset(
-    {"deadline_s", "max_candidates_per_level", "max_memory_bytes"}
-)
+
+#: JobSpec fields a declarative entry may set directly (the arrays are
+#: attached by the caller, never written in a table).
+_SPEC_KEYS = _field_names(JobSpec) - _NESTED_KEYS - {"x0", "errors"}
+_CONFIG_KEYS = _field_names(SliceLineConfig)
+_PRUNING_KEYS = _field_names(PruningConfig)
+_BUDGET_KEYS = _field_names(BudgetConfig)
 
 
 def _check_keys(table: dict, allowed: frozenset, where: str) -> None:
@@ -164,41 +131,17 @@ def spec_to_dict(spec: JobSpec) -> dict:
     part of the table — the durable service spills them once per dataset
     (``inputs/<data_digest>.npz``) and re-attaches them on recovery.
     """
-    config = spec.config
-    pruning = config.pruning
     entry: dict = {
-        "tenant": spec.tenant,
-        "kind": spec.kind,
-        "name": spec.name,
-        "seed": spec.seed,
-        "num_threads": spec.num_threads,
-        "interactive": spec.interactive,
-        "batch_size": spec.batch_size,
-        "window_size": spec.window_size,
-        "policy": spec.policy,
-        "warm_start": spec.warm_start,
-        "tick_every": spec.tick_every,
-        "config": {
-            "k": config.k,
-            "sigma": config.sigma,
-            "alpha": config.alpha,
-            "max_level": config.max_level,
-            "compaction": config.compaction,
-            "priority_evaluation": config.priority_evaluation,
-            "priority_chunk": config.priority_chunk,
-            "pruning": {
-                key: getattr(pruning, key) for key in sorted(_PRUNING_KEYS)
-            },
-        },
+        key: getattr(spec, key)
+        for key in sorted(_SPEC_KEYS - {"dataset", "scale"})
     }
+    entry["config"] = dataclasses.asdict(spec.config)
     if spec.dataset is not None:
         entry["dataset"] = spec.dataset
         if spec.scale is not None:
             entry["scale"] = spec.scale
     if spec.budgets is not None:
-        entry["budgets"] = {
-            key: getattr(spec.budgets, key) for key in sorted(_BUDGET_KEYS)
-        }
+        entry["budgets"] = dataclasses.asdict(spec.budgets)
     return entry
 
 

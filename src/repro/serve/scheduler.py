@@ -7,8 +7,8 @@ arrives while every worker is busy, the scheduler asks the most recently
 started non-interactive find job to suspend via its
 :class:`~repro.resilience.SuspendHook`.  The victim stops at its next
 level boundary — exactly where its ``repro.ckpt/v1`` checkpoint was just
-written — frees the worker, and is parked at the front of its tenant's
-backlog to resume (bitwise-identically) once a worker frees up again.
+written — frees the worker, and is parked at the front of the backlog to
+resume (bitwise-identically) once a worker frees up again.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ class Scheduler:
         for index in range(self.num_workers):
             thread = threading.Thread(
                 target=self._worker,
+                args=(index,),
                 name=f"repro-serve-worker-{index}",
                 daemon=True,
             )
@@ -55,18 +56,22 @@ class Scheduler:
     def started(self) -> bool:
         return bool(self._threads)
 
-    def _worker(self) -> None:
+    def _worker(self, index: int) -> None:
+        """Loop of the pool's *index*-th worker thread: take, then run."""
         while not self._stop.is_set():
             record = self.queue.take(timeout=0.1)
-            if record is None:
-                continue
+            if record is not None:
+                self._run(record)
+
+    def _run(self, record: JobRecord) -> None:
+        """Execute one taken job, counted as executing while it runs."""
+        with self._lock:
+            self._executing[record.job_id] = record
+        try:
+            self._execute(record)
+        finally:
             with self._lock:
-                self._executing[record.job_id] = record
-            try:
-                self._execute(record)
-            finally:
-                with self._lock:
-                    self._executing.pop(record.job_id, None)
+                self._executing.pop(record.job_id, None)
 
     def executing(self) -> list[JobRecord]:
         with self._lock:
@@ -83,10 +88,6 @@ class Scheduler:
         started victim is chosen to minimize lost progress.
         """
         if not self.preemption or not incoming.spec.interactive:
-            return None
-        if not self.queue.has_free_slot(incoming.spec.tenant):
-            # The incoming tenant is at max_running: suspending a victim
-            # would free a worker the new job cannot use yet.
             return None
         with self._lock:
             if len(self._executing) < self.num_workers:

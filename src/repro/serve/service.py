@@ -1,8 +1,8 @@
-"""The multi-tenant slice-finding service façade.
+"""The slice-finding service façade.
 
 :class:`SliceService` composes the serving subsystem: admission control
-and fair-share ordering (:mod:`repro.serve.queue`), a worker pool with
-checkpoint-backed preemption (:mod:`repro.serve.scheduler`), a
+and job ordering over one backlog (:mod:`repro.serve.queue`), a worker
+pool with checkpoint-backed preemption (:mod:`repro.serve.scheduler`), a
 fingerprint-keyed result cache (:mod:`repro.serve.cache`), and the
 existing resilience/streaming/obs layers behind a submit/status/result/
 cancel API.
@@ -28,8 +28,8 @@ Durability (``state_dir=...``): every job-lifecycle transition is written
 ahead to a ``repro.wal/v1`` journal (:mod:`repro.serve.durability`) and
 every cacheable result spills to disk, so a service constructed over the
 same ``state_dir`` after a crash recovers: completed jobs are cache hits
-again, in-flight jobs re-admit at the front of their tenant's backlog and
-resume bitwise-identically from their last ``repro.ckpt/v1`` checkpoint.
+again, in-flight jobs re-admit at the front of the backlog and resume
+bitwise-identically from their last ``repro.ckpt/v1`` checkpoint.
 Explicit-array inputs spill once per dataset (``inputs/<data_digest>.npz``),
 and a job's input fingerprint, hashed once at submit, is what its
 checkpoints carry and its resume checks.
@@ -68,7 +68,7 @@ from repro.resilience.checkpoint import (
 from repro.serve.cache import ResultCache
 from repro.serve.declarative import spec_from_dict, spec_to_dict
 from repro.serve.durability import DurableResultCache, JobJournal
-from repro.serve.queue import JobQueue, TenantQuota
+from repro.serve.queue import JobQueue
 from repro.serve.scheduler import Scheduler
 from repro.serve.spec import JobRecord, JobSpec, JobState
 from repro.serve.workers import ProcessWorkerSupervisor, WorkerCrash
@@ -94,15 +94,15 @@ _RECOVERY_FAILED = "recovery-failed"
 class SliceService:
     """Submit/status/result/cancel façade over the serving subsystem.
 
+    Every tenant's jobs share one backlog of at most
+    :data:`~repro.serve.queue.MAX_QUEUED` jobs, and the worker pool is the
+    only limit on how many run at once; ``tenant`` is a label on the job
+    (and in its id).
+
     Parameters
     ----------
-    quotas:
-        Per-tenant :class:`TenantQuota` table; tenants not listed fall
-        back to *default_quota*.
-    default_quota:
-        Quota for unlisted tenants (default: 2 running / 64 queued).
     num_workers:
-        Worker-thread pool width.
+        Worker pool width: how many jobs run at once.
     cache_entries:
         Capacity of the fingerprint-keyed result cache.
     workdir:
@@ -139,8 +139,6 @@ class SliceService:
 
     def __init__(
         self,
-        quotas: dict[str, TenantQuota] | None = None,
-        default_quota: TenantQuota | None = None,
         num_workers: int = 2,
         cache_entries: int = 64,
         workdir: str | None = None,
@@ -161,14 +159,12 @@ class SliceService:
                 f"{worker_mode!r}"
             )
         self._lock = threading.RLock()
-        self.quotas = dict(quotas or {})
-        self.default_quota = default_quota or TenantQuota()
         self.trace = trace
         self.state_dir = state_dir
         self.worker_mode = worker_mode
         self._max_job_crashes = max_job_crashes
         self.registry = CounterRegistry()
-        self.queue = JobQueue(self.quota_for)
+        self.queue = JobQueue()
         self.journal: JobJournal | None = None
         #: jobs the journal held but recovery could not rebuild
         self.recovery_errors: list[dict] = []
@@ -247,9 +243,6 @@ class SliceService:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.shutdown()
 
-    def quota_for(self, tenant: str) -> TenantQuota:
-        return self.quotas.get(tenant, self.default_quota)
-
     # -- submission ----------------------------------------------------------
 
     def submit(self, spec: JobSpec) -> JobRecord:
@@ -290,11 +283,6 @@ class SliceService:
             self.jobs[job_id] = record
             self._order.append(job_id)
             self.registry.event("serve.submitted")
-            quota = self.quota_for(spec.tenant)
-            if quota.budgets is not None:
-                record.effective_budgets = quota.budgets.merged(spec.budgets)
-            else:
-                record.effective_budgets = spec.budgets
             self._journal_submit_locked(record, serial)
 
             if spec.kind == "find":
@@ -325,7 +313,7 @@ class SliceService:
                     record.warm_seeds = seeds
                     self.registry.event("serve.warm_starts")
 
-            decision = self.queue.admit(record, quota)
+            decision = self.queue.admit(record)
             record.admission = decision
             if not decision.admitted:
                 self._finish_locked(
@@ -414,13 +402,6 @@ class SliceService:
                 "jobs": [
                     self.jobs[job_id].to_dict() for job_id in self._order
                 ],
-                "tenants": {
-                    tenant: {
-                        **stats,
-                        "quota": self.quota_for(tenant).to_dict(),
-                    }
-                    for tenant, stats in self.queue.tenant_stats().items()
-                },
                 "cache": self.cache.stats(),
                 "events": dict(self.registry.events),
                 "gauges": dict(self.registry.gauges),
@@ -488,7 +469,7 @@ class SliceService:
             if record.terminal:
                 return
             if record.cancel_requested:
-                self.queue.release(record)
+                self.queue.release()
                 self._release_inflight_locked(record, promote=True)
                 self._finish_locked(
                     record, JobState.CANCELLED, reason="user-cancel"
@@ -514,7 +495,7 @@ class SliceService:
             return
         except Exception as exc:  # noqa: BLE001 — a job must never kill a worker
             with self._lock:
-                self.queue.release(record)
+                self.queue.release()
                 self._release_inflight_locked(record, promote=True)
                 self._finish_locked(
                     record,
@@ -529,7 +510,7 @@ class SliceService:
         with self._lock:
             if result is not None and result.suspended:
                 if record.cancel_requested:
-                    self.queue.release(record)
+                    self.queue.release()
                     self._release_inflight_locked(record, promote=True)
                     self._finish_locked(
                         record, JobState.CANCELLED, reason="user-cancel"
@@ -545,20 +526,20 @@ class SliceService:
                         record, "suspend", preemptions=record.preemptions
                     )
                     # Front of the backlog: the suspended job resumes
-                    # before the tenant's newer submissions.
+                    # before newer submissions.
                     self.queue.requeue(record)
                 self._refresh_gauges_locked()
                 return
             if record.cancel_requested and record.spec.kind == "monitor":
                 # The monitor loop broke between batches on the flag.
-                self.queue.release(record)
+                self.queue.release()
                 self._finish_locked(
                     record, JobState.CANCELLED, reason="user-cancel"
                 )
                 self.registry.event("serve.cancellations")
                 self._refresh_gauges_locked()
                 return
-            self.queue.release(record)
+            self.queue.release()
             if record.spec.kind == "find":
                 cacheable = result is not None and self.cache.put(
                     record.fingerprint, record.data_digest, result
@@ -604,7 +585,7 @@ class SliceService:
                         config=spec.config,
                         num_threads=spec.num_threads,
                         seed_slices=record.warm_seeds or None,
-                        budgets=record.effective_budgets,
+                        budgets=spec.budgets,
                         checkpoint_dir=checkpoint_dir,
                         resume_from=resume_from,
                         input_fingerprint=record.input_fingerprint,
@@ -617,7 +598,7 @@ class SliceService:
                 num_threads=spec.num_threads,
                 trace=record.tracer if self.trace else None,
                 seed_slices=record.warm_seeds or None,
-                budgets=record.effective_budgets,
+                budgets=spec.budgets,
                 checkpoint_dir=checkpoint_dir,
                 resume_from=resume_from,
                 suspend=record.suspend,
@@ -638,7 +619,7 @@ class SliceService:
             warm_start=spec.warm_start,
             num_threads=spec.num_threads,
             trace=record.tracer if self.trace else None,
-            budgets=record.effective_budgets,
+            budgets=spec.budgets,
         )
         record.monitor = monitor
         since_tick = 0
@@ -761,7 +742,7 @@ class SliceService:
     def _handle_worker_crash(self, record: JobRecord, exc: WorkerCrash) -> None:
         """A worker process died under *record*: requeue, don't fail.
 
-        The job goes back to the **front** of its tenant's backlog and —
+        The job goes back to the **front** of the backlog and —
         when a ``repro.ckpt/v1`` checkpoint exists — resumes from its
         last level boundary, so the eventual result is bitwise-identical
         to a fault-free run.  ``max_job_crashes`` bounds the retries: a
@@ -776,14 +757,14 @@ class SliceService:
             )
             record.suspend.clear()
             if record.cancel_requested:
-                self.queue.release(record)
+                self.queue.release()
                 self._release_inflight_locked(record, promote=True)
                 self._finish_locked(
                     record, JobState.CANCELLED, reason="user-cancel"
                 )
                 self.registry.event("serve.cancellations")
             elif record.crashes > self._max_job_crashes:
-                self.queue.release(record)
+                self.queue.release()
                 self._release_inflight_locked(record, promote=True)
                 self._finish_locked(
                     record,
@@ -811,8 +792,8 @@ class SliceService:
         state (completed find jobs re-attach their result from the
         durable cache); a job whose last record is ``submit`` re-admits
         in submission order; one that reached ``dispatch``/``suspend``
-        is an **orphan** — it re-admits at the front of its tenant's
-        backlog and resumes from its checkpoint when one exists.  A job
+        is an **orphan** — it re-admits at the front of the backlog and
+        resumes from its checkpoint when one exists.  A job
         the journal names but recovery cannot rebuild (its dataset or
         inputs changed or vanished, or its spec is from an older version)
         lands in :attr:`recovery_errors` instead of aborting recovery, and
@@ -824,9 +805,10 @@ class SliceService:
         orphans: list[JobRecord] = []
         backlog: list[JobRecord] = []
         recovered = 0
-        #: data digest -> its shared spill's (x0, errors, fingerprint):
-        #: each intact file is read once
-        shared: dict[str, tuple] = {}
+        #: data digest or (dataset, scale, seed) -> (x0, errors,
+        #: fingerprint): each intact spill is read once, each registry
+        #: dataset built once
+        shared: dict = {}
         self._recovering = True
         try:
             for job_id, entries in by_job.items():
@@ -887,7 +869,7 @@ class SliceService:
         # a rejection) are journaled like any other.
         for record in reversed(orphans):
             # reversed + front=True preserves the original relative order
-            # at the head of each tenant's backlog.
+            # at the head of the backlog.
             self._readmit_recovered_locked(record, front=True)
         for record in backlog:
             self._readmit_recovered_locked(record, front=False)
@@ -905,8 +887,11 @@ class SliceService:
     ) -> JobRecord:
         """One :class:`JobRecord` from a journaled ``submit`` record.
 
-        *shared* holds the spills recovery has read so far, by data digest
-        (see :meth:`_recovered_inputs`).
+        *shared* holds the inputs recovery has built so far, as
+        ``(x0, errors, fingerprint_inputs)``: each spill by its data digest
+        (see :meth:`_recovered_inputs`), and each registry dataset by
+        ``(dataset, scale, seed)``, loaded and hashed once and handed to
+        every job on it as the same read-only arrays.
         """
         table = submit.get("spec")
         if not isinstance(table, dict):
@@ -922,8 +907,13 @@ class SliceService:
             )
         else:
             spec = spec_from_dict(table, where=f"journal:{job_id}")
-            x0, errors = spec.resolve_data()
-            data_fp = fingerprint_inputs(x0, errors)
+            key = (spec.dataset, spec.scale, spec.seed)
+            if key not in shared:
+                x0, errors = spec.resolve_data()
+                shared[key] = (x0, errors, fingerprint_inputs(x0, errors))
+                x0.flags.writeable = False
+                errors.flags.writeable = False
+            x0, errors, data_fp = shared[key]
         config_fp = fingerprint_config(spec.config)
         data_digest = fingerprint_digest(data_fp)
         if spec.kind == "monitor":
@@ -938,7 +928,7 @@ class SliceService:
                 f"job {job_id!r} fingerprint mismatch on recovery: the "
                 "data or config behind the journaled spec changed"
             )
-        record = JobRecord(
+        return JobRecord(
             job_id=job_id,
             spec=spec,
             fingerprint=fingerprint,
@@ -949,12 +939,6 @@ class SliceService:
             errors=errors,
             input_fingerprint=data_fp,
         )
-        quota = self.quota_for(spec.tenant)
-        if quota.budgets is not None:
-            record.effective_budgets = quota.budgets.merged(spec.budgets)
-        else:
-            record.effective_budgets = spec.budgets
-        return record
 
     def _recovered_inputs(
         self, job_id: str, data_digest: str | None, shared: dict
@@ -1039,7 +1023,6 @@ class SliceService:
         would have continued.
         """
         spec = record.spec
-        quota = self.quota_for(spec.tenant)
         if spec.kind == "find":
             cached = self.cache.get(record.fingerprint)
             if cached is not None:
@@ -1059,7 +1042,7 @@ class SliceService:
                     record
                 )
                 return
-        decision = self.queue.admit(record, quota, front=front)
+        decision = self.queue.admit(record, front=front)
         record.admission = decision
         if not decision.admitted:
             self._finish_locked(
@@ -1117,8 +1100,7 @@ class SliceService:
             return
         origin, rest = waiters[0], waiters[1:]
         origin.coalesced = False
-        quota = self.quota_for(origin.spec.tenant)
-        decision = self.queue.admit(origin, quota)
+        decision = self.queue.admit(origin)
         origin.admission = decision
         if decision.admitted:
             self._inflight[fingerprint] = origin

@@ -17,8 +17,8 @@ submissions, and names checkpoint directories for suspend/resume.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -169,15 +169,11 @@ class JobRecord:
     crashes: int = 0
     #: the record was rebuilt from the job journal after a restart
     recovered: bool = False
-    effective_budgets: BudgetConfig | None = None
     admission: "Any | None" = None
     #: duplicate submission riding on an identical in-flight job
     coalesced: bool = False
     cancel_requested: bool = False
     has_checkpoint: bool = False
-    #: the job has been handed to a worker at least once (fair-share
-    #: service is charged on first dispatch only, not on resume re-takes)
-    dispatched: bool = False
     #: cooperative preemption/cancellation flag the running enumeration polls
     suspend: SuspendHook = field(default_factory=SuspendHook)
     #: set exactly once, on entering a terminal state
@@ -238,14 +234,8 @@ class JobRecord:
                 else None
             ),
             "budgets": (
-                {
-                    "deadline_s": self.effective_budgets.deadline_s,
-                    "max_candidates_per_level": (
-                        self.effective_budgets.max_candidates_per_level
-                    ),
-                    "max_memory_bytes": self.effective_budgets.max_memory_bytes,
-                }
-                if self.effective_budgets is not None
+                dataclasses.asdict(self.spec.budgets)
+                if self.spec.budgets is not None
                 else None
             ),
             "result": (

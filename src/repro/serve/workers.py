@@ -1,13 +1,13 @@
 """Supervised multi-process workers for the serving layer.
 
-:class:`ProcessWorkerSupervisor` is a drop-in alternative to the thread
-:class:`~repro.serve.scheduler.Scheduler`: same constructor shape, same
-``start``/``shutdown``/``executing``/``maybe_preempt`` surface, same
-cooperative preemption semantics.  The difference is *where* enumeration
-runs: each worker slot owns a **spawned child process**, and the heavy
-``slice_line`` call of a ``find`` job executes there — so a worker that is
-SIGKILL'd mid-level (OOM killer, operator, chaos suite) takes down neither
-the service nor the other workers.
+:class:`ProcessWorkerSupervisor` is a
+:class:`~repro.serve.scheduler.Scheduler` that inherits its worker-thread
+pool, its ``executing`` bookkeeping and its ``maybe_preempt`` rule, so
+cooperative preemption works the same in both modes.  The difference is
+*where* enumeration runs: each worker slot owns a **spawned child
+process**, and the heavy ``slice_line`` call of a ``find`` job executes
+there — so a worker that is SIGKILL'd mid-level (OOM killer, operator,
+chaos suite) takes down neither the service nor the other workers.
 
 Supervision contract per worker slot:
 
@@ -17,7 +17,7 @@ Supervision contract per worker slot:
   (SIGKILL) and treated as crashed;
 * a dead child (``exitcode`` set — ``-9`` is the SIGKILL signature) raises
   :class:`WorkerCrash` into the service's execute callback, whose handler
-  **requeues the orphaned job at the front** of its tenant's backlog; the
+  **requeues the orphaned job at the front** of the backlog; the
   job resumes from its last ``repro.ckpt/v1`` level-boundary checkpoint,
   so the recovered result is bitwise-identical to a fault-free run;
 * the slot is **restarted with exponential backoff** (delays from the
@@ -28,7 +28,7 @@ Supervision contract per worker slot:
 
 Job state transitions stay in the parent — the service's lock-guarded
 state machine is untouched; the child only computes.  Monitor jobs run
-inline on the dispatcher thread (their live monitor object feeds the
+inline on the worker thread (their live monitor object feeds the
 status API and cannot live in another process).
 """
 
@@ -46,6 +46,7 @@ from repro.resilience.atomic import atomic_write_json
 from repro.resilience.budgets import SuspendHook
 from repro.resilience.retry import RetryPolicy
 from repro.serve.queue import JobQueue
+from repro.serve.scheduler import Scheduler
 from repro.serve.spec import JobRecord
 
 
@@ -203,14 +204,13 @@ class _WorkerSlot:
         self.task_q = self.result_q = self.control_q = None
 
 
-class ProcessWorkerSupervisor:
+class ProcessWorkerSupervisor(Scheduler):
     """Runs queued jobs on a supervised pool of spawned worker processes.
 
-    Drop-in for :class:`~repro.serve.scheduler.Scheduler` (the service
-    picks one or the other via ``worker_mode``).  One dispatcher thread
-    per slot drains the :class:`~repro.serve.queue.JobQueue` and runs the
-    service's execute callback; the callback's ``slice_line`` call is
-    delegated to the slot's child process through :meth:`run_find`.
+    Each worker thread of this :class:`~repro.serve.scheduler.Scheduler`
+    owns one worker slot: it runs the service's execute callback, whose
+    ``slice_line`` call is delegated to the slot's child process through
+    :meth:`run_find`.
     """
 
     def __init__(
@@ -225,10 +225,7 @@ class ProcessWorkerSupervisor:
         restart_policy: RetryPolicy | None = None,
         on_event=None,
     ) -> None:
-        self.queue = queue
-        self._execute = execute
-        self.num_workers = max(1, int(num_workers))
-        self.preemption = preemption
+        super().__init__(queue, execute, num_workers, preemption)
         self.heartbeat_interval_s = heartbeat_interval_s
         self.heartbeat_timeout_s = heartbeat_timeout_s
         self.restart_policy = restart_policy or RetryPolicy(
@@ -242,10 +239,6 @@ class ProcessWorkerSupervisor:
         self.run_dir = run_dir
         os.makedirs(run_dir, exist_ok=True)
         self._context = multiprocessing.get_context("spawn")
-        self._stop = threading.Event()
-        self._threads: list[threading.Thread] = []
-        self._lock = threading.Lock()
-        self._executing: dict[str, JobRecord] = {}
         self._slots: list[_WorkerSlot] = []
         self._local = threading.local()
         #: total worker crashes / restarts observed (exposed in stats)
@@ -255,33 +248,17 @@ class ProcessWorkerSupervisor:
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> None:
-        if self._threads:
+        if self.started:
             return
-        self._stop.clear()
         self._slots = []
         for index in range(self.num_workers):
             slot = _WorkerSlot(index, self._context, self.run_dir)
             slot.spawn(self.heartbeat_interval_s)
             self._slots.append(slot)
-            thread = threading.Thread(
-                target=self._dispatcher,
-                args=(slot,),
-                name=f"repro-serve-dispatch-{index}",
-                daemon=True,
-            )
-            thread.start()
-            self._threads.append(thread)
-
-    @property
-    def started(self) -> bool:
-        return bool(self._threads)
+        super().start()
 
     def shutdown(self, wait: bool = True) -> None:
-        self._stop.set()
-        self.queue.close()
-        if wait:
-            for thread in self._threads:
-                thread.join(timeout=10.0)
+        super().shutdown(wait)
         for slot in self._slots:
             if slot.alive:
                 try:
@@ -291,27 +268,19 @@ class ProcessWorkerSupervisor:
                     pass
             slot.kill()
             slot.drop_queues()
-        self._threads = []
         # _slots stays populated so worker_stats() (and the status JSON
         # the CLI writes after shutdown) still reports the final fleet.
 
     # -- dispatch ------------------------------------------------------------
 
-    def _dispatcher(self, slot: _WorkerSlot) -> None:
-        self._local.slot = slot
+    def _worker(self, index: int) -> None:
+        slot = self._local.slot = self._slots[index]
         while not self._stop.is_set():
             if not slot.retired and not slot.alive:
                 self._respawn(slot)
             record = self.queue.take(timeout=0.1)
-            if record is None:
-                continue
-            with self._lock:
-                self._executing[record.job_id] = record
-            try:
-                self._execute(record)
-            finally:
-                with self._lock:
-                    self._executing.pop(record.job_id, None)
+            if record is not None:
+                self._run(record)
 
     def _respawn(self, slot: _WorkerSlot) -> None:
         """Restart a dead worker with bounded exponential backoff."""
@@ -331,18 +300,18 @@ class ProcessWorkerSupervisor:
         self._on_event("serve.worker_restarts")
 
     def run_find(self, record: JobRecord, task: dict):
-        """Execute one ``slice_line`` call on this dispatcher's worker.
+        """Execute one ``slice_line`` call on the calling thread's worker.
 
         Blocks until the child returns a result, forwards suspend
         requests from the parent-side :class:`SuspendHook` into the
         child, and raises :class:`WorkerCrash` when the child dies or
         misses its heartbeat deadline.  Called from the service's execute
-        callback on a dispatcher thread.
+        callback on a worker thread.
         """
         slot = getattr(self._local, "slot", None)
         if slot is None:
             raise ServeError(
-                "run_find must be called from a dispatcher thread"
+                "run_find must be called from a worker thread"
             )
         if slot.retired or not slot.alive:
             raise WorkerCrash(
@@ -362,7 +331,7 @@ class ProcessWorkerSupervisor:
                 continue
             if job_id != record.job_id:
                 # A reply from a job whose parent already gave up on this
-                # slot (cannot happen with one dispatcher per slot, but
+                # slot (cannot happen with one worker thread per slot, but
                 # cheap to be safe about).
                 continue
             slot.consecutive_crashes = 0
@@ -404,11 +373,7 @@ class ProcessWorkerSupervisor:
                 kind="heartbeat",
             )
 
-    # -- introspection / preemption (Scheduler-compatible) -------------------
-
-    def executing(self) -> list[JobRecord]:
-        with self._lock:
-            return list(self._executing.values())
+    # -- introspection -------------------------------------------------------
 
     def worker_stats(self) -> list[dict]:
         out = []
@@ -423,28 +388,6 @@ class ProcessWorkerSupervisor:
                 }
             )
         return out
-
-    def maybe_preempt(self, incoming: JobRecord) -> JobRecord | None:
-        """Same contract as :meth:`Scheduler.maybe_preempt`."""
-        if not self.preemption or not incoming.spec.interactive:
-            return None
-        if not self.queue.has_free_slot(incoming.spec.tenant):
-            return None
-        with self._lock:
-            if len(self._executing) < self.num_workers:
-                return None
-            victims = [
-                record
-                for record in self._executing.values()
-                if record.spec.kind == "find"
-                and not record.spec.interactive
-                and not record.suspend.requested
-            ]
-            if not victims:
-                return None
-            victim = max(victims, key=lambda r: r.started_at or 0.0)
-            victim.suspend.request()
-            return victim
 
 
 __all__ = [

@@ -11,7 +11,9 @@ The load-bearing guarantees:
   files are quarantined, eviction keeps disk and memory in sync;
 - a :class:`SliceService` constructed over a ``state_dir`` recovers the
   pre-crash job table: completed results are cache hits again, in-flight
-  jobs re-admit at the front and finish bitwise-identically;
+  jobs re-admit at the front and finish bitwise-identically, queued jobs
+  of every tenant keep their job ids, and each registry dataset is built
+  once per recovery;
 - explicit-array inputs spill once per dataset, before the first submit
   record that needs them; recovery reads each spill once, still checks it
   against the journaled fingerprint, and still reads the per-job spills
@@ -527,6 +529,80 @@ class TestServiceRecovery:
             assert result.completed
         finally:
             recovered.shutdown()
+
+    def test_registry_dataset_is_built_once_per_recovery(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.datasets.registry as registry
+
+        state = str(tmp_path / "state")
+        configs = _configs(4)
+        service = SliceService(state_dir=state, num_workers=1, start=False)
+        records = [
+            service.submit(JobSpec(dataset="salaries", seed=3, config=config))
+            for config in configs
+        ]
+        service.shutdown()
+        load = registry.load_dataset
+        loads = []
+
+        def counting_load(*args, **kwargs):
+            loads.append(args)
+            return load(*args, **kwargs)
+
+        monkeypatch.setattr(registry, "load_dataset", counting_load)
+        recovered = SliceService(state_dir=state, num_workers=1, start=False)
+        try:
+            assert recovered.recovery_errors == []
+            assert len(loads) == 1
+            rebuilt = [recovered.jobs[r.job_id] for r in records]
+            for record in rebuilt:
+                assert record.x0 is rebuilt[0].x0
+                assert record.errors is rebuilt[0].errors
+                assert not record.x0.flags.writeable
+                assert not record.errors.flags.writeable
+            recovered.start()
+            results = [
+                recovered.result(r.job_id, timeout=60) for r in records
+            ]
+        finally:
+            recovered.shutdown()
+        bundle = load("salaries", seed=3)
+        for config, result in zip(configs, results):
+            _assert_results_equal(
+                result, slice_line(bundle.x0, bundle.errors, config=config)
+            )
+
+    def test_queued_jobs_of_two_tenants_recover_with_their_ids(
+        self, tmp_path, planted_dataset
+    ):
+        x0, errors, _ = planted_dataset
+        state = str(tmp_path / "state")
+        configs = _configs(4)
+        tenants = ["a", "b", "a", "b"]
+        service = SliceService(state_dir=state, num_workers=1, start=False)
+        records = [
+            service.submit(
+                JobSpec(tenant=tenant, x0=x0, errors=errors, config=config)
+            )
+            for tenant, config in zip(tenants, configs)
+        ]
+        service.shutdown()
+        recovered = SliceService(state_dir=state, num_workers=2, start=False)
+        try:
+            assert list(recovered.jobs) == [r.job_id for r in records]
+            assert [job_id.split("/")[0] for job_id in recovered.jobs] == (
+                tenants
+            )
+            assert recovered.queue.depth() == len(records)
+            recovered.start()
+            results = [
+                recovered.result(r.job_id, timeout=60) for r in records
+            ]
+        finally:
+            recovered.shutdown()
+        for config, result in zip(configs, results):
+            _assert_results_equal(result, slice_line(x0, errors, config=config))
 
     def test_unrebuildable_job_is_quarantined_once(self, tmp_path):
         """A submit record recovery cannot rebuild (here: a config key an

@@ -1,4 +1,4 @@
-"""Tests for the multi-tenant job service (repro.serve).
+"""Tests for the job service (repro.serve).
 
 The load-bearing guarantees:
 
@@ -9,8 +9,10 @@ The load-bearing guarantees:
 - a same-data/different-config miss warm-starts from the cached top-K
   and still matches a cold run bitwise;
 - a suspended-then-resumed job matches an uninterrupted run bitwise;
-- admission control and fair-share scheduling behave under concurrency
-  (N tenants x M jobs always terminate, cancellations release slots).
+- one backlog serves every tenant: jobs are taken in submission order
+  (interactive first), the backlog bound spans tenants, N workers run N
+  jobs at once, and under concurrency N tenants x M jobs always
+  terminate and cancellations release their workers.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import hashlib
 import json
 import os
 import pickle
+import sys
 import threading
 import time
 from multiprocessing.reduction import ForkingPickler
@@ -43,14 +46,15 @@ from repro.resilience.checkpoint import (
 )
 from repro.serve import (
     JobQueue,
+    JobRecord,
     JobSpec,
     JobState,
     ResultCache,
     SliceService,
-    TenantQuota,
     load_job_document,
     load_job_file,
 )
+from repro.serve.queue import MAX_QUEUED
 from repro.serve.scheduler import Scheduler
 from repro.streaming import PredictionBatch, SliceMonitor
 
@@ -275,38 +279,6 @@ class TestInputFingerprint:
 
 
 # ---------------------------------------------------------------------------
-# BudgetConfig.merged
-
-
-class TestBudgetMerge:
-    def test_tightest_wins_per_field(self):
-        tenant = BudgetConfig(deadline_s=10.0, max_candidates_per_level=1000)
-        job = BudgetConfig(deadline_s=30.0, max_memory_bytes=1 << 20)
-        merged = tenant.merged(job)
-        assert merged.deadline_s == 10.0
-        assert merged.max_candidates_per_level == 1000
-        assert merged.max_memory_bytes == 1 << 20
-
-    def test_job_cannot_loosen_tenant_limits(self):
-        tenant = BudgetConfig(max_candidates_per_level=100)
-        job = BudgetConfig(max_candidates_per_level=100_000)
-        assert tenant.merged(job).max_candidates_per_level == 100
-
-    def test_none_returns_self(self):
-        tenant = BudgetConfig(deadline_s=5.0)
-        assert tenant.merged(None) is tenant
-
-    def test_type_validation(self):
-        with pytest.raises(ConfigError):
-            BudgetConfig().merged({"deadline_s": 1.0})
-
-    def test_merged_is_commutative(self):
-        a = BudgetConfig(deadline_s=10.0, max_memory_bytes=1 << 30)
-        b = BudgetConfig(deadline_s=3.0, max_candidates_per_level=50)
-        assert a.merged(b) == b.merged(a)
-
-
-# ---------------------------------------------------------------------------
 # SuspendHook + slice_line suspension
 
 
@@ -504,12 +476,12 @@ class TestJobSpec:
 
 
 # ---------------------------------------------------------------------------
-# queue: admission control + fair share
+# queue: admission control + one backlog
 
 
 class TestJobQueue:
     def _record(self, tenant="a", interactive=False):
-        return __import__("repro.serve.spec", fromlist=["JobRecord"]).JobRecord(
+        return JobRecord(
             job_id=f"{tenant}/{id(object())}",
             spec=JobSpec(
                 tenant=tenant,
@@ -521,98 +493,70 @@ class TestJobQueue:
         )
 
     def test_backlog_limit_rejects_with_typed_reason(self):
-        quota = TenantQuota(max_running=1, max_queued=2)
-        queue = JobQueue(lambda tenant: quota)
-        assert queue.admit(self._record(), quota).admitted
-        assert queue.admit(self._record(), quota).admitted
-        decision = queue.admit(self._record(), quota)
+        queue = JobQueue()
+        queue.max_queued = 2
+        assert queue.admit(self._record()).admitted
+        assert queue.admit(self._record()).admitted
+        decision = queue.admit(self._record())
         assert not decision.admitted
         assert decision.reason == "queue-full"
 
-    def test_over_quota_submission_is_queued_not_rejected(self):
-        quota = TenantQuota(max_running=1, max_queued=10)
-        queue = JobQueue(lambda tenant: quota)
-        queue.admit(self._record(), quota)
-        first = queue.take(timeout=0.1)
-        assert first is not None
-        decision = queue.admit(self._record(), quota)
-        assert decision.admitted
-        assert decision.reason == "queued-over-quota"
-        # tenant at max_running: nothing is dispatchable until release
-        assert queue.take(timeout=0.05) is None
-        queue.release(first)
-        assert queue.take(timeout=0.1) is not None
+    def test_backlog_bound_spans_tenants(self):
+        queue = JobQueue()
+        for index in range(MAX_QUEUED):
+            decision = queue.admit(self._record(("a", "b")[index % 2]))
+            assert (decision.admitted, decision.reason) == (True, "queued")
+        decision = queue.admit(self._record("c"))
+        assert not decision.admitted
+        assert decision.reason == "queue-full"
+        assert queue.depth() == MAX_QUEUED
 
-    def test_fair_share_alternates_tenants(self):
-        quota = TenantQuota(max_running=4, max_queued=16)
-        queue = JobQueue(lambda tenant: quota)
-        for _ in range(2):
-            queue.admit(self._record("noisy"), quota)
-        queue.admit(self._record("quiet"), quota)
-        first = queue.take(timeout=0.1)
-        second = queue.take(timeout=0.1)
-        # both tenants get a slot before any tenant gets its second
-        assert {first.spec.tenant, second.spec.tenant} == {"noisy", "quiet"}
-
-    def test_weight_biases_fair_share(self):
-        quotas = {
-            "heavy": TenantQuota(max_running=8, weight=4.0),
-            "light": TenantQuota(max_running=8, weight=1.0),
-        }
-        queue = JobQueue(lambda tenant: quotas[tenant])
-        for _ in range(4):
-            queue.admit(self._record("heavy"), quotas["heavy"])
-            queue.admit(self._record("light"), quotas["light"])
-        taken = [queue.take(timeout=0.1).spec.tenant for _ in range(5)]
-        # with 4x weight, "heavy" accumulates service 4x slower
-        assert taken.count("heavy") > taken.count("light")
+    def test_tenants_are_taken_in_submission_order(self):
+        queue = JobQueue()
+        batch = [self._record(tenant) for tenant in ("a", "a", "b", "a", "b")]
+        for record in batch:
+            queue.admit(record)
+        live = self._record("b", interactive=True)
+        queue.admit(live)
+        taken = [queue.take(timeout=0.1) for _ in range(len(batch) + 1)]
+        assert taken == [live, *batch]
+        assert queue.running_count() == len(taken)
+        queue.release()
+        queue.requeue(taken[1])
+        assert queue.running_count() == len(taken) - 2
+        assert queue.take(timeout=0.1) is taken[1]
 
     def test_interactive_jumps_batch_jobs(self):
-        quota = TenantQuota(max_running=4, max_queued=16)
-        queue = JobQueue(lambda tenant: quota)
-        queue.admit(self._record("batch"), quota)
-        queue.admit(self._record("live", interactive=True), quota)
+        queue = JobQueue()
+        queue.admit(self._record("batch"))
+        queue.admit(self._record("live", interactive=True))
         assert queue.take(timeout=0.1).spec.tenant == "live"
 
     def test_requeue_goes_to_the_front(self):
-        quota = TenantQuota(max_running=4, max_queued=16)
-        queue = JobQueue(lambda tenant: quota)
+        queue = JobQueue()
         first = self._record("a")
         second = self._record("a")
-        queue.admit(first, quota)
-        queue.admit(second, quota)
+        queue.admit(first)
+        queue.admit(second)
         taken = queue.take(timeout=0.1)
         assert taken is first
         queue.requeue(taken)
         assert queue.take(timeout=0.1) is first
 
     def test_remove_withdraws_queued_job(self):
-        quota = TenantQuota()
-        queue = JobQueue(lambda tenant: quota)
+        queue = JobQueue()
         record = self._record()
-        queue.admit(record, quota)
+        queue.admit(record)
         assert queue.remove(record)
         assert not queue.remove(record)
         assert queue.depth() == 0
 
-    def test_served_is_charged_once_across_preemption_retakes(self):
-        quota = TenantQuota(max_running=4, max_queued=16)
-        queue = JobQueue(lambda tenant: quota)
-        record = self._record("a")
-        queue.admit(record, quota)
-        assert queue.take(timeout=0.1) is record
-        queue.requeue(record)  # preempted
-        assert queue.take(timeout=0.1) is record  # resumed
-        # one unit of historical service, not one per dispatch
-        assert queue.tenant_stats()["a"]["served"] == 1
-
     def test_interactive_behind_same_tenant_batch_still_jumps(self):
-        quota = TenantQuota(max_running=4, max_queued=16)
-        queue = JobQueue(lambda tenant: quota)
+        queue = JobQueue()
         batch = self._record("t")
         live = self._record("t", interactive=True)
-        queue.admit(batch, quota)
-        queue.admit(live, quota)
+        queue.admit(batch)
+        queue.admit(live)
         assert queue.take(timeout=0.1) is live
         assert queue.take(timeout=0.1) is batch
 
@@ -784,29 +728,25 @@ class TestSliceService:
             result.top_slices_encoded, cold.top_slices_encoded
         )
 
-    def test_interactive_submission_preempts_running_batch_job(
-        self, planted_dataset, service_workdir
-    ):
-        quotas = {"batch": TenantQuota(max_running=2)}
+    def _preempts_running_batch_job(self, planted, workdir, worker_mode):
         service = SliceService(
-            quotas=quotas, num_workers=1, workdir=service_workdir,
-            start=False,
+            num_workers=1, workdir=workdir, start=False,
+            worker_mode=worker_mode,
         )
         try:
             batch = service.submit(
                 self._spec(
-                    planted_dataset,
-                    SliceLineConfig(k=5, max_level=4),
-                    tenant="batch",
+                    planted, SliceLineConfig(k=5, max_level=4), tenant="batch"
                 )
             )
             scheduler = service.scheduler
+            assert isinstance(scheduler, Scheduler)  # one preemption rule
             scheduler._executing[batch.job_id] = batch  # simulate running
             batch.started_at = time.time()
             assert not batch.suspend.requested
             # submit() itself triggers preemption for interactive jobs
             live = service.submit(
-                self._spec(planted_dataset, tenant="live", interactive=True)
+                self._spec(planted, tenant="live", interactive=True)
             )
             assert live.spec.interactive
             assert batch.suspend.requested
@@ -815,48 +755,69 @@ class TestSliceService:
         finally:
             service.shutdown()
 
-    def test_no_preemption_when_interactive_tenant_has_no_free_slot(
+    def test_interactive_submission_preempts_running_batch_job(
         self, planted_dataset, service_workdir
     ):
-        quotas = {
-            "batch": TenantQuota(max_running=2),
-            "live": TenantQuota(max_running=1),
-        }
-        service = SliceService(
-            quotas=quotas, num_workers=1, workdir=service_workdir,
-            start=False,
+        self._preempts_running_batch_job(
+            planted_dataset, service_workdir, "thread"
         )
+
+    def test_interactive_submission_preempts_in_process_mode(
+        self, planted_dataset, service_workdir
+    ):
+        self._preempts_running_batch_job(
+            planted_dataset, service_workdir, "process"
+        )
+
+    def test_one_tenant_runs_num_workers_jobs_at_once(
+        self, planted_dataset, service_workdir, monkeypatch
+    ):
+        import repro.serve.service as service_module
+
+        # Every run waits until four runs are in flight at once: with
+        # fewer concurrent jobs the barrier times out and the jobs fail.
+        counted = []
+        barrier = threading.Barrier(
+            4,
+            action=lambda: counted.append(service.queue.running_count()),
+            timeout=10,
+        )
+        run = service_module.slice_line
+
+        def gated(*args, **kwargs):
+            barrier.wait()
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(service_module, "slice_line", gated)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
         try:
-            batch = service.submit(
-                self._spec(
-                    planted_dataset,
-                    SliceLineConfig(k=5, max_level=4),
-                    tenant="batch",
-                )
-            )
-            scheduler = service.scheduler
-            scheduler._executing[batch.job_id] = batch  # simulate running
-            batch.started_at = time.time()
-            service.queue._running["live"] = 1  # live is at max_running
-            live = service.submit(
-                self._spec(planted_dataset, tenant="live", interactive=True)
-            )
-            assert live.spec.interactive
-            # suspending the batch job would free a worker "live" cannot
-            # use yet, so no victim is picked
-            assert not batch.suspend.requested
-            assert scheduler.maybe_preempt(live) is None
+            with SliceService(
+                num_workers=4, workdir=service_workdir
+            ) as service:
+                records = [
+                    service.submit(
+                        self._spec(planted_dataset, SliceLineConfig(k=k))
+                    )
+                    for k in range(1, 5)
+                ]
+                assert service.wait(timeout=60)
+                assert service.queue.running_count() == 0
         finally:
-            service.shutdown()
+            sys.setswitchinterval(interval)
+        assert len({record.fingerprint for record in records}) == 4
+        assert [(r.state, r.error) for r in records] == [
+            (JobState.COMPLETED, None)
+        ] * 4
+        assert counted == [4]
 
     def test_rejection_carries_typed_reason(
         self, planted_dataset, service_workdir
     ):
-        quotas = {"t": TenantQuota(max_running=1, max_queued=1)}
         service = SliceService(
-            quotas=quotas, num_workers=1, workdir=service_workdir,
-            start=False,
+            num_workers=1, workdir=service_workdir, start=False
         )
+        service.queue.max_queued = 1
         try:
             okay = service.submit(self._spec(planted_dataset, tenant="t"))
             assert okay.state == JobState.PENDING
@@ -890,30 +851,23 @@ class TestSliceService:
         finally:
             service.shutdown()
 
-    def test_tenant_quota_budgets_clamp_job_budgets(
+    def test_job_budgets_trip_to_an_uncached_partial_result(
         self, planted_dataset, service_workdir
     ):
-        quotas = {
-            "t": TenantQuota(budgets=BudgetConfig(max_candidates_per_level=5))
-        }
-        with SliceService(
-            quotas=quotas, num_workers=1, workdir=service_workdir
-        ) as service:
+        budgets = BudgetConfig(max_candidates_per_level=5, deadline_s=60.0)
+        with SliceService(num_workers=1, workdir=service_workdir) as service:
             record = service.submit(
-                self._spec(
-                    planted_dataset,
-                    tenant="t",
-                    budgets=BudgetConfig(
-                        max_candidates_per_level=10_000, deadline_s=60.0
-                    ),
-                )
+                self._spec(planted_dataset, tenant="t", budgets=budgets)
             )
-            assert record.effective_budgets.max_candidates_per_level == 5
-            assert record.effective_budgets.deadline_s == 60.0
             result = service.result(record.job_id, timeout=60)
             # tripped budget -> partial result, completed job, not cached
             assert not result.completed
             assert len(service.cache) == 0
+            assert service.status(record.job_id)["budgets"] == {
+                "deadline_s": 60.0,
+                "max_candidates_per_level": 5,
+                "max_memory_bytes": None,
+            }
 
     def test_failed_job_raises_from_result(self, service_workdir):
         bad = np.array([[1, 1], [1, 2]], dtype=np.int64)
@@ -998,7 +952,8 @@ class TestSliceService:
             doc = service.status_document()
         assert doc["schema"] == "repro.serve/v1"
         assert [job["job_id"] for job in doc["jobs"]] == [record.job_id]
-        assert "default" in doc["tenants"]
+        assert doc["jobs"][0]["tenant"] == "default"
+        assert "tenants" not in doc
         assert doc["gauges"]["serve.queue_depth"] == 0
         json.dumps(doc)
 
@@ -1064,10 +1019,7 @@ class TestSchedulerStress:
         ).astype(np.int64)
         errors = rng.random(120)
         workdir = str(tmp_path_factory.mktemp("stress"))
-        with SliceService(
-            num_workers=num_workers, workdir=workdir,
-            default_quota=TenantQuota(max_running=2, max_queued=32),
-        ) as service:
+        with SliceService(num_workers=num_workers, workdir=workdir) as service:
             records = []
             for tenant_index in range(num_tenants):
                 for job_index in range(jobs_per_tenant):
@@ -1134,8 +1086,7 @@ class TestSchedulerStress:
         self, planted_dataset, service_workdir
     ):
         service = SliceService(
-            num_workers=1, workdir=service_workdir, start=False,
-            default_quota=TenantQuota(max_running=1, max_queued=32),
+            num_workers=1, workdir=service_workdir, start=False
         )
         try:
             x0, errors, _ = planted_dataset
