@@ -27,7 +27,7 @@ import scipy.sparse as sp
 
 from repro.core.basic import create_and_score_basic_slices
 from repro.core.compaction import CompactionState, slice_set_columns
-from repro.core.config import PruningConfig, SliceLineConfig
+from repro.core.config import SliceLineConfig
 from repro.core.decode import decode_topk, slice_membership
 from repro.core.evaluate import SizeFirst, evaluate_slice_set, evaluate_slices
 from repro.core.onehot import FeatureSpace, validate_encoded_matrix
@@ -895,6 +895,11 @@ def _empty_result(
 class SliceLine:
     """Scikit-learn-style estimator facade over :func:`slice_line`.
 
+    The keyword *settings* are :class:`SliceLineConfig`'s fields, kept as
+    one config (``SliceLine(k=4, alpha=0.95).config`` is
+    ``SliceLineConfig(k=4, alpha=0.95)``) and read back as
+    ``finder.config.k`` and so on.
+
     Example
     -------
     >>> finder = SliceLine(k=4, alpha=0.95)
@@ -904,39 +909,20 @@ class SliceLine:
 
     def __init__(
         self,
-        k: int = 4,
-        sigma: int | None = None,
-        alpha: float = 0.95,
-        max_level: int | None = None,
-        pruning: PruningConfig | None = None,
-        compaction: bool = True,
+        *,
         num_threads: int = 1,
         trace: bool | str | Tracer | None = None,
         budgets: BudgetConfig | None = None,
         checkpoint_dir: str | None = None,
+        **settings,
     ) -> None:
-        self.k = k
-        self.sigma = sigma
-        self.alpha = alpha
-        self.max_level = max_level
-        self.pruning = pruning or PruningConfig()
-        self.compaction = compaction
+        self.config = SliceLineConfig(**settings)
         self.num_threads = num_threads
         self.trace = trace
         self.budgets = budgets
         self.checkpoint_dir = checkpoint_dir
         self.result_: SliceLineResult | None = None
         self.feature_names_: tuple[str, ...] | None = None
-
-    def _config(self) -> SliceLineConfig:
-        return SliceLineConfig(
-            k=self.k,
-            sigma=self.sigma,
-            alpha=self.alpha,
-            max_level=self.max_level,
-            pruning=self.pruning,
-            compaction=self.compaction,
-        )
 
     def fit(
         self,
@@ -951,7 +937,7 @@ class SliceLine:
         self.result_ = slice_line(
             x0,
             errors,
-            config=self._config(),
+            config=self.config,
             feature_space=space,
             num_threads=self.num_threads,
             trace=self.trace,

@@ -45,13 +45,10 @@ import scipy.sparse as sp
 from repro.exceptions import CheckpointError
 from repro.linalg.sparse import keys_to_csr
 from repro.resilience.atomic import atomic_replace_dir, remove_stale_tmp
-from repro.obs.counters import CounterRegistry, LevelCounters
+from repro.obs.counters import CounterRegistry
 
 #: Version tag stamped on (and required of) every checkpoint bundle.
 CKPT_SCHEMA = "repro.ckpt/v1"
-
-#: LevelCounters keys that are derived properties, not fields.
-_DERIVED_COUNTER_KEYS = ("dedup_removed", "pruned_total")
 
 
 def _sha256(array: np.ndarray) -> str:
@@ -163,16 +160,7 @@ class CheckpointState:
 
     def restore_counters(self) -> CounterRegistry:
         """Rebuild a :class:`CounterRegistry` from the persisted records."""
-        registry = CounterRegistry()
-        valid = {f.name for f in dataclasses.fields(LevelCounters)}
-        for record in self.counters:
-            target = registry.level(int(record["level"]))
-            for key, value in record.items():
-                if key in valid and key != "level":
-                    setattr(target, key, value)
-        for name, count in self.events.items():
-            registry.event(name, int(count))
-        return registry
+        return CounterRegistry.from_records(self.counters, self.events)
 
 
 def _csr_parts(prefix: str, matrix: sp.csr_matrix) -> dict:

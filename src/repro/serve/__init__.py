@@ -23,7 +23,9 @@ concurrent control plane:
   processes (``worker_mode="process"``): a SIGKILL'd worker costs one
   orphan-requeue, not the service;
 - :class:`SliceService` — the submit/status/result/cancel façade, also
-  behind ``python -m repro serve`` with skll-style declarative job files.
+  behind ``python -m repro serve`` with skll-style declarative job files;
+  a job enters through one admission path and ends through one terminal
+  transition that journals before it wakes the caller.
 """
 
 from repro.serve.cache import ResultCache, decode_result, encode_result

@@ -38,12 +38,10 @@ import numpy as np
 
 from repro.core.types import Slice, SliceLineResult, WarmStartInfo
 from repro.exceptions import ConfigError, ServeError
-from repro.obs.counters import CounterRegistry, LevelCounters
+from repro.obs.counters import CounterRegistry
 
 #: Version tag of the serialized cache-entry format.
 CACHE_SCHEMA = "repro.cache/v1"
-
-_COUNTER_FIELDS = frozenset(f.name for f in dataclasses.fields(LevelCounters))
 
 
 def encode_result(
@@ -146,30 +144,15 @@ def decode_result(data: bytes) -> tuple[str, str, SliceLineResult]:
             )
             for entry in meta["slices"]
         ]
-        level_stats = [
-            LevelCounters(
-                **{
-                    k: v
-                    for k, v in record.items()
-                    if k in _COUNTER_FIELDS
-                }
-            )
-            for record in meta["level_stats"]
-        ]
-        registry = CounterRegistry()
-        for stats in level_stats:
-            target = registry.level(stats.level)
-            for name in _COUNTER_FIELDS:
-                if name != "level":
-                    setattr(target, name, getattr(stats, name))
-        for name, count in meta.get("events", {}).items():
-            registry.event(name, int(count))
+        registry = CounterRegistry.from_records(
+            meta["level_stats"], meta.get("events")
+        )
         warm = meta.get("warm_start")
         result = SliceLineResult(
             top_slices=slices,
             top_slices_encoded=encoded,
             top_stats=top_stats,
-            level_stats=level_stats,
+            level_stats=registry.levels,
             total_seconds=float(meta["total_seconds"]),
             num_rows=int(meta["num_rows"]),
             num_features=int(meta["num_features"]),

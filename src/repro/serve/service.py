@@ -24,15 +24,28 @@ the enumeration itself runs outside it.  Each job gets its own tracer
 submitting thread closes its spans before the job is enqueued, and a
 worker owns the tracer for the duration of an execution attempt.
 
+Job lifecycle: every job enters through one admission routine
+(:meth:`SliceService._admit_locked`: a cache hit, a coalesced *waiter*
+riding on an identical in-flight *origin*, or the backlog), and every
+path that ends a job — live completion, cache hit, a settled waiter,
+rejection, cancellation, failure, worker crash, recovery replay — runs
+one terminal transition (:meth:`SliceService._finish_locked`).  It
+releases the worker slot, journals the terminal record, and only then
+wakes ``result()``/``wait()``; an origin then hands its fingerprint over
+to its waiters.
+
 Durability (``state_dir=...``): every job-lifecycle transition is written
 ahead to a ``repro.wal/v1`` journal (:mod:`repro.serve.durability`) and
 every cacheable result spills to disk, so a service constructed over the
 same ``state_dir`` after a crash recovers: completed jobs are cache hits
 again, in-flight jobs re-admit at the front of the backlog and resume
-bitwise-identically from their last ``repro.ckpt/v1`` checkpoint.
-Explicit-array inputs spill once per dataset (``inputs/<data_digest>.npz``),
-and a job's input fingerprint, hashed once at submit, is what its
-checkpoints carry and its resume checks.
+bitwise-identically from their last ``repro.ckpt/v1`` checkpoint, and a
+job whose ``result()`` returned recovers as completed from its own
+terminal record (unless that append failed, which the service swallows;
+see :meth:`SliceService._finish_locked`).  Explicit-array inputs spill
+once per dataset (``inputs/<data_digest>.npz``), and a job's input
+fingerprint, hashed once at submit, is what its checkpoints carry and
+its resume checks.
 
 Process isolation (``worker_mode="process"``): the heavy ``slice_line``
 call of a find job runs in a supervised spawned worker
@@ -78,13 +91,16 @@ SERVE_SCHEMA = "repro.serve/v1"
 
 _JOB_ID_SANITIZE = re.compile(r"[^A-Za-z0-9._-]+")
 
-#: Terminal job state -> WAL record type written by ``_finish_locked``.
-_TERMINAL_WAL = {
-    JobState.COMPLETED: "complete",
-    JobState.FAILED: "fail",
-    JobState.CANCELLED: "cancel",
-    JobState.REJECTED: "reject",
+#: Terminal job state -> (its WAL record type, the event it counts).
+_TERMINAL = {
+    JobState.COMPLETED: ("complete", "serve.completed"),
+    JobState.FAILED: ("fail", "serve.failures"),
+    JobState.CANCELLED: ("cancel", "serve.cancellations"),
+    JobState.REJECTED: ("reject", "serve.rejections"),
 }
+
+#: WAL record type -> the terminal state recovery restores from it.
+_WAL_STATE = {wal_type: state for state, (wal_type, _) in _TERMINAL.items()}
 
 #: ``reason`` of the ``fail`` record that recovery journals for a job it
 #: cannot rebuild; later recoveries skip a job whose last record it is.
@@ -150,7 +166,6 @@ class SliceService:
         cache_bytes: int | None = None,
         wal_fsync: bool = True,
         heartbeat_timeout_s: float = 30.0,
-        restart_policy=None,
         max_job_crashes: int = 3,
     ) -> None:
         if worker_mode not in ("thread", "process"):
@@ -200,7 +215,6 @@ class SliceService:
                     else None
                 ),
                 heartbeat_timeout_s=heartbeat_timeout_s,
-                restart_policy=restart_policy,
                 on_event=self.registry.event,
             )
         else:
@@ -254,14 +268,7 @@ class SliceService:
         """
         x0, errors = spec.resolve_data()
         data_fp = fingerprint_inputs(x0, errors)
-        config_fp = fingerprint_config(spec.config)
-        data_digest = fingerprint_digest(data_fp)
-        if spec.kind == "monitor":
-            fingerprint = fingerprint_digest(
-                data_fp, config_fp, spec.monitor_fingerprint()
-            )
-        else:
-            fingerprint = fingerprint_digest(data_fp, config_fp)
+        data_digest, fingerprint = _identity(spec, data_fp)
 
         with self._lock:
             serial = self._submissions.get(fingerprint, 0)
@@ -284,48 +291,10 @@ class SliceService:
             self._order.append(job_id)
             self.registry.event("serve.submitted")
             self._journal_submit_locked(record, serial)
-
-            if spec.kind == "find":
-                cached = self.cache.get(fingerprint)
-                if cached is not None:
-                    with record.tracer.span(
-                        "serve.cache_hit", fingerprint=fingerprint[:12]
-                    ):
-                        pass
-                    self._finish_locked(
-                        record, JobState.COMPLETED, result=cached,
-                        cache_hit=True,
-                    )
-                    self.registry.event("serve.cache_hits")
-                    self._refresh_gauges_locked()
-                    return record
-                self.registry.event("serve.cache_misses")
-                origin = self._inflight.get(fingerprint)
-                if origin is not None:
-                    # Identical job already pending/running: ride on it
-                    # instead of enumerating the same lattice twice.
-                    record.coalesced = True
-                    self._waiters.setdefault(fingerprint, []).append(record)
-                    self._refresh_gauges_locked()
-                    return record
-                seeds = self.cache.warm_seeds(data_digest)
-                if seeds:
-                    record.warm_seeds = seeds
-                    self.registry.event("serve.warm_starts")
-
-            decision = self.queue.admit(record)
-            record.admission = decision
-            if not decision.admitted:
-                self._finish_locked(
-                    record, JobState.REJECTED, reason=decision.reason
-                )
-                self.registry.event("serve.rejections")
-                self._refresh_gauges_locked()
-                return record
-            if spec.kind == "find":
-                self._inflight[fingerprint] = record
+            queued = self._admit_locked(record)
             self._refresh_gauges_locked()
-        self.scheduler.maybe_preempt(record)
+        if queued:
+            self.scheduler.maybe_preempt(record)
         return record
 
     # -- inspection ----------------------------------------------------------
@@ -377,42 +346,49 @@ class SliceService:
 
     def stats(self) -> dict:
         with self._lock:
-            out = {
+            return {
                 "jobs": len(self.jobs),
                 "queue_depth": self.queue.depth(),
                 "running": self.queue.running_count(),
-                "cache": self.cache.stats(),
-                "events": dict(self.registry.events),
-                "gauges": dict(self.registry.gauges),
+                **self._summary_locked(),
             }
-            durability = self._durability_stats()
-            if durability is not None:
-                out["durability"] = durability
-            worker_stats = getattr(self.scheduler, "worker_stats", None)
-            if worker_stats is not None:
-                out["workers"] = worker_stats()
-            return out
 
     def status_document(self) -> dict:
         """The full ``repro.serve/v1`` status JSON (see EXPERIMENTS.md)."""
         with self._lock:
-            document = {
+            return {
                 "schema": SERVE_SCHEMA,
                 "generated_at": time.time(),
                 "jobs": [
                     self.jobs[job_id].to_dict() for job_id in self._order
                 ],
-                "cache": self.cache.stats(),
-                "events": dict(self.registry.events),
-                "gauges": dict(self.registry.gauges),
+                **self._summary_locked(),
             }
-            durability = self._durability_stats()
-            if durability is not None:
-                document["durability"] = durability
-            worker_stats = getattr(self.scheduler, "worker_stats", None)
-            if worker_stats is not None:
-                document["workers"] = worker_stats()
-            return document
+
+    def _summary_locked(self) -> dict:
+        """What ``stats()`` and the status document both report."""
+        out = {
+            "cache": self.cache.stats(),
+            "events": dict(self.registry.events),
+            "gauges": dict(self.registry.gauges),
+        }
+        if self.state_dir is not None:
+            out["durability"] = {
+                "state_dir": self.state_dir,
+                "wal_replayed": len(self.journal.records),
+                "wal_quarantined": [
+                    q.to_dict() for q in self.journal.quarantined
+                ],
+                "cache_quarantined": [
+                    q.to_dict()
+                    for q in getattr(self.cache, "quarantined", ())
+                ],
+                "recovery_errors": list(self.recovery_errors),
+            }
+        worker_stats = getattr(self.scheduler, "worker_stats", None)
+        if worker_stats is not None:
+            out["workers"] = worker_stats()
+        return out
 
     # -- control -------------------------------------------------------------
 
@@ -428,29 +404,21 @@ class SliceService:
             record = self._record(job_id)
             if record.terminal:
                 return False
-            if record.coalesced and not record.terminal:
-                waiters = self._waiters.get(record.fingerprint, [])
-                if record in waiters:
-                    waiters.remove(record)
-                    self._finish_locked(
-                        record, JobState.CANCELLED, reason="user-cancel"
-                    )
-                    self.registry.event("serve.cancellations")
-                    self._refresh_gauges_locked()
-                    return True
-            if record.state in (JobState.PENDING, JobState.SUSPENDED):
-                if self.queue.remove(record):
-                    self._release_inflight_locked(record, promote=True)
-                    self._finish_locked(
-                        record, JobState.CANCELLED, reason="user-cancel"
-                    )
-                    self.registry.event("serve.cancellations")
-                    self._refresh_gauges_locked()
-                    return True
-            # Running (or a pending record a worker is just picking up):
-            # flag it; the worker finalizes the cancellation on yield.
-            record.cancel_requested = True
-            record.suspend.request()
+            waiters = self._waiters.get(record.fingerprint, [])
+            if record in waiters:
+                waiters.remove(record)
+            elif record.state not in (
+                JobState.PENDING, JobState.SUSPENDED
+            ) or not self.queue.remove(record):
+                # Running (or a pending record a worker is just picking
+                # up): flag it; the worker finalizes the cancellation on
+                # yield.
+                record.cancel_requested = True
+                record.suspend.request()
+                return True
+            self._finish_locked(
+                record, JobState.CANCELLED, reason="user-cancel"
+            )
             return True
 
     def suspend(self, job_id: str) -> bool:
@@ -469,13 +437,10 @@ class SliceService:
             if record.terminal:
                 return
             if record.cancel_requested:
-                self.queue.release()
-                self._release_inflight_locked(record, promote=True)
                 self._finish_locked(
-                    record, JobState.CANCELLED, reason="user-cancel"
+                    record, JobState.CANCELLED, reason="user-cancel",
+                    running=True,
                 )
-                self.registry.event("serve.cancellations")
-                self._refresh_gauges_locked()
                 return
             resuming = record.state == JobState.SUSPENDED
             record.state = JobState.RUNNING
@@ -495,74 +460,72 @@ class SliceService:
             return
         except Exception as exc:  # noqa: BLE001 — a job must never kill a worker
             with self._lock:
-                self.queue.release()
-                self._release_inflight_locked(record, promote=True)
                 self._finish_locked(
                     record,
                     JobState.FAILED,
                     reason="exception",
                     error=f"{type(exc).__name__}: {exc}",
+                    running=True,
                 )
-                self.registry.event("serve.failures")
-                self._refresh_gauges_locked()
             return
 
         with self._lock:
-            if result is not None and result.suspended:
-                if record.cancel_requested:
-                    self.queue.release()
-                    self._release_inflight_locked(record, promote=True)
-                    self._finish_locked(
-                        record, JobState.CANCELLED, reason="user-cancel"
-                    )
-                    self.registry.event("serve.cancellations")
-                else:
-                    record.state = JobState.SUSPENDED
-                    record.has_checkpoint = True
-                    record.preemptions += 1
-                    record.suspend.clear()
-                    self.registry.event("serve.preemptions")
-                    self._journal_locked(
-                        record, "suspend", preemptions=record.preemptions
-                    )
-                    # Front of the backlog: the suspended job resumes
-                    # before newer submissions.
-                    self.queue.requeue(record)
-                self._refresh_gauges_locked()
-                return
-            if record.cancel_requested and record.spec.kind == "monitor":
-                # The monitor loop broke between batches on the flag.
-                self.queue.release()
+            suspended = result is not None and result.suspended
+            if record.cancel_requested and (
+                suspended or record.spec.kind == "monitor"
+            ):
+                # A find job yielded on the flag at a level boundary; the
+                # monitor loop broke between batches on it.
                 self._finish_locked(
-                    record, JobState.CANCELLED, reason="user-cancel"
+                    record, JobState.CANCELLED, reason="user-cancel",
+                    running=True,
                 )
-                self.registry.event("serve.cancellations")
+                return
+            if suspended:
+                record.state = JobState.SUSPENDED
+                record.has_checkpoint = True
+                record.preemptions += 1
+                record.suspend.clear()
+                self.registry.event("serve.preemptions")
+                self._journal_locked(
+                    record, "suspend", preemptions=record.preemptions
+                )
+                # Front of the backlog: the suspended job resumes
+                # before newer submissions.
+                self.queue.requeue(record)
                 self._refresh_gauges_locked()
                 return
-            self.queue.release()
-            if record.spec.kind == "find":
-                cacheable = result is not None and self.cache.put(
+            # A budget-tripped partial top-K is valid for this job's own
+            # budgets, but budgets are not part of the fingerprint: the
+            # cache refuses it, so waiters re-run under their own budgets.
+            cached = (
+                record.spec.kind == "find"
+                and result is not None
+                and self.cache.put(
                     record.fingerprint, record.data_digest, result
                 )
-                if cacheable:
-                    self._inflight.pop(record.fingerprint, None)
-                    self._settle_waiters_locked(record.fingerprint, result)
-                else:
-                    # A budget-tripped partial top-K is valid for this
-                    # job's own budgets, but budgets are not part of the
-                    # fingerprint — a coalesced waiter with looser budgets
-                    # must not inherit the truncated answer.  Promote the
-                    # first waiter to re-run under its own budgets.
-                    self._release_inflight_locked(record, promote=True)
-            self._finish_locked(record, JobState.COMPLETED, result=result)
-            self.registry.event("serve.completed")
-            self._refresh_gauges_locked()
+            )
+            self._finish_locked(
+                record, JobState.COMPLETED, result=result, running=True,
+                cached=cached,
+            )
 
     def _run_find(self, record: JobRecord):
         spec = record.spec
         checkpoint_dir = self._checkpoint_dir(record)
         resume_from = (
             latest_checkpoint(checkpoint_dir) if record.has_checkpoint else None
+        )
+        task = dict(
+            x0=record.x0,
+            errors=record.errors,
+            config=spec.config,
+            num_threads=spec.num_threads,
+            seed_slices=record.warm_seeds or None,
+            budgets=spec.budgets,
+            checkpoint_dir=checkpoint_dir,
+            resume_from=resume_from,
+            input_fingerprint=record.input_fingerprint,
         )
         with record.tracer.span(
             "serve.run",
@@ -577,32 +540,11 @@ class SliceService:
                 # serve.* spans), the suspend hook is forwarded over the
                 # control queue, and checkpoints land on the shared
                 # filesystem either way.
-                return runner(
-                    record,
-                    dict(
-                        x0=record.x0,
-                        errors=record.errors,
-                        config=spec.config,
-                        num_threads=spec.num_threads,
-                        seed_slices=record.warm_seeds or None,
-                        budgets=spec.budgets,
-                        checkpoint_dir=checkpoint_dir,
-                        resume_from=resume_from,
-                        input_fingerprint=record.input_fingerprint,
-                    ),
-                )
+                return runner(record, task)
             return slice_line(
-                record.x0,
-                record.errors,
-                config=spec.config,
-                num_threads=spec.num_threads,
+                **task,
                 trace=record.tracer if self.trace else None,
-                seed_slices=record.warm_seeds or None,
-                budgets=spec.budgets,
-                checkpoint_dir=checkpoint_dir,
-                resume_from=resume_from,
                 suspend=record.suspend,
-                input_fingerprint=record.input_fingerprint,
             )
 
     def _run_monitor(self, record: JobRecord):
@@ -656,15 +598,84 @@ class SliceService:
         """The one input spill of every explicit-array job on one dataset."""
         return os.path.join(self.state_dir, "inputs", f"{data_digest}.npz")
 
+    def _admit_locked(self, record: JobRecord, front: bool = False) -> bool:
+        """Admit one job; True when it was queued.
+
+        A find job whose result is cached completes as a cache hit, and
+        one whose identical twin is in flight rides on it as a waiter
+        instead of enumerating the same lattice twice.  A fresh submission
+        takes warm seeds from a same-data cache entry; a recovered job
+        takes none, since an orphan must resume from its checkpoint
+        exactly as the pre-crash run would have continued.  Anything else
+        is queued (at the head with ``front``) or rejected.
+        """
+        fingerprint = record.fingerprint
+        if record.spec.kind == "find":
+            cached = self.cache.get(fingerprint)
+            if cached is not None:
+                with record.tracer.span(
+                    "serve.cache_hit", fingerprint=fingerprint[:12]
+                ):
+                    pass
+                self._finish_locked(
+                    record, JobState.COMPLETED, result=cached, cache_hit=True
+                )
+                return False
+            self.registry.event("serve.cache_misses")
+            if fingerprint in self._inflight:
+                record.coalesced = True
+                self._waiters.setdefault(fingerprint, []).append(record)
+                return False
+            if not record.recovered:
+                seeds = self.cache.warm_seeds(record.data_digest)
+                if seeds:
+                    record.warm_seeds = seeds
+                    self.registry.event("serve.warm_starts")
+        return self._queue_locked(record, front)
+
+    def _queue_locked(self, record: JobRecord, front: bool = False) -> bool:
+        """Queue *record*, or reject it with the backlog's reason.
+
+        A queued find job becomes its fingerprint's in-flight origin.
+        """
+        decision = self.queue.admit(record, front=front)
+        record.admission = decision
+        if not decision.admitted:
+            self._finish_locked(
+                record, JobState.REJECTED, reason=decision.reason
+            )
+            return False
+        if record.spec.kind == "find":
+            self._inflight[record.fingerprint] = record
+        return True
+
     def _finish_locked(
         self,
         record: JobRecord,
         state: str,
+        *,
         result=None,
         reason: str = "",
         error: str | None = None,
         cache_hit: bool = False,
+        running: bool = False,
+        cached: bool = False,
     ) -> None:
+        """The one terminal transition: journal first, then wake the caller.
+
+        The terminal record is durable before ``result()``/``wait()``
+        return unless the append itself fails (see
+        :meth:`_journal_locked`); the job then recovers from its last
+        durable record.  ``running`` releases the worker slot of a job a
+        worker had taken.  An in-flight origin then hands its fingerprint
+        over: its waiters complete as cache hits when the cache took its
+        result (``cached``); otherwise the first waiter is queued as the
+        new origin, and if the backlog rejects it, the rest are rejected
+        with its reason.  A waiter is never an origin, so this recurses at
+        most once.
+        """
+        if running:
+            self.queue.release()
         record.state = state
         record.reason = reason
         if result is not None:
@@ -674,16 +685,39 @@ class SliceService:
         if cache_hit:
             record.cache_hit = True
         record.finished_at = time.time()
+        wal_type, event = _TERMINAL[state]
+        self._journal_locked(
+            record,
+            wal_type,
+            reason=reason,
+            cache_hit=record.cache_hit,
+            error=record.error,
+        )
         record.done.set()
-        wal_type = _TERMINAL_WAL.get(state)
-        if wal_type is not None:
-            self._journal_locked(
-                record,
-                wal_type,
-                reason=reason,
-                cache_hit=record.cache_hit,
-                error=record.error,
-            )
+        if not self._recovering:
+            self.registry.event("serve.cache_hits" if cache_hit else event)
+        fingerprint = record.fingerprint
+        if self._inflight.get(fingerprint) is record:
+            del self._inflight[fingerprint]
+            waiters = self._waiters.pop(fingerprint, [])
+            if cached:
+                for waiter in waiters:
+                    self._finish_locked(
+                        waiter, JobState.COMPLETED, result=record.result,
+                        cache_hit=True,
+                    )
+            elif waiters:
+                origin, rest = waiters[0], waiters[1:]
+                origin.coalesced = False
+                if self._queue_locked(origin):
+                    if rest:
+                        self._waiters[fingerprint] = rest
+                else:
+                    for waiter in rest:
+                        self._finish_locked(
+                            waiter, JobState.REJECTED, reason=origin.reason
+                        )
+        self._refresh_gauges_locked()
 
     # -- durability (journal + recovery) -------------------------------------
 
@@ -701,8 +735,9 @@ class SliceService:
         try:
             self.journal.append(record_type, record.job_id, **fields)
         except (ServeError, OSError):
-            # A closed journal during shutdown must not take down the
-            # worker finishing its last job.
+            # A failed append (a full disk, or a journal that shutdown
+            # already closed) must not take down the worker finishing its
+            # job; the transition goes ahead without its record.
             pass
 
     def _journal_submit_locked(self, record: JobRecord, serial: int) -> None:
@@ -757,22 +792,18 @@ class SliceService:
             )
             record.suspend.clear()
             if record.cancel_requested:
-                self.queue.release()
-                self._release_inflight_locked(record, promote=True)
                 self._finish_locked(
-                    record, JobState.CANCELLED, reason="user-cancel"
+                    record, JobState.CANCELLED, reason="user-cancel",
+                    running=True,
                 )
-                self.registry.event("serve.cancellations")
             elif record.crashes > self._max_job_crashes:
-                self.queue.release()
-                self._release_inflight_locked(record, promote=True)
                 self._finish_locked(
                     record,
                     JobState.FAILED,
                     reason="worker-crash",
                     error=f"{type(exc).__name__}: {exc}",
+                    running=True,
                 )
-                self.registry.event("serve.failures")
             else:
                 record.state = (
                     JobState.SUSPENDED
@@ -783,7 +814,7 @@ class SliceService:
                     record, "suspend", crash=exc.kind, crashes=record.crashes
                 )
                 self.queue.requeue(record)
-            self._refresh_gauges_locked()
+                self._refresh_gauges_locked()
 
     def _recover_locked(self) -> None:
         """Rebuild the job table from the journal (constructor only).
@@ -844,13 +875,23 @@ class SliceService:
                     self._submissions.get(record.fingerprint, 0), serial + 1
                 )
                 recovered += 1
-                if last["type"] in (
-                    "complete",
-                    "cancel",
-                    "fail",
-                    "reject",
-                ):
-                    self._restore_terminal_locked(record, last)
+                state = _WAL_STATE.get(last["type"])
+                if state is not None:
+                    # Monitor results are not durable (their value is the
+                    # live monitor object); the completed state survives,
+                    # the result does not — documented in EXPERIMENTS.md.
+                    kind = record.spec.kind
+                    result = None
+                    if state == JobState.COMPLETED and kind == "find":
+                        result = self.cache.peek(record.fingerprint)
+                    self._finish_locked(
+                        record,
+                        state,
+                        result=result,
+                        reason=last.get("reason") or "recovered",
+                        error=last.get("error"),
+                        cache_hit=bool(last.get("cache_hit")),
+                    )
                     continue
                 record.has_checkpoint = (
                     latest_checkpoint(self._checkpoint_dir(record))
@@ -870,9 +911,9 @@ class SliceService:
         for record in reversed(orphans):
             # reversed + front=True preserves the original relative order
             # at the head of the backlog.
-            self._readmit_recovered_locked(record, front=True)
+            self._admit_locked(record, front=True)
         for record in backlog:
-            self._readmit_recovered_locked(record, front=False)
+            self._admit_locked(record)
         if recovered:
             self.registry.event("serve.recovered_jobs", recovered)
         if orphans:
@@ -914,14 +955,7 @@ class SliceService:
                 x0.flags.writeable = False
                 errors.flags.writeable = False
             x0, errors, data_fp = shared[key]
-        config_fp = fingerprint_config(spec.config)
-        data_digest = fingerprint_digest(data_fp)
-        if spec.kind == "monitor":
-            fingerprint = fingerprint_digest(
-                data_fp, config_fp, spec.monitor_fingerprint()
-            )
-        else:
-            fingerprint = fingerprint_digest(data_fp, config_fp)
+        data_digest, fingerprint = _identity(spec, data_fp)
         journaled = submit.get("fingerprint")
         if journaled is not None and journaled != fingerprint:
             raise ServeError(
@@ -979,144 +1013,6 @@ class SliceService:
             shared[data_digest] = (x0, errors, data_fp)
         return shared[data_digest]
 
-    def _restore_terminal_locked(self, record: JobRecord, last: dict) -> None:
-        """Replay one journaled terminal transition onto *record*."""
-        reason = last.get("reason") or "recovered"
-        if last["type"] == "complete":
-            result = (
-                self.cache.peek(record.fingerprint)
-                if record.spec.kind == "find"
-                else None
-            )
-            # Monitor results are not durable (their value is the live
-            # monitor object); the completed state survives, the result
-            # does not — documented in EXPERIMENTS.md.
-            self._finish_locked(
-                record,
-                JobState.COMPLETED,
-                result=result,
-                cache_hit=bool(last.get("cache_hit")),
-                reason="recovered",
-            )
-        elif last["type"] == "cancel":
-            self._finish_locked(record, JobState.CANCELLED, reason=reason)
-        elif last["type"] == "fail":
-            self._finish_locked(
-                record,
-                JobState.FAILED,
-                reason=reason,
-                error=last.get("error"),
-            )
-        else:
-            self._finish_locked(record, JobState.REJECTED, reason=reason)
-
-    def _readmit_recovered_locked(
-        self, record: JobRecord, front: bool
-    ) -> None:
-        """Put one recovered non-terminal job back in line.
-
-        A find job whose fingerprint is now in the durable cache (its
-        origin completed before the crash, e.g. a coalesced duplicate
-        whose settlement record was lost) completes as a cache hit with
-        zero enumeration.  Recovered jobs take no warm seeds — an orphan
-        must resume from its checkpoint exactly as the pre-crash run
-        would have continued.
-        """
-        spec = record.spec
-        if spec.kind == "find":
-            cached = self.cache.get(record.fingerprint)
-            if cached is not None:
-                self._finish_locked(
-                    record,
-                    JobState.COMPLETED,
-                    result=cached,
-                    cache_hit=True,
-                )
-                self.registry.event("serve.cache_hits")
-                return
-            self.registry.event("serve.cache_misses")
-            origin = self._inflight.get(record.fingerprint)
-            if origin is not None:
-                record.coalesced = True
-                self._waiters.setdefault(record.fingerprint, []).append(
-                    record
-                )
-                return
-        decision = self.queue.admit(record, front=front)
-        record.admission = decision
-        if not decision.admitted:
-            self._finish_locked(
-                record, JobState.REJECTED, reason=decision.reason
-            )
-            self.registry.event("serve.rejections")
-            return
-        if spec.kind == "find":
-            self._inflight[record.fingerprint] = record
-
-    def _durability_stats(self) -> dict | None:
-        if self.state_dir is None:
-            return None
-        out: dict = {
-            "state_dir": self.state_dir,
-            "wal_replayed": len(self.journal.records),
-            "wal_quarantined": [
-                q.to_dict() for q in self.journal.quarantined
-            ],
-            "cache_quarantined": [
-                q.to_dict()
-                for q in getattr(self.cache, "quarantined", ())
-            ],
-            "recovery_errors": list(self.recovery_errors),
-        }
-        return out
-
-    def _settle_waiters_locked(self, fingerprint: str, result) -> None:
-        for waiter in self._waiters.pop(fingerprint, []):
-            self._finish_locked(
-                waiter, JobState.COMPLETED, result=result, cache_hit=True
-            )
-            self.registry.event("serve.cache_hits")
-
-    def _release_inflight_locked(
-        self, record: JobRecord, promote: bool = False
-    ) -> None:
-        """Drop an origin that won't produce a cacheable result; promote a waiter.
-
-        Used when the origin failed, was cancelled, or completed with a
-        budget-tripped partial result no other submission may inherit.
-        Without promotion the coalesced duplicates would wait forever on a
-        fingerprint with no in-flight origin — the first waiter is
-        re-admitted as the new origin, the rest keep waiting on it.
-        """
-        fingerprint = record.fingerprint
-        if self._inflight.get(fingerprint) is not record:
-            return
-        self._inflight.pop(fingerprint, None)
-        waiters = self._waiters.pop(fingerprint, [])
-        if not waiters:
-            return
-        if not promote:
-            self._waiters[fingerprint] = waiters
-            return
-        origin, rest = waiters[0], waiters[1:]
-        origin.coalesced = False
-        decision = self.queue.admit(origin)
-        origin.admission = decision
-        if decision.admitted:
-            self._inflight[fingerprint] = origin
-            if rest:
-                self._waiters[fingerprint] = rest
-        else:
-            self._finish_locked(
-                origin, JobState.REJECTED, reason=decision.reason
-            )
-            self.registry.event("serve.rejections")
-            for waiter in rest:
-                self._finish_locked(
-                    waiter, JobState.REJECTED, reason=decision.reason
-                )
-                self.registry.event("serve.rejections")
-
     def _refresh_gauges_locked(self) -> None:
         self.registry.gauge("serve.queue_depth", self.queue.depth())
         self.registry.gauge("serve.running", self.queue.running_count())
@@ -1125,6 +1021,19 @@ class SliceService:
         self.registry.gauge("serve.cache_bytes", cache["bytes"])
         self.registry.gauge("serve.cache_hits", cache["hits"])
         self.registry.gauge("serve.cache_misses", cache["misses"])
+
+
+def _identity(spec: JobSpec, data_fp: dict) -> tuple[str, str]:
+    """``(data_digest, fingerprint)`` of a job on the data *data_fp* hashes.
+
+    The data digest keys warm starts and input spills; the fingerprint
+    (data, config and, for a monitor job, its replay parameters) keys the
+    cache, coalescing and the job id.
+    """
+    parts = [data_fp, fingerprint_config(spec.config)]
+    if spec.kind == "monitor":
+        parts.append(spec.monitor_fingerprint())
+    return fingerprint_digest(data_fp), fingerprint_digest(*parts)
 
 
 def _load_inputs(path: str) -> tuple[np.ndarray, np.ndarray]:

@@ -12,19 +12,19 @@ chaos suite) takes down neither the service nor the other workers.
 Supervision contract per worker slot:
 
 * the child writes a **heartbeat file** (``worker-N.json``) every
-  ``heartbeat_interval_s`` with its pid and current job; a child that is
-  alive but silent past ``heartbeat_timeout_s`` is presumed hung, killed
-  (SIGKILL) and treated as crashed;
+  :data:`HEARTBEAT_INTERVAL_S` with its pid and current job; a child that
+  is alive but silent past ``heartbeat_timeout_s`` is presumed hung,
+  killed (SIGKILL) and treated as crashed;
 * a dead child (``exitcode`` set — ``-9`` is the SIGKILL signature) raises
   :class:`WorkerCrash` into the service's execute callback, whose handler
   **requeues the orphaned job at the front** of the backlog; the
   job resumes from its last ``repro.ckpt/v1`` level-boundary checkpoint,
   so the recovered result is bitwise-identical to a fault-free run;
-* the slot is **restarted with exponential backoff** (delays from the
-  shared :class:`~repro.resilience.retry.RetryPolicy`); after
-  ``restart_policy.max_attempts`` consecutive crashes with no successful
-  job in between the slot is retired (the pool keeps running on the
-  remaining slots).
+* the slot is **restarted with exponential backoff** (delays from
+  :data:`RESTART_POLICY`, a :class:`~repro.resilience.retry.RetryPolicy`);
+  after ``RESTART_POLICY.max_attempts`` consecutive crashes with no
+  successful job in between the slot is retired (the pool keeps running
+  on the remaining slots).
 
 Job state transitions stay in the parent — the service's lock-guarded
 state machine is untouched; the child only computes.  Monitor jobs run
@@ -48,6 +48,15 @@ from repro.resilience.retry import RetryPolicy
 from repro.serve.queue import JobQueue
 from repro.serve.scheduler import Scheduler
 from repro.serve.spec import JobRecord
+
+#: Seconds between two heartbeats of a worker process.
+HEARTBEAT_INTERVAL_S = 0.2
+
+#: Backoff between restarts of a crashed worker slot, and the consecutive
+#: crashes after which the slot is retired.
+RESTART_POLICY = RetryPolicy(
+    max_attempts=4, backoff_base_s=0.05, backoff_cap_s=2.0
+)
 
 
 class WorkerCrash(ServeError):
@@ -74,7 +83,7 @@ def read_heartbeat(path: str) -> dict | None:
         return None
 
 
-def _heartbeat_loop(path, worker_id, interval, state, stop) -> None:
+def _heartbeat_loop(path, worker_id, state, stop) -> None:
     while not stop.is_set():
         atomic_write_json(
             path,
@@ -87,7 +96,7 @@ def _heartbeat_loop(path, worker_id, interval, state, stop) -> None:
             durable=False,
             indent=None,
         )
-        stop.wait(interval)
+        stop.wait(HEARTBEAT_INTERVAL_S)
 
 
 def _control_loop(control_q, state, stop) -> None:
@@ -111,7 +120,6 @@ def worker_main(
     result_q,
     control_q,
     heartbeat_path: str,
-    heartbeat_interval_s: float,
 ) -> None:
     """Entry point of one spawned worker process."""
     # Local import: the child re-imports the package under spawn; pulling
@@ -122,7 +130,7 @@ def worker_main(
     stop = threading.Event()
     threading.Thread(
         target=_heartbeat_loop,
-        args=(heartbeat_path, worker_id, heartbeat_interval_s, state, stop),
+        args=(heartbeat_path, worker_id, state, stop),
         daemon=True,
     ).start()
     threading.Thread(
@@ -162,7 +170,7 @@ class _WorkerSlot:
         self.consecutive_crashes = 0
         self.retired = False
 
-    def spawn(self, heartbeat_interval_s: float) -> None:
+    def spawn(self) -> None:
         self.task_q = self.context.Queue()
         self.result_q = self.context.Queue()
         self.control_q = self.context.Queue()
@@ -174,7 +182,6 @@ class _WorkerSlot:
                 self.result_q,
                 self.control_q,
                 self.heartbeat_path,
-                heartbeat_interval_s,
             ),
             daemon=True,
             name=f"repro-serve-proc-{self.index}",
@@ -220,17 +227,11 @@ class ProcessWorkerSupervisor(Scheduler):
         num_workers: int = 2,
         preemption: bool = True,
         run_dir: str | None = None,
-        heartbeat_interval_s: float = 0.2,
         heartbeat_timeout_s: float = 30.0,
-        restart_policy: RetryPolicy | None = None,
         on_event=None,
     ) -> None:
         super().__init__(queue, execute, num_workers, preemption)
-        self.heartbeat_interval_s = heartbeat_interval_s
         self.heartbeat_timeout_s = heartbeat_timeout_s
-        self.restart_policy = restart_policy or RetryPolicy(
-            max_attempts=4, backoff_base_s=0.05, backoff_cap_s=2.0
-        )
         self._on_event = on_event or (lambda name: None)
         if run_dir is None:
             import tempfile
@@ -253,7 +254,7 @@ class ProcessWorkerSupervisor(Scheduler):
         self._slots = []
         for index in range(self.num_workers):
             slot = _WorkerSlot(index, self._context, self.run_dir)
-            slot.spawn(self.heartbeat_interval_s)
+            slot.spawn()
             self._slots.append(slot)
         super().start()
 
@@ -286,16 +287,16 @@ class ProcessWorkerSupervisor(Scheduler):
         """Restart a dead worker with bounded exponential backoff."""
         slot.drop_queues()
         slot.consecutive_crashes += 1
-        if slot.consecutive_crashes > self.restart_policy.max_attempts:
+        if slot.consecutive_crashes > RESTART_POLICY.max_attempts:
             slot.retired = True
             self._on_event("serve.workers_retired")
             return
-        delay = self.restart_policy.backoff_delay(
+        delay = RESTART_POLICY.backoff_delay(
             slot.index, slot.consecutive_crashes
         )
         if self._stop.wait(delay):
             return
-        slot.spawn(self.heartbeat_interval_s)
+        slot.spawn()
         self.restarts += 1
         self._on_event("serve.worker_restarts")
 
@@ -391,7 +392,9 @@ class ProcessWorkerSupervisor(Scheduler):
 
 
 __all__ = [
+    "HEARTBEAT_INTERVAL_S",
     "ProcessWorkerSupervisor",
+    "RESTART_POLICY",
     "WorkerCrash",
     "read_heartbeat",
     "worker_main",

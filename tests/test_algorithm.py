@@ -333,6 +333,14 @@ class TestSliceLineEstimator:
         with pytest.raises(RuntimeError):
             SliceLine().top_slices_
 
+    def test_settings_are_one_config(self):
+        assert SliceLine(k=3, alpha=0.5).config == SliceLineConfig(
+            k=3, alpha=0.5
+        )
+        assert SliceLine(num_threads=2).config == SliceLineConfig()
+        with pytest.raises(TypeError):
+            SliceLine(4)
+
     def test_transform_membership(self, planted_dataset):
         x0, errors, _ = planted_dataset
         model = SliceLine(k=3, sigma=10).fit(x0, errors)

@@ -266,6 +266,14 @@ class TestResultEncoding:
             s.level for s in result.level_stats
         ]
 
+    def test_decoded_level_stats_are_its_counters(self, small_result):
+        _, _, result = small_result
+        _, _, decoded = decode_result(encode_result("fp0", "dd0", result))
+        assert decoded.counters.to_dict() == result.counters.to_dict()
+        assert len(decoded.level_stats) == len(result.level_stats)
+        for stats, level in zip(decoded.level_stats, decoded.counters.levels):
+            assert stats is level
+
     def test_rejects_garbage(self):
         with pytest.raises(ServeError):
             decode_result(b"not an npz")
@@ -629,6 +637,38 @@ class TestServiceRecovery:
         assert (last["type"], last["job_id"]) == ("fail", "old-job")
         assert last["reason"] == "recovery-failed"
         assert "kernel_backend" in last["error"]
+
+    def test_failed_terminal_append_still_wakes_the_caller(
+        self, tmp_path, planted_dataset, monkeypatch
+    ):
+        """A terminal append that fails (a full disk, a closed journal) is
+        swallowed so that the worker survives it; the job then recovers
+        from its last durable record, as an orphan."""
+        x0, errors, _ = planted_dataset
+        state = str(tmp_path / "state")
+        append = JobJournal.append
+
+        def full_disk(journal, record_type, job_id, **fields):
+            if record_type == "complete":
+                raise OSError(28, "No space left on device")
+            return append(journal, record_type, job_id, **fields)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(JobJournal, "append", full_disk)
+            with SliceService(state_dir=state, num_workers=1) as service:
+                record = service.submit(JobSpec(x0=x0, errors=errors))
+                baseline = service.result(record.job_id, timeout=60)
+        assert record.state == JobState.COMPLETED
+        assert [entry["type"] for entry in _journaled(state)] == [
+            "submit", "dispatch"
+        ]
+
+        with SliceService(state_dir=state, num_workers=1) as recovered:
+            assert recovered.registry.events["serve.recovered_orphans"] == 1
+            again = recovered.jobs[record.job_id]
+            _assert_results_equal(
+                recovered.result(again.job_id, timeout=60), baseline
+            )
 
     def test_cache_bytes_gauge(self, tmp_path, planted_dataset):
         x0, errors, _ = planted_dataset

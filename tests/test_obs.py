@@ -154,6 +154,20 @@ class TestCounters:
         assert len(doc["levels"]) == 2
         assert doc["totals"]["evaluated"] == 40
 
+    def test_from_records_round_trips_and_ignores_other_keys(self):
+        reg = CounterRegistry()
+        reg.level(1).evaluated = 10
+        reg.level(2).candidates_before_dedup = 9
+        reg.level(2).deduplicated = 7
+        reg.event("checkpoint.write", 2)
+        records = reg.to_records()  # carries the derived keys too
+        records[0]["not_a_counter"] = 99
+        rebuilt = CounterRegistry.from_records(records, reg.events)
+        assert rebuilt.to_dict() == reg.to_dict()
+        assert CounterRegistry.from_records([]).to_dict() == (
+            CounterRegistry().to_dict()
+        )
+
     def test_reconcile_catches_violations(self):
         reg = CounterRegistry()
         c = reg.level(2)

@@ -32,6 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.resilience.checkpoint as checkpoint_module
+import repro.serve.service as service_module
 from repro.core.algorithm import slice_line
 from repro.core.config import SliceLineConfig
 from repro.exceptions import CheckpointError, ConfigError, ServeError
@@ -45,6 +46,7 @@ from repro.resilience.checkpoint import (
     latest_checkpoint,
 )
 from repro.serve import (
+    JobJournal,
     JobQueue,
     JobRecord,
     JobSpec,
@@ -53,6 +55,7 @@ from repro.serve import (
     SliceService,
     load_job_document,
     load_job_file,
+    scan_wal,
 )
 from repro.serve.queue import MAX_QUEUED
 from repro.serve.scheduler import Scheduler
@@ -996,6 +999,236 @@ class TestMonitorStatusPlumbing:
         assert history[-1] == monitor.latest_drift()
         assert history[0] == []  # no baseline before the first tick
         assert len(history[1]) == len(monitor.ticks[0].top_slices)
+
+
+# ---------------------------------------------------------------------------
+# job lifecycle: every path that ends a job, on a journaled service
+#
+# Each path function drives a staged (``start=False``) durable service
+# and returns the jobs it is about, by role.
+
+
+def _find(planted, k=3) -> JobSpec:
+    x0, errors, _ = planted
+    return JobSpec(x0=x0, errors=errors, config=SliceLineConfig(k=k))
+
+
+def _live_completion(service, planted, monkeypatch):
+    service.start()
+    return {"job": service.submit(_find(planted))}
+
+
+def _cache_hit_at_submit(service, planted, monkeypatch):
+    service.start()
+    service.result(service.submit(_find(planted)).job_id, timeout=60)
+    return {"job": service.submit(_find(planted))}
+
+
+def _coalesced_waiter(service, planted, monkeypatch):
+    origin = service.submit(_find(planted))
+    waiter = service.submit(_find(planted))
+    assert waiter.coalesced
+    service.start()
+    return {"origin": origin, "waiter": waiter}
+
+
+def _rejection(service, planted, monkeypatch):
+    service.queue.max_queued = 1
+    service.submit(_find(planted))
+    return {"job": service.submit(_find(planted, k=4))}
+
+
+def _cancel_queued(service, planted, monkeypatch):
+    job = service.submit(_find(planted))
+    assert service.cancel(job.job_id)
+    return {"job": job}
+
+
+def _cancel_running(service, planted, monkeypatch):
+    started = threading.Event()
+    run = service_module.slice_line
+
+    def gated(*args, **kwargs):
+        # Hold the run until cancel() has asked it to suspend; the real
+        # search then yields at its first level boundary.
+        started.set()
+        deadline = time.monotonic() + 30
+        while not kwargs["suspend"].requested and time.monotonic() < deadline:
+            time.sleep(0.001)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(service_module, "slice_line", gated)
+    service.start()
+    job = service.submit(_find(planted))
+    assert started.wait(30)
+    assert service.cancel(job.job_id)
+    return {"job": job}
+
+
+def _failing_runs(monkeypatch, failures: int) -> None:
+    """The service's first *failures* searches raise; later ones run."""
+    run = service_module.slice_line
+    calls = []
+
+    def flaky(*args, **kwargs):
+        calls.append(None)
+        if len(calls) <= failures:
+            raise RuntimeError("injected failure")
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(service_module, "slice_line", flaky)
+
+
+def _failure(service, planted, monkeypatch):
+    _failing_runs(monkeypatch, failures=1)
+    service.start()
+    return {"job": service.submit(_find(planted))}
+
+
+def _origin_fails_waiter_promoted(service, planted, monkeypatch):
+    _failing_runs(monkeypatch, failures=1)
+    origin = service.submit(_find(planted))
+    waiter = service.submit(_find(planted))
+    assert waiter.coalesced
+    service.start()
+    return {"origin": origin, "waiter": waiter}
+
+
+def _expect(events, journal, queue_depth=0):
+    return {
+        "events": {"serve.submitted": 1, "serve.cache_misses": 1, **events},
+        "gauges": {"serve.running": 0, "serve.queue_depth": queue_depth},
+        "journal": journal,
+    }
+
+
+#: path -> (its path function, expected events, gauges and journal record
+#: types by role)
+LIFECYCLE_PATHS = {
+    "live-completion": (
+        _live_completion,
+        _expect(
+            {"serve.completed": 1},
+            {"job": ["submit", "dispatch", "complete"]},
+        ),
+    ),
+    "cache-hit-at-submit": (
+        _cache_hit_at_submit,
+        _expect(
+            {"serve.submitted": 2, "serve.completed": 1, "serve.cache_hits": 1},
+            {"job": ["submit", "complete"]},
+        ),
+    ),
+    "coalesced-waiter": (
+        _coalesced_waiter,
+        _expect(
+            {
+                "serve.submitted": 2,
+                "serve.cache_misses": 2,
+                "serve.completed": 1,
+                "serve.cache_hits": 1,
+            },
+            {
+                "origin": ["submit", "dispatch", "complete"],
+                "waiter": ["submit", "complete"],
+            },
+        ),
+    ),
+    "rejection": (
+        _rejection,
+        _expect(
+            {
+                "serve.submitted": 2,
+                "serve.cache_misses": 2,
+                "serve.rejections": 1,
+            },
+            {"job": ["submit", "reject"]},
+            queue_depth=1,
+        ),
+    ),
+    "cancel-queued": (
+        _cancel_queued,
+        _expect({"serve.cancellations": 1}, {"job": ["submit", "cancel"]}),
+    ),
+    "cancel-running": (
+        _cancel_running,
+        _expect(
+            {"serve.cancellations": 1},
+            {"job": ["submit", "dispatch", "cancel"]},
+        ),
+    ),
+    "failure": (
+        _failure,
+        _expect({"serve.failures": 1}, {"job": ["submit", "dispatch", "fail"]}),
+    ),
+    "origin-fails-waiter-promoted": (
+        _origin_fails_waiter_promoted,
+        _expect(
+            {
+                "serve.submitted": 2,
+                "serve.cache_misses": 2,
+                "serve.failures": 1,
+                "serve.completed": 1,
+            },
+            {
+                "origin": ["submit", "dispatch", "fail"],
+                "waiter": ["submit", "dispatch", "complete"],
+            },
+        ),
+    ),
+}
+
+
+#: WAL record types that end a job
+_TERMINAL_TYPES = {"complete", "fail", "cancel", "reject"}
+
+
+class TestJobLifecycle:
+    @pytest.mark.parametrize("path", list(LIFECYCLE_PATHS))
+    def test_path_pins_events_gauges_and_journal(
+        self, path, planted_dataset, tmp_path, monkeypatch
+    ):
+        service = SliceService(
+            num_workers=1,
+            state_dir=str(tmp_path / "state"),
+            wal_fsync=False,
+            start=False,
+        )
+        woken = []
+        append = JobJournal.append
+
+        def spy(journal, record_type, job_id, **fields):
+            if (
+                record_type in _TERMINAL_TYPES
+                and service.jobs[job_id].done.is_set()
+            ):
+                woken.append((record_type, job_id))
+            return append(journal, record_type, job_id, **fields)
+
+        monkeypatch.setattr(JobJournal, "append", spy)
+        run, expected = LIFECYCLE_PATHS[path]
+        try:
+            jobs = run(service, planted_dataset, monkeypatch)
+            for job in jobs.values():
+                assert job.wait(timeout=60), (job.job_id, job.state)
+            # stats() takes the service lock: the transition that woke the
+            # jobs has finished counting and refreshing by then.
+            stats = service.stats()
+        finally:
+            service.shutdown()
+        journal = tmp_path / "state" / "wal" / "journal.wal"
+        records, _, quarantined = scan_wal(journal.read_bytes())
+        assert quarantined == []
+        assert stats["events"] == expected["events"]
+        assert {
+            name: stats["gauges"][name] for name in expected["gauges"]
+        } == expected["gauges"]
+        assert {
+            role: [r["type"] for r in records if r["job_id"] == job.job_id]
+            for role, job in jobs.items()
+        } == expected["journal"]
+        # Each terminal record is durable before its job wakes.
+        assert woken == []
 
 
 # ---------------------------------------------------------------------------
