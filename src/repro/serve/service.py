@@ -68,11 +68,14 @@ import zipfile
 import numpy as np
 
 from repro.core.algorithm import slice_line
-from repro.exceptions import ConfigError, ServeError
+from repro.core.onehot import validate_encoded_matrix
+from repro.exceptions import ConfigError, ReproError, ServeError
+from repro.linalg.sparse import ensure_vector
 from repro.obs.counters import CounterRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.resilience.atomic import atomic_write_bytes
 from repro.resilience.checkpoint import (
+    _byte_fingerprint,
     fingerprint_config,
     fingerprint_digest,
     fingerprint_inputs,
@@ -737,8 +740,9 @@ class SliceService:
         except (ServeError, OSError):
             # A failed append (a full disk, or a journal that shutdown
             # already closed) must not take down the worker finishing its
-            # job; the transition goes ahead without its record.
-            pass
+            # job; the transition goes ahead without its record, and the
+            # lost durability shows in the events.
+            self.registry.event("serve.wal_append_failures")
 
     def _journal_submit_locked(self, record: JobRecord, serial: int) -> None:
         """Write-ahead record of one submission (spec table + identity).
@@ -748,15 +752,20 @@ class SliceService:
         needs them, so a crash between the two leaves an unreferenced
         spill file, never a dangling reference.  The file is shared by
         every job on the same data: this instance writes it once, and the
-        submit record names it by its ``data_digest`` alone.
+        submit record names it by its ``data_digest`` alone.  It holds the
+        codes in the dtype their fingerprint hashed (``x0_codes``).
         """
         if self.journal is None or self._recovering:
             return
         spec = record.spec
         has_inputs = spec.dataset is None
         if has_inputs and record.data_digest not in self._spilled:
+            x0 = record.x0
+            codes = record.input_fingerprint.get("x0_codes")
+            if codes is not None:
+                x0 = np.asarray(x0).astype(codes)
             buffer = io.BytesIO()
-            np.savez(buffer, x0=record.x0, errors=record.errors)
+            np.savez(buffer, x0=x0, errors=record.errors)
             atomic_write_bytes(
                 self._inputs_path(record.data_digest),
                 buffer.getvalue(),
@@ -865,7 +874,8 @@ class SliceService:
                             error=f"{type(exc).__name__}: {exc}",
                         )
                     except OSError:
-                        pass  # the next recovery quarantines the job again
+                        # The next recovery quarantines the job again.
+                        self.registry.event("serve.wal_append_failures")
                     continue
                 record.recovered = True
                 self.jobs[job_id] = record
@@ -928,11 +938,12 @@ class SliceService:
     ) -> JobRecord:
         """One :class:`JobRecord` from a journaled ``submit`` record.
 
-        *shared* holds the inputs recovery has built so far, as
-        ``(x0, errors, fingerprint_inputs)``: each spill by its data digest
-        (see :meth:`_recovered_inputs`), and each registry dataset by
-        ``(dataset, scale, seed)``, loaded and hashed once and handed to
-        every job on it as the same read-only arrays.
+        *shared* holds the :class:`_RecoveredInputs` recovery has built so
+        far: each spill by its data digest (see :meth:`_recovered_inputs`),
+        and each registry dataset by ``(dataset, scale, seed)``, loaded
+        and hashed once and handed to every job on it as the same
+        read-only arrays.  The job keeps the identity it was journaled
+        with, under the current hash or the byte hash before it.
         """
         table = submit.get("spec")
         if not isinstance(table, dict):
@@ -940,28 +951,30 @@ class SliceService:
                 f"journal submit record for {job_id!r} carries no spec table"
             )
         if submit.get("has_inputs"):
-            x0, errors, data_fp = self._recovered_inputs(
+            inputs = self._recovered_inputs(
                 job_id, submit.get("data_digest"), shared
             )
             spec = spec_from_dict(
-                table, where=f"journal:{job_id}", x0=x0, errors=errors
+                table, where=f"journal:{job_id}",
+                x0=inputs.x0, errors=inputs.errors,
             )
         else:
             spec = spec_from_dict(table, where=f"journal:{job_id}")
             key = (spec.dataset, spec.scale, spec.seed)
             if key not in shared:
-                x0, errors = spec.resolve_data()
-                shared[key] = (x0, errors, fingerprint_inputs(x0, errors))
-                x0.flags.writeable = False
-                errors.flags.writeable = False
-            x0, errors, data_fp = shared[key]
-        data_digest, fingerprint = _identity(spec, data_fp)
+                shared[key] = _RecoveredInputs(*spec.resolve_data())
+            inputs = shared[key]
         journaled = submit.get("fingerprint")
-        if journaled is not None and journaled != fingerprint:
+        fingerprints = inputs.fingerprints(
+            lambda data_fp: journaled in (None, _identity(spec, data_fp)[1])
+        )
+        if fingerprints is None:
             raise ServeError(
                 f"job {job_id!r} fingerprint mismatch on recovery: the "
                 "data or config behind the journaled spec changed"
             )
+        data_fp, run_fp = fingerprints
+        data_digest, fingerprint = _identity(spec, data_fp)
         return JobRecord(
             job_id=job_id,
             spec=spec,
@@ -969,15 +982,15 @@ class SliceService:
             data_digest=data_digest,
             submitted_at=float(submit.get("submitted_at") or time.time()),
             tracer=Tracer() if self.trace else NULL_TRACER,
-            x0=x0,
-            errors=errors,
-            input_fingerprint=data_fp,
+            x0=inputs.x0,
+            errors=inputs.errors,
+            input_fingerprint=run_fp,
         )
 
     def _recovered_inputs(
         self, job_id: str, data_digest: str | None, shared: dict
-    ) -> tuple[np.ndarray, np.ndarray, dict]:
-        """``(x0, errors, fingerprint_inputs)`` of a journaled array job.
+    ) -> "_RecoveredInputs":
+        """The inputs of a journaled array job.
 
         A job journaled before spills were shared owns
         ``jobs/<id>/inputs.npz``, read for it alone.  Every other job reads
@@ -993,24 +1006,22 @@ class SliceService:
             self.workdir, _JOB_ID_SANITIZE.sub("_", job_id), "inputs.npz"
         )
         if os.path.exists(legacy):
-            x0, errors = _load_inputs(legacy)
-            return x0, errors, fingerprint_inputs(x0, errors)
+            return _RecoveredInputs(*_load_inputs(legacy))
         if not isinstance(data_digest, str):
             raise ServeError(
                 f"journal submit record for {job_id!r} names no data digest"
             )
         if data_digest not in shared:
             path = self._inputs_path(data_digest)
-            x0, errors = _load_inputs(path)
-            data_fp = fingerprint_inputs(x0, errors)
-            if fingerprint_digest(data_fp) != data_digest:
+            inputs = _RecoveredInputs(*_load_inputs(path))
+            if inputs.fingerprints(
+                lambda data_fp: fingerprint_digest(data_fp) == data_digest
+            ) is None:
                 raise ServeError(
                     f"input spill {path} does not hash to its digest: the "
                     "file is damaged"
                 )
-            x0.flags.writeable = False
-            errors.flags.writeable = False
-            shared[data_digest] = (x0, errors, data_fp)
+            shared[data_digest] = inputs
         return shared[data_digest]
 
     def _refresh_gauges_locked(self) -> None:
@@ -1034,6 +1045,58 @@ def _identity(spec: JobSpec, data_fp: dict) -> tuple[str, str]:
     if spec.kind == "monitor":
         parts.append(spec.monitor_fingerprint())
     return fingerprint_digest(data_fp), fingerprint_digest(*parts)
+
+
+class _RecoveredInputs:
+    """One dataset as recovery hands it to every job on it.
+
+    The arrays are validated once into what the search takes (a spill
+    holds the codes in the dtype their fingerprint hashed, and they widen
+    here to int64) and shared read-only, so each job's search takes them
+    as they are and hashes nothing.  Arrays the search would reject are
+    kept as read: the job then fails as it would have.
+    """
+
+    def __init__(self, x0: np.ndarray, errors: np.ndarray) -> None:
+        self._read = (x0, errors)
+        try:
+            x0 = validate_encoded_matrix(x0, allow_missing=True)
+            errors = ensure_vector(errors, x0.shape[0], "errors")
+        except ReproError:
+            x0, errors = self._read
+        x0.flags.writeable = False
+        errors.flags.writeable = False
+        self.x0, self.errors = x0, errors
+        #: ``(identity, run)`` fingerprints under the current hash (False)
+        #: and the byte hash (True), as far as they were needed
+        self._hashed: dict[bool, tuple[dict, dict]] = {}
+
+    def fingerprints(self, accepts) -> tuple[dict, dict] | None:
+        """``(identity, run)`` fingerprints of the first hash whose identity
+        *accepts* takes, or ``None``.
+
+        The current hash comes first.  A job journaled before codes were
+        hashed narrow has the byte hash of the inputs as read: computed at
+        most once, and only when the current one is not accepted.  The run
+        fingerprint is what the job's search hashes, and its bundles
+        carry: the identity, unless validation copied the arrays and the
+        identity depends on more than the code values.
+        """
+        for old in (False, True):
+            if old not in self._hashed:
+                hash_inputs = _byte_fingerprint if old else fingerprint_inputs
+                identity = hash_inputs(*self._read)
+                x0, errors = self._read
+                same = errors is self.errors and (
+                    x0 is self.x0 or "x0_codes" in identity
+                )
+                self._hashed[old] = (
+                    identity,
+                    identity if same else hash_inputs(self.x0, self.errors),
+                )
+            if accepts(self._hashed[old][0]):
+                return self._hashed[old]
+        return None
 
 
 def _load_inputs(path: str) -> tuple[np.ndarray, np.ndarray]:

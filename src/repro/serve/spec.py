@@ -9,8 +9,9 @@ carrying a deterministic identity (the job fingerprint from
 config fingerprints), the scheduling state machine, and everything that
 happened to the job (cache hit, warm seeds, preemptions, result, error).
 
-The fingerprint is the load-bearing idea: two submissions over bitwise
-identical data and an equal result-affecting config share one fingerprint,
+The fingerprint is the load-bearing idea: two submissions over equal data
+(equal integer codes in any dtype or layout, bitwise-equal errors) and an
+equal result-affecting config share one fingerprint,
 which is what keys the result cache, coalesces duplicate in-flight
 submissions, and names checkpoint directories for suspend/resume.
 """

@@ -15,9 +15,12 @@ The load-bearing guarantees:
   of every tenant keep their job ids, and each registry dataset is built
   once per recovery;
 - explicit-array inputs spill once per dataset, before the first submit
-  record that needs them; recovery reads each spill once, still checks it
-  against the journaled fingerprint, and still reads the per-job spills
-  of older journals;
+  record that needs them, with the codes in the dtype their fingerprint
+  hashed; recovery reads each spill once, still checks it against the
+  journaled fingerprint, and still reads the per-job spills of older
+  journals;
+- a state dir journaled when inputs were fingerprinted by their bytes
+  loses no job on restart: each keeps its old identity and bundles;
 - process workers survive SIGKILL and heartbeat-timeout kills with an
   orphan requeue, and a poison-pill job fails typed, not forever.
 """
@@ -36,14 +39,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.algorithm as algorithm_module
+import repro.resilience.checkpoint as checkpoint_module
+import repro.serve.service as service_module
 from repro.core.algorithm import slice_line
 from repro.core.config import SliceLineConfig
-from repro.exceptions import ConfigError, ServeError
+from repro.datasets import load_dataset
+from repro.exceptions import CheckpointError, ConfigError, ServeError
+from repro.resilience.budgets import SuspendHook
 from repro.resilience.chaos import corrupt_file, truncate_file
 from repro.resilience.checkpoint import (
     fingerprint_config,
     fingerprint_digest,
     fingerprint_inputs,
+    latest_checkpoint,
 )
 from repro.serve import (
     DurableResultCache,
@@ -662,9 +671,14 @@ class TestServiceRecovery:
         assert [entry["type"] for entry in _journaled(state)] == [
             "submit", "dispatch"
         ]
+        # The lost record shows in the events and the status document.
+        assert service.stats()["events"]["serve.wal_append_failures"] == 1
+        document = service.status_document()
+        assert document["events"]["serve.wal_append_failures"] == 1
 
         with SliceService(state_dir=state, num_workers=1) as recovered:
             assert recovered.registry.events["serve.recovered_orphans"] == 1
+            assert "serve.wal_append_failures" not in recovered.registry.events
             again = recovered.jobs[record.job_id]
             _assert_results_equal(
                 recovered.result(again.job_id, timeout=60), baseline
@@ -743,6 +757,11 @@ class TestSharedInputSpills:
                 f"{r.data_digest}.npz" for r in (first[0], second)
             )
             assert _per_job_spills(state) == []
+        # The spill holds the codes in the dtype their fingerprint hashed.
+        spill = os.path.join(state, "inputs", f"{first[0].data_digest}.npz")
+        with np.load(spill) as arrays:
+            assert arrays["x0"].dtype == np.uint8
+            np.testing.assert_array_equal(arrays["x0"], x0)
         submits = [r for r in _journaled(state) if r["type"] == "submit"]
         # The submit record is the one it always was: no path journaled.
         assert len(submits) == 7
@@ -756,8 +775,6 @@ class TestSharedInputSpills:
     def test_spill_is_durable_before_the_first_submit_record(
         self, tmp_path, planted_dataset, monkeypatch
     ):
-        import repro.serve.service as service_module
-
         x0, errors, _ = planted_dataset
         events = []
         write = service_module.atomic_write_bytes
@@ -837,7 +854,7 @@ class TestSharedInputSpills:
             flipped[0] = 1.0 - flipped[0]
             np.savez(spill, x0=x0, errors=flipped)
         else:
-            # One flipped byte in the middle of x0's data.
+            # One flipped byte in the middle of the file.
             with open(spill, "r+b") as handle:
                 handle.seek(size // 2)
                 byte = handle.read(1)
@@ -871,8 +888,6 @@ class TestSharedInputSpills:
     def test_recovery_reads_each_spill_once(
         self, tmp_path, planted_dataset, monkeypatch
     ):
-        import repro.serve.service as service_module
-
         x0, errors, _ = planted_dataset
         state = str(tmp_path / "state")
         configs = _configs(4)
@@ -888,6 +903,13 @@ class TestSharedInputSpills:
             return load(file, *args, **kwargs)
 
         monkeypatch.setattr(np, "load", counting_load)
+        expected = fingerprint_inputs(x0, errors)
+        hashed = []
+        sha256 = checkpoint_module._sha256
+        monkeypatch.setattr(
+            checkpoint_module, "_sha256",
+            lambda array: hashed.append(array.dtype) or sha256(array),
+        )
         recovered = SliceService(state_dir=state, num_workers=1, start=False)
         try:
             assert len(loads) == 1
@@ -897,13 +919,15 @@ class TestSharedInputSpills:
                 assert record.errors is rebuilt[0].errors
                 assert not record.x0.flags.writeable
                 assert not record.errors.flags.writeable
-                assert record.input_fingerprint == fingerprint_inputs(
-                    x0, errors
-                )
+                # The narrow spill widens once to the codes the search takes.
+                assert record.x0.dtype == np.int64
+                assert record.input_fingerprint == expected
             recovered.start()
             results = [
                 recovered.result(r.job_id, timeout=60) for r in records
             ]
+            # The spill's codes and errors, once each; no search hashed.
+            assert hashed == [np.uint8, np.float64]
             # Reading the spill back does not make it durable: the first
             # submit of this data writes it again, fsync'd, before its
             # submit record, and the next one writes nothing.
@@ -937,6 +961,108 @@ class TestSharedInputSpills:
             recovered.shutdown()
         for config, result in zip(configs, results):
             _assert_results_equal(result, slice_line(x0, errors, config=config))
+
+
+# ---------------------------------------------------------------------------
+# state dirs journaled when inputs were fingerprinted by their bytes
+
+
+class _SuspendAfterLevel2(SuspendHook):
+    """Stops the search at its second level boundary, after level 2."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.polls = 0
+
+    @property
+    def requested(self) -> bool:
+        self.polls += 1
+        return self.polls >= 2
+
+
+class TestByteHashedStateDir:
+    """Before codes were hashed narrow, every fingerprint was the byte hash
+    (``_byte_fingerprint``): submit records, spills of the codes as given,
+    cache entries and bundles all carry it.  Journaling with it patched in
+    writes such a state dir; a restart must lose none of its jobs."""
+
+    @pytest.mark.parametrize("codes", [np.int64, np.int32])
+    def test_every_job_recovers_under_its_old_identity(
+        self, tmp_path, planted_dataset, monkeypatch, codes
+    ):
+        x0, errors, _ = planted_dataset
+        state = str(tmp_path / "state")
+        byte_hash = checkpoint_module._byte_fingerprint
+        with monkeypatch.context() as patch:
+            for module in (service_module, algorithm_module):
+                patch.setattr(module, "fingerprint_inputs", byte_hash)
+            service = SliceService(state_dir=state, num_workers=1, start=False)
+            done = service.submit(JobSpec(
+                x0=x0, errors=errors, config=SliceLineConfig(k=2, max_level=3)
+            ))
+            service._execute(service.queue.take(timeout=5))
+            suspended = service.submit(JobSpec(
+                x0=x0.astype(codes), errors=errors,
+                config=SliceLineConfig(k=4, max_level=3),
+            ))
+            suspended.suspend = _SuspendAfterLevel2()
+            assert service.queue.take(timeout=5) is suspended
+            service._execute(suspended)
+            pending = service.submit(JobSpec(
+                x0=x0, errors=errors, config=SliceLineConfig(k=3, max_level=3)
+            ))
+            registry = service.submit(JobSpec(dataset="salaries", seed=3))
+            service.shutdown()
+        records = [done, suspended, pending, registry]
+        assert [r.state for r in records] == [
+            JobState.COMPLETED, JobState.SUSPENDED,
+            JobState.PENDING, JobState.PENDING,
+        ]
+        assert done.data_digest == pending.data_digest
+        bundle = latest_checkpoint(service._checkpoint_dir(suspended))
+        assert os.path.basename(bundle) == "level-0002"
+        # The bundle carries the byte hash: a plain resume refuses it.
+        with pytest.raises(CheckpointError, match="input data"):
+            slice_line(
+                x0.astype(codes), errors, suspended.spec.config,
+                resume_from=bundle,
+            )
+
+        recovered = SliceService(state_dir=state, num_workers=1, start=False)
+        try:
+            assert recovered.recovery_errors == []
+            assert list(recovered.jobs) == [r.job_id for r in records]
+            for record in records:
+                again = recovered.jobs[record.job_id]
+                assert again.fingerprint == record.fingerprint
+                assert again.data_digest == record.data_digest
+            assert recovered.jobs[done.job_id].state == JobState.COMPLETED
+            assert recovered.jobs[suspended.job_id].has_checkpoint
+            recovered.start()
+            results = [
+                recovered.result(r.job_id, timeout=60) for r in records
+            ]
+            assert recovered.jobs[suspended.job_id].resumes == 1
+            # An old cache entry misses once: the same job hashes anew.
+            fresh = recovered.submit(
+                JobSpec(x0=x0, errors=errors, config=done.spec.config)
+            )
+            assert not fresh.cache_hit
+            assert fresh.fingerprint != done.fingerprint
+            _assert_results_equal(
+                recovered.result(fresh.job_id, timeout=60), results[0]
+            )
+        finally:
+            recovered.shutdown()
+        salaries = load_dataset("salaries", seed=3)
+        for record, result in zip(records, results):
+            data = (
+                (salaries.x0, salaries.errors) if record is registry
+                else (x0, errors)
+            )
+            _assert_results_equal(
+                result, slice_line(*data, config=record.spec.config)
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -346,8 +346,10 @@ class TestCheckpointResume:
             meta = json.load(handle)
         assert meta["schema"] == CKPT_SCHEMA
         assert set(meta["data"]) == {
-            "num_rows", "num_features", "x0_sha256", "errors_sha256",
+            "num_rows", "num_features", "x0_codes", "x0_sha256",
+            "errors_sha256",
         }
+        assert meta["data"]["x0_codes"] == "uint8"
         assert (tmp_path / bundles[0] / "arrays.npz").exists()
 
     @pytest.mark.parametrize("num_threads", [1, 3])

@@ -75,6 +75,36 @@ def service_workdir(tmp_path):
 # fingerprints
 
 
+_INT_DTYPES = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16)
+
+#: layouts that keep every value of a matrix where it is
+_SAME_VALUES = {
+    "c": np.ascontiguousarray,
+    "fortran": np.asfortranarray,
+    "strided": lambda a: np.repeat(a, 2, axis=1)[:, ::2],
+    "reversed": lambda a: np.ascontiguousarray(a[::-1, ::-1])[::-1, ::-1],
+}
+
+#: inputs without narrow codes, each of which the search rejects
+_UNNARROWED = {
+    "negative-int64": lambda: (
+        np.array([[1, 2], [-1, 1], [2, 2]]), np.array([1.0, 0.0, 1.0])
+    ),
+    "negative-int8": lambda: (
+        np.array([[1, 2], [-128, 1], [2, 2]], dtype=np.int8),
+        np.array([1.0, 0.0, 1.0]),
+    ),
+    "fractional-float": lambda: (
+        np.array([[1.0, 2.0], [1.5, 1.0], [2.0, 2.0]]),
+        np.array([1.0, 0.0, 1.0]),
+    ),
+    "no-rows": lambda: (np.zeros((0, 3), dtype=np.int64), np.zeros(0)),
+    "no-columns": lambda: (
+        np.zeros((3, 0), dtype=np.int64), np.array([1.0, 0.0, 1.0])
+    ),
+}
+
+
 class TestJobFingerprint:
     def test_deterministic_across_calls(self, planted_dataset):
         x0, errors, _ = planted_dataset
@@ -104,6 +134,75 @@ class TestJobFingerprint:
         cfg = fingerprint_config(SliceLineConfig())
         assert fingerprint_digest(data, cfg) != fingerprint_digest(cfg, data)
         assert fingerprint_digest(data) != fingerprint_digest(data, cfg)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.integers(1, 9),
+        cols=st.integers(1, 5),
+        top=st.integers(0, 127),
+        seed=st.integers(0, 2**16),
+    )
+    def test_codes_hash_by_value_alone(self, rows, cols, top, seed):
+        """One fingerprint for the same code values in every integer
+        dtype and layout; another for one changed code or error, or for a
+        transpose."""
+        gen = np.random.default_rng(seed)
+        values = gen.integers(0, top + 1, (rows, cols))
+        errors = gen.random(rows)
+        base = fingerprint_inputs(values, errors)
+        for dtype in _INT_DTYPES:
+            for layout in _SAME_VALUES.values():
+                array = layout(values.astype(dtype))
+                np.testing.assert_array_equal(array, values)
+                assert fingerprint_inputs(array, errors) == base
+        row, col = gen.integers(rows), gen.integers(cols)
+        changed = values.copy()
+        changed[row, col] = (changed[row, col] + 1) % 128
+        assert fingerprint_inputs(changed, errors) != base
+        other = errors.copy()
+        other[row] += 1.0
+        assert fingerprint_inputs(values, other) != base
+        if not np.array_equal(values.T, values):
+            assert fingerprint_inputs(values.T, errors) != base
+
+    @pytest.mark.parametrize(
+        "top, codes",
+        [(255, "uint8"), (256, "uint16"), (65_535, "uint16"),
+         (65_536, "uint32"), (2**32 - 1, "uint32"), (2**32, None)],
+    )
+    def test_width_boundaries(self, top, codes):
+        """Codes hash in the narrowest dtype that holds their maximum; from
+        2**32 on they hash by their bytes, as before."""
+        x0 = np.array([[0, 1], [top, 2], [3, top]], dtype=np.int64)
+        errors = np.array([0.0, 1.0, 0.5])
+        fingerprint = fingerprint_inputs(x0, errors)
+        assert fingerprint.get("x0_codes") == codes
+        if codes is None:
+            assert fingerprint == checkpoint_module._byte_fingerprint(
+                x0, errors
+            )
+        else:
+            wide = x0.astype(np.uint64)
+            assert fingerprint_inputs(wide, errors) == fingerprint
+        assert fingerprint_inputs(x0 - (x0 == top), errors) != fingerprint
+
+    @pytest.mark.parametrize("case", sorted(_UNNARROWED))
+    def test_other_inputs_hash_by_bytes_and_fail_as_before(self, case):
+        """Inputs without narrow codes fingerprint by their bytes without
+        raising, and their jobs fail with the search's own error."""
+        x0, errors = _UNNARROWED[case]()
+        fingerprint = fingerprint_inputs(x0, errors)
+        assert fingerprint == checkpoint_module._byte_fingerprint(x0, errors)
+        with pytest.raises(Exception) as raised:
+            slice_line(x0, errors)
+        with SliceService(num_workers=1) as service:
+            record = service.submit(JobSpec(x0=x0, errors=errors))
+            assert record.wait(timeout=60)
+        assert record.input_fingerprint == fingerprint
+        assert record.state == JobState.FAILED
+        assert record.error == (
+            f"{type(raised.value).__name__}: {raised.value}"
+        )
 
 
 def _tobytes_sha256(array) -> str:
@@ -219,6 +318,19 @@ class TestInputFingerprint:
                     result.top_slices_encoded, plain.top_slices_encoded
                 )
 
+    def test_equal_codes_in_another_dtype_or_layout_are_a_cache_hit(
+        self, planted_dataset
+    ):
+        x0, errors, _ = planted_dataset
+        with SliceService(num_workers=1) as service:
+            first = service.submit(JobSpec(x0=x0, errors=errors))
+            result = service.result(first.job_id, timeout=60)
+            for again in (x0.astype(np.int32), np.asfortranarray(x0)):
+                record = service.submit(JobSpec(x0=again, errors=errors))
+                assert record.cache_hit
+                assert record.fingerprint == first.fingerprint
+                assert service.result(record.job_id, timeout=60) is result
+
     def test_resume_checks_the_given_fingerprint(
         self, planted_dataset, tmp_path
     ):
@@ -258,8 +370,9 @@ class TestInputFingerprint:
             record = service.submit(JobSpec(x0=x0, errors=errors))
             service.start()
             result = service.result(record.job_id, timeout=120)
-        # x0 and errors, once each, at submit; the run reused the dict.
-        assert hashed == [x0.shape, errors.shape]
+        # x0 (its codes, column-major) and errors, once each, at submit;
+        # the run reused the dict.
+        assert hashed == [x0.T.shape, errors.shape]
         assert record.input_fingerprint == fingerprint_inputs(x0, errors)
         if worker_mode == "process":
             assert [task["input_fingerprint"] for task in tasks] == [
