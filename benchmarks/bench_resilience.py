@@ -8,8 +8,10 @@ cost has to be provably negligible.  Two gates, both against the same
   bitwise identical to the budgets-off run (budget checks may only *stop*
   work, never change it);
 * **overhead** — the measured end-to-end delta of the budgets-on arm
-  (interleaved min-of-rounds, same protocol as ``bench_compaction``) must
-  stay within ``OVERHEAD_BUDGET``.  Because a per-mille-level timing
+  must stay within ``OVERHEAD_BUDGET``.  The two arms run interleaved,
+  one plain and one budgeted run per round for ``ROUNDS`` rounds, so
+  machine drift hits both alike, and each arm reports its minimum, the
+  run least disturbed by other load.  Because a per-mille-level timing
   assertion is flaky on its own, the analytic bound of ``bench_obs`` style
   is checked too: checks-per-run x measured cost of one ``BudgetTracker``
   check must also fit the budget — the measured delta is *recorded*, the
@@ -114,7 +116,7 @@ def test_budget_overhead(benchmark, tmp_path):
     budgeted = run(NEVER_TRIPS)
     _assert_bitwise_identical(plain, budgeted)
 
-    # Interleaved timing arms (min per arm, same as bench_compaction).
+    # Interleaved timing arms: one run of each per round, min per arm.
     samples = {"plain": [plain.total_seconds], "budgeted": []}
     samples["budgeted"].append(run(NEVER_TRIPS).total_seconds)
     for _ in range(ROUNDS - 1):

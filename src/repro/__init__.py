@@ -25,8 +25,6 @@ from repro.resilience import (
     BatchQuarantine,
     BudgetConfig,
     ChaosInjector,
-    FaultPlan,
-    RetryPolicy,
 )
 from repro.serve import JobSpec, SliceService
 from repro.streaming import (
@@ -49,8 +47,6 @@ __all__ = [
     "BatchQuarantine",
     "BudgetConfig",
     "ChaosInjector",
-    "FaultPlan",
-    "RetryPolicy",
     "JobSpec",
     "SliceService",
     "MergeableSliceStats",

@@ -172,12 +172,14 @@ def slice_line(
         every submission for its cache key).  With ``checkpoint_dir`` or
         ``resume_from`` the run then stores it in its bundles and checks
         the resumed bundle against it, instead of hashing the arrays again.
-        It stands for the run's own fingerprint only when validation hands
-        back the caller's own arrays (``int64`` codes, a contiguous 1-D
-        ``float64`` error vector); otherwise the run hashes its validated
-        copies, so bundles are the same with or without it.  A fingerprint
-        whose ``num_rows`` or ``num_features`` disagree with *x0* raises
-        :class:`~repro.exceptions.CheckpointError`.
+        It stands for the run's own fingerprint when validation hands back
+        the caller's own error vector (contiguous 1-D ``float64``) and
+        either the caller's own ``x0`` (``int64`` codes) or an ``x0`` the
+        fingerprint hashed by code value (it names ``x0_codes``), which
+        validation's ``int64`` copy keeps; otherwise the run hashes its
+        validated copies, so bundles are the same with or without it.  A
+        fingerprint whose ``num_rows`` or ``num_features`` disagree with
+        *x0* raises :class:`~repro.exceptions.CheckpointError`.
 
     Returns
     -------
@@ -201,9 +203,13 @@ def slice_line(
                 f"input_fingerprint describes {shape[0]} x {shape[1]} "
                 f"inputs, but x0 is {num_rows} x {num_features}"
             )
-        if x0 is not caller_x0 or errors is not caller_errors:
+        if errors is not caller_errors or (
+            x0 is not caller_x0 and "x0_codes" not in input_fingerprint
+        ):
             # Validation made copies (another dtype or shape): the caller
             # hashed other arrays, and bundles carry the search's own hash.
+            # A narrow hash (``x0_codes``) reads the code values alone,
+            # which validation's int64 copy of x0 keeps.
             input_fingerprint = None
     if not np.isfinite(errors).all():
         bad = int(np.count_nonzero(~np.isfinite(errors)))

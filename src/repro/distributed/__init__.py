@@ -19,7 +19,6 @@ paper's blocked sparse kernel ``(X S^T) == L``
 search's bitset kernel is checked against.
 """
 
-from repro.distributed.accumulate import partitioned_slice_stats
 from repro.distributed.executor import (
     DistributedPForExecutor,
     Executor,
@@ -42,7 +41,6 @@ __all__ = [
     "indicator_equal",
     "make_executor",
     "partition_work",
-    "partitioned_slice_stats",
     "ClusterCostModel",
     "ClusterSpec",
 ]

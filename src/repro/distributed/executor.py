@@ -31,8 +31,6 @@ from repro.linalg import BlockedMatrix, as_csr, ensure_vector
 from repro.distributed.partition import partition_work
 from repro.distributed.sparse import evaluate_block, indicator_equal
 from repro.obs import NULL_TRACER
-from repro.resilience.chaos import ChaosInjector
-from repro.resilience.retry import RetryPolicy, RetryStats, map_with_retries
 
 
 class Executor:
@@ -239,28 +237,11 @@ class DistributedPForExecutor(Executor):
     into a simulated cluster time including broadcast/aggregation overheads
     (used by the Figure 7(b) benchmark; the returned ``R`` is exact either
     way).
-
-    Fault tolerance: with a :class:`~repro.resilience.RetryPolicy`, each
-    partition task is retried with exponential backoff on failure and
-    speculatively reassigned past ``straggler_timeout_s``.  Partition tasks
-    are *pure* (each scans an immutable row partition) and partials are
-    reduced **in partition order** regardless of completion order, so the
-    returned ``R`` is bitwise identical to a fault-free run — retries change
-    only wall-clock time, never statistics.  The optional
-    :class:`~repro.resilience.ChaosInjector` deterministically injects
-    worker failures/delays for testing exactly that guarantee;
-    ``last_retry_stats`` records what fault handling did on the most recent
-    evaluate call.
     """
 
     num_nodes: int = 4
     executors_per_node: int = 2
-    retry: RetryPolicy | None = None
-    chaos: ChaosInjector | None = None
     name = "dist-pfor"
-
-    def __post_init__(self) -> None:
-        self.last_retry_stats: RetryStats | None = None
 
     def evaluate(self, x_onehot, errors, slices, level, alpha, tracer=NULL_TRACER):
         workers = self.num_nodes * self.executors_per_node
@@ -286,38 +267,13 @@ class DistributedPForExecutor(Executor):
                 partial_max = np.zeros(indicator.shape[1])
             return partial_sizes, partial_errors, partial_max
 
-        if self.retry is not None or self.chaos is not None:
-            chaos = self.chaos
-
-            def task(pair, attempt):
-                index, payload = pair
-                if chaos is not None:
-                    chaos.perturb(("dist-pfor", index), attempt)
-                return worker(payload)
-
-            with tracer.span(
-                "executor.dist-pfor.evaluate",
-                num_slices=slices.shape[0],
-                workers=workers,
-                num_nodes=self.num_nodes,
-            ) as span:
-                partials, retry_stats = map_with_retries(
-                    task,
-                    list(enumerate(zip(blocked.blocks, ranges))),
-                    policy=self.retry,
-                    num_threads=workers,
-                    task_name="dist-pfor partition",
-                )
-                retry_stats.merge_into(tracer_span=span)
-            self.last_retry_stats = retry_stats
-        else:
-            with tracer.span(
-                "executor.dist-pfor.evaluate",
-                num_slices=slices.shape[0],
-                workers=workers,
-                num_nodes=self.num_nodes,
-            ), ThreadPoolExecutor(max_workers=workers) as pool:
-                partials = list(pool.map(worker, zip(blocked.blocks, ranges)))
+        with tracer.span(
+            "executor.dist-pfor.evaluate",
+            num_slices=slices.shape[0],
+            workers=workers,
+            num_nodes=self.num_nodes,
+        ), ThreadPoolExecutor(max_workers=workers) as pool:
+            partials = list(pool.map(worker, zip(blocked.blocks, ranges)))
         sizes = np.sum([p[0] for p in partials], axis=0)
         slice_errors = np.sum([p[1] for p in partials], axis=0)
         max_errors = np.max([p[2] for p in partials], axis=0)

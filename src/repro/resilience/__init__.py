@@ -1,13 +1,12 @@
-"""Resilience layer: anytime budgets, checkpoint/resume, retries, quarantine.
+"""Resilience layer: anytime budgets, checkpoint/resume, quarantine.
 
 Production slice finding must degrade gracefully instead of dying: a
 combinatorial level is stopped by a budget (best-so-far top-K with
 ``completed=False``), a killed run resumes bitwise-identically from a
-``repro.ckpt/v1`` bundle, a failed partition worker is retried with backoff
-(stragglers are speculatively reassigned), and a corrupt prediction-log
-batch is quarantined with a structured reason while the monitor keeps
-ticking.  :mod:`repro.resilience.chaos` injects all of those faults
-deterministically by seed so every guarantee is testable.
+``repro.ckpt/v1`` bundle, and a corrupt prediction-log batch is
+quarantined with a structured reason while the monitor keeps ticking.
+:mod:`repro.resilience.chaos` injects corrupt batches, process kills and
+damaged files deterministically by seed so every guarantee is testable.
 
 No module here imports :mod:`repro.core`, :mod:`repro.streaming`, or
 :mod:`repro.distributed` at import time — the dependency points the other
@@ -32,13 +31,12 @@ from repro.resilience.budgets import (
 )
 from repro.resilience.chaos import (
     ChaosInjector,
-    FaultPlan,
-    InjectedFault,
     corrupt_file,
     kill_process,
     make_corrupt_batch,
     pick_kill_delay,
     truncate_file,
+    unit_hash,
 )
 from repro.resilience.checkpoint import (
     CKPT_SCHEMA,
@@ -57,12 +55,6 @@ from repro.resilience.quarantine import (
     QuarantineRecord,
     validate_batch,
 )
-from repro.resilience.retry import (
-    RetryPolicy,
-    RetryStats,
-    map_with_retries,
-    unit_hash,
-)
 
 __all__ = [
     "atomic_replace_dir",
@@ -77,13 +69,12 @@ __all__ = [
     "SuspendHook",
     "estimate_level_memory",
     "ChaosInjector",
-    "FaultPlan",
-    "InjectedFault",
     "corrupt_file",
     "kill_process",
     "make_corrupt_batch",
     "pick_kill_delay",
     "truncate_file",
+    "unit_hash",
     "CKPT_SCHEMA",
     "CheckpointState",
     "fingerprint_config",
@@ -97,8 +88,4 @@ __all__ = [
     "BatchQuarantine",
     "QuarantineRecord",
     "validate_batch",
-    "RetryPolicy",
-    "RetryStats",
-    "map_with_retries",
-    "unit_hash",
 ]

@@ -1,50 +1,38 @@
 """Deterministic fault injection for testing the resilience layer.
 
 Chaos testing is only useful when it is *reproducible*: a failure seen under
-seed 7 must replay under seed 7.  Every injection decision here — does this
-(task, attempt) fail? stall? is this batch corrupt, and how? — is a pure
-hash of ``(seed, decision kind, identity)`` via
-:func:`repro.resilience.retry.unit_hash`; no global RNG state, no
-wall-clock, no ordering dependence between threads.
+seed 7 must replay under seed 7.  Every injection decision here — is this
+batch corrupt, and how? when is the worker killed? which byte flips? — is a
+pure hash of ``(seed, decision kind, identity)`` via :func:`unit_hash`; no
+global RNG state, no wall-clock, no ordering dependence between threads.
 
-Three fault families, matching what the resilience layer must absorb:
+Two fault families, matching what the resilience layer must absorb:
 
-* **worker exceptions** — :meth:`ChaosInjector.perturb` raises
-  :class:`InjectedFault` at task start (retried by
-  :func:`~repro.resilience.retry.map_with_retries`);
-* **delays/stragglers** — :meth:`perturb` sleeps ``delay_s`` (long delays +
-  a straggler timeout exercise speculative reassignment);
-* **corrupt batches** — :meth:`corrupt_batch` deterministically mangles a
-  :class:`~repro.streaming.PredictionBatch` (NaN errors, negative errors,
-  row misalignment, fractional codes, dropped feature), *bypassing*
-  construction-time validation exactly like a buggy producer would, so the
-  monitor's quarantine is what has to catch it.
-
-Faults per task are capped at ``max_faults_per_task`` so a retry policy
-with ``max_attempts > max_faults_per_task`` always converges — the fault
-plans are adversarial, not unwinnable (an unwinnable plan just asserts that
-exhaustion raises, which has its own test).
-
-A fourth family covers **process- and storage-level faults** for the
-crash-durability suite: :func:`kill_process` (the ``kill -9`` a worker or
-the whole service must survive), :func:`pick_kill_delay` (a deterministic
-hash-picked kill time, so "killed mid-level 2 under seed 7" replays),
-:func:`truncate_file` (torn-tail WAL sweeps at every byte boundary), and
-:func:`corrupt_file` (deterministic byte flips in cache spill files that
-recovery must quarantine, not trust).
+* **corrupt batches** — :meth:`ChaosInjector.corrupt_batch`
+  deterministically mangles a :class:`~repro.streaming.PredictionBatch`
+  (NaN errors, negative errors, row misalignment, fractional codes,
+  dropped feature), *bypassing* construction-time validation exactly like
+  a buggy producer would, so the monitor's quarantine is what has to
+  catch it;
+* **process- and storage-level faults** for the crash-durability suite:
+  :func:`kill_process` (the ``kill -9`` a worker or the whole service must
+  survive), :func:`pick_kill_delay` (a deterministic hash-picked kill
+  time, so "killed mid-level 2 under seed 7" replays),
+  :func:`truncate_file` (torn-tail WAL sweeps at every byte boundary), and
+  :func:`corrupt_file` (deterministic byte flips in cache spill files that
+  recovery must quarantine, not trust).
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import signal
-import time
-from dataclasses import dataclass
+import struct
 
 import numpy as np
 
-from repro.exceptions import ConfigError, ExecutionError
-from repro.resilience.retry import unit_hash
+from repro.exceptions import ConfigError
 
 #: Corruption kinds corrupt_batch cycles through (hash-picked per batch).
 CORRUPTION_KINDS = (
@@ -56,96 +44,27 @@ CORRUPTION_KINDS = (
 )
 
 
-class InjectedFault(ExecutionError):
-    """A deterministically injected worker failure (retryable by design)."""
-
-
-@dataclass(frozen=True)
-class FaultPlan:
-    """Seeded description of which faults to inject at which rates.
-
-    Rates are per *decision*: each ``(task, attempt)`` fails with
-    probability ``failure_rate`` and stalls with probability ``delay_rate``
-    (both only while ``attempt <= max_faults_per_task``); each batch id is
-    corrupted with probability ``corrupt_rate``.
-    """
-
-    seed: int = 0
-    failure_rate: float = 0.0
-    delay_rate: float = 0.0
-    delay_s: float = 0.05
-    corrupt_rate: float = 0.0
-    max_faults_per_task: int = 2
-
-    def __post_init__(self) -> None:
-        for name in ("failure_rate", "delay_rate", "corrupt_rate"):
-            value = getattr(self, name)
-            if not (0.0 <= value <= 1.0):
-                raise ConfigError(f"{name} must be in [0, 1], got {value}")
-        if self.delay_s < 0:
-            raise ConfigError(f"delay_s must be >= 0, got {self.delay_s}")
-        if self.max_faults_per_task < 0:
-            raise ConfigError(
-                f"max_faults_per_task must be >= 0, got "
-                f"{self.max_faults_per_task}"
-            )
+def unit_hash(*key) -> float:
+    """Deterministic hash of *key* into ``[0, 1)`` (no RNG state involved)."""
+    digest = hashlib.sha256(repr(key).encode()).digest()
+    (value,) = struct.unpack("<Q", digest[:8])
+    return value / 2.0**64
 
 
 class ChaosInjector:
-    """Executes a :class:`FaultPlan`; safe to share across worker threads.
+    """Corrupts each batch id with probability *corrupt_rate*, by seed.
 
-    ``injected_failures`` / ``injected_delays`` / ``corrupted_batches``
-    count what was actually injected (reads are approximate under
-    concurrency; tests that assert exact counts run single-threaded).
+    ``corrupted_batches`` counts what was actually corrupted.
     """
 
-    def __init__(self, plan: FaultPlan, sleep=time.sleep) -> None:
-        self.plan = plan
-        self._sleep = sleep
-        self.injected_failures = 0
-        self.injected_delays = 0
-        self.corrupted_batches = 0
-
-    # -- worker faults -------------------------------------------------------
-
-    def perturb(self, task, attempt: int) -> None:
-        """Inject this ``(task, attempt)``'s faults (call at task start).
-
-        *task* is any hashable task identity that is stable across retries
-        (e.g. ``("partition", 3)``); *attempt* is the 1-based attempt
-        number.  Attempts past ``max_faults_per_task`` are never faulted,
-        which is what lets retries and reassigned backups converge.
-        """
-        plan = self.plan
-        if attempt > plan.max_faults_per_task:
-            return
-        if unit_hash(plan.seed, "delay", task, attempt) < plan.delay_rate:
-            self.injected_delays += 1
-            self._sleep(plan.delay_s)
-        if unit_hash(plan.seed, "fail", task, attempt) < plan.failure_rate:
-            self.injected_failures += 1
-            raise InjectedFault(
-                f"injected failure for task {task!r} attempt {attempt} "
-                f"(seed {plan.seed})"
+    def __init__(self, seed: int = 0, corrupt_rate: float = 0.0) -> None:
+        if not (0.0 <= corrupt_rate <= 1.0):
+            raise ConfigError(
+                f"corrupt_rate must be in [0, 1], got {corrupt_rate}"
             )
-
-    def wrap(self, fn, scope: str):
-        """``fn(item, attempt) -> fn`` with faults keyed by ``(scope, index)``.
-
-        For item-index-keyed task lists (the shape
-        :func:`~repro.resilience.retry.map_with_retries` runs); the wrapped
-        callable carries its own per-call index via closure-free pairing:
-        the *item* must be ``(index, payload)``.
-        """
-
-        def wrapped(pair, attempt):
-            index, payload = pair
-            self.perturb((scope, index), attempt)
-            return fn(payload)
-
-        return wrapped
-
-    # -- batch corruption ----------------------------------------------------
+        self.seed = seed
+        self.corrupt_rate = corrupt_rate
+        self.corrupted_batches = 0
 
     def corrupt_batch(self, batch):
         """Deterministically corrupt *batch* (or pass it through unharmed).
@@ -153,13 +72,12 @@ class ChaosInjector:
         Returns the original batch or a mangled copy whose corruption kind
         is hash-picked from :data:`CORRUPTION_KINDS`.
         """
-        plan = self.plan
         batch_id = int(getattr(batch, "batch_id", 0))
-        if unit_hash(plan.seed, "corrupt", batch_id) >= plan.corrupt_rate:
+        if unit_hash(self.seed, "corrupt", batch_id) >= self.corrupt_rate:
             return batch
         kind = CORRUPTION_KINDS[
             int(
-                unit_hash(plan.seed, "corrupt-kind", batch_id)
+                unit_hash(self.seed, "corrupt-kind", batch_id)
                 * len(CORRUPTION_KINDS)
             )
         ]
@@ -281,11 +199,10 @@ def corrupt_file(path: str, seed: int = 0, nflips: int = 1) -> list[int]:
 __all__ = [
     "CORRUPTION_KINDS",
     "ChaosInjector",
-    "FaultPlan",
-    "InjectedFault",
     "corrupt_file",
     "kill_process",
     "make_corrupt_batch",
     "pick_kill_delay",
     "truncate_file",
+    "unit_hash",
 ]

@@ -51,8 +51,8 @@ Process isolation (``worker_mode="process"``): the heavy ``slice_line``
 call of a find job runs in a supervised spawned worker
 (:mod:`repro.serve.workers`); a SIGKILL'd or hung worker raises
 :class:`~repro.serve.workers.WorkerCrash` into :meth:`_execute`, which
-requeues the orphaned job at the front (bounded by ``max_job_crashes``)
-instead of failing it.
+requeues the orphaned job at the front (bounded by
+:data:`MAX_JOB_CRASHES`) instead of failing it.
 """
 
 from __future__ import annotations
@@ -91,6 +91,10 @@ from repro.serve.workers import ProcessWorkerSupervisor, WorkerCrash
 
 #: Version tag of the service status document.
 SERVE_SCHEMA = "repro.serve/v1"
+
+#: Worker crashes one job survives before it fails with reason
+#: ``"worker-crash"`` (a job that reliably kills workers is a poison pill).
+MAX_JOB_CRASHES = 3
 
 _JOB_ID_SANITIZE = re.compile(r"[^A-Za-z0-9._-]+")
 
@@ -151,9 +155,6 @@ class SliceService:
     wal_fsync:
         fsync journal appends and cache spills (disable only in tests
         that don't measure crash safety).
-    max_job_crashes:
-        Worker crashes one job survives before it is failed with reason
-        ``"worker-crash"``.
     """
 
     def __init__(
@@ -169,7 +170,6 @@ class SliceService:
         cache_bytes: int | None = None,
         wal_fsync: bool = True,
         heartbeat_timeout_s: float = 30.0,
-        max_job_crashes: int = 3,
     ) -> None:
         if worker_mode not in ("thread", "process"):
             raise ConfigError(
@@ -180,7 +180,6 @@ class SliceService:
         self.trace = trace
         self.state_dir = state_dir
         self.worker_mode = worker_mode
-        self._max_job_crashes = max_job_crashes
         self.registry = CounterRegistry()
         self.queue = JobQueue()
         self.journal: JobJournal | None = None
@@ -315,8 +314,13 @@ class SliceService:
     def result(self, job_id: str, timeout: float | None = None):
         """Block for the job's :class:`SliceLineResult`.
 
-        Raises :class:`~repro.exceptions.ServeError` on timeout or when
-        the job ended without a result (failed/cancelled/rejected).
+        Raises :class:`~repro.exceptions.ServeError` on timeout, when the
+        job ended without a result (failed/cancelled/rejected), and when
+        a completed job holds no result: recovery restores a completed
+        job as completed, but its result only from the cache, so a job
+        whose entry was evicted or whose spill was deleted or quarantined
+        has none, and neither has any recovered monitor job (monitor
+        results are not durable).  A resubmission runs such a job again.
         """
         record = self._record(job_id)
         if not record.wait(timeout):
@@ -329,6 +333,11 @@ class SliceService:
                 f"job {job_id!r} ended {record.state}"
                 + (f": {record.reason}" if record.reason else "")
                 + (f" ({record.error})" if record.error else "")
+            )
+        if record.result is None:
+            raise ServeError(
+                f"job {job_id!r} completed, but its result was not "
+                "retained; a resubmission runs it again"
             )
         return record.result
 
@@ -789,9 +798,9 @@ class SliceService:
         The job goes back to the **front** of the backlog and —
         when a ``repro.ckpt/v1`` checkpoint exists — resumes from its
         last level boundary, so the eventual result is bitwise-identical
-        to a fault-free run.  ``max_job_crashes`` bounds the retries: a
-        job that reliably kills workers (a poison pill) is failed with
-        the typed reason ``"worker-crash"``.
+        to a fault-free run.  :data:`MAX_JOB_CRASHES` bounds the
+        retries: a job that reliably kills workers (a poison pill) is
+        failed with the typed reason ``"worker-crash"``.
         """
         with self._lock:
             record.crashes += 1
@@ -805,7 +814,7 @@ class SliceService:
                     record, JobState.CANCELLED, reason="user-cancel",
                     running=True,
                 )
-            elif record.crashes > self._max_job_crashes:
+            elif record.crashes > MAX_JOB_CRASHES:
                 self._finish_locked(
                     record,
                     JobState.FAILED,

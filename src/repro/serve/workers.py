@@ -20,11 +20,10 @@ Supervision contract per worker slot:
   **requeues the orphaned job at the front** of the backlog; the
   job resumes from its last ``repro.ckpt/v1`` level-boundary checkpoint,
   so the recovered result is bitwise-identical to a fault-free run;
-* the slot is **restarted with exponential backoff** (delays from
-  :data:`RESTART_POLICY`, a :class:`~repro.resilience.retry.RetryPolicy`);
-  after ``RESTART_POLICY.max_attempts`` consecutive crashes with no
-  successful job in between the slot is retired (the pool keeps running
-  on the remaining slots).
+* the slot is **restarted with exponential backoff**
+  (:func:`restart_delay`); after :data:`MAX_RESTARTS` consecutive crashes
+  with no successful job in between the slot is retired (the pool keeps
+  running on the remaining slots).
 
 Job state transitions stay in the parent — the service's lock-guarded
 state machine is untouched; the child only computes.  Monitor jobs run
@@ -44,7 +43,6 @@ import time
 from repro.exceptions import ServeError
 from repro.resilience.atomic import atomic_write_json
 from repro.resilience.budgets import SuspendHook
-from repro.resilience.retry import RetryPolicy
 from repro.serve.queue import JobQueue
 from repro.serve.scheduler import Scheduler
 from repro.serve.spec import JobRecord
@@ -52,11 +50,14 @@ from repro.serve.spec import JobRecord
 #: Seconds between two heartbeats of a worker process.
 HEARTBEAT_INTERVAL_S = 0.2
 
-#: Backoff between restarts of a crashed worker slot, and the consecutive
-#: crashes after which the slot is retired.
-RESTART_POLICY = RetryPolicy(
-    max_attempts=4, backoff_base_s=0.05, backoff_cap_s=2.0
-)
+#: Consecutive crashes of a worker slot after which it is retired.
+MAX_RESTARTS = 4
+
+
+def restart_delay(crashes: int) -> float:
+    """Seconds before restarting a slot after *crashes* crashes in a row:
+    0.05 s, doubling per crash, capped at 2 s."""
+    return min(0.05 * 2.0 ** (crashes - 1), 2.0)
 
 
 class WorkerCrash(ServeError):
@@ -287,14 +288,11 @@ class ProcessWorkerSupervisor(Scheduler):
         """Restart a dead worker with bounded exponential backoff."""
         slot.drop_queues()
         slot.consecutive_crashes += 1
-        if slot.consecutive_crashes > RESTART_POLICY.max_attempts:
+        if slot.consecutive_crashes > MAX_RESTARTS:
             slot.retired = True
             self._on_event("serve.workers_retired")
             return
-        delay = RESTART_POLICY.backoff_delay(
-            slot.index, slot.consecutive_crashes
-        )
-        if self._stop.wait(delay):
+        if self._stop.wait(restart_delay(slot.consecutive_crashes)):
             return
         slot.spawn()
         self.restarts += 1
@@ -393,9 +391,10 @@ class ProcessWorkerSupervisor(Scheduler):
 
 __all__ = [
     "HEARTBEAT_INTERVAL_S",
+    "MAX_RESTARTS",
     "ProcessWorkerSupervisor",
-    "RESTART_POLICY",
     "WorkerCrash",
     "read_heartbeat",
+    "restart_delay",
     "worker_main",
 ]

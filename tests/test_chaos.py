@@ -1,14 +1,11 @@
 """Fault-injection tests: chaos plans vs the fault-free oracle.
 
-The resilience guarantee under test is *exactness*, not just survival:
-distributed partition tasks are pure and their partials are reduced in
-partition order, so any mix of injected failures, delays, retries, and
-speculative reassignment must yield statistics **bitwise identical** to the
-fault-free run with the same worker/partition configuration.  (Holding the
-partition count fixed matters — changing it changes float summation order,
-which is a different run, not a fault.)  Streaming-side, corrupt batches
-must be quarantined with the right reason while the monitor's results match
-an oracle monitor that never saw them.
+Two guarantees are under test.  Corrupt batches must be quarantined with
+the right reason while the monitor's results match an oracle monitor that
+never saw them.  A SIGKILLed service, a torn journal or a deleted cache
+spill must recover to results bitwise identical to a fault-free run.
+Every injection decision is a pure hash of the seed, so each fault
+replays.
 """
 
 import os
@@ -19,24 +16,13 @@ import sys
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import FeatureSpace, SliceLineConfig, slice_line
+from repro.core import SliceLineConfig, slice_line
 from repro.datasets import replay_batches
-from repro.distributed import DistributedPForExecutor
-from repro.distributed.accumulate import partitioned_slice_stats
-from repro.exceptions import ConfigError, ExecutionError
-from repro.obs import Tracer
-from repro.resilience import (
-    ChaosInjector,
-    FaultPlan,
-    InjectedFault,
-    RetryPolicy,
-    map_with_retries,
-    unit_hash,
-)
+from repro.exceptions import ConfigError
+from repro.resilience import ChaosInjector, unit_hash
 from repro.resilience.chaos import (
     CORRUPTION_KINDS,
     corrupt_file,
@@ -48,32 +34,6 @@ from repro.resilience.chaos import (
 from repro.serve import JobSpec, SliceService, frame_record, scan_wal
 from repro.streaming import SliceMonitor
 from tests.test_resilience import dyadic_problem
-
-
-def no_sleep(_seconds):
-    """Sleep stub: backoff delays add nothing to test wall-clock."""
-
-
-def eval_problem(seed, n=400, num_slices=30):
-    """One-hot data + random 2-predicate candidate slices for executors."""
-    x0, errors = dyadic_problem(seed, n=n)
-    space = FeatureSpace.from_matrix(x0)
-    x = space.encode(x0)
-    gen = np.random.default_rng(seed + 1)
-    rows = []
-    for _ in range(num_slices):
-        pick = gen.choice(space.num_onehot, size=2, replace=False)
-        row = np.zeros(space.num_onehot)
-        row[pick] = 1
-        rows.append(row)
-    return x, errors, sp.csr_matrix(np.array(rows))
-
-
-def tracked_slices(x0, errors, k=4):
-    """A top-K slice set to broadcast through the accumulate path."""
-    from repro.core import slice_line
-
-    return slice_line(x0, errors, SliceLineConfig(k=k)).top_slices
 
 
 # ---------------------------------------------------------------------------
@@ -90,47 +50,14 @@ class TestDeterminism:
 
     def test_fault_plan_validation(self):
         with pytest.raises(ConfigError):
-            FaultPlan(failure_rate=1.5)
+            ChaosInjector(corrupt_rate=-0.1)
         with pytest.raises(ConfigError):
-            FaultPlan(corrupt_rate=-0.1)
-        with pytest.raises(ConfigError):
-            FaultPlan(delay_s=-1.0)
-        with pytest.raises(ConfigError):
-            FaultPlan(max_faults_per_task=-1)
-
-    def test_same_seed_same_failures(self):
-        decisions = []
-        for _ in range(2):
-            injector = ChaosInjector(
-                FaultPlan(seed=5, failure_rate=0.4), sleep=no_sleep
-            )
-            outcome = []
-            for task in range(50):
-                try:
-                    injector.perturb(("scope", task), 1)
-                    outcome.append(False)
-                except InjectedFault:
-                    outcome.append(True)
-            decisions.append(outcome)
-        assert decisions[0] == decisions[1]
-        assert any(decisions[0])
-        assert not all(decisions[0])
-
-    def test_faults_capped_per_task(self):
-        injector = ChaosInjector(
-            FaultPlan(seed=0, failure_rate=1.0, max_faults_per_task=2),
-            sleep=no_sleep,
-        )
-        for attempt in (1, 2):
-            with pytest.raises(InjectedFault):
-                injector.perturb(("t", 0), attempt)
-        injector.perturb(("t", 0), 3)  # past the cap: always clean
-        assert injector.injected_failures == 2
+            ChaosInjector(corrupt_rate=1.5)
 
     def test_corrupt_batch_deterministic(self):
         batches = list(replay_batches(*dyadic_problem(50, n=300), 50))
-        one = ChaosInjector(FaultPlan(seed=3, corrupt_rate=0.5))
-        two = ChaosInjector(FaultPlan(seed=3, corrupt_rate=0.5))
+        one = ChaosInjector(seed=3, corrupt_rate=0.5)
+        two = ChaosInjector(seed=3, corrupt_rate=0.5)
         for batch in batches:
             a = one.corrupt_batch(batch)
             b = two.corrupt_batch(batch)
@@ -142,216 +69,15 @@ class TestDeterminism:
         assert one.corrupted_batches == two.corrupted_batches
 
     def test_zero_rate_passes_everything_through(self):
-        injector = ChaosInjector(FaultPlan(seed=1), sleep=no_sleep)
+        injector = ChaosInjector(seed=1)
         batches = list(replay_batches(*dyadic_problem(51, n=200), 50))
-        for task in range(20):
-            injector.perturb(("s", task), 1)
         assert all(injector.corrupt_batch(b) is b for b in batches)
-        assert injector.injected_failures == 0
         assert injector.corrupted_batches == 0
 
     def test_unknown_corruption_kind_rejected(self):
         batch = next(iter(replay_batches(*dyadic_problem(52, n=100), 100)))
         with pytest.raises(ConfigError):
             make_corrupt_batch(batch, "gamma-rays")
-
-
-# ---------------------------------------------------------------------------
-# retry machinery
-# ---------------------------------------------------------------------------
-
-
-class TestRetry:
-    def test_policy_validation(self):
-        with pytest.raises(ConfigError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ConfigError):
-            RetryPolicy(jitter=2.0)
-        with pytest.raises(ConfigError):
-            RetryPolicy(straggler_timeout_s=0.0)
-
-    def test_backoff_deterministic_and_capped(self):
-        policy = RetryPolicy(
-            backoff_base_s=0.1, backoff_multiplier=2.0, backoff_cap_s=0.3
-        )
-        delays = [policy.backoff_delay(3, attempt) for attempt in (1, 2, 3, 9)]
-        assert delays == [policy.backoff_delay(3, a) for a in (1, 2, 3, 9)]
-        assert all(d <= 0.3 for d in delays)
-        assert all(d > 0 for d in delays)
-
-    @pytest.mark.parametrize("num_threads", [1, 4])
-    def test_results_in_item_order(self, num_threads):
-        results, stats = map_with_retries(
-            lambda item, attempt: item * 10,
-            range(17),
-            num_threads=num_threads,
-            sleep=no_sleep,
-        )
-        assert results == [i * 10 for i in range(17)]
-        assert stats.attempts == 17 and stats.retries == 0
-
-    @pytest.mark.parametrize("num_threads", [1, 4])
-    def test_flaky_tasks_retried(self, num_threads):
-        chaos = ChaosInjector(
-            FaultPlan(seed=9, failure_rate=0.5, max_faults_per_task=2),
-            sleep=no_sleep,
-        )
-
-        def task(item, attempt):
-            chaos.perturb(("flaky", item), attempt)
-            return item + 1
-
-        results, stats = map_with_retries(
-            task, range(20), num_threads=num_threads, sleep=no_sleep
-        )
-        assert results == [i + 1 for i in range(20)]
-        assert stats.retries > 0
-        assert stats.attempts == 20 + stats.retries
-
-    def test_exhaustion_raises_execution_error(self):
-        def always_fails(item, attempt):
-            raise ValueError(f"boom {item}/{attempt}")
-
-        with pytest.raises(ExecutionError, match="after 3 attempts"):
-            map_with_retries(
-                always_fails,
-                [0],
-                policy=RetryPolicy(max_attempts=3),
-                sleep=no_sleep,
-            )
-
-    def test_straggler_reassigned(self):
-        import threading
-
-        stalled = threading.Event()
-
-        def task(item, attempt):
-            if item == 1 and attempt == 1:
-                stalled.wait(5.0)  # released when the backup wins
-            return item
-
-        policy = RetryPolicy(straggler_timeout_s=0.05)
-        results, stats = map_with_retries(
-            task, range(3), policy=policy, num_threads=4, sleep=no_sleep
-        )
-        stalled.set()
-        assert results == [0, 1, 2]
-        assert stats.stragglers_reassigned == 1
-
-
-# ---------------------------------------------------------------------------
-# distributed paths: faulted == fault-free, bitwise
-# ---------------------------------------------------------------------------
-
-
-class TestDistributedChaos:
-    def test_executor_exact_under_failures(self):
-        x, errors, slices = eval_problem(60)
-        baseline = DistributedPForExecutor(num_nodes=2, executors_per_node=2)
-        reference = baseline.evaluate(x, errors, slices, 2, 0.95)
-        faulty = DistributedPForExecutor(
-            num_nodes=2,
-            executors_per_node=2,
-            retry=RetryPolicy(backoff_base_s=0.0, backoff_cap_s=0.0),
-            chaos=ChaosInjector(
-                FaultPlan(seed=13, failure_rate=0.3), sleep=no_sleep
-            ),
-        )
-        out = faulty.evaluate(x, errors, slices, 2, 0.95)
-        assert np.array_equal(out, reference)
-        assert faulty.chaos.injected_failures > 0
-        assert faulty.last_retry_stats.retries == faulty.chaos.injected_failures
-
-    def test_executor_publishes_retry_span(self):
-        x, errors, slices = eval_problem(61)
-        tracer = Tracer()
-        executor = DistributedPForExecutor(
-            num_nodes=2,
-            executors_per_node=2,
-            retry=RetryPolicy(backoff_base_s=0.0, backoff_cap_s=0.0),
-            chaos=ChaosInjector(
-                FaultPlan(seed=2, failure_rate=0.5), sleep=no_sleep
-            ),
-        )
-        executor.evaluate(x, errors, slices, 2, 0.95, tracer=tracer)
-        span = tracer.find("executor.dist-pfor.evaluate")
-        assert span.attrs["retries"] == executor.last_retry_stats.retries
-        assert span.attrs["attempts"] == executor.last_retry_stats.attempts
-
-    def test_executor_straggler_reassignment(self):
-        x, errors, slices = eval_problem(62)
-        baseline = DistributedPForExecutor(num_nodes=2, executors_per_node=2)
-        reference = baseline.evaluate(x, errors, slices, 2, 0.95)
-        faulty = DistributedPForExecutor(
-            num_nodes=2,
-            executors_per_node=2,
-            retry=RetryPolicy(straggler_timeout_s=0.05),
-            chaos=ChaosInjector(
-                FaultPlan(seed=4, delay_rate=0.3, delay_s=0.4)
-            ),
-        )
-        out = faulty.evaluate(x, errors, slices, 2, 0.95)
-        assert np.array_equal(out, reference)
-        assert faulty.chaos.injected_delays > 0
-        assert faulty.last_retry_stats.stragglers_reassigned > 0
-
-    def test_unwinnable_plan_exhausts(self):
-        x, errors, slices = eval_problem(63)
-        executor = DistributedPForExecutor(
-            num_nodes=2,
-            executors_per_node=2,
-            retry=RetryPolicy(
-                max_attempts=2, backoff_base_s=0.0, backoff_cap_s=0.0
-            ),
-            chaos=ChaosInjector(
-                FaultPlan(seed=0, failure_rate=1.0, max_faults_per_task=10),
-                sleep=no_sleep,
-            ),
-        )
-        with pytest.raises(ExecutionError, match="dist-pfor partition"):
-            executor.evaluate(x, errors, slices, 2, 0.95)
-
-    def test_accumulate_exact_under_failures(self):
-        x0, errors = dyadic_problem(64, n=500)
-        slices = tracked_slices(x0, errors)
-        reference = partitioned_slice_stats(
-            x0, errors, slices, num_partitions=4, num_threads=2
-        )
-        faulted = partitioned_slice_stats(
-            x0, errors, slices, num_partitions=4, num_threads=2,
-            retry=RetryPolicy(backoff_base_s=0.0, backoff_cap_s=0.0),
-            chaos=ChaosInjector(
-                FaultPlan(seed=21, failure_rate=0.3), sleep=no_sleep
-            ),
-        )
-        for name in ("sizes", "errors", "sq_errors", "max_errors"):
-            assert np.array_equal(
-                getattr(faulted, name), getattr(reference, name)
-            )
-
-    @settings(max_examples=12, deadline=None)
-    @given(
-        seed=st.integers(0, 10**6),
-        failure_rate=st.floats(0.0, 0.3),
-        data_seed=st.integers(0, 50),
-    )
-    def test_chaos_sweep_distributed(self, seed, failure_rate, data_seed):
-        """Random fault plans never change distributed statistics."""
-        x, errors, slices = eval_problem(70 + data_seed, n=250, num_slices=12)
-        baseline = DistributedPForExecutor(num_nodes=2, executors_per_node=2)
-        reference = baseline.evaluate(x, errors, slices, 2, 0.95)
-        faulty = DistributedPForExecutor(
-            num_nodes=2,
-            executors_per_node=2,
-            retry=RetryPolicy(backoff_base_s=0.0, backoff_cap_s=0.0),
-            chaos=ChaosInjector(
-                FaultPlan(seed=seed, failure_rate=failure_rate),
-                sleep=no_sleep,
-            ),
-        )
-        assert np.array_equal(
-            faulty.evaluate(x, errors, slices, 2, 0.95), reference
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +91,7 @@ class TestStreamingChaos:
         another; returns (faulted tick, oracle tick, quarantine count)."""
         x0, errors = dyadic_problem(data_seed, n=600)
         batches = list(replay_batches(x0, errors, 100))
-        injector = ChaosInjector(FaultPlan(seed=chaos_seed, corrupt_rate=corrupt_rate))
+        injector = ChaosInjector(seed=chaos_seed, corrupt_rate=corrupt_rate)
         config = SliceLineConfig(k=3)
         faulted = SliceMonitor(config=config, window_size=len(batches))
         oracle = SliceMonitor(config=config, window_size=len(batches))

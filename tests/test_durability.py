@@ -13,7 +13,9 @@ The load-bearing guarantees:
   pre-crash job table: completed results are cache hits again, in-flight
   jobs re-admit at the front and finish bitwise-identically, queued jobs
   of every tenant keep their job ids, and each registry dataset is built
-  once per recovery;
+  once per recovery; a recovered completed job whose result is gone
+  (evicted, its spill lost, or a monitor job) stays completed, and
+  ``result()`` raises a typed error instead of returning ``None``;
 - explicit-array inputs spill once per dataset, before the first submit
   record that needs them, with the codes in the dtype their fingerprint
   hashed; recovery reads each spill once, still checks it against the
@@ -510,6 +512,64 @@ class TestServiceRecovery:
             _assert_results_equal(result, baseline)
         finally:
             recovered.shutdown()
+
+    @pytest.mark.parametrize("cause", ["evicted", "spill-deleted", "monitor"])
+    def test_completed_job_without_its_result_raises(
+        self, tmp_path, planted_dataset, cause
+    ):
+        """Recovery restores a find job's result only from the cache, and
+        no monitor job's.  A job left without one stays completed; its
+        ``result()`` raises, and a resubmission runs it again."""
+        x0, errors, _ = planted_dataset
+        config = SliceLineConfig(k=3, max_level=2)
+        spec = (
+            JobSpec(
+                kind="monitor", x0=x0, errors=errors, config=config,
+                batch_size=100, tick_every=2,
+            )
+            if cause == "monitor"
+            else JobSpec(x0=x0, errors=errors, config=config)
+        )
+        state = str(tmp_path / "state")
+        with SliceService(
+            state_dir=state, num_workers=1, cache_entries=1
+        ) as service:
+            record = service.submit(spec)
+            live = service.result(record.job_id, timeout=60)
+            if cause == "evicted":
+                # The one cache entry goes to a second job: the first
+                # job's spill is deleted.
+                other = service.submit(
+                    JobSpec(
+                        x0=x0, errors=errors,
+                        config=SliceLineConfig(k=4, max_level=2),
+                    )
+                )
+                service.result(other.job_id, timeout=60)
+        spill = os.path.join(state, "cache", f"{record.fingerprint}.npz")
+        if cause == "spill-deleted":
+            os.unlink(spill)
+        assert not os.path.exists(spill)
+
+        recovered = SliceService(
+            state_dir=state, num_workers=1, cache_entries=1
+        )
+        try:
+            old = recovered.jobs[record.job_id]
+            assert old.recovered
+            assert old.state == JobState.COMPLETED
+            with pytest.raises(ServeError, match="not retained") as info:
+                recovered.result(record.job_id, timeout=60)
+            assert record.job_id in str(info.value)
+            assert "resubmission" in str(info.value)
+            resubmit = recovered.submit(spec)
+            assert not resubmit.cache_hit
+            rerun = recovered.result(resubmit.job_id, timeout=60)
+        finally:
+            recovered.shutdown()
+        _assert_results_equal(rerun, live)
+        if cause != "monitor":
+            _assert_results_equal(rerun, slice_line(x0, errors, config=config))
 
     def test_recovered_serials_do_not_collide(self, tmp_path, planted_dataset):
         x0, errors, _ = planted_dataset
@@ -1117,12 +1177,11 @@ class TestProcessWorkers:
         _assert_results_equal(result, slice_line(x0, errors))
 
     def test_poison_pill_fails_typed_after_crash_budget(
-        self, chunky_dataset
+        self, chunky_dataset, monkeypatch
     ):
         x0, errors = chunky_dataset
-        with SliceService(
-            num_workers=1, worker_mode="process", max_job_crashes=0
-        ) as service:
+        monkeypatch.setattr(service_module, "MAX_JOB_CRASHES", 0)
+        with SliceService(num_workers=1, worker_mode="process") as service:
             record = service.submit(JobSpec(x0=x0, errors=errors))
             assert _wait_for_state(service, record.job_id, "running")
             time.sleep(0.2)

@@ -272,9 +272,11 @@ class TestInputFingerprint:
     def test_bundles_and_resume_match_without_it(
         self, planted_dataset, tmp_path, monkeypatch, codes
     ):
-        """int64 codes take the caller's hash; int32 codes hash the
-        validated copy, as without it.  Either way the bundles agree field
-        for field, and resuming from either is bitwise."""
+        """The caller's narrow hash stands for the run's: int64 codes are
+        the caller's array, and validation's int64 copy of int32 codes
+        keeps the code values it hashed.  Either way the bundles agree
+        field for field with a run not given it, and resuming from either
+        is bitwise."""
         x0, errors, _ = planted_dataset
         x0 = x0.astype(codes)
         cfg = SliceLineConfig(k=4, max_level=3)
@@ -292,7 +294,7 @@ class TestInputFingerprint:
             x0, errors, cfg, checkpoint_dir=str(tmp_path / "b"),
             input_fingerprint=given_fp,
         )
-        assert len(hashes) == (0 if codes is np.int64 else 2)
+        assert len(hashes) == 0
         np.testing.assert_array_equal(given.top_stats, plain.top_stats)
         bundles = sorted(os.listdir(tmp_path / "a"))
         assert bundles == sorted(os.listdir(tmp_path / "b"))
@@ -310,7 +312,7 @@ class TestInputFingerprint:
         resumed = slice_line(
             x0, errors, cfg, resume_from=level2, input_fingerprint=given_fp
         )
-        assert len(hashes) == (0 if codes is np.int64 else 2)
+        assert len(hashes) == 0
         for source in (level2, str(tmp_path / "a" / "level-0002")):
             for result in (resumed, slice_line(x0, errors, cfg, resume_from=source)):
                 np.testing.assert_array_equal(result.top_stats, plain.top_stats)

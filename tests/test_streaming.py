@@ -26,7 +26,6 @@ from repro.core import (
 )
 from repro.core.decode import slice_membership
 from repro.datasets import replay_batches
-from repro.distributed import partitioned_slice_stats
 from repro.exceptions import DatasetError, StreamingError, ValidationError
 from repro.stats import welch_t_test, welch_t_test_from_stats
 from repro.streaming import (
@@ -505,28 +504,6 @@ class TestDrift:
     def test_no_drift_without_baseline(self):
         monitor, _, _ = run_monitor("sliding", 2, 200, seed=1, warm_start=True, n=400)
         assert monitor.ticks[0].drift == []
-
-
-class TestDistributedAccumulate:
-    @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(0, 10_000), parts=st.integers(1, 6))
-    def test_partitioned_equals_single_batch(self, seed, parts):
-        x0, errors = dyadic_problem(seed)
-        slices = random_slices(x0, seed + 3)
-        whole = MergeableSliceStats.from_batch(x0, errors, slices)
-        scattered = partitioned_slice_stats(x0, errors, slices, parts)
-        assert np.array_equal(scattered.sizes, whole.sizes)
-        assert np.array_equal(scattered.errors, whole.errors)
-        assert np.array_equal(scattered.max_errors, whole.max_errors)
-        assert scattered.num_rows == whole.num_rows
-
-    def test_threads_do_not_change_results(self):
-        x0, errors = dyadic_problem(61, n=400)
-        slices = random_slices(x0, 62, count=10)
-        serial = partitioned_slice_stats(x0, errors, slices, 4, num_threads=1)
-        threaded = partitioned_slice_stats(x0, errors, slices, 4, num_threads=4)
-        assert np.array_equal(serial.errors, threaded.errors)
-        assert np.array_equal(serial.sizes, threaded.sizes)
 
 
 class TestObservability:
