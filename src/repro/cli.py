@@ -323,18 +323,20 @@ def monitor_main(argv: list[str]) -> int:
                 pending = 0
         if pending and len(monitor.window):
             _print_tick(monitor.tick(), encoded)
+        quarantined = len(monitor.quarantine)
+        reasons = ", ".join(
+            f"{reason} x{count}"
+            for reason, count in sorted(monitor.quarantine.reasons().items())
+        )
         if not monitor.ticks:
-            raise ValidationError("the CSV produced no batches to monitor")
-        if len(monitor.quarantine):
-            print(
-                f"{len(monitor.quarantine)} batch(es) quarantined: "
-                + ", ".join(
-                    f"{reason} x{count}"
-                    for reason, count in sorted(
-                        monitor.quarantine.reasons().items()
-                    )
-                )
+            raise ValidationError(
+                f"all {quarantined} batch(es) were quarantined "
+                f"({reasons}); nothing to monitor"
+                if quarantined
+                else "the CSV produced no batches to monitor"
             )
+        if quarantined:
+            print(f"{quarantined} batch(es) quarantined: {reasons}")
     except (ReproError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,12 +20,14 @@ Bundle layout (one directory per level)::
 
     <checkpoint_dir>/level-0002/
         meta.json     # version, level, fingerprints, counters, warm state
-        arrays.npz    # CSR components + statistic matrices + index maps
+        arrays.npz    # frontier keys + top-K CSR + statistics + index maps
 
-In memory the frontier is the level's key array (``num_slices x level``
-sorted projected column ids, see :mod:`repro.core.pairs`); on disk it is
-stored as the CSR components of its 0/1 slice matrix, so the format is the
-same whether the bundle was written from keys or from a CSR frontier.
+The frontier is the level's key array (``num_slices x level`` sorted
+projected column ids, see :mod:`repro.core.pairs`), stored flattened as
+``slices_indices`` and reshaped to ``level`` ids per row on load.  Bundles
+written when it was stored as the CSR components of its 0/1 slice matrix
+hold the same ids under that name (and ``slices_data``/``slices_indptr``/
+``slices_shape`` besides, which nothing reads), so they load the same.
 
 This module imports nothing from :mod:`repro.core` at module scope so the
 core can import it without cycles.
@@ -43,7 +45,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.exceptions import CheckpointError
-from repro.linalg.sparse import keys_to_csr
 from repro.resilience.atomic import atomic_replace_dir, remove_stale_tmp
 from repro.obs.counters import CounterRegistry
 
@@ -265,10 +266,7 @@ def save_checkpoint(directory: str, state: CheckpointState) -> str:
         "stats": state.stats,
         "top_stats": state.top_stats,
         "selected_columns": state.selected_columns,
-        **_csr_parts(
-            "slices",
-            keys_to_csr(state.slices, int(state.selected_columns.size)),
-        ),
+        "slices_indices": state.slices.ravel(),
         **_csr_parts("top_slices", state.top_slices),
     }
     if state.row_indices is not None:

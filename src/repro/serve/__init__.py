@@ -1,8 +1,7 @@
 """Slice-finding job service.
 
 The serving layer turns the one-shot :func:`repro.core.slice_line` call
-(and the streaming :class:`~repro.streaming.SliceMonitor`) into a
-concurrent control plane:
+into a concurrent control plane that runs it many times on one dataset:
 
 - :class:`JobSpec`/:class:`JobRecord` — declarative job description and
   its lifecycle record, identified by a deterministic fingerprint over

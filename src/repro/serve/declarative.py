@@ -12,8 +12,7 @@ restating the whole config).  Example::
       "jobs": [
         {"name": "baseline"},
         {"name": "deep", "config": {"max_level": 5}},
-        {"name": "ops-monitor", "kind": "monitor", "tenant": "ops",
-         "batch_size": 512, "tick_every": 4}
+        {"name": "ops-wide", "tenant": "ops", "config": {"k": 8}}
       ]
     }
 

@@ -4,7 +4,7 @@ The :class:`Scheduler` owns N daemon worker threads that drain the
 :class:`~repro.serve.queue.JobQueue` and hand each job to the service's
 execute callback.  Preemption is cooperative: when an *interactive* job
 arrives while every worker is busy, the scheduler asks the most recently
-started non-interactive find job to suspend via its
+started non-interactive job to suspend via its
 :class:`~repro.resilience.SuspendHook`.  The victim stops at its next
 level boundary — exactly where its ``repro.ckpt/v1`` checkpoint was just
 written — frees the worker, and is parked at the front of the backlog to
@@ -82,10 +82,10 @@ class Scheduler:
 
         Returns the victim whose suspension was requested, or ``None``
         when no preemption was needed (a worker is free) or possible (no
-        suspendable victim).  Only non-interactive ``find`` jobs are
-        eligible victims — they checkpoint at level boundaries, so their
-        resumed result is guaranteed bitwise-identical; the most recently
-        started victim is chosen to minimize lost progress.
+        suspendable victim).  Only non-interactive jobs are eligible
+        victims — they checkpoint at level boundaries, so their resumed
+        result is guaranteed bitwise-identical; the most recently started
+        victim is chosen to minimize lost progress.
         """
         if not self.preemption or not incoming.spec.interactive:
             return None
@@ -95,8 +95,7 @@ class Scheduler:
             victims = [
                 record
                 for record in self._executing.values()
-                if record.spec.kind == "find"
-                and not record.spec.interactive
+                if not record.spec.interactive
                 and not record.suspend.requested
             ]
             if not victims:

@@ -4,8 +4,8 @@
 and job ordering over one backlog (:mod:`repro.serve.queue`), a worker
 pool with checkpoint-backed preemption (:mod:`repro.serve.scheduler`), a
 fingerprint-keyed result cache (:mod:`repro.serve.cache`), and the
-existing resilience/streaming/obs layers behind a submit/status/result/
-cancel API.
+existing resilience/obs layers behind a submit/status/result/cancel API.
+Every job is one :func:`~repro.core.slice_line` search.
 
 Correctness invariants the tests enforce:
 
@@ -47,8 +47,8 @@ once per dataset (``inputs/<data_digest>.npz``), and a job's input
 fingerprint, hashed once at submit, is what its checkpoints carry and
 its resume checks.
 
-Process isolation (``worker_mode="process"``): the heavy ``slice_line``
-call of a find job runs in a supervised spawned worker
+Process isolation (``worker_mode="process"``): a job's ``slice_line``
+call runs in a supervised spawned worker
 (:mod:`repro.serve.workers`); a SIGKILL'd or hung worker raises
 :class:`~repro.serve.workers.WorkerCrash` into :meth:`_execute`, which
 requeues the orphaned job at the front (bounded by
@@ -112,6 +112,12 @@ _WAL_STATE = {wal_type: state for state, (wal_type, _) in _TERMINAL.items()}
 #: ``reason`` of the ``fail`` record that recovery journals for a job it
 #: cannot rebuild; later recoveries skip a job whose last record it is.
 _RECOVERY_FAILED = "recovery-failed"
+
+#: Spec keys of the retired monitor replay jobs: every spec journaled
+#: while they existed carries them, a find job's with no effect.
+_RETIRED_SPEC_KEYS = frozenset(
+    {"kind", "batch_size", "window_size", "policy", "warm_start", "tick_every"}
+)
 
 
 class SliceService:
@@ -276,7 +282,7 @@ class SliceService:
             serial = self._submissions.get(fingerprint, 0)
             self._submissions[fingerprint] = serial + 1
             job_id = (
-                f"{spec.tenant}/{spec.kind}-{fingerprint[:12]}-{serial}"
+                f"{spec.tenant}/find-{fingerprint[:12]}-{serial}"
             )
             record = JobRecord(
                 job_id=job_id,
@@ -319,8 +325,7 @@ class SliceService:
         a completed job holds no result: recovery restores a completed
         job as completed, but its result only from the cache, so a job
         whose entry was evicted or whose spill was deleted or quarantined
-        has none, and neither has any recovered monitor job (monitor
-        results are not durable).  A resubmission runs such a job again.
+        has none.  A resubmission runs such a job again.
         """
         record = self._record(job_id)
         if not record.wait(timeout):
@@ -409,8 +414,7 @@ class SliceService:
 
         Queued jobs are withdrawn immediately; a running job is asked to
         suspend and is cancelled when it yields at the next level
-        boundary (or between monitor batches).  Terminal jobs return
-        False.
+        boundary.  Terminal jobs return False.
         """
         with self._lock:
             record = self._record(job_id)
@@ -437,7 +441,7 @@ class SliceService:
         """Ask a running job to suspend at its next level boundary."""
         with self._lock:
             record = self._record(job_id)
-            if record.terminal or record.spec.kind != "find":
+            if record.terminal:
                 return False
             record.suspend.request()
             return True
@@ -463,10 +467,7 @@ class SliceService:
             self._journal_locked(record, "dispatch", resuming=resuming)
             self._refresh_gauges_locked()
         try:
-            if record.spec.kind == "monitor":
-                result = self._run_monitor(record)
-            else:
-                result = self._run_find(record)
+            result = self._run_find(record)
         except WorkerCrash as exc:
             self._handle_worker_crash(record, exc)
             return
@@ -482,18 +483,14 @@ class SliceService:
             return
 
         with self._lock:
-            suspended = result is not None and result.suspended
-            if record.cancel_requested and (
-                suspended or record.spec.kind == "monitor"
-            ):
-                # A find job yielded on the flag at a level boundary; the
-                # monitor loop broke between batches on it.
+            if record.cancel_requested and result.suspended:
+                # The job yielded on the flag at a level boundary.
                 self._finish_locked(
                     record, JobState.CANCELLED, reason="user-cancel",
                     running=True,
                 )
                 return
-            if suspended:
+            if result.suspended:
                 record.state = JobState.SUSPENDED
                 record.has_checkpoint = True
                 record.preemptions += 1
@@ -510,12 +507,8 @@ class SliceService:
             # A budget-tripped partial top-K is valid for this job's own
             # budgets, but budgets are not part of the fingerprint: the
             # cache refuses it, so waiters re-run under their own budgets.
-            cached = (
-                record.spec.kind == "find"
-                and result is not None
-                and self.cache.put(
-                    record.fingerprint, record.data_digest, result
-                )
+            cached = self.cache.put(
+                record.fingerprint, record.data_digest, result
             )
             self._finish_locked(
                 record, JobState.COMPLETED, result=result, running=True,
@@ -559,45 +552,6 @@ class SliceService:
                 suspend=record.suspend,
             )
 
-    def _run_monitor(self, record: JobRecord):
-        # Local imports: the streaming layer is only needed for monitor
-        # jobs, and importing it lazily keeps service start-up lean.
-        from repro.datasets.replay import replay_batches
-        from repro.streaming.monitor import SliceMonitor
-
-        spec = record.spec
-        monitor = SliceMonitor(
-            config=spec.config,
-            window_size=spec.window_size if spec.policy == "sliding" else None,
-            policy=spec.policy,
-            warm_start=spec.warm_start,
-            num_threads=spec.num_threads,
-            trace=record.tracer if self.trace else None,
-            budgets=spec.budgets,
-        )
-        record.monitor = monitor
-        since_tick = 0
-        with record.tracer.span("serve.monitor", job_id=record.job_id):
-            for batch in replay_batches(
-                record.x0, record.errors, spec.batch_size
-            ):
-                if record.suspend.requested:
-                    # Monitor jobs have no checkpoint; a suspend request
-                    # here is a cancellation (the only caller that sets it
-                    # on a monitor job is cancel()).
-                    return None
-                with record.monitor_lock:
-                    monitor.ingest(batch)
-                since_tick += 1
-                if since_tick >= spec.tick_every:
-                    with record.monitor_lock:
-                        monitor.tick()
-                    since_tick = 0
-            if since_tick > 0 and len(monitor.window) > 0:
-                with record.monitor_lock:
-                    monitor.tick()
-        return monitor.ticks[-1].result if monitor.ticks else None
-
     # -- internals (call with the lock held) ---------------------------------
 
     def _checkpoint_dir(self, record: JobRecord) -> str:
@@ -613,8 +567,8 @@ class SliceService:
     def _admit_locked(self, record: JobRecord, front: bool = False) -> bool:
         """Admit one job; True when it was queued.
 
-        A find job whose result is cached completes as a cache hit, and
-        one whose identical twin is in flight rides on it as a waiter
+        A job whose result is cached completes as a cache hit, and one
+        whose identical twin is in flight rides on it as a waiter
         instead of enumerating the same lattice twice.  A fresh submission
         takes warm seeds from a same-data cache entry; a recovered job
         takes none, since an orphan must resume from its checkpoint
@@ -622,33 +576,32 @@ class SliceService:
         is queued (at the head with ``front``) or rejected.
         """
         fingerprint = record.fingerprint
-        if record.spec.kind == "find":
-            cached = self.cache.get(fingerprint)
-            if cached is not None:
-                with record.tracer.span(
-                    "serve.cache_hit", fingerprint=fingerprint[:12]
-                ):
-                    pass
-                self._finish_locked(
-                    record, JobState.COMPLETED, result=cached, cache_hit=True
-                )
-                return False
-            self.registry.event("serve.cache_misses")
-            if fingerprint in self._inflight:
-                record.coalesced = True
-                self._waiters.setdefault(fingerprint, []).append(record)
-                return False
-            if not record.recovered:
-                seeds = self.cache.warm_seeds(record.data_digest)
-                if seeds:
-                    record.warm_seeds = seeds
-                    self.registry.event("serve.warm_starts")
+        cached = self.cache.get(fingerprint)
+        if cached is not None:
+            with record.tracer.span(
+                "serve.cache_hit", fingerprint=fingerprint[:12]
+            ):
+                pass
+            self._finish_locked(
+                record, JobState.COMPLETED, result=cached, cache_hit=True
+            )
+            return False
+        self.registry.event("serve.cache_misses")
+        if fingerprint in self._inflight:
+            record.coalesced = True
+            self._waiters.setdefault(fingerprint, []).append(record)
+            return False
+        if not record.recovered:
+            seeds = self.cache.warm_seeds(record.data_digest)
+            if seeds:
+                record.warm_seeds = seeds
+                self.registry.event("serve.warm_starts")
         return self._queue_locked(record, front)
 
     def _queue_locked(self, record: JobRecord, front: bool = False) -> bool:
         """Queue *record*, or reject it with the backlog's reason.
 
-        A queued find job becomes its fingerprint's in-flight origin.
+        A queued job becomes its fingerprint's in-flight origin.
         """
         decision = self.queue.admit(record, front=front)
         record.admission = decision
@@ -657,8 +610,7 @@ class SliceService:
                 record, JobState.REJECTED, reason=decision.reason
             )
             return False
-        if record.spec.kind == "find":
-            self._inflight[record.fingerprint] = record
+        self._inflight[record.fingerprint] = record
         return True
 
     def _finish_locked(
@@ -838,8 +790,8 @@ class SliceService:
         """Rebuild the job table from the journal (constructor only).
 
         Last record wins per job: a terminal record restores the terminal
-        state (completed find jobs re-attach their result from the
-        durable cache); a job whose last record is ``submit`` re-admits
+        state (a completed job re-attaches its result from the durable
+        cache); a job whose last record is ``submit`` re-admits
         in submission order; one that reached ``dispatch``/``suspend``
         is an **orphan** — it re-admits at the front of the backlog and
         resumes from its checkpoint when one exists.  A job
@@ -896,12 +848,8 @@ class SliceService:
                 recovered += 1
                 state = _WAL_STATE.get(last["type"])
                 if state is not None:
-                    # Monitor results are not durable (their value is the
-                    # live monitor object); the completed state survives,
-                    # the result does not — documented in EXPERIMENTS.md.
-                    kind = record.spec.kind
                     result = None
-                    if state == JobState.COMPLETED and kind == "find":
+                    if state == JobState.COMPLETED:
                         result = self.cache.peek(record.fingerprint)
                     self._finish_locked(
                         record,
@@ -952,13 +900,27 @@ class SliceService:
         and each registry dataset by ``(dataset, scale, seed)``, loaded
         and hashed once and handed to every job on it as the same
         read-only arrays.  The job keeps the identity it was journaled
-        with, under the current hash or the byte hash before it.
+        with, under the current hash or the byte hash before it.  A spec
+        journaled with a ``kind`` is a find job with the retired monitor
+        keys dropped, or a monitor job, which cannot be rebuilt.
         """
         table = submit.get("spec")
         if not isinstance(table, dict):
             raise ServeError(
                 f"journal submit record for {job_id!r} carries no spec table"
             )
+        if "kind" in table:
+            if table["kind"] != "find":
+                raise ServeError(
+                    f"job {job_id!r} is a {table['kind']!r} job, and the "
+                    "service runs only slice-finding jobs; replay a stream "
+                    "with `python -m repro monitor`"
+                )
+            table = {
+                key: value
+                for key, value in table.items()
+                if key not in _RETIRED_SPEC_KEYS
+            }
         if submit.get("has_inputs"):
             inputs = self._recovered_inputs(
                 job_id, submit.get("data_digest"), shared
@@ -1047,13 +1009,11 @@ def _identity(spec: JobSpec, data_fp: dict) -> tuple[str, str]:
     """``(data_digest, fingerprint)`` of a job on the data *data_fp* hashes.
 
     The data digest keys warm starts and input spills; the fingerprint
-    (data, config and, for a monitor job, its replay parameters) keys the
-    cache, coalescing and the job id.
+    (data and config) keys the cache, coalescing and the job id.
     """
-    parts = [data_fp, fingerprint_config(spec.config)]
-    if spec.kind == "monitor":
-        parts.append(spec.monitor_fingerprint())
-    return fingerprint_digest(data_fp), fingerprint_digest(*parts)
+    return fingerprint_digest(data_fp), fingerprint_digest(
+        data_fp, fingerprint_config(spec.config)
+    )
 
 
 class _RecoveredInputs:

@@ -1,9 +1,8 @@
 """Job model for the serving layer: what a job *is* and what happened to it.
 
 A :class:`JobSpec` is the user-facing description of one unit of work —
-either a one-shot slice-finding run (``kind="find"``) or a streaming
-monitor replay (``kind="monitor"``) — over a registry dataset or explicit
-``(x0, errors)`` arrays.  The service resolves it into a :class:`JobRecord`
+a slice-finding run over a registry dataset or explicit ``(x0, errors)``
+arrays.  The service resolves it into a :class:`JobRecord`
 carrying a deterministic identity (the job fingerprint from
 :func:`repro.resilience.checkpoint.fingerprint_digest` over the data and
 config fingerprints), the scheduling state machine, and everything that
@@ -51,19 +50,12 @@ class JobState:
     TERMINAL = frozenset({COMPLETED, FAILED, CANCELLED, REJECTED})
 
 
-#: Job kinds the service executes.
-JOB_KINDS = ("find", "monitor")
-
-
 @dataclass(eq=False)
 class JobSpec:
     """Declarative description of one job (see also ``serve.declarative``).
 
     The data source is exactly one of a registry ``dataset`` name (plus
-    optional ``scale``/``seed``) or explicit ``x0``/``errors`` arrays.  The
-    ``batch_size``/``window_size``/``policy``/``warm_start``/``tick_every``
-    fields only apply to ``kind="monitor"`` jobs, which replay the data as
-    a mini-batch stream through a :class:`~repro.streaming.SliceMonitor`.
+    optional ``scale``/``seed``) or explicit ``x0``/``errors`` arrays.
 
     ``interactive`` marks latency-sensitive submissions: the scheduler
     orders them ahead of batch jobs and may preempt a running batch job
@@ -71,7 +63,6 @@ class JobSpec:
     """
 
     tenant: str = "default"
-    kind: str = "find"
     name: str | None = None
     dataset: str | None = None
     scale: float | None = None
@@ -82,18 +73,8 @@ class JobSpec:
     budgets: BudgetConfig | None = None
     num_threads: int = 1
     interactive: bool = False
-    # monitor-only knobs
-    batch_size: int = 256
-    window_size: int = 8
-    policy: str = "sliding"
-    warm_start: bool = True
-    tick_every: int = 4
 
     def __post_init__(self) -> None:
-        if self.kind not in JOB_KINDS:
-            raise ConfigError(
-                f"job kind must be one of {JOB_KINDS}, got {self.kind!r}"
-            )
         if not self.tenant:
             raise ConfigError("tenant must be a non-empty string")
         has_arrays = self.x0 is not None or self.errors is not None
@@ -107,10 +88,6 @@ class JobSpec:
                 "a job needs a data source: a registry dataset name, or "
                 "both x0 and errors"
             )
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.tick_every < 1:
-            raise ConfigError(f"tick_every must be >= 1, got {self.tick_every}")
 
     def resolve_data(self) -> tuple[np.ndarray, np.ndarray]:
         """The concrete ``(x0, errors)`` pair this job enumerates."""
@@ -122,17 +99,6 @@ class JobSpec:
             bundle = load_dataset(self.dataset, scale=self.scale, seed=self.seed)
             return bundle.x0, bundle.errors
         return self.x0, self.errors
-
-    def monitor_fingerprint(self) -> dict:
-        """Result-affecting monitor parameters (part of the job identity)."""
-        return {
-            "kind": self.kind,
-            "batch_size": self.batch_size,
-            "window_size": self.window_size,
-            "policy": self.policy,
-            "warm_start": self.warm_start,
-            "tick_every": self.tick_every,
-        }
 
 
 @dataclass(eq=False)
@@ -146,7 +112,7 @@ class JobRecord:
 
     job_id: str
     spec: JobSpec
-    #: full job fingerprint (data + config [+ monitor params]) — cache key
+    #: full job fingerprint (data + config) — cache key
     fingerprint: str
     #: digest of the data fingerprint alone — warm-start lookup key
     data_digest: str
@@ -181,11 +147,6 @@ class JobRecord:
     done: threading.Event = field(default_factory=threading.Event)
     #: per-job tracer (NULL_TRACER when the service runs untraced)
     tracer: Any = None
-    #: the live monitor object for kind="monitor" jobs (set by the worker)
-    monitor: Any = None
-    #: serializes monitor mutations (worker ingest/tick) against status
-    #: reads — the service lock does not cover the worker's monitor calls
-    monitor_lock: threading.Lock = field(default_factory=threading.Lock)
     #: resolved data (kept so resume re-derives the identical matrices)
     x0: np.ndarray | None = None
     errors: np.ndarray | None = None
@@ -204,10 +165,9 @@ class JobRecord:
     def to_dict(self) -> dict:
         """JSON-safe status record (the ``jobs[]`` entry of ``repro.serve/v1``)."""
         result = self.result
-        out: dict[str, Any] = {
+        return {
             "job_id": self.job_id,
             "tenant": self.spec.tenant,
-            "kind": self.spec.kind,
             "name": self.spec.name,
             "state": self.state,
             "reason": self.reason,
@@ -251,21 +211,6 @@ class JobRecord:
                 else None
             ),
         }
-        if self.spec.kind == "monitor" and self.monitor is not None:
-            with self.monitor_lock:
-                drift = self.monitor.latest_drift()
-                out["monitor"] = {
-                    "num_ticks": len(self.monitor.ticks),
-                    "quarantined": [
-                        record.to_dict()
-                        for record in self.monitor.quarantine_records()
-                    ],
-                    "drift": [signal.to_dict() for signal in drift],
-                    "num_degraded": sum(
-                        1 for signal in drift if signal.degraded()
-                    ),
-                }
-        return out
 
 
-__all__ = ["JOB_KINDS", "JobRecord", "JobSpec", "JobState"]
+__all__ = ["JobRecord", "JobSpec", "JobState"]

@@ -5,8 +5,7 @@
 pool, its ``executing`` bookkeeping and its ``maybe_preempt`` rule, so
 cooperative preemption works the same in both modes.  The difference is
 *where* enumeration runs: each worker slot owns a **spawned child
-process**, and the heavy ``slice_line`` call of a ``find`` job executes
-there — so a worker that is SIGKILL'd mid-level (OOM killer, operator,
+process**, and each job's ``slice_line`` call executes there — so a worker that is SIGKILL'd mid-level (OOM killer, operator,
 chaos suite) takes down neither the service nor the other workers.
 
 Supervision contract per worker slot:
@@ -26,9 +25,7 @@ Supervision contract per worker slot:
   running on the remaining slots).
 
 Job state transitions stay in the parent — the service's lock-guarded
-state machine is untouched; the child only computes.  Monitor jobs run
-inline on the worker thread (their live monitor object feeds the
-status API and cannot live in another process).
+state machine is untouched; the child only computes.
 """
 
 from __future__ import annotations

@@ -50,28 +50,6 @@ class DriftSignal:
         """True when the slice's mean error rose significantly."""
         return not math.isnan(self.p_value) and self.p_value < significance
 
-    def to_dict(self) -> dict:
-        """JSON-safe record for the service status API (NaN becomes None)."""
-
-        def _num(value: float) -> float | None:
-            return None if math.isnan(value) else float(value)
-
-        return {
-            "predicates": {
-                str(f): int(v) for f, v in sorted(self.slice.predicates.items())
-            },
-            "baseline_score": _num(self.baseline_score),
-            "current_score": _num(self.current_score),
-            "baseline_mean_error": _num(self.baseline_mean_error),
-            "current_mean_error": _num(self.current_mean_error),
-            "baseline_size": self.baseline_size,
-            "current_size": self.current_size,
-            "statistic": _num(self.statistic),
-            "p_value": _num(self.p_value),
-            "score_delta": _num(self.score_delta),
-            "degraded": self.degraded(),
-        }
-
 
 def drift_signals(
     tracked: Sequence[Slice],

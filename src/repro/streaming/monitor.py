@@ -283,25 +283,6 @@ class SliceMonitor:
         self.ticks.append(tick)
         return tick
 
-    # -- status retrieval (the serving layer's window into the monitor) ------
-
-    def quarantine_records(self) -> list[QuarantineRecord]:
-        """Every batch quarantined so far, in ingestion order.
-
-        Previously the only way to see quarantined batches was the
-        ``quarantine_dir`` files; the service status API reads them from
-        here instead, so persistence stays optional.
-        """
-        return list(self.quarantine.records)
-
-    def drift_history(self) -> list[list[DriftSignal]]:
-        """Per-tick drift signals, aligned with :attr:`ticks`."""
-        return [list(tick.drift) for tick in self.ticks]
-
-    def latest_drift(self) -> list[DriftSignal]:
-        """Drift signals of the most recent tick (empty before any tick)."""
-        return list(self.ticks[-1].drift) if self.ticks else []
-
     def _window_stats(
         self,
     ) -> tuple[MergeableSliceStats, int, int, int]:

@@ -2,10 +2,10 @@
 
 Two guarantees are under test.  Corrupt batches must be quarantined with
 the right reason while the monitor's results match an oracle monitor that
-never saw them.  A SIGKILLed service, a torn journal or a deleted cache
-spill must recover to results bitwise identical to a fault-free run.
-Every injection decision is a pure hash of the seed, so each fault
-replays.
+never saw them.  A SIGKILLed service or a torn journal must recover to
+results bitwise identical to a fault-free run (a deleted cache spill is
+``tests/test_durability.py``'s).  Every injection decision is a pure hash
+of the seed, so each fault replays.
 """
 
 import os
@@ -237,27 +237,6 @@ class TestProcessChaos:
             assert [s.score for s in result.top_slices] == [
                 s.score for s in baseline.top_slices
             ]
-
-    def test_cache_spill_deletion_forces_rerun(
-        self, tmp_path, planted_dataset
-    ):
-        x0, errors, _ = planted_dataset
-        state = str(tmp_path / "state")
-        with SliceService(state_dir=state, num_workers=1) as service:
-            record = service.submit(JobSpec(x0=x0, errors=errors))
-            baseline = service.result(record.job_id, timeout=60)
-        os.unlink(os.path.join(state, "cache", f"{record.fingerprint}.npz"))
-        recovered = SliceService(state_dir=state, num_workers=1)
-        try:
-            # The completed job lost its result, but a fresh submission
-            # re-runs and lands on the identical answer.
-            resubmit = recovered.submit(JobSpec(x0=x0, errors=errors))
-            result = recovered.result(resubmit.job_id, timeout=60)
-        finally:
-            recovered.shutdown()
-        assert [s.score for s in result.top_slices] == [
-            s.score for s in baseline.top_slices
-        ]
 
     def test_service_sigkill_mid_run_recovers_bitwise(self, tmp_path):
         """kill -9 the whole service process; a restart finishes the job.

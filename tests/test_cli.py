@@ -223,6 +223,24 @@ class TestMonitorSubcommand:
         assert main(["monitor", "/does/not/exist.csv", "--error-column", "e"]) == 2
         capsys.readouterr()
 
+    def test_monitor_every_batch_quarantined(self, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        path.write_text(
+            "city,plan,err\n"
+            + "".join(f"{i % 3},{i % 2},nan\n" for i in range(300))
+        )
+        rc = main([
+            "monitor", str(path), "--error-column", "err",
+            "--batch-size", "100",
+        ])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out.count("quarantined batch") == 3
+        assert captured.err.strip() == (
+            "error: all 3 batch(es) were quarantined (nonfinite-errors x3); "
+            "nothing to monitor"
+        )
+
 
 @pytest.mark.parametrize("build", [build_parser, build_monitor_parser])
 def test_execution_flags_map_to_config(build, capsys):

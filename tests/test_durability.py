@@ -14,8 +14,8 @@ The load-bearing guarantees:
   jobs re-admit at the front and finish bitwise-identically, queued jobs
   of every tenant keep their job ids, and each registry dataset is built
   once per recovery; a recovered completed job whose result is gone
-  (evicted, its spill lost, or a monitor job) stays completed, and
-  ``result()`` raises a typed error instead of returning ``None``;
+  (evicted, or its spill lost) stays completed, and ``result()`` raises
+  a typed error instead of returning ``None``;
 - explicit-array inputs spill once per dataset, before the first submit
   record that needs them, with the codes in the dtype their fingerprint
   hashed; recovery reads each spill once, still checks it against the
@@ -513,23 +513,16 @@ class TestServiceRecovery:
         finally:
             recovered.shutdown()
 
-    @pytest.mark.parametrize("cause", ["evicted", "spill-deleted", "monitor"])
+    @pytest.mark.parametrize("cause", ["evicted", "spill-deleted"])
     def test_completed_job_without_its_result_raises(
         self, tmp_path, planted_dataset, cause
     ):
-        """Recovery restores a find job's result only from the cache, and
-        no monitor job's.  A job left without one stays completed; its
-        ``result()`` raises, and a resubmission runs it again."""
+        """Recovery restores a job's result only from the cache.  A job
+        left without one stays completed; its ``result()`` raises, and a
+        resubmission runs it again."""
         x0, errors, _ = planted_dataset
         config = SliceLineConfig(k=3, max_level=2)
-        spec = (
-            JobSpec(
-                kind="monitor", x0=x0, errors=errors, config=config,
-                batch_size=100, tick_every=2,
-            )
-            if cause == "monitor"
-            else JobSpec(x0=x0, errors=errors, config=config)
-        )
+        spec = JobSpec(x0=x0, errors=errors, config=config)
         state = str(tmp_path / "state")
         with SliceService(
             state_dir=state, num_workers=1, cache_entries=1
@@ -568,8 +561,7 @@ class TestServiceRecovery:
         finally:
             recovered.shutdown()
         _assert_results_equal(rerun, live)
-        if cause != "monitor":
-            _assert_results_equal(rerun, slice_line(x0, errors, config=config))
+        _assert_results_equal(rerun, slice_line(x0, errors, config=config))
 
     def test_recovered_serials_do_not_collide(self, tmp_path, planted_dataset):
         x0, errors, _ = planted_dataset
@@ -1123,6 +1115,125 @@ class TestByteHashedStateDir:
             _assert_results_equal(
                 result, slice_line(*data, config=record.spec.config)
             )
+
+
+class TestRetiredMonitorJobs:
+    """While the service also ran monitor replays, every submit record's
+    spec carried ``kind`` and five replay keys, and a journal could hold
+    monitor jobs.  Rewriting a journal that way stands in for such a state
+    dir: a restart must keep every find job and quarantine each monitor
+    job once."""
+
+    #: Replay keys as a find job's spec carried them (any values).
+    FIND_KEYS = {
+        "kind": "find", "batch_size": 64, "window_size": 2,
+        "policy": "tumbling", "warm_start": False, "tick_every": 1,
+    }
+
+    def test_find_jobs_recover_and_monitor_jobs_fail_once(
+        self, tmp_path, planted_dataset
+    ):
+        x0, errors, _ = planted_dataset
+        state = str(tmp_path / "state")
+        service = SliceService(state_dir=state, num_workers=1, start=False)
+        done = service.submit(JobSpec(
+            x0=x0, errors=errors, config=SliceLineConfig(k=2, max_level=3)
+        ))
+        service._execute(service.queue.take(timeout=5))
+        suspended = service.submit(JobSpec(
+            x0=x0, errors=errors, config=SliceLineConfig(k=4, max_level=3)
+        ))
+        suspended.suspend = _SuspendAfterLevel2()
+        assert service.queue.take(timeout=5) is suspended
+        service._execute(suspended)
+        pending = service.submit(JobSpec(
+            x0=x0, errors=errors, config=SliceLineConfig(k=3, max_level=3)
+        ))
+        registry = service.submit(JobSpec(dataset="salaries", seed=3))
+        service.shutdown()
+        records = [done, suspended, pending, registry]
+        assert [r.state for r in records] == [
+            JobState.COMPLETED, JobState.SUSPENDED,
+            JobState.PENDING, JobState.PENDING,
+        ]
+        assert all("/find-" in r.job_id for r in records)
+
+        journal = _journaled(state)
+        for entry in journal:
+            if entry["type"] == "submit":
+                entry["spec"].update(self.FIND_KEYS)
+        config = SliceLineConfig(k=3, max_level=2)
+        monitors = []
+        for tick_every, lifecycle in ((2, "complete"), (4, None)):
+            replay = {
+                "kind": "monitor", "batch_size": 100, "window_size": 8,
+                "policy": "sliding", "warm_start": True,
+                "tick_every": tick_every,
+            }
+            fingerprint = fingerprint_digest(
+                fingerprint_inputs(x0, errors),
+                fingerprint_config(config),
+                replay,
+            )
+            job_id = f"default/monitor-{fingerprint[:12]}-0"
+            monitors.append(job_id)
+            journal.append(_wal_record(
+                "submit", job_id, fingerprint=fingerprint,
+                data_digest=done.data_digest, serial=0,
+                spec={
+                    **spec_to_dict(JobSpec(x0=x0, errors=errors, config=config)),
+                    **replay,
+                },
+                has_inputs=True, submitted_at=time.time(),
+            ))
+            if lifecycle is not None:
+                journal.append(_wal_record("dispatch", job_id))
+                journal.append(_wal_record(
+                    lifecycle, job_id, reason="", cache_hit=False, error=None
+                ))
+        with open(os.path.join(state, "wal", "journal.wal"), "wb") as handle:
+            handle.write(b"".join(frame_record(r) for r in journal))
+
+        recovered = SliceService(state_dir=state, num_workers=1, start=False)
+        try:
+            assert [e["job_id"] for e in recovered.recovery_errors] == monitors
+            for error in recovered.recovery_errors:
+                assert "'monitor' job" in error["error"]
+            assert recovered.registry.events["serve.recovery_quarantined"] == 2
+            assert list(recovered.jobs) == [r.job_id for r in records]
+            for record in records:
+                again = recovered.jobs[record.job_id]
+                assert again.fingerprint == record.fingerprint
+                assert again.data_digest == record.data_digest
+                assert spec_to_dict(again.spec) == spec_to_dict(record.spec)
+            assert recovered.jobs[done.job_id].state == JobState.COMPLETED
+            assert recovered.jobs[suspended.job_id].has_checkpoint
+            recovered.start()
+            results = [
+                recovered.result(r.job_id, timeout=60) for r in records
+            ]
+            assert recovered.jobs[suspended.job_id].resumes == 1
+        finally:
+            recovered.shutdown()
+        salaries = load_dataset("salaries", seed=3)
+        for record, result in zip(records, results):
+            data = (
+                (salaries.x0, salaries.errors) if record is registry
+                else (x0, errors)
+            )
+            _assert_results_equal(
+                result, slice_line(*data, config=record.spec.config)
+            )
+
+        again = SliceService(state_dir=state, num_workers=1, start=False)
+        try:
+            assert again.recovery_errors == []
+            assert list(again.jobs) == [r.job_id for r in records]
+            assert all(
+                r.state == JobState.COMPLETED for r in again.jobs.values()
+            )
+        finally:
+            again.shutdown()
 
 
 # ---------------------------------------------------------------------------

@@ -56,10 +56,10 @@ from repro.serve import (
     load_job_document,
     load_job_file,
     scan_wal,
+    spec_from_dict,
 )
 from repro.serve.queue import MAX_QUEUED
 from repro.serve.scheduler import Scheduler
-from repro.streaming import PredictionBatch, SliceMonitor
 
 
 def _span_names(tracer):
@@ -510,22 +510,34 @@ class TestDeclarative:
         "jobs": [
             {"name": "baseline"},
             {"name": "deep", "config": {"max_level": 5}},
-            {
-                "name": "mon",
-                "kind": "monitor",
-                "tenant": "ops",
-                "batch_size": 64,
-            },
+            {"name": "ops-wide", "tenant": "ops", "config": {"k": 8}},
         ],
     }
 
     def test_defaults_merge_key_wise(self):
         specs = load_job_document(self.DOC)
-        assert [s.name for s in specs] == ["baseline", "deep", "mon"]
+        assert [s.name for s in specs] == ["baseline", "deep", "ops-wide"]
         assert specs[0].config.k == 4 and specs[0].config.max_level == 3
         # "deep" overrides max_level but inherits k from the defaults
         assert specs[1].config.k == 4 and specs[1].config.max_level == 5
-        assert specs[2].kind == "monitor" and specs[2].tenant == "ops"
+        assert specs[2].tenant == "ops"
+        assert specs[2].config.k == 8 and specs[2].config.max_level == 3
+
+    @pytest.mark.parametrize("kind", ["find", "monitor"])
+    def test_kind_key_rejected(self, kind):
+        """Every job is a slice-finding job: a job file or spec table that
+        names a kind is rejected like any other unknown key."""
+        entry = {"dataset": "salaries", "kind": kind}
+        for load in (
+            lambda: load_job_document({"jobs": [entry]}),
+            lambda: spec_from_dict(entry),
+        ):
+            with pytest.raises(ConfigError, match="'kind'") as info:
+                load()
+            assert str(info.value).endswith(
+                "allowed: ['budgets', 'config', 'dataset', 'interactive', "
+                "'name', 'num_threads', 'scale', 'seed', 'tenant']"
+            )
 
     def test_unknown_keys_rejected(self):
         doc = {"jobs": [{"dataset": "salaries", "bogus_knob": 1}]}
@@ -589,8 +601,8 @@ class TestJobSpec:
             JobSpec(tenant="t", dataset="salaries", x0=x0, errors=errors)
 
     def test_bad_kind_rejected(self):
-        with pytest.raises(ConfigError):
-            JobSpec(kind="train", dataset="salaries")
+        with pytest.raises(TypeError, match="kind"):
+            JobSpec(kind="monitor", dataset="salaries")
 
 
 # ---------------------------------------------------------------------------
@@ -1009,60 +1021,6 @@ class TestSliceService:
         finally:
             service.shutdown()
 
-    def test_monitor_job_exposes_quarantine_and_drift(
-        self, planted_dataset, service_workdir
-    ):
-        x0, errors, _ = planted_dataset
-        with SliceService(num_workers=1, workdir=service_workdir) as service:
-            record = service.submit(
-                JobSpec(
-                    kind="monitor", x0=x0, errors=errors,
-                    config=SliceLineConfig(k=3, max_level=2),
-                    batch_size=100, tick_every=2,
-                )
-            )
-            service.result(record.job_id, timeout=120)
-            status = service.status(record.job_id)
-            assert status["monitor"]["num_ticks"] >= 2
-            assert isinstance(status["monitor"]["quarantined"], list)
-            assert isinstance(status["monitor"]["drift"], list)
-            # ticks after the first carry drift signals for tracked slices
-            assert record.monitor.drift_history()[-1] == (
-                record.monitor.latest_drift()
-            )
-            json.dumps(status)  # the whole record must be JSON-safe
-
-    def test_status_is_consistent_while_monitor_job_runs(
-        self, planted_dataset, service_workdir
-    ):
-        x0, errors, _ = planted_dataset
-        with SliceService(num_workers=1, workdir=service_workdir) as service:
-            record = service.submit(
-                JobSpec(
-                    kind="monitor", x0=x0, errors=errors,
-                    config=SliceLineConfig(k=3, max_level=2),
-                    batch_size=50, tick_every=1,
-                )
-            )
-            seen_errors = []
-
-            def hammer():
-                # status() must never observe torn monitor state while the
-                # worker ingests/ticks concurrently
-                while not record.done.is_set():
-                    try:
-                        json.dumps(service.status(record.job_id))
-                    except Exception as exc:  # pragma: no cover
-                        seen_errors.append(exc)
-                        return
-                    time.sleep(0.001)
-
-            thread = threading.Thread(target=hammer)
-            thread.start()
-            service.result(record.job_id, timeout=120)
-            thread.join(timeout=30)
-            assert seen_errors == []
-
     def test_status_document_schema(self, planted_dataset, service_workdir):
         with SliceService(num_workers=1, workdir=service_workdir) as service:
             record = service.submit(self._spec(planted_dataset))
@@ -1074,46 +1032,6 @@ class TestSliceService:
         assert "tenants" not in doc
         assert doc["gauges"]["serve.queue_depth"] == 0
         json.dumps(doc)
-
-
-# ---------------------------------------------------------------------------
-# monitor plumbing (streaming satellite)
-
-
-class TestMonitorStatusPlumbing:
-    def test_quarantine_records_retrievable_without_dir(self, planted_dataset):
-        x0, errors, _ = planted_dataset
-        monitor = SliceMonitor(config=SliceLineConfig(k=2, max_level=2))
-        monitor.ingest(PredictionBatch(x0=x0, errors=errors, timestamp=0.0))
-        bad = PredictionBatch.__new__(PredictionBatch)
-        object.__setattr__(bad, "x0", x0)
-        object.__setattr__(bad, "errors", np.full(x0.shape[0], np.nan))
-        object.__setattr__(bad, "timestamp", 1.0)
-        object.__setattr__(bad, "batch_id", 1)
-        record = monitor.ingest(bad)
-        assert record is not None
-        assert monitor.quarantine_records() == [record]
-
-    def test_drift_history_aligns_with_ticks(self, planted_dataset):
-        x0, errors, _ = planted_dataset
-        monitor = SliceMonitor(
-            config=SliceLineConfig(k=2, max_level=2), window_size=4
-        )
-        assert monitor.latest_drift() == []
-        for start in (0, 250):
-            monitor.ingest(
-                PredictionBatch(
-                    x0=x0[start : start + 250],
-                    errors=errors[start : start + 250],
-                    timestamp=float(start),
-                )
-            )
-            monitor.tick()
-        history = monitor.drift_history()
-        assert len(history) == len(monitor.ticks) == 2
-        assert history[-1] == monitor.latest_drift()
-        assert history[0] == []  # no baseline before the first tick
-        assert len(history[1]) == len(monitor.ticks[0].top_slices)
 
 
 # ---------------------------------------------------------------------------

@@ -505,6 +505,36 @@ class TestDrift:
         monitor, _, _ = run_monitor("sliding", 2, 200, seed=1, warm_start=True, n=400)
         assert monitor.ticks[0].drift == []
 
+    def test_one_signal_per_previous_top_slice(self, planted_dataset):
+        x0, errors, _ = planted_dataset
+        monitor = SliceMonitor(
+            config=SliceLineConfig(k=2, max_level=2), window_size=4
+        )
+        for batch in replay_batches(x0, errors, 125):
+            monitor.ingest(batch)
+            monitor.tick()
+        assert len(monitor.ticks) == 4
+        for previous, tick in zip(monitor.ticks, monitor.ticks[1:]):
+            assert previous.top_slices
+            assert [signal.slice.predicates for signal in tick.drift] == [
+                s.predicates for s in previous.top_slices
+            ]
+
+
+class TestQuarantine:
+    def test_quarantined_batch_retrievable_without_dir(self):
+        from repro.resilience.chaos import make_corrupt_batch
+
+        x0, errors = dyadic_problem(5, n=400)
+        healthy, corrupt = replay_batches(x0, errors, 200)
+        monitor = SliceMonitor(config=SliceLineConfig(k=2, max_level=2))
+        assert monitor.ingest(healthy) is None
+        record = monitor.ingest(make_corrupt_batch(corrupt, "nonfinite-errors"))
+        assert record is not None and record.reason == "nonfinite-errors"
+        assert monitor.quarantine.persist_dir is None
+        assert monitor.quarantine.records == [record]
+        assert len(monitor.window) == 1
+
 
 class TestObservability:
     def test_tick_obs_dict_schema(self):
